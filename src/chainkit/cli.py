@@ -8,8 +8,10 @@ walk first.
 
 Reports are JSON with sorted keys and floats fixed at 12 significant
 digits, so identical inputs and flags produce byte-identical output.
-`spectrum` and `taxonomy` can instead emit CSV rows (re, im, abs, label)
-for unit-circle plots. Exit codes: 0 success, 2 invalid input, 3 numeric
+`spectrum` and `taxonomy` take `--format csv` to emit rows (re, im, abs,
+label) for unit-circle plots instead; `simulate` and `demo-line-chain`
+take `--seed` (default: CHAINS_SEED, then 0). There is no row-sum
+tolerance flag. Exit codes: 0 success, 2 invalid input, 3 numeric
 failure.
 """
 
@@ -20,12 +22,14 @@ import hashlib
 import json
 import os
 import sys
+from functools import cached_property
 
 import numpy as np
 
 from . import __version__, errors
 from .absorbing import canonical_form, fundamental_matrix
 from .chain import (
+    ROW_SUM_ATOL,
     TransitionMatrix,
     build_chain,
     evolve,
@@ -37,18 +41,20 @@ from .chain import (
 from .demo import line_chain
 from .graph import WeightedDigraph, build_graph, random_walk, same_rw_set
 from .laplacian import (
+    LaplacianMatrix,
     build_laplacian,
     directed_laplacian,
     gft,
     smooth_spectrum,
 )
 from .reversal import k_matrix, reversibility, reversibilize, time_reverse
-from .spectral import decompose, perron_report, taxonomy
-from .stationary import equal_weight, stationary_basis
-from .structure import classify
+from .spectral import SpectralDecomposition, decompose, perron_report, taxonomy
+from .stationary import StationaryBasis, equal_weight, stationary_basis
+from .structure import ClassStructure, classify
 from .surfer import SurferConfig, google_matrix, pagerank
 
-DEFAULT_ROW_TOL = 1e-9
+# the row-sum tolerance build_chain applies, echoed by the reports
+ROW_SUM = {"row_sum": ROW_SUM_ATOL}
 
 
 # ---------------------------------------------------------------------------
@@ -115,18 +121,6 @@ def parse_input(path: str) -> TransitionMatrix | WeightedDigraph:
     return parse_graph_tsv(path)
 
 
-def _as_chain(obj) -> TransitionMatrix:
-    if isinstance(obj, WeightedDigraph):
-        return random_walk(obj)
-    return obj
-
-
-def _as_graph(obj) -> WeightedDigraph:
-    if isinstance(obj, TransitionMatrix):
-        raise errors.ValidationError("this command needs a graph TSV input")
-    return obj
-
-
 # ---------------------------------------------------------------------------
 # deterministic serialization
 
@@ -169,36 +163,51 @@ def chain_document(chain: TransitionMatrix) -> dict:
     return {"states": list(chain.labels), "P": chain.p}
 
 
+class Analysis:
+    """The stages of one report's input, each computed at most once and
+    only when a command reads it. Nothing outlives the report."""
+
+    def __init__(self, obj: TransitionMatrix | WeightedDigraph | None):
+        self.obj = obj
+
+    @property
+    def graph(self) -> WeightedDigraph:
+        if not isinstance(self.obj, WeightedDigraph):
+            raise errors.ValidationError("this command needs a graph TSV input")
+        return self.obj
+
+    @cached_property
+    def chain(self) -> TransitionMatrix:
+        if isinstance(self.obj, WeightedDigraph):
+            return random_walk(self.obj)
+        return self.obj
+
+    @cached_property
+    def structure(self) -> ClassStructure:
+        return classify(self.chain)
+
+    @cached_property
+    def basis(self) -> StationaryBasis:
+        return stationary_basis(self.chain, self.structure)
+
+    @cached_property
+    def decomposition(self) -> SpectralDecomposition:
+        return decompose(self.chain)
+
+    @cached_property
+    def directed_laplacian(self) -> LaplacianMatrix:
+        return directed_laplacian(self.chain, self.basis)
+
+    def smoothing_laplacian(self) -> LaplacianMatrix:
+        """Normalized Laplacian of an undirected graph, else directed."""
+        if isinstance(self.obj, WeightedDigraph) and self.obj.is_undirected:
+            return build_laplacian(self.obj, "normalized")
+        return self.directed_laplacian
+
+
 # ---------------------------------------------------------------------------
-# command implementations; each returns a result payload
-
-def _structure_payload(chain: TransitionMatrix) -> dict:
-    st = classify(chain)
-    return {
-        "classes": [[chain.labels[i] for i in members] for members in st.classes],
-        "recurrent_classes": list(st.recurrent),
-        "class_periods": list(st.period),
-        "condensation_edges": sorted(st.condensation_edges),
-        "irreducible": st.irreducible,
-        "recurrent": st.recurrent_chain,
-        "periodicity": st.periodicity,
-        "period": st.chain_period,
-        "ergodic": st.ergodic,
-        "absorbing_states": [chain.labels[i] for i in st.absorbing_states],
-        "absorbing": st.absorbing_chain,
-    }
-
-
-def _spectrum_rows(chain: TransitionMatrix) -> list[dict]:
-    dec = decompose(chain)
-    labels = taxonomy(dec)
-    rows = []
-    for j in dec.order:
-        lam = dec.values[j]
-        rows.append({"re": lam.real, "im": lam.imag, "abs": abs(lam),
-                     "label": labels[j]})
-    return rows
-
+# command payloads; each returns (result, tolerances), or (text, None)
+# for a CSV report
 
 def _parse_vector(text: str) -> np.ndarray:
     try:
@@ -207,215 +216,237 @@ def _parse_vector(text: str) -> np.ndarray:
         raise errors.ValidationError(f"bad numeric list {text!r}") from None
 
 
-def run_command(args: argparse.Namespace) -> tuple[str, str]:
-    """Execute one subcommand; returns (payload_text, media) where media
-    is "json" or "csv"."""
-    cmd = args.command
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get("CHAINS_SEED", "0"))
+def _validate(args, a: Analysis):
+    obj = a.obj
+    result = {"ok": True, "kind": "chain", "n": obj.n}
+    if isinstance(obj, WeightedDigraph):
+        result.update(kind="graph", volume=obj.volume, undirected=obj.is_undirected,
+                      balanced=obj.is_balanced)
+    return result, ROW_SUM
 
-    if cmd == "demo-line-chain":
-        chain = line_chain(n=args.n, p_right=args.p_right,
-                           perturb=args.perturb, seed=seed)
-        st = classify(chain)
-        basis = stationary_basis(chain, st)
-        pi = equal_weight(basis)
-        lap = directed_laplacian(chain, basis)
-        spec = smooth_spectrum(lap)
-        y0 = spec.vectors[:, 0]
-        rt0 = spec.right_transformed[:, 0]
-        rt0 = rt0 / rt0[0]
-        p_residuals = [
-            float(np.max(np.abs(chain.p @ spec.right_transformed[:, j]
-                                - (1.0 - spec.values[j]) * spec.right_transformed[:, j])))
-            for j in range(min(args.n, 8))
-        ]
-        result = {
-            "chain": chain_document(chain),
-            "stationary": pi,
-            "stationary_strictly_increasing": bool(np.all(np.diff(pi) > 0)),
-            "laplacian_values_head": spec.values[:8],
-            "lambda0_vector": y0,
-            "lambda0_right_transformed": rt0,
-            "walk_eigen_residuals_head": p_residuals,
-        }
-        digest = "-"
-        tol = {"row_sum": DEFAULT_ROW_TOL}
-        return make_report(cmd, digest, result, tol), "json"
 
-    obj = parse_input(args.input)
-    digest = _sha256(args.input)
-    tol = {"row_sum": args.tol}
+def _classify(args, a: Analysis):
+    st, labels = a.structure, a.chain.labels
+    result = {
+        "classes": [[labels[i] for i in members] for members in st.classes],
+        "recurrent_classes": list(st.recurrent),
+        "class_periods": list(st.period),
+        "condensation_edges": sorted(st.condensation_edges),
+        "irreducible": st.irreducible,
+        "recurrent": st.recurrent_chain,
+        "periodicity": st.periodicity,
+        "period": st.chain_period,
+        "ergodic": st.ergodic,
+        "absorbing_states": [labels[i] for i in st.absorbing_states],
+        "absorbing": st.absorbing_chain,
+    }
+    return result, ROW_SUM
 
-    if cmd == "validate":
-        kind = "graph" if isinstance(obj, WeightedDigraph) else "chain"
-        n = obj.n
-        result = {"ok": True, "kind": kind, "n": n}
-        if kind == "graph":
-            result.update(volume=obj.volume, undirected=obj.is_undirected,
-                          balanced=obj.is_balanced)
-        return make_report(cmd, digest, result, tol), "json"
 
-    if cmd == "rwset":
-        g1 = _as_graph(obj)
-        g2 = _as_graph(parse_input(args.other))
-        scaling = same_rw_set(g1.w, g2.w)
-        result = {"same_random_walk_set": scaling is not None,
-                  "scaling": scaling}
-        return make_report(cmd, digest, result, {"rel": 1e-10}), "json"
+def _stationary(args, a: Analysis):
+    basis = a.basis
+    result = {
+        "unique": basis.unique,
+        "class_ids": list(basis.class_ids),
+        "vectors": basis.vectors,
+        "equal_weight_combination": equal_weight(basis),
+    }
+    return result, {"stationarity": 1e-10}
 
-    if cmd == "laplacian" and args.variant != "directed":
-        g = _as_graph(obj)
-        lap = build_laplacian(g, args.variant)
-        result = {"variant": args.variant, "matrix": lap.m,
-                  "degrees": lap.scale}
-        return make_report(cmd, digest, result, tol), "json"
 
-    if cmd in ("embed", "gft") and isinstance(obj, WeightedDigraph) \
-            and obj.is_undirected:
-        lap = build_laplacian(obj, "normalized")
+def _spectrum(args, a: Analysis):
+    """`spectrum` and `taxonomy`: the eigenvalues in sorted order with
+    their taxonomy labels, as JSON with a Perron summary or as CSV."""
+    dec = a.decomposition
+    labels = taxonomy(dec)
+    rows = []
+    for j in dec.order:
+        lam = dec.values[j]
+        rows.append({"re": lam.real, "im": lam.imag, "abs": abs(lam),
+                     "label": labels[j]})
+    if args.format == "csv":
+        lines = ["re,im,abs,label"]
+        for r in rows:
+            lines.append(f"{_round12(r['re'])!r},{_round12(r['im'])!r},"
+                         f"{_round12(r['abs'])!r},{r['label']}")
+        return "\n".join(lines), None
+    n_rec = sum(a.structure.recurrent)
+    result = {"eigenvalues": rows,
+              "diagonalizable": dec.pairs.diagonalizable,
+              "perron": perron_report(dec, recurrent_classes=n_rec)}
+    return result, {"epsilon": 1e-8}
+
+
+def _evolve(args, a: Analysis):
+    chain = a.chain
+    if args.start is not None:
+        mu = point_mass(chain, args.start)
+    elif args.mu is not None:
+        mu = validate_distribution(_parse_vector(args.mu), chain.n)
     else:
-        lap = None
+        raise errors.ValidationError("evolve needs --start or --mu")
+    out = evolve(chain, mu, args.steps)
+    result = {"steps": args.steps, "distribution": out,
+              "states": list(chain.labels)}
+    return result, ROW_SUM
 
-    chain = _as_chain(obj)
 
-    if cmd == "classify":
-        return make_report(cmd, digest, _structure_payload(chain), tol), "json"
+def _simulate(args, a: Analysis):
+    chain = a.chain
+    if args.trajectories > 1:
+        occ = occupancy(chain, args.start, args.length, args.seed,
+                        args.trajectories)
+        result = {"seed": args.seed, "trajectories": args.trajectories,
+                  "length": args.length, "states": list(chain.labels),
+                  "occupancy": occ}
+    else:
+        path = sample(chain, args.start, args.length, args.seed)
+        result = {"seed": args.seed, "path": path}
+    return result, ROW_SUM
 
-    if cmd == "stationary":
-        st = classify(chain)
-        basis = stationary_basis(chain, st)
-        result = {
-            "unique": basis.unique,
-            "class_ids": list(basis.class_ids),
-            "vectors": basis.vectors,
-            "equal_weight_combination": equal_weight(basis),
-        }
-        return make_report(cmd, digest, result, {"stationarity": 1e-10}), "json"
 
-    if cmd in ("spectrum", "taxonomy"):
-        rows = _spectrum_rows(chain)
-        if args.format == "csv":
-            lines = ["re,im,abs,label"]
-            for r in rows:
-                lines.append(f"{_round12(r['re'])!r},{_round12(r['im'])!r},"
-                             f"{_round12(r['abs'])!r},{r['label']}")
-            return "\n".join(lines), "csv"
-        dec = decompose(chain)
-        st = classify(chain)
-        n_rec = sum(dec_rec for dec_rec in st.recurrent)
-        result = {"eigenvalues": rows,
-                  "diagonalizable": dec.pairs.diagonalizable,
-                  "perron": perron_report(dec, recurrent_classes=n_rec)}
-        return make_report(cmd, digest, result, {"epsilon": 1e-8}), "json"
+def _reverse(args, a: Analysis):
+    out = time_reverse(a.chain, a.structure, a.basis)
+    return {"chain": chain_document(out)}, {"db": 1e-9}
 
-    if cmd == "evolve":
-        if args.start is not None:
-            mu = point_mass(chain, args.start)
-        elif args.mu is not None:
-            mu = validate_distribution(_parse_vector(args.mu), chain.n)
-        else:
-            raise errors.ValidationError("evolve needs --start or --mu")
-        out = evolve(chain, mu, args.steps)
-        result = {"steps": args.steps, "distribution": out,
-                  "states": list(chain.labels)}
-        return make_report(cmd, digest, result, tol), "json"
 
-    if cmd == "simulate":
-        if args.start is None:
-            raise errors.ValidationError("simulate needs --start")
-        if args.trajectories > 1:
-            occ = occupancy(chain, args.start, args.length, seed,
-                            args.trajectories)
-            result = {"seed": seed, "trajectories": args.trajectories,
-                      "length": args.length, "states": list(chain.labels),
-                      "occupancy": occ}
-        else:
-            path = sample(chain, args.start, args.length, seed)
-            result = {"seed": seed, "path": path}
-        return make_report(cmd, digest, result, tol), "json"
+def _reversibilize(args, a: Analysis):
+    out = reversibilize(a.chain, a.basis, args.mode)
+    return {"mode": args.mode, "chain": chain_document(out)}, {"db": 1e-9}
 
-    if cmd in ("reverse", "reversibilize", "kmatrix"):
-        st = classify(chain)
-        basis = stationary_basis(chain, st)
-        if cmd == "reverse":
-            out = time_reverse(chain, st, basis)
-            result = {"chain": chain_document(out)}
-        elif cmd == "reversibilize":
-            out = reversibilize(chain, basis, args.mode)
-            result = {"mode": args.mode, "chain": chain_document(out)}
-        else:
-            kern = k_matrix(chain, basis)
-            rep = reversibility(chain, st, basis)
-            result = {"k": kern.k,
-                      "symmetric": bool(np.max(np.abs(kern.k - kern.k.T)) <= 1e-10),
-                      "reversible": rep.reversible,
-                      "semi_reversible": rep.semi_reversible,
-                      "db_residual": rep.db_residual,
-                      "witness": rep.witness}
-        return make_report(cmd, digest, result, {"db": 1e-9}), "json"
 
-    if cmd == "laplacian":  # directed variant on a chain
-        st = classify(chain)
-        basis = stationary_basis(chain, st)
-        lap_dir = directed_laplacian(chain, basis)
-        result = {"variant": "directed", "matrix": lap_dir.m,
-                  "pi_used": lap_dir.pi_used}
-        return make_report(cmd, digest, result, tol), "json"
+def _kmatrix(args, a: Analysis):
+    kern = k_matrix(a.chain, a.basis)
+    rep = reversibility(a.chain, a.structure, a.basis)
+    result = {"k": kern.k,
+              "symmetric": bool(np.max(np.abs(kern.k - kern.k.T)) <= 1e-10),
+              "reversible": rep.reversible,
+              "semi_reversible": rep.semi_reversible,
+              "db_residual": rep.db_residual,
+              "witness": rep.witness}
+    return result, {"db": 1e-9}
 
-    if cmd == "embed":
-        if lap is None:
-            st = classify(chain)
-            basis = stationary_basis(chain, st)
-            lap = directed_laplacian(chain, basis)
-        spec = smooth_spectrum(lap, args.k)
-        result = {"values": spec.values,
-                  "coordinates": spec.right_transformed}
-        return make_report(cmd, digest, result, tol), "json"
 
-    if cmd == "gft":
-        if args.signal is None:
-            raise errors.ValidationError("gft needs --signal v1,v2,...")
-        if lap is None:
-            st = classify(chain)
-            basis = stationary_basis(chain, st)
-            lap = directed_laplacian(chain, basis)
-        spec = smooth_spectrum(lap)
-        coeffs = gft(spec, _parse_vector(args.signal))
-        result = {"coefficients": coeffs, "values": spec.values}
-        return make_report(cmd, digest, result, tol), "json"
+def _laplacian(args, a: Analysis):
+    if args.variant == "directed":
+        lap = a.directed_laplacian
+        result = {"variant": "directed", "matrix": lap.m, "pi_used": lap.pi_used}
+    else:
+        lap = build_laplacian(a.graph, args.variant)
+        result = {"variant": args.variant, "matrix": lap.m, "degrees": lap.scale}
+    return result, ROW_SUM
 
-    if cmd == "pagerank":
-        tel = None
-        if args.teleport is not None:
-            tel = validate_distribution(_parse_vector(args.teleport), chain.n)
-        cfg = SurferConfig(alpha=args.damping, teleport=tel)
-        gm = google_matrix(chain, cfg)
-        pi = pagerank(chain, cfg, tol=args.pr_tol)
-        result = {"damping": args.damping, "pagerank": pi,
-                  "states": list(chain.labels),
-                  "residual_l1": float(np.sum(np.abs(pi @ gm.p - pi)))}
-        if chain.n <= 16:
-            result["google_matrix"] = gm.p
-        return make_report(cmd, digest, result, {"power": args.pr_tol}), "json"
 
-    if cmd == "absorb":
-        st = classify(chain)
-        dec = canonical_form(chain, st)
-        fm = fundamental_matrix(dec)
-        result = {
-            "permutation": [chain.labels[i] for i in dec.permutation],
-            "transient_count": dec.t,
-            "absorbing_count": dec.a,
-            "q": dec.q,
-            "r": dec.r,
-            "fundamental": fm.n,
-            "expected_steps": fm.expected_steps,
-        }
-        return make_report(cmd, digest, result, tol), "json"
+def _embed(args, a: Analysis):
+    spec = smooth_spectrum(a.smoothing_laplacian(), args.k)
+    return {"values": spec.values, "coordinates": spec.right_transformed}, ROW_SUM
 
-    raise errors.ValidationError(f"unknown command {cmd!r}")
+
+def _gft(args, a: Analysis):
+    if args.signal is None:
+        raise errors.ValidationError("gft needs --signal v1,v2,...")
+    spec = smooth_spectrum(a.smoothing_laplacian())
+    coeffs = gft(spec, _parse_vector(args.signal))
+    return {"coefficients": coeffs, "values": spec.values}, ROW_SUM
+
+
+def _pagerank(args, a: Analysis):
+    chain = a.chain
+    tel = None
+    if args.teleport is not None:
+        tel = validate_distribution(_parse_vector(args.teleport), chain.n)
+    cfg = SurferConfig(alpha=args.damping, teleport=tel)
+    gm = google_matrix(chain, cfg)
+    pi = pagerank(chain, cfg, tol=args.pr_tol)
+    result = {"damping": args.damping, "pagerank": pi,
+              "states": list(chain.labels),
+              "residual_l1": float(np.sum(np.abs(pi @ gm.p - pi)))}
+    if chain.n <= 16:
+        result["google_matrix"] = gm.p
+    return result, {"power": args.pr_tol}
+
+
+def _absorb(args, a: Analysis):
+    dec = canonical_form(a.chain, a.structure)
+    fm = fundamental_matrix(dec)
+    result = {
+        "permutation": [a.chain.labels[i] for i in dec.permutation],
+        "transient_count": dec.t,
+        "absorbing_count": dec.a,
+        "q": dec.q,
+        "r": dec.r,
+        "fundamental": fm.n,
+        "expected_steps": fm.expected_steps,
+    }
+    return result, ROW_SUM
+
+
+def _rwset(args, a: Analysis):
+    g1 = a.graph
+    g2 = Analysis(parse_input(args.other)).graph
+    scaling = same_rw_set(g1.w, g2.w)
+    return {"same_random_walk_set": scaling is not None,
+            "scaling": scaling}, {"rel": 1e-10}
+
+
+def _demo_line_chain(args, _):
+    a = Analysis(line_chain(n=args.n, p_right=args.p_right,
+                            perturb=args.perturb, seed=args.seed))
+    chain = a.chain
+    pi = equal_weight(a.basis)
+    spec = smooth_spectrum(a.directed_laplacian)
+    y0 = spec.vectors[:, 0]
+    rt0 = spec.right_transformed[:, 0]
+    rt0 = rt0 / rt0[0]
+    p_residuals = [
+        float(np.max(np.abs(chain.p @ spec.right_transformed[:, j]
+                            - (1.0 - spec.values[j]) * spec.right_transformed[:, j])))
+        for j in range(min(args.n, 8))
+    ]
+    result = {
+        "chain": chain_document(chain),
+        "stationary": pi,
+        "stationary_strictly_increasing": bool(np.all(np.diff(pi) > 0)),
+        "laplacian_values_head": spec.values[:8],
+        "lambda0_vector": y0,
+        "lambda0_right_transformed": rt0,
+        "walk_eigen_residuals_head": p_residuals,
+    }
+    return result, ROW_SUM
+
+
+COMMANDS = {
+    "validate": _validate,
+    "classify": _classify,
+    "stationary": _stationary,
+    "spectrum": _spectrum,
+    "taxonomy": _spectrum,
+    "evolve": _evolve,
+    "simulate": _simulate,
+    "reverse": _reverse,
+    "reversibilize": _reversibilize,
+    "kmatrix": _kmatrix,
+    "laplacian": _laplacian,
+    "embed": _embed,
+    "gft": _gft,
+    "pagerank": _pagerank,
+    "absorb": _absorb,
+    "rwset": _rwset,
+    "demo-line-chain": _demo_line_chain,
+}
+
+
+def run_command(args: argparse.Namespace) -> str:
+    """Execute one subcommand and return its report text."""
+    if args.input is None:  # demo-line-chain builds its own chain
+        obj, digest = None, "-"
+    else:
+        obj = parse_input(args.input)
+        digest = _sha256(args.input)
+    result, tolerances = COMMANDS[args.command](args, Analysis(obj))
+    if tolerances is None:
+        return result
+    return make_report(args.command, digest, result, tolerances)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -429,18 +460,22 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, **kwargs)
         if needs_input:
             p.add_argument("input", help="chain JSON or graph TSV file")
-        p.add_argument("--tol", type=float, default=DEFAULT_ROW_TOL,
-                       help="row-sum validation tolerance")
-        p.add_argument("--seed", type=int, default=None,
-                       help="RNG seed (falls back to CHAINS_SEED, then 0)")
-        p.add_argument("--format", choices=["json", "csv"], default="json")
+        else:
+            p.set_defaults(input=None)
         return p
+
+    def add_seed(p):
+        # argparse converts a string default with `type`, so a malformed
+        # CHAINS_SEED is a usage error
+        p.add_argument("--seed", type=int, default=os.environ.get("CHAINS_SEED", "0"),
+                       help="RNG seed (falls back to CHAINS_SEED, then 0)")
 
     add("validate", help="parse and validate an input file")
     add("classify", help="communicating classes, recurrence, periodicity")
     add("stationary", help="stationary distribution basis")
-    add("spectrum", help="eigenvalues with taxonomy labels")
-    add("taxonomy", help="eigenvalue taxonomy (alias view of spectrum)")
+    for p in (add("spectrum", help="eigenvalues with taxonomy labels"),
+              add("taxonomy", help="eigenvalue taxonomy (alias view of spectrum)")):
+        p.add_argument("--format", choices=["json", "csv"], default="json")
 
     p = add("evolve", help="push a distribution forward k steps")
     p.add_argument("--start", help="start state label (point mass)")
@@ -451,6 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", required=True)
     p.add_argument("--length", type=int, default=10)
     p.add_argument("--trajectories", type=int, default=1)
+    add_seed(p)
 
     add("reverse", help="time-reversed chain")
     p = add("reversibilize", help="additive or multiplicative reversibilization")
@@ -483,6 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=100)
     p.add_argument("--p-right", type=float, default=0.52)
     p.add_argument("--perturb", type=float, default=0.0)
+    add_seed(p)
 
     return parser
 
@@ -491,7 +528,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        payload, _media = run_command(args)
+        payload = run_command(args)
     except (errors.ValidationError, errors.NotRecurrent, errors.NotAbsorbing,
             FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -365,32 +365,24 @@ def _shifted_backsolve(t: np.ndarray, starts: list[int], sizes: list[int],
     return y
 
 
-def _shifted_forwardsolve(t: np.ndarray, starts: list[int], sizes: list[int],
-                          lam: complex, rhs: np.ndarray, base: int,
-                          clamp: float) -> np.ndarray:
-    """Solve z^T (T - lam I) = rhs^T on the trailing part starting at
-    `base`, walking blocks top-down."""
-    n = t.shape[0]
-    z = np.zeros(n - base, dtype=complex)
-    for s, b in zip(starts, sizes):
-        acc = rhs[s - base:s - base + b] - z[:s - base] @ t[base:s, s:s + b]
-        if b == 1:
-            den = t[s, s] - lam
-            if abs(den) < clamp:
-                den = clamp
-            z[s - base] = acc[0] / den
-        else:
-            a11 = t[s, s] - lam
-            a12 = t[s, s + 1]
-            a21 = t[s + 1, s]
-            a22 = t[s + 1, s + 1] - lam
-            det = a11 * a22 - a12 * a21
-            if abs(det) < clamp * clamp:
-                det = clamp * clamp
-            # row-vector solve: (z1, z2) [[a11,a12],[a21,a22]] = (acc1, acc2)
-            z[s - base] = (acc[0] * a22 - acc[1] * a21) / det
-            z[s - base + 1] = (acc[1] * a11 - acc[0] * a12) / det
-    return z
+def _block_eigenvector(t: np.ndarray, starts: list[int], sizes: list[int],
+                       bi: int, lam: complex, clamp: float) -> np.ndarray:
+    """Right eigenvector of the quasi-triangular T for the eigenvalue lam
+    of diagonal block bi: an eigenvector of that block, extended upward
+    by back-substitution."""
+    s, b = starts[bi], sizes[bi]
+    if b == 1:
+        u = np.array([1.0 + 0j])
+    else:
+        u = np.array([t[s, s + 1], lam - t[s, s]])
+        if np.max(np.abs(u)) < clamp:
+            u = np.array([lam - t[s + 1, s + 1], t[s + 1, s]])
+    x = np.zeros(t.shape[0], dtype=complex)
+    x[s:s + b] = u
+    if s > 0:
+        rhs = -(t[:s, s:s + b] @ u)
+        x[:s] = _shifted_backsolve(t, starts[:bi], sizes[:bi], lam, rhs, clamp)
+    return x
 
 
 def _complex_rank(m: np.ndarray, threshold: float) -> int:
@@ -419,8 +411,8 @@ def _canonical_phase(v: np.ndarray) -> np.ndarray:
 
 def eigen_from_schur(schur: SchurForm) -> ComplexEigenpairs:
     """Recover eigenvalues and left/right eigenvectors from a real Schur
-    form by back-substitution on T (and forward substitution for the
-    left vectors), then rotate back with Q.
+    form by back-substitution on T (on its flipped transpose for the left
+    vectors), then rotate back with Q.
 
     Diagonalizability is decided by comparing algebraic multiplicity
     (eigenvalue clusters) against geometric multiplicity, the latter via
@@ -446,44 +438,24 @@ def eigen_from_schur(schur: SchurForm) -> ComplexEigenpairs:
             values[s] = mid + 1j * im
             values[s + 1] = mid - 1j * im
 
+    # a left eigenvector of T is a right eigenvector of the flipped
+    # transpose J T^T J, upper quasi-triangular with its blocks reversed
+    flipped = t.T[::-1, ::-1].copy()
+    flipped_starts = [n - s - b for s, b in zip(starts[::-1], sizes[::-1])]
+    flipped_sizes = sizes[::-1]
+
     right = np.zeros((n, n))
     left = np.zeros((n, n))
     right_cplx = np.zeros((n, n), dtype=complex)
     left_cplx = np.zeros((n, n), dtype=complex)
     for bi, (s, b) in enumerate(zip(starts, sizes)):
         lam = values[s]
-        lead_starts = starts[:bi]
-        lead_sizes = sizes[:bi]
-        if b == 1:
-            u = np.array([1.0 + 0j])
-        else:
-            u = np.array([t[s, s + 1], lam - t[s, s]])
-            if np.max(np.abs(u)) < clamp:
-                u = np.array([lam - t[s + 1, s + 1], t[s + 1, s]])
-        x = np.zeros(n, dtype=complex)
-        x[s:s + b] = u
-        if s > 0:
-            rhs = -(t[:s, s:s + b] @ u)
-            x[:s] = _shifted_backsolve(t, lead_starts, lead_sizes, lam, rhs, clamp)
-        r = q @ x
+        r = q @ _block_eigenvector(t, starts, sizes, bi, lam, clamp)
         r /= np.linalg.norm(r)
         r = _canonical_phase(r)
 
-        if b == 1:
-            w = np.array([1.0 + 0j])
-        else:
-            w = np.array([t[s + 1, s], lam - t[s, s]])
-            if np.max(np.abs(w)) < clamp:
-                w = np.array([lam - t[s + 1, s + 1], t[s, s + 1]])
-        z = np.zeros(n, dtype=complex)
-        z[s:s + b] = w
-        base = s + b
-        if base < n:
-            trail_starts = starts[bi + 1:]
-            trail_sizes = sizes[bi + 1:]
-            rhs = -(w @ t[s:s + b, base:])
-            z[base:] = _shifted_forwardsolve(t, trail_starts, trail_sizes, lam,
-                                             rhs, base, clamp)
+        z = _block_eigenvector(flipped, flipped_starts, flipped_sizes,
+                               len(sizes) - 1 - bi, lam, clamp)[::-1]
         lv = q @ z
         lv /= np.linalg.norm(lv)
         lv = _canonical_phase(lv)

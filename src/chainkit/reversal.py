@@ -9,7 +9,7 @@ import numpy as np
 
 from .chain import TransitionMatrix, build_chain
 from .errors import CycleCapExceeded, NotRecurrent
-from .stationary import StationaryBasis, combine, equal_weight, flow_matrix
+from .stationary import StationaryBasis, equal_weight
 from .structure import ClassStructure
 
 DB_ATOL = 1e-9
@@ -166,7 +166,3 @@ def k_matrix(chain: TransitionMatrix, basis: StationaryBasis) -> SymmetrizedKern
 def pi_inner(pi: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
     """Inner product weighted by the stationary probabilities."""
     return float(np.sum(pi * x * y))
-
-
-def used_flow(chain: TransitionMatrix, basis: StationaryBasis) -> np.ndarray:
-    return flow_matrix(chain, equal_weight(basis))

@@ -161,12 +161,6 @@ def spectral_evolve(decomp: SpectralDecomposition, mu, k: int,
                           evolved=persistent + transient)
 
 
-def unit_circle_values(decomp: SpectralDecomposition,
-                       epsilon: float = TAXONOMY_EPSILON) -> np.ndarray:
-    vals = decomp.values
-    return vals[np.abs(np.abs(vals) - 1.0) < epsilon]
-
-
 def perron_report(decomp: SpectralDecomposition,
                   recurrent_classes: int | None = None,
                   epsilon: float = TAXONOMY_EPSILON) -> dict:

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from chainkit import cli, spectral
 from chainkit.cli import main, parse_graph_tsv
 
 CHAIN_DOC = {
@@ -14,6 +15,28 @@ CHAIN_DOC = {
 
 TSV_UNDIRECTED = "#undirected\na\tb\t3\nb\tc\t1\n"
 TSV_BALANCED = "#directed\n1\t2\t3\n2\t1\t1\n2\t3\t4\n3\t2\t2\n3\t4\t2\n4\t1\t2\n"
+
+# one successful invocation of every subcommand; {chain}, {graph} and
+# {absorbing} stand for the fixture files
+EVERY_SUBCOMMAND = [
+    ["validate", "{chain}"],
+    ["classify", "{chain}"],
+    ["stationary", "{chain}"],
+    ["spectrum", "{chain}"],
+    ["taxonomy", "{chain}", "--format", "csv"],
+    ["evolve", "{chain}", "--start", "S", "--steps", "3"],
+    ["simulate", "{chain}", "--start", "S", "--length", "5", "--seed", "2"],
+    ["reverse", "{chain}"],
+    ["reversibilize", "{chain}", "--mode", "multiplicative"],
+    ["kmatrix", "{chain}"],
+    ["laplacian", "{chain}", "--variant", "directed"],
+    ["embed", "{graph}", "--k", "2"],
+    ["gft", "{graph}", "--signal", "1,0,0"],
+    ["pagerank", "{chain}", "--damping", "0.85"],
+    ["absorb", "{absorbing}"],
+    ["rwset", "{graph}", "--other", "{graph}"],
+    ["demo-line-chain", "--n", "8", "--perturb", "0.1", "--seed", "3"],
+]
 
 
 @pytest.fixture
@@ -28,6 +51,13 @@ def graph_file(tmp_path):
     f = tmp_path / "graph.tsv"
     f.write_text(TSV_UNDIRECTED)
     return str(f)
+
+
+@pytest.fixture
+def inputs(chain_file, graph_file, tmp_path):
+    f = tmp_path / "absorbing.json"
+    f.write_text(json.dumps({"states": ["t", "a"], "P": [[0.5, 0.5], [0.0, 1.0]]}))
+    return {"chain": chain_file, "graph": graph_file, "absorbing": str(f)}
 
 
 def run(capsys, *argv):
@@ -75,10 +105,32 @@ class TestReports:
         assert doc["result"]["undirected"] is True
         assert doc["result"]["volume"] == 8.0
 
-    def test_reports_are_byte_identical(self, chain_file, capsys):
-        _, first, _ = run(capsys, "stationary", chain_file)
-        _, second, _ = run(capsys, "stationary", chain_file)
+    @pytest.mark.parametrize("template", EVERY_SUBCOMMAND, ids=lambda t: t[0])
+    def test_reports_are_byte_identical(self, template, inputs, capsys):
+        argv = [arg.format(**inputs) for arg in template]
+        code, first, _ = run(capsys, *argv)
+        assert code == 0
+        _, second, _ = run(capsys, *argv)
         assert first == second
+
+    def test_every_subcommand_is_covered(self):
+        assert sorted(t[0] for t in EVERY_SUBCOMMAND) == sorted(cli.COMMANDS)
+
+    def test_spectrum_report_analyses_once(self, chain_file, capsys, monkeypatch):
+        calls = {"real_schur": 0, "classify": 0}
+
+        def counted(name, func):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(spectral, "real_schur",
+                            counted("real_schur", spectral.real_schur))
+        monkeypatch.setattr(cli, "classify", counted("classify", cli.classify))
+        code, _, _ = run(capsys, "spectrum", chain_file)
+        assert code == 0
+        assert calls == {"real_schur": 1, "classify": 1}
 
     def test_floats_rounded_to_twelve_significant_digits(self, chain_file, capsys):
         _, out, _ = run(capsys, "stationary", chain_file)
@@ -222,6 +274,15 @@ class TestTransformCommands:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("template", [t + ["--tol", "1e-3"] for t in EVERY_SUBCOMMAND]
+                             + [["classify", "{chain}", "--format", "csv"],
+                                ["stationary", "{chain}", "--seed", "1"]],
+                             ids=lambda t: f"{t[0]}{t[-2]}")
+    def test_flag_outside_its_subcommands_is_exit_two(self, template, inputs):
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(**inputs) for arg in template])
+        assert exc.value.code == 2
+
     def test_row_sum_violation_is_exit_two(self, tmp_path, capsys):
         f = tmp_path / "bad.json"
         f.write_text(json.dumps({"states": ["a", "b"],
