@@ -48,7 +48,7 @@ from .laplacian import (
     smooth_spectrum,
 )
 from .reversal import k_matrix, reversibility, reversibilize, time_reverse
-from .spectral import SpectralDecomposition, decompose, perron_report, taxonomy
+from .spectral import SpectralDecomposition, decompose, perron_report, round12, taxonomy
 from .stationary import StationaryBasis, equal_weight, stationary_basis
 from .structure import ClassStructure, classify
 from .surfer import SurferConfig, google_matrix, pagerank
@@ -124,21 +124,15 @@ def parse_input(path: str) -> TransitionMatrix | WeightedDigraph:
 # ---------------------------------------------------------------------------
 # deterministic serialization
 
-def _round12(x: float) -> float:
-    if x == 0:
-        return 0.0  # normalize -0.0
-    return float(f"{x:.12g}")
-
-
 def _jsonable(obj):
     if isinstance(obj, (np.bool_, bool)):
         return bool(obj)
     if isinstance(obj, (np.floating, float)):
-        return _round12(float(obj))
+        return round12(float(obj))
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     if isinstance(obj, complex):
-        return {"re": _round12(obj.real), "im": _round12(obj.imag)}
+        return {"re": round12(obj.real), "im": round12(obj.imag)}
     if isinstance(obj, np.ndarray):
         return _jsonable(obj.tolist())
     if isinstance(obj, (list, tuple)):
@@ -267,8 +261,8 @@ def _spectrum(args, a: Analysis):
     if args.format == "csv":
         lines = ["re,im,abs,label"]
         for r in rows:
-            lines.append(f"{_round12(r['re'])!r},{_round12(r['im'])!r},"
-                         f"{_round12(r['abs'])!r},{r['label']}")
+            lines.append(f"{round12(r['re'])!r},{round12(r['im'])!r},"
+                         f"{round12(r['abs'])!r},{r['label']}")
         return "\n".join(lines), None
     n_rec = sum(a.structure.recurrent)
     result = {"eigenvalues": rows,

@@ -12,14 +12,15 @@ from __future__ import annotations
 import numpy as np
 
 from .chain import TransitionMatrix, build_chain
+from .errors import ValidationError
 
 
 def line_chain(n: int = 100, p_right: float = 0.52, perturb: float = 0.0,
                seed: int = 0) -> TransitionMatrix:
     if n < 2:
-        raise ValueError("line chain needs at least two states")
+        raise ValidationError("line chain needs at least two states")
     if not 0.0 < p_right < 1.0:
-        raise ValueError("p_right must be strictly between 0 and 1")
+        raise ValidationError("p_right must be strictly between 0 and 1")
     right = np.full(n, p_right)
     if perturb > 0.0:
         rng = np.random.default_rng(seed)

@@ -2,31 +2,48 @@
 
 Everything here operates on plain numpy arrays. The routines are
 deliberately self-contained: partial-pivoted elimination for linear
-systems, cyclic Jacobi sweeps for symmetric eigenproblems, and a
-Hessenberg + Francis double-shift QR iteration for the real Schur
-form of general (non-symmetric) matrices. Eigenpairs of general
-matrices are recovered from the Schur form by back-substitution.
+systems, Householder tridiagonalization plus implicit Wilkinson-shift
+QR for symmetric eigenproblems (off-diagonal entries deflate below
+TRIDIAG_RTOL, machine epsilon, relative to their diagonal neighbours),
+and a Hessenberg + Francis double-shift QR iteration for the real Schur
+form of general (non-symmetric) matrices (subdiagonal entries deflate
+below DEFLATE_RTOL). Eigenpairs of general matrices are recovered from
+the Schur form by back-substitution. Every kernel rejects non-finite
+input with NumericError before it starts iterating.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence, NotSymmetric, SingularMatrix
+from .errors import (
+    DimensionMismatch,
+    NoConvergence,
+    NotSymmetric,
+    NumericError,
+    SingularMatrix,
+)
 
 # relative pivot / deflation / symmetry thresholds
 PIVOT_RTOL = 1e-13
 DEFLATE_RTOL = 1e-12
-JACOBI_RTOL = 1e-12
+TRIDIAG_RTOL = float(np.finfo(float).eps)
 RANK_RTOL = 1e-8
+
+
+def _require_finite(a: np.ndarray, what: str) -> None:
+    if not np.all(np.isfinite(a)):
+        raise NumericError(f"{what} has non-finite entries")
 
 
 def _as_square(a) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+    _require_finite(a, "matrix")
     return a
 
 
@@ -40,6 +57,7 @@ def solve_linear(a, b) -> np.ndarray:
     a = _as_square(a)
     n = a.shape[0]
     b = np.asarray(b, dtype=float)
+    _require_finite(b, "right-hand side")
     vector = b.ndim == 1
     rhs = b.reshape(n, -1) if vector else b
     if rhs.shape[0] != n:
@@ -62,12 +80,17 @@ def solve_linear(a, b) -> np.ndarray:
     return x[:, 0] if vector else x
 
 
-def sym_eigen(a, max_sweeps: int = 64) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigendecomposition of a symmetric matrix via Jacobi rotations.
+def sym_eigen(a, max_iters: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Full eigendecomposition of a symmetric matrix.
 
+    Householder reduction to tridiagonal form (the Hessenberg reduction
+    of a symmetric matrix), then implicit symmetric QR with Wilkinson
+    shifts (Golub & Van Loan, Matrix Computations, 8.3). An off-diagonal
+    entry e_i is flushed to zero once |e_i| <= TRIDIAG_RTOL * (|d_i| +
+    |d_i+1|), with ||a||_F standing in when both diagonal entries are 0.
     Returns (values, vectors) with values ascending and vectors as
-    orthonormal columns. Sweeps stop once the off-diagonal Frobenius
-    mass drops below JACOBI_RTOL * ||a||_F.
+    orthonormal columns; raises NoConvergence after max_iters QR steps
+    (default max(30 n, 120)).
     """
     a = _as_square(a)
     n = a.shape[0]
@@ -75,39 +98,51 @@ def sym_eigen(a, max_sweeps: int = 64) -> tuple[np.ndarray, np.ndarray]:
     if scale > 0 and np.max(np.abs(a - a.T)) > 1e-10 * scale:
         raise NotSymmetric("matrix is not symmetric within tolerance")
     m = 0.5 * (a + a.T)
-    v = np.eye(n)
     if scale == 0 or n == 1:
-        return np.diag(m).copy(), v
-    for _ in range(max_sweeps):
-        off = np.linalg.norm(m - np.diag(np.diag(m)))
-        if off < JACOBI_RTOL * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = m[p, q]
-                if abs(apq) <= 1e-300 or abs(apq) < 0.01 * JACOBI_RTOL * scale / n:
-                    continue
-                theta = (m[q, q] - m[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0))
-                if theta == 0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rp, rq = m[:, p].copy(), m[:, q].copy()
-                m[:, p] = c * rp - s * rq
-                m[:, q] = s * rp + c * rq
-                rp, rq = m[p, :].copy(), m[q, :].copy()
-                m[p, :] = c * rp - s * rq
-                m[q, :] = s * rp + c * rq
-                m[p, q] = m[q, p] = 0.0
-                rp, rq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * rp - s * rq
-                v[:, q] = s * rp + c * rq
-    else:
-        raise NoConvergence("Jacobi sweeps did not converge")
-    values = np.diag(m).copy()
+        return np.diag(m).copy(), np.eye(n)
+    if max_iters is None:
+        max_iters = max(30 * n, 120)
+    t, q = _hessenberg(m)
+    d = np.diag(t).tolist()
+    e = np.diag(t, -1).tolist()
+    vt = q.T.copy()  # rows are the eigenvectors being accumulated
+    total = 0
+    hi = n - 1
+    while hi > 0:
+        lo = hi
+        while lo > 0:
+            mag = abs(d[lo - 1]) + abs(d[lo])
+            if abs(e[lo - 1]) <= TRIDIAG_RTOL * (mag if mag > 0 else scale):
+                e[lo - 1] = 0.0
+                break
+            lo -= 1
+        if lo == hi:
+            hi -= 1
+            continue
+        total += 1
+        if total > max_iters:
+            raise NoConvergence("symmetric QR exceeded the iteration budget")
+        # Wilkinson shift: the eigenvalue of the trailing 2x2 block nearer d[hi]
+        half = 0.5 * (d[hi - 1] - d[hi])
+        b = e[hi - 1]
+        shift = d[hi] - b * b / (half + math.copysign(math.hypot(half, b), half))
+        x, z = d[lo] - shift, e[lo]
+        for k in range(lo, hi):
+            r = math.hypot(x, z)
+            c, s = (x / r, z / r) if r > 0 else (1.0, 0.0)
+            if k > lo:
+                e[k - 1] = r
+            dk, ek, dk1 = d[k], e[k], d[k + 1]
+            d[k] = c * c * dk + 2.0 * c * s * ek + s * s * dk1
+            d[k + 1] = s * s * dk - 2.0 * c * s * ek + c * c * dk1
+            e[k] = c * s * (dk1 - dk) + (c * c - s * s) * ek
+            if k + 1 < hi:
+                x, z = e[k], s * e[k + 1]
+                e[k + 1] *= c
+            vt[k:k + 2] = np.array(((c, s), (-s, c))) @ vt[k:k + 2]
+    values = np.array(d)
     order = np.argsort(values, kind="stable")
-    return values[order], v[:, order]
+    return values[order], vt[order].T
 
 
 @dataclass(frozen=True)
@@ -149,23 +184,12 @@ def _hessenberg(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return h, q
 
 
-def _reflector(x: np.ndarray) -> tuple[np.ndarray, float]:
-    nx = np.linalg.norm(x)
-    if nx == 0:
-        return x, 0.0
-    v = x.copy()
-    v[0] += np.copysign(nx, x[0]) if x[0] != 0 else nx
-    vv = v @ v
-    if vv == 0:
-        return v, 0.0
-    return v, 2.0 / vv
-
-
-def _split_real_block(h: np.ndarray, q: np.ndarray, p: int) -> bool:
-    """If the 2x2 block at p has real eigenvalues, rotate it upper
-    triangular (in place) and return True; otherwise leave it alone."""
-    a, b = h[p, p], h[p, p + 1]
-    c, d = h[p + 1, p], h[p + 1, p + 1]
+def _split_real_block(hq: np.ndarray, p: int) -> bool:
+    """If the 2x2 block of H at p has real eigenvalues, rotate it upper
+    triangular (in place on the stacked [H; Q]) and return True;
+    otherwise leave it alone."""
+    a, b = hq[p, p], hq[p, p + 1]
+    c, d = hq[p + 1, p], hq[p + 1, p + 1]
     disc = 0.25 * (a - d) ** 2 + b * c
     if disc < 0:
         return False
@@ -182,47 +206,60 @@ def _split_real_block(h: np.ndarray, q: np.ndarray, p: int) -> bool:
         nv = 1.0
     cs, sn = v[0] / nv, v[1] / nv
     g = np.array([[cs, -sn], [sn, cs]])
-    h[p:p + 2, :] = g.T @ h[p:p + 2, :]
-    h[:, p:p + 2] = h[:, p:p + 2] @ g
-    q[:, p:p + 2] = q[:, p:p + 2] @ g
-    h[p + 1, p] = 0.0
+    hq[p:p + 2, :] = g.T @ hq[p:p + 2, :]
+    hq[:, p:p + 2] = hq[:, p:p + 2] @ g
+    hq[p + 1, p] = 0.0
     return True
 
 
-def _francis_step(h: np.ndarray, q: np.ndarray, lo: int, hi: int,
-                  exceptional: bool) -> None:
+def _reflect(hq: np.ndarray, k: int, first_col: int, x: float, y: float,
+             z: float | None = None) -> None:
+    """Apply the Householder reflector P that maps (x, y[, z]) onto a
+    multiple of e1: P to rows k.. of H from column first_col on (the
+    columns to its left are zero there), and P to the same columns of
+    the stacked [H; Q]. P is formed from scalars, so one reflector costs
+    two small matrix products."""
+    zz = 0.0 if z is None else z
+    nx = math.hypot(x, y, zz)
+    if nx == 0:
+        return
+    v0 = x + (math.copysign(nx, x) if x != 0 else nx)
+    vv = v0 * v0 + y * y + zz * zz
+    if vv == 0:
+        return
+    w0, w1, w2 = 2.0 * v0 / vv, 2.0 * y / vv, 2.0 * zz / vv
+    p = np.array(((1.0 - w0 * v0, -w0 * y, -w0 * zz),
+                  (-w1 * v0, 1.0 - w1 * y, -w1 * zz),
+                  (-w2 * v0, -w2 * y, 1.0 - w2 * zz)))
+    m = 3
+    if z is None:
+        p, m = p[:2, :2], 2
+    hq[k:k + m, first_col:] = p @ hq[k:k + m, first_col:]
+    hq[:, k:k + m] = hq[:, k:k + m] @ p
+
+
+def _francis_step(hq: np.ndarray, lo: int, hi: int, exceptional: bool) -> None:
+    """One implicit double-shift QR sweep over the active block lo..hi
+    of H, the top half of the stacked [H; Q]."""
     if exceptional:
-        r = abs(h[hi, hi - 1]) + (abs(h[hi - 1, hi - 2]) if hi - 2 >= lo else 0.0)
+        r = abs(hq[hi, hi - 1]) + (abs(hq[hi - 1, hi - 2]) if hi - 2 >= lo else 0.0)
         s = 1.5 * r
         p = -0.4375 * r * r
     else:
-        s = h[hi - 1, hi - 1] + h[hi, hi]
-        p = h[hi - 1, hi - 1] * h[hi, hi] - h[hi - 1, hi] * h[hi, hi - 1]
-    x = h[lo, lo] ** 2 + h[lo, lo + 1] * h[lo + 1, lo] - s * h[lo, lo] + p
-    y = h[lo + 1, lo] * (h[lo, lo] + h[lo + 1, lo + 1] - s)
-    z = h[lo + 1, lo] * h[lo + 2, lo + 1]
-    for k in range(lo, hi - 1):
-        if k > lo:
-            x, y = h[k, k - 1], h[k + 1, k - 1]
-            z = h[k + 2, k - 1] if k + 2 <= hi else 0.0
-        v, beta = _reflector(np.array([x, y, z]))
-        if beta != 0.0:
-            rows = slice(k, k + 3)
-            h[rows, :] -= beta * np.outer(v, v @ h[rows, :])
-            h[:, rows] -= beta * np.outer(h[:, rows] @ v, v)
-            q[:, rows] -= beta * np.outer(q[:, rows] @ v, v)
-        if k > lo:
-            h[k + 1, k - 1] = 0.0
-            h[k + 2, k - 1] = 0.0
-    # final 2-row rotation clearing the bulge at (hi, hi-2)
-    x, y = h[hi - 1, hi - 2], h[hi, hi - 2]
-    v, beta = _reflector(np.array([x, y]))
-    if beta != 0.0:
-        rows = slice(hi - 1, hi + 1)
-        h[rows, :] -= beta * np.outer(v, v @ h[rows, :])
-        h[:, rows] -= beta * np.outer(h[:, rows] @ v, v)
-        q[:, rows] -= beta * np.outer(q[:, rows] @ v, v)
-    h[hi, hi - 2] = 0.0
+        s = hq[hi - 1, hi - 1] + hq[hi, hi]
+        p = hq[hi - 1, hi - 1] * hq[hi, hi] - hq[hi - 1, hi] * hq[hi, hi - 1]
+    x = hq[lo, lo] ** 2 + hq[lo, lo + 1] * hq[lo + 1, lo] - s * hq[lo, lo] + p
+    y = hq[lo + 1, lo] * (hq[lo, lo] + hq[lo + 1, lo + 1] - s)
+    z = hq[lo + 1, lo] * hq[lo + 2, lo + 1]
+    _reflect(hq, lo, lo, float(x), float(y), float(z))
+    for k in range(lo + 1, hi - 1):
+        x, y, z = hq[k, k - 1], hq[k + 1, k - 1], hq[k + 2, k - 1]
+        _reflect(hq, k, k - 1, float(x), float(y), float(z))
+        hq[k + 1, k - 1] = 0.0
+        hq[k + 2, k - 1] = 0.0
+    # final 2-row reflector clearing the bulge at (hi, hi-2)
+    _reflect(hq, hi - 1, hi - 2, float(hq[hi - 1, hi - 2]), float(hq[hi, hi - 2]))
+    hq[hi, hi - 2] = 0.0
 
 
 def real_schur(a, max_iters: int | None = None) -> SchurForm:
@@ -230,8 +267,11 @@ def real_schur(a, max_iters: int | None = None) -> SchurForm:
     QR with deflation.
 
     Subdiagonal entries are flushed to zero once they fall below
-    DEFLATE_RTOL * (|t_ii| + |t_i+1,i+1|). Every surviving 2x2 diagonal
-    block carries a complex conjugate eigenvalue pair.
+    DEFLATE_RTOL * (|t_ii| + |t_i+1,i+1|), with ||a||_F standing in when
+    both diagonal entries are 0. Every surviving 2x2 diagonal block
+    carries a complex conjugate eigenvalue pair. H and Q live stacked in
+    one (2n x n) array, so a reflector updates the columns of both with
+    one product.
     """
     a = _as_square(a)
     n = a.shape[0]
@@ -239,7 +279,9 @@ def real_schur(a, max_iters: int | None = None) -> SchurForm:
         max_iters = max(30 * n, 120)
     if n == 0:
         return SchurForm(np.eye(0), np.zeros((0, 0)), ())
-    h, q = _hessenberg(a)
+    hq = np.vstack(_hessenberg(a))
+    flat = hq[:n].reshape(-1)  # views of H's diagonal and subdiagonal
+    diag, sub = flat[::n + 1], flat[n::n + 1]
     scale = np.linalg.norm(a)
     if scale == 0:
         scale = 1.0
@@ -247,21 +289,19 @@ def real_schur(a, max_iters: int | None = None) -> SchurForm:
     stalled = 0
     total = 0
     while hi > 0:
-        for i in range(hi):
-            s = abs(h[i, i]) + abs(h[i + 1, i + 1])
-            if s == 0:
-                s = scale
-            if abs(h[i + 1, i]) <= DEFLATE_RTOL * s:
-                h[i + 1, i] = 0.0
-        lo = hi
-        while lo > 0 and h[lo, lo - 1] != 0.0:
-            lo -= 1
+        mag = np.abs(diag[:hi + 1])
+        s = mag[:-1] + mag[1:]
+        s[s == 0] = scale
+        active = sub[:hi]
+        active[np.abs(active) <= DEFLATE_RTOL * s] = 0.0
+        split = np.flatnonzero(active == 0.0)
+        lo = int(split[-1]) + 1 if split.size else 0
         if lo == hi:
             hi -= 1
             stalled = 0
             continue
         if lo == hi - 1:
-            _split_real_block(h, q, lo)
+            _split_real_block(hq, lo)
             hi -= 2
             stalled = 0
             continue
@@ -269,12 +309,13 @@ def real_schur(a, max_iters: int | None = None) -> SchurForm:
         stalled += 1
         if total > max_iters:
             raise NoConvergence("QR iteration exceeded the iteration budget")
-        _francis_step(h, q, lo, hi, exceptional=(stalled % 11 == 10))
+        _francis_step(hq, lo, hi, exceptional=(stalled % 11 == 10))
+    h, q = hq[:n], hq[n:]
     # defensive: split any leftover 2x2 block that turned real
     i = 0
     while i < n - 1:
         if h[i + 1, i] != 0.0:
-            _split_real_block(h, q, i)
+            _split_real_block(hq, i)
             i += 2
         else:
             i += 1

@@ -23,15 +23,24 @@ TRANSIENT_OSCILLATION = "transient_oscillation"
 TRANSIENT_CYCLE = "transient_cycle"
 
 
+def round12(x: float) -> float:
+    """x at the 12 significant digits reports print (and -0.0 as 0.0)."""
+    if x == 0:
+        return 0.0
+    return float(f"{x:.12g}")
+
+
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigenpairs of a chain plus a deterministic sorted view.
 
     order permutes values into descending |lambda|, ties broken by
-    descending real part then ascending imaginary part. left_row_sums
-    reports sum(l) per eigenvector; for irreducible chains every
-    non-unit eigenvalue's left vector sums to zero, for non-recurrent
-    chains the sums are informational only.
+    descending real part then ascending imaginary part, all compared at
+    the 12 significant digits reports print: on a cycle every |lambda|
+    is 1 up to roundoff, and last-ulp noise must not set the row order.
+    left_row_sums reports sum(l) per eigenvector; for irreducible chains
+    every non-unit eigenvalue's left vector sums to zero, for
+    non-recurrent chains the sums are informational only.
     """
 
     pairs: ComplexEigenpairs
@@ -59,8 +68,9 @@ def decompose(chain: TransitionMatrix) -> SpectralDecomposition:
     if radius > 1.0 + SPECTRAL_RADIUS_SLACK:
         raise NumericError(f"stochastic spectral radius {radius} exceeds 1")
     order = tuple(sorted(range(len(values)),
-                         key=lambda j: (-abs(values[j]), -values[j].real,
-                                        values[j].imag)))
+                         key=lambda j: (-round12(abs(values[j])),
+                                        -round12(values[j].real),
+                                        round12(values[j].imag))))
     unit = int(np.sum(np.abs(values - 1.0) < TAXONOMY_EPSILON))
     left_sums = pairs.left_complex().sum(axis=0)
     return SpectralDecomposition(pairs=pairs, order=order,

@@ -159,6 +159,30 @@ class TestReports:
 
 
 class TestSpectrumFormats:
+    def test_row_order_ignores_state_order(self, tmp_path, capsys):
+        # every eigenvalue of a 60-cycle has modulus 1 up to roundoff, so
+        # an order set by last-ulp noise changes when the states do
+        rng = np.random.default_rng(60)
+        order = rng.permutation(60)
+        p = np.zeros((60, 60))
+        p[order, np.roll(order, -1)] = 1.0
+        states = [f"s{i}" for i in range(60)]
+        perm = rng.permutation(60)
+        reports = []
+        for name, doc in (("cycle", {"states": states, "P": p.tolist()}),
+                          ("permuted", {"states": [states[i] for i in perm],
+                                        "P": p[np.ix_(perm, perm)].tolist()})):
+            f = tmp_path / f"{name}.json"
+            f.write_text(json.dumps(doc))
+            code, out, _ = run(capsys, "spectrum", str(f))
+            assert code == 0
+            reports.append(json.loads(out)["result"]["eigenvalues"])
+        first, second = reports
+        assert [r["label"] for r in first] == [r["label"] for r in second]
+        for key in ("re", "im", "abs"):
+            assert np.allclose([r[key] for r in first], [r[key] for r in second],
+                               rtol=0, atol=1e-10)
+
     def test_csv_has_header_and_rows(self, chain_file, capsys):
         code, out, _ = run(capsys, "spectrum", chain_file, "--format", "csv")
         lines = out.strip().splitlines()
@@ -316,6 +340,12 @@ class TestDemoCommand:
         assert abs(r["laplacian_values_head"][0]) < 1e-9
         assert np.allclose(r["lambda0_right_transformed"], np.ones(12),
                            atol=1e-8)
+
+    @pytest.mark.parametrize("flags", [["--n", "1"], ["--p-right", "1.5"]])
+    def test_bad_line_chain_is_exit_two(self, flags, capsys):
+        code, out, err = run(capsys, "demo-line-chain", *flags)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_perturbed_chain_still_stochastic(self, capsys):
         code, out, _ = run(capsys, "demo-line-chain", "--n", "12",

@@ -170,3 +170,115 @@ class TestEigenFromSchur:
         ep = eigen_from_schur(real_schur(np.eye(4)))
         assert ep.diagonalizable and not ep.simple
         assert np.allclose(ep.values, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# workload sizes and hard families
+
+def _normalize(w):
+    return w / w.sum(axis=1, keepdims=True)
+
+
+def _graph_laplacian(w):
+    return np.diag(w.sum(axis=1)) - w
+
+
+def symmetric_family(name, n, rng):
+    if name == "random":
+        a = rng.normal(size=(n, n))
+        return a + a.T
+    if name == "star":  # eigenvalues 0, 1 (n-2 times), n
+        w = np.zeros((n, n))
+        w[0, 1:] = w[1:, 0] = 1.0
+        return _graph_laplacian(w)
+    if name == "complete":  # eigenvalues 0, n (n-1 times)
+        return _graph_laplacian(np.ones((n, n)) - np.eye(n))
+    if name == "diagonal":
+        return np.diag(rng.normal(size=n))
+    if name == "graded":  # diagonal falls over eight decades
+        d = 10.0 ** (-8.0 * np.arange(n) / (n - 1))
+        e = 0.5 * np.sqrt(d[:-1] * d[1:])
+        return np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    return np.zeros((n, n))
+
+
+def cycle_matrix(n, rng):
+    order = rng.permutation(n)
+    p = np.zeros((n, n))
+    p[order, np.roll(order, -1)] = 1.0
+    return p
+
+
+def block_periodic_matrix(n, d, rng):
+    group = rng.permutation(np.arange(n) % d)
+    mask = group[None, :] == (group[:, None] + 1) % d
+    return _normalize(mask * (rng.random((n, n)) + 0.05))
+
+
+def multiclass_matrix(n, k, rng):
+    cls = rng.permutation(np.arange(n) % k)
+    mask = cls[:, None] == cls[None, :]
+    return _normalize(mask * (rng.random((n, n)) + 0.05))
+
+
+def largest_matched_distance(got, want):
+    """Pair each wanted eigenvalue with the nearest unused computed one
+    and return the largest distance of the pairing."""
+    unused = list(got)
+    worst = 0.0
+    for w in want:
+        j = int(np.argmin(np.abs(np.array(unused) - w)))
+        worst = max(worst, abs(unused.pop(j) - w))
+    return worst
+
+
+class TestKernelsAtWorkloadSizes:
+    @pytest.mark.parametrize("n", [45, 90, 150])
+    @pytest.mark.parametrize("family", ["random", "star", "complete",
+                                        "diagonal", "graded", "zero"])
+    def test_sym_eigen_families(self, family, n):
+        a = symmetric_family(family, n, np.random.default_rng(n))
+        w, v = sym_eigen(a)
+        scale = np.linalg.norm(a)
+        assert np.all(np.diff(w) >= 0)
+        assert np.max(np.abs(w - np.linalg.eigvalsh(a))) <= 1e-12 * scale
+        assert np.max(np.abs(a @ v - v * w)) <= 1e-12 * scale
+        assert np.max(np.abs(v.T @ v - np.eye(n))) <= 1e-12
+
+    def test_sym_eigen_iteration_budget(self):
+        a = symmetric_family("random", 45, np.random.default_rng(1))
+        with pytest.raises(errors.NoConvergence):
+            sym_eigen(a, max_iters=1)
+
+    @pytest.mark.parametrize("name,a", [
+        ("cycle50", cycle_matrix(50, np.random.default_rng(50))),
+        ("cycle90", cycle_matrix(90, np.random.default_rng(90))),
+        ("periodic3", block_periodic_matrix(81, 3, np.random.default_rng(3))),
+        ("periodic4", block_periodic_matrix(56, 4, np.random.default_rng(4))),
+        ("multiclass", multiclass_matrix(60, 5, np.random.default_rng(5))),
+        ("identity", np.eye(90)),
+    ], ids=lambda x: x if isinstance(x, str) else "")
+    def test_real_schur_families(self, name, a):
+        n = a.shape[0]
+        sf = real_schur(a)
+        assert np.max(np.abs(sf.q @ sf.t @ sf.q.T - a)) <= 1e-12
+        assert np.max(np.abs(sf.q.T @ sf.q - np.eye(n))) <= 1e-12
+        assert np.all(np.tril(sf.t, -2) == 0.0)
+        want = np.linalg.eigvals(a)
+        got = np.linalg.eigvals(sf.t)
+        assert largest_matched_distance(got, want) <= 1e-10
+        assert sf.block_sizes.count(2) == int(np.sum(want.imag > 1e-10))
+
+
+@pytest.mark.parametrize("kernel", [
+    lambda m: solve_linear(m, np.ones(len(m))),
+    lambda m: solve_linear(np.eye(len(m)), m[3]),
+    sym_eigen,
+    real_schur,
+], ids=["solve_linear", "solve_linear_rhs", "sym_eigen", "real_schur"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_is_numeric_error(kernel, bad):
+    a = symmetric_family("random", 40, np.random.default_rng(7))
+    a[3, 5] = a[5, 3] = bad
+    with pytest.raises(errors.NumericError, match="non-finite"):
+        kernel(a)
