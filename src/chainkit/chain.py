@@ -8,20 +8,41 @@ throughout: a distribution evolves as mu(t+k)^T = mu(t)^T P^k.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
+    BadCount,
     DimensionMismatch,
     DuplicateLabel,
     NegativeEntry,
+    NonFiniteEntry,
     RowSumViolation,
     UnknownLabel,
+    ValidationError,
 )
 
 ROW_SUM_ATOL = 1e-9
 ENTRY_CLAMP = 1e-12
+SAMPLE_BLOCK = 1 << 20  # uniforms drawn at once by sample and occupancy
+
+
+def as_finite(values, what: str) -> np.ndarray:
+    """A float array of `values`, refusing unreadable or non-finite input."""
+    try:
+        out = np.array(values, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} is not a numeric array") from None
+    if not np.all(np.isfinite(out)):
+        raise NonFiniteEntry(f"{what} has a non-finite entry")
+    return out
+
+
+def require_count(value: int, what: str, least: int = 0) -> None:
+    if value < least:
+        raise BadCount(f"{what} must be at least {least}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -42,22 +63,22 @@ class TransitionMatrix:
             raise UnknownLabel(f"unknown state label {label!r}") from None
 
     def power(self, k: int) -> np.ndarray:
-        if k < 0:
-            raise ValueError("negative matrix power")
+        require_count(k, "matrix power")
         return np.linalg.matrix_power(self.p, k)
 
 
 def build_chain(labels, p) -> TransitionMatrix:
     """Validate and freeze a transition matrix.
 
-    Entries in [-1e-12, 0) are clamped to zero; anything more negative is
-    rejected. Row sums must equal one within 1e-9; rows are then
-    renormalized exactly so downstream algebra sees clean input.
+    Entries must be finite; entries in [-1e-12, 0) are clamped to zero
+    and anything more negative is rejected. Row sums must equal one
+    within 1e-9; rows are then renormalized exactly so downstream
+    algebra sees clean input.
     """
     labels = tuple(str(x) for x in labels)
     if len(set(labels)) != len(labels):
         raise DuplicateLabel("state labels must be unique")
-    p = np.array(p, dtype=float)
+    p = as_finite(p, "transition matrix")
     n = len(labels)
     if p.shape != (n, n):
         raise DimensionMismatch(f"matrix shape {p.shape} does not match {n} labels")
@@ -76,8 +97,9 @@ def build_chain(labels, p) -> TransitionMatrix:
 
 
 def validate_distribution(mu, n: int | None = None) -> np.ndarray:
-    """Clamp tiny negatives, check the mass sums to one, renormalize."""
-    mu = np.array(mu, dtype=float).reshape(-1)
+    """Refuse non-finite entries, clamp tiny negatives, check the mass
+    sums to one, renormalize."""
+    mu = as_finite(mu, "distribution").reshape(-1)
     if n is not None and mu.size != n:
         raise DimensionMismatch(f"distribution length {mu.size}, expected {n}")
     if np.any(mu < -ENTRY_CLAMP):
@@ -98,8 +120,7 @@ def point_mass(chain: TransitionMatrix, label: str) -> np.ndarray:
 def evolve(chain: TransitionMatrix, mu, steps: int = 1) -> np.ndarray:
     """Push a distribution forward: mu(t+k)^T = mu(t)^T P^k."""
     mu = validate_distribution(mu, chain.n)
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
+    require_count(steps, "steps")
     for _ in range(steps):
         mu = mu @ chain.p
     return mu
@@ -110,31 +131,40 @@ def conditional_expectation(chain: TransitionMatrix, x, steps: int = 1) -> np.nd
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.size != chain.n:
         raise DimensionMismatch(f"state function length {x.size}, expected {chain.n}")
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
+    require_count(steps, "steps")
     out = x.copy()
     for _ in range(steps):
         out = chain.p @ out
     return out
 
 
+def _start(chain: TransitionMatrix, start) -> int:
+    return chain.index(start) if isinstance(start, str) else int(start)
+
+
 def sample(chain: TransitionMatrix, start, length: int, seed: int,
            trajectory: int = 0) -> list[str]:
     """One trajectory of `length` transitions from `start`.
 
-    Transitions draw by inverse CDF over the row in label order, from
-    numpy's default generator seeded with seed + trajectory, so distinct
-    trajectories use independent, reproducible streams.
+    The stream contract, shared with `occupancy`: trajectory t draws from
+    numpy's default generator seeded with seed + t, so distinct
+    trajectories use independent, reproducible streams; step k consumes
+    the k-th uniform u of that stream; the next state is the first index
+    whose entry in the current row's cumulative sum exceeds u, clipped to
+    n - 1. The stream is drawn SAMPLE_BLOCK uniforms at a time
+    (`rng.random(m)` gives the same values as m single draws) and the
+    path is walked in plain Python.
     """
-    i = chain.index(start) if isinstance(start, str) else int(start)
+    require_count(length, "length")
+    i = _start(chain, start)
     rng = np.random.default_rng(int(seed) + int(trajectory))
-    cdf = np.cumsum(chain.p, axis=1)
+    cdf = np.cumsum(chain.p, axis=1).tolist()
+    last = chain.n - 1
     path = [chain.labels[i]]
-    for _ in range(length):
-        u = rng.random()
-        i = int(np.searchsorted(cdf[i], u, side="right"))
-        i = min(i, chain.n - 1)
-        path.append(chain.labels[i])
+    for first in range(0, length, SAMPLE_BLOCK):
+        for u in rng.random(min(SAMPLE_BLOCK, length - first)).tolist():
+            i = min(bisect_right(cdf[i], u), last)
+            path.append(chain.labels[i])
     return path
 
 
@@ -143,11 +173,31 @@ def occupancy(chain: TransitionMatrix, start, length: int, seed: int,
     """Empirical state distribution at each time over an ensemble.
 
     Returns a (length + 1, n) array whose row t is the fraction of
-    trajectories sitting in each state at time t.
+    trajectories sitting in each state at time t. Trajectory t follows
+    exactly the path `sample(chain, start, length, seed, trajectory=t)`
+    walks (same streams, same inverse-CDF rule), but every trajectory of
+    a block steps at once: the next states are the counts of cdf entries
+    at or below each uniform, clipped to n - 1. A block is
+    SAMPLE_BLOCK // max(length, n) trajectories (at least one), so its
+    uniforms and gathered cdf rows stay within SAMPLE_BLOCK doubles, or
+    one trajectory's worth when that is larger.
     """
-    counts = np.zeros((length + 1, chain.n))
-    for traj in range(trajectories):
-        path = sample(chain, start, length, seed, trajectory=traj)
-        for t, lab in enumerate(path):
-            counts[t, chain.labels.index(lab)] += 1
+    require_count(length, "length")
+    require_count(trajectories, "trajectories", least=1)
+    n = chain.n
+    i = _start(chain, start)
+    cdf = np.cumsum(chain.p, axis=1)
+    counts = np.zeros((length + 1, n))
+    counts[0, i] = trajectories
+    block = max(1, SAMPLE_BLOCK // max(length, n))
+    for first in range(0, trajectories, block):
+        size = min(block, trajectories - first)
+        u = np.empty((length, size))
+        for k in range(size):
+            u[:, k] = np.random.default_rng(int(seed) + first + k).random(length)
+        cur = np.full(size, i)
+        for t in range(length):
+            cur = np.minimum(np.count_nonzero(cdf[cur] <= u[t, :, None], axis=1),
+                             n - 1)
+            counts[t + 1] += np.bincount(cur, minlength=n)
     return counts / trajectories

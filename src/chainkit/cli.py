@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from functools import cached_property
@@ -31,6 +32,7 @@ from .absorbing import canonical_form, fundamental_matrix
 from .chain import (
     ROW_SUM_ATOL,
     TransitionMatrix,
+    as_finite,
     build_chain,
     evolve,
     occupancy,
@@ -96,8 +98,8 @@ def parse_graph_tsv(path: str) -> WeightedDigraph:
             weight = float(raw)
         except ValueError:
             raise errors.ParseError(no, f"bad weight {raw!r}") from None
-        if weight <= 0:
-            raise errors.ParseError(no, "weights must be positive")
+        if not (0 < weight < math.inf):
+            raise errors.ParseError(no, "weights must be positive and finite")
         for lab in (src, dst):
             if lab not in labels:
                 labels.append(lab)
@@ -205,9 +207,10 @@ class Analysis:
 
 def _parse_vector(text: str) -> np.ndarray:
     try:
-        return np.array([float(v) for v in text.split(",")])
+        values = [float(v) for v in text.split(",")]
     except ValueError:
         raise errors.ValidationError(f"bad numeric list {text!r}") from None
+    return as_finite(values, f"numeric list {text!r}")
 
 
 def _validate(args, a: Analysis):
@@ -287,7 +290,7 @@ def _evolve(args, a: Analysis):
 
 def _simulate(args, a: Analysis):
     chain = a.chain
-    if args.trajectories > 1:
+    if args.trajectories != 1:  # occupancy refuses fewer than one
         occ = occupancy(chain, args.start, args.length, args.seed,
                         args.trajectories)
         result = {"seed": args.seed, "trajectories": args.trajectories,

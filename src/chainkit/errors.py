@@ -29,6 +29,14 @@ class UnknownLabel(ValidationError):
     pass
 
 
+class NonFiniteEntry(ValidationError):
+    """A matrix, distribution or weight holds NaN or an infinity."""
+
+
+class BadCount(ValidationError):
+    """A length, step count, power or ensemble size out of range."""
+
+
 class NegativeWeight(ValidationError):
     pass
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import TransitionMatrix, build_chain
+from .chain import TransitionMatrix, as_finite, build_chain
 from .errors import DimensionMismatch, NegativeWeight, ZeroOutDegree
 from .stationary import StationaryBasis, equal_weight
 from .structure import ClassStructure
@@ -54,7 +54,7 @@ class WeightedDigraph:
 
 def build_graph(labels, w) -> WeightedDigraph:
     labels = tuple(str(x) for x in labels)
-    w = np.array(w, dtype=float)
+    w = as_finite(w, "weight matrix")
     n = len(labels)
     if w.shape != (n, n):
         raise DimensionMismatch(f"weight shape {w.shape} does not match {n} labels")

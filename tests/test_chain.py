@@ -3,6 +3,7 @@ import pytest
 
 from chainkit import (
     build_chain,
+    chain as chain_module,
     conditional_expectation,
     errors,
     evolve,
@@ -10,6 +11,7 @@ from chainkit import (
     point_mass,
     sample,
 )
+from chainkit.chain import TransitionMatrix
 
 
 class TestBuildChain:
@@ -112,3 +114,135 @@ class TestSampling:
         assert occ.shape == (4, 4)
         assert np.allclose(occ.sum(axis=1), 1.0, atol=1e-12)
         assert np.allclose(occ[0], [1, 0, 0, 0])
+
+
+# The per-step sampler as it was first written: one rng.random() and one
+# searchsorted per step, one sample() and one labels.index per visit.
+# Kept as the oracle that fixes the stream contract.
+def _sample_per_step(chain, start, length, seed, trajectory=0):
+    i = chain.index(start) if isinstance(start, str) else int(start)
+    rng = np.random.default_rng(int(seed) + int(trajectory))
+    cdf = np.cumsum(chain.p, axis=1)
+    path = [chain.labels[i]]
+    for _ in range(length):
+        u = rng.random()
+        i = int(np.searchsorted(cdf[i], u, side="right"))
+        i = min(i, chain.n - 1)
+        path.append(chain.labels[i])
+    return path
+
+
+def _occupancy_per_step(chain, start, length, seed, trajectories):
+    counts = np.zeros((length + 1, chain.n))
+    for traj in range(trajectories):
+        path = _sample_per_step(chain, start, length, seed, trajectory=traj)
+        for t, lab in enumerate(path):
+            counts[t, chain.labels.index(lab)] += 1
+    return counts / trajectories
+
+
+def _dense_chain():
+    w = np.random.default_rng(7).random((6, 6)) ** 3
+    return build_chain([f"d{i}" for i in range(6)], w / w.sum(axis=1)[:, None])
+
+
+def _absorbing_chain():
+    return build_chain("tua", [[0.5, 0.25, 0.25], [0.2, 0.3, 0.5], [0, 0, 1]])
+
+
+def _cycle_chain():
+    return build_chain("abcd", np.roll(np.eye(4), 1, axis=1))
+
+
+def _short_row_chain():
+    # built without validation: row 0 sums to 0.75 and the cdf of row 1
+    # ends at 1 - 2**-53, so a draw past the last cdf entry must clip to
+    # the last state
+    p = np.array([[0.25, 0.25, 0.25], [0.7, 0.2, 0.1], [0.0, 0.0, 1.0]])
+    return TransitionMatrix(labels=("x", "y", "z"), p=p)
+
+
+SAMPLING_CASES = [
+    (_dense_chain, "d0"),
+    (_dense_chain, 4),
+    (_absorbing_chain, "t"),
+    (_cycle_chain, "b"),
+    (_short_row_chain, "x"),
+    (_short_row_chain, 1),
+]
+
+
+class TestSamplingContract:
+    @pytest.mark.parametrize("make, start", SAMPLING_CASES)
+    @pytest.mark.parametrize("length", [0, 1, 37])
+    def test_sample_matches_per_step_oracle(self, make, start, length):
+        chain = make()
+        for seed, traj in ((0, 0), (5, 3), (2 ** 31, 1)):
+            assert (sample(chain, start, length, seed, trajectory=traj)
+                    == _sample_per_step(chain, start, length, seed, traj))
+
+    @pytest.mark.parametrize("make, start", SAMPLING_CASES)
+    @pytest.mark.parametrize("length, trajectories",
+                             [(0, 1), (0, 3), (9, 1), (9, 2), (25, 40)])
+    def test_occupancy_matches_per_step_oracle(self, make, start, length,
+                                               trajectories):
+        chain = make()
+        got = occupancy(chain, start, length, 11, trajectories)
+        want = _occupancy_per_step(chain, start, length, 11, trajectories)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    def test_short_row_reaches_the_clip(self):
+        chain = _short_row_chain()
+        assert np.cumsum(chain.p, axis=1)[1, -1] < 1.0
+        path = _sample_per_step(chain, "x", 200, 3)
+        assert any(a == "x" and b == "z" for a, b in zip(path, path[1:]))
+
+    def test_occupancy_across_trajectory_blocks(self, monkeypatch):
+        # shrink the uniform buffer so 50 trajectories of 10 steps on 6
+        # states need nine blocks, the last one short
+        monkeypatch.setattr(chain_module, "SAMPLE_BLOCK", 64)
+        chain = _dense_chain()
+        got = occupancy(chain, "d2", 10, 4, 50)
+        assert np.array_equal(got, _occupancy_per_step(chain, "d2", 10, 4, 50))
+
+    def test_sample_across_uniform_blocks(self, monkeypatch):
+        monkeypatch.setattr(chain_module, "SAMPLE_BLOCK", 64)
+        chain = _dense_chain()
+        for length in (63, 64, 65, 200):
+            assert (sample(chain, "d1", length, 8)
+                    == _sample_per_step(chain, "d1", length, 8))
+
+
+class TestCounts:
+    @pytest.mark.parametrize("call", [
+        lambda c: sample(c, "S", -1, seed=0),
+        lambda c: occupancy(c, "S", -3, seed=0, trajectories=5),
+        lambda c: occupancy(c, "S", 3, seed=0, trajectories=0),
+        lambda c: occupancy(c, "S", 3, seed=0, trajectories=-4),
+        lambda c: evolve(c, point_mass(c, "S"), -1),
+        lambda c: conditional_expectation(c, np.ones(4), -2),
+        lambda c: c.power(-1),
+    ], ids=["sample", "occupancy-length", "occupancy-zero", "occupancy-negative",
+            "evolve", "conditional_expectation", "power"])
+    def test_negative_count_is_validation_error(self, phd_chain, call):
+        with pytest.raises(errors.ValidationError):
+            call(phd_chain)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_chain_entry(self, bad):
+        with pytest.raises(errors.ValidationError):
+            build_chain("ab", [[bad, 0.5], [0.2, 0.8]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_distribution_entry(self, phd_chain, bad):
+        with pytest.raises(errors.ValidationError):
+            evolve(phd_chain, [bad, 0.5, 0.25, 0.25])
+
+    @pytest.mark.parametrize("p", [[["a", 1], [0, 1]], [[0.5, 0.5], [1]]],
+                             ids=["non-numeric", "ragged"])
+    def test_unreadable_matrix(self, p):
+        with pytest.raises(errors.ValidationError):
+            build_chain("ab", p)

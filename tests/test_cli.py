@@ -26,6 +26,8 @@ EVERY_SUBCOMMAND = [
     ["taxonomy", "{chain}", "--format", "csv"],
     ["evolve", "{chain}", "--start", "S", "--steps", "3"],
     ["simulate", "{chain}", "--start", "S", "--length", "5", "--seed", "2"],
+    ["simulate", "{chain}", "--start", "S", "--length", "5", "--trajectories", "4",
+     "--seed", "2"],
     ["reverse", "{chain}"],
     ["reversibilize", "{chain}", "--mode", "multiplicative"],
     ["kmatrix", "{chain}"],
@@ -37,6 +39,11 @@ EVERY_SUBCOMMAND = [
     ["rwset", "{graph}", "--other", "{graph}"],
     ["demo-line-chain", "--n", "8", "--perturb", "0.1", "--seed", "3"],
 ]
+
+
+def case_id(template):
+    """The subcommand; the ensemble form of simulate is told apart."""
+    return template[0] + ("-trajectories" if "--trajectories" in template else "")
 
 
 @pytest.fixture
@@ -105,7 +112,7 @@ class TestReports:
         assert doc["result"]["undirected"] is True
         assert doc["result"]["volume"] == 8.0
 
-    @pytest.mark.parametrize("template", EVERY_SUBCOMMAND, ids=lambda t: t[0])
+    @pytest.mark.parametrize("template", EVERY_SUBCOMMAND, ids=case_id)
     def test_reports_are_byte_identical(self, template, inputs, capsys):
         argv = [arg.format(**inputs) for arg in template]
         code, first, _ = run(capsys, *argv)
@@ -114,7 +121,7 @@ class TestReports:
         assert first == second
 
     def test_every_subcommand_is_covered(self):
-        assert sorted(t[0] for t in EVERY_SUBCOMMAND) == sorted(cli.COMMANDS)
+        assert sorted({t[0] for t in EVERY_SUBCOMMAND}) == sorted(cli.COMMANDS)
 
     def test_spectrum_report_analyses_once(self, chain_file, capsys, monkeypatch):
         calls = {"real_schur": 0, "classify": 0}
@@ -231,6 +238,33 @@ class TestEvolutionAndSimulation:
         assert occ.shape == (4, 3)
         assert np.allclose(occ.sum(axis=1), 1.0, atol=1e-12)
 
+    # golden stdout, captured with the per-step reference sampler that
+    # test_chain keeps as its oracle, on CHAIN_DOC as chain_file writes it
+    GOLDEN_PATH = (
+        '{"command":"simulate","input_digest":'
+        '"003a0b7371bbefe7775f81edea4a13dcca68a70d21d52f00614296622486ab4a",'
+        '"result":{"path":["S","S","S","B","S","C","C","C","S","S","C","C",'
+        '"C","C","C","C","C","B","B","C","C","C","C","C","C","C","B","C","C",'
+        '"C","C","C","C","C","C","C","C","C","C","C","C"],"seed":2},'
+        '"tolerances":{"row_sum":1e-09},"tool_version":"0.1.0"}\n')
+    GOLDEN_ENSEMBLE = (
+        '{"command":"simulate","input_digest":'
+        '"003a0b7371bbefe7775f81edea4a13dcca68a70d21d52f00614296622486ab4a",'
+        '"result":{"length":6,"occupancy":[[1.0,0.0,0.0],[0.46,0.3,0.24],'
+        '[0.38,0.44,0.18],[0.28,0.5,0.22],[0.32,0.56,0.12],[0.24,0.6,0.16],'
+        '[0.28,0.48,0.24]],"seed":2,"states":["S","C","B"],"trajectories":50},'
+        '"tolerances":{"row_sum":1e-09},"tool_version":"0.1.0"}\n')
+
+    def test_simulate_path_golden(self, chain_file, capsys):
+        code, out, _ = run(capsys, "simulate", chain_file, "--start", "S",
+                           "--length", "40", "--seed", "2")
+        assert code == 0 and out == self.GOLDEN_PATH
+
+    def test_simulate_ensemble_golden(self, chain_file, capsys):
+        code, out, _ = run(capsys, "simulate", chain_file, "--start", "S",
+                           "--length", "6", "--trajectories", "50", "--seed", "2")
+        assert code == 0 and out == self.GOLDEN_ENSEMBLE
+
 
 class TestTransformCommands:
     def test_reverse_round_trip(self, chain_file, capsys):
@@ -301,7 +335,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("template", [t + ["--tol", "1e-3"] for t in EVERY_SUBCOMMAND]
                              + [["classify", "{chain}", "--format", "csv"],
                                 ["stationary", "{chain}", "--seed", "1"]],
-                             ids=lambda t: f"{t[0]}{t[-2]}")
+                             ids=lambda t: f"{case_id(t)}{t[-2]}")
     def test_flag_outside_its_subcommands_is_exit_two(self, template, inputs):
         with pytest.raises(SystemExit) as exc:
             main([arg.format(**inputs) for arg in template])
@@ -328,6 +362,50 @@ class TestExitCodes:
     def test_bad_damping_is_exit_two(self, chain_file, capsys):
         code, _, _ = run(capsys, "pagerank", chain_file, "--damping", "1.5")
         assert code == 2
+
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--start", "S", "--length", "-3"],
+        ["simulate", "--start", "S", "--length", "-3", "--trajectories", "5"],
+        ["simulate", "--start", "S", "--trajectories", "0"],
+        ["simulate", "--start", "S", "--trajectories", "-4"],
+        ["evolve", "--start", "S", "--steps", "-1"],
+    ], ids=["length", "ensemble-length", "zero-trajectories",
+            "negative-trajectories", "steps"])
+    def test_bad_count_is_exit_two(self, argv, chain_file, capsys):
+        code, out, err = run(capsys, argv[0], chain_file, *argv[1:])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, doc", [
+        (["simulate", "--start", "a"], {"states": ["a", "b"],
+                                        "P": [[float("nan"), 0.5], [0.2, 0.8]]}),
+        (["evolve", "--start", "a"], {"states": ["a", "b"],
+                                      "P": [[0.5, 0.5], [float("nan"), 1.0]]}),
+        (["evolve", "--mu", "nan,1"], {"states": ["a", "b"],
+                                       "P": [[0.5, 0.5], [0.2, 0.8]]}),
+        (["classify"], {"states": ["a", "b"], "P": [[0.5, 0.5], [0.2, "x"]]}),
+        (["classify"], {"states": ["a", "b"], "P": [[0.5, 0.5], [1.0]]}),
+    ], ids=["simulate-nan", "evolve-nan", "mu-nan", "non-numeric", "ragged"])
+    def test_unreadable_chain_is_exit_two(self, argv, doc, tmp_path, capsys):
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(doc))
+        code, out, err = run(capsys, argv[0], str(f), *argv[1:])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "1e308"])
+    def test_non_finite_weight_is_exit_two(self, weight, tmp_path, capsys):
+        # 1e308 is finite, but an undirected edge listed twice sums to inf
+        f = tmp_path / "bad.tsv"
+        f.write_text(f"#undirected\na\tb\t{weight}\nb\ta\t{weight}\nb\tc\t1\n")
+        code, out, err = run(capsys, "classify", str(f))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_non_finite_signal_is_exit_two(self, graph_file, capsys):
+        code, out, err = run(capsys, "gft", graph_file, "--signal", "1,nan,0")
+        assert code == 2 and out == ""
 
 
 class TestDemoCommand:
