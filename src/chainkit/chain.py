@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import (
     BadCount,
+    BadLabel,
     DimensionMismatch,
     DuplicateLabel,
     NegativeEntry,
@@ -25,7 +26,7 @@ from .errors import (
 )
 
 ROW_SUM_ATOL = 1e-9
-ENTRY_CLAMP = 1e-12
+ENTRY_CLAMP = 1e-12  # |entry| at most this is roundoff: never a transition
 SAMPLE_BLOCK = 1 << 20  # uniforms drawn at once by sample and occupancy
 
 
@@ -38,6 +39,24 @@ def as_finite(values, what: str) -> np.ndarray:
     if not np.all(np.isfinite(out)):
         raise NonFiniteEntry(f"{what} has a non-finite entry")
     return out
+
+
+def as_labels(labels) -> tuple[str, ...]:
+    """State labels as strings, from a string of one-character labels or
+    a list of strings and numbers."""
+    if not isinstance(labels, (str, list, tuple, np.ndarray)):
+        raise BadLabel(f"state labels must be a list, not {type(labels).__name__}")
+    for x in labels:
+        if not isinstance(x, (str, int, float, np.generic)):
+            raise BadLabel(f"state label {x!r} is not a string or a number")
+    return tuple(str(x) for x in labels)
+
+
+def transitions(p: np.ndarray) -> np.ndarray:
+    """The chain's digraph as a boolean matrix: i -> j is a transition
+    iff P[i, j] exceeds ENTRY_CLAMP. Classes, periods, absorbing states
+    and Kolmogorov's criterion all read this one relation."""
+    return p > ENTRY_CLAMP
 
 
 def require_count(value: int, what: str, least: int = 0) -> None:
@@ -73,9 +92,9 @@ def build_chain(labels, p) -> TransitionMatrix:
     Entries must be finite; entries in [-1e-12, 0) are clamped to zero
     and anything more negative is rejected. Row sums must equal one
     within 1e-9; rows are then renormalized exactly so downstream
-    algebra sees clean input.
+    algebra sees clean input. Labels follow `as_labels`.
     """
-    labels = tuple(str(x) for x in labels)
+    labels = as_labels(labels)
     if len(set(labels)) != len(labels):
         raise DuplicateLabel("state labels must be unique")
     p = as_finite(p, "transition matrix")

@@ -530,7 +530,7 @@ def main(argv=None) -> int:
             FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (errors.NumericError, errors.CycleCapExceeded) as exc:
+    except errors.NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     print(payload)

@@ -33,6 +33,10 @@ class NonFiniteEntry(ValidationError):
     """A matrix, distribution or weight holds NaN or an infinity."""
 
 
+class BadLabel(ValidationError):
+    """State labels that are not a list of strings and numbers."""
+
+
 class BadCount(ValidationError):
     """A length, step count, power or ensemble size out of range."""
 
@@ -77,6 +81,10 @@ class BadAlpha(ValidationError):
     pass
 
 
+class BadTolerance(ValidationError):
+    """A tolerance that is NaN, infinite or negative."""
+
+
 class NotPositiveStationary(ValidationError):
     pass
 
@@ -102,7 +110,3 @@ class NotRecurrent(ChainkitError):
 
 class NotAbsorbing(ChainkitError):
     """Operation requires an absorbing chain."""
-
-
-class CycleCapExceeded(ChainkitError):
-    """Simple-cycle enumeration refused: state space too large."""

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import TransitionMatrix, as_finite, build_chain
+from .chain import TransitionMatrix, as_finite, as_labels, build_chain
 from .errors import DimensionMismatch, NegativeWeight, ZeroOutDegree
 from .stationary import StationaryBasis, equal_weight
 from .structure import ClassStructure
@@ -53,7 +53,7 @@ class WeightedDigraph:
 
 
 def build_graph(labels, w) -> WeightedDigraph:
-    labels = tuple(str(x) for x in labels)
+    labels = as_labels(labels)
     w = as_finite(w, "weight matrix")
     n = len(labels)
     if w.shape != (n, n):

@@ -7,14 +7,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import TransitionMatrix, build_chain
-from .errors import CycleCapExceeded, NotRecurrent
+from .chain import TransitionMatrix, build_chain, transitions
+from .errors import NotRecurrent
 from .stationary import StationaryBasis, equal_weight
 from .structure import ClassStructure
 
 DB_ATOL = 1e-9
-CYCLE_RTOL = 1e-9
-CYCLE_STATE_CAP = 12
+CYCLE_RTOL = 1e-9  # bound on |ln(fwd/rev)| of a fundamental cycle
 
 
 @dataclass(frozen=True)
@@ -54,52 +53,57 @@ def _db_residual(p: np.ndarray, pi: np.ndarray) -> tuple[float, tuple[int, int]]
     return float(gap[i, j]), (int(i), int(j))
 
 
-def simple_cycles(p: np.ndarray, min_len: int = 3):
-    """Lazily enumerate simple cycles of the positive-entry digraph,
-    rooted at their smallest vertex; capped at CYCLE_STATE_CAP states."""
-    n = p.shape[0]
-    if n > CYCLE_STATE_CAP:
-        raise CycleCapExceeded(f"cycle enumeration capped at {CYCLE_STATE_CAP} states")
-    adj = [[j for j in range(n) if p[i, j] > 0] for i in range(n)]
-    for start in range(n):
-        path = [start]
-        blocked = {start}
-
-        def dfs(v: int):
-            for w in adj[v]:
-                if w < start:
-                    continue
-                if w == start:
-                    if len(path) >= min_len:
-                        yield tuple(path)
-                elif w not in blocked:
-                    blocked.add(w)
-                    path.append(w)
-                    yield from dfs(w)
-                    path.pop()
-                    blocked.discard(w)
-
-        yield from dfs(start)
-
-
 def _kolmogorov(p: np.ndarray) -> tuple[bool, tuple[int, ...] | None]:
-    """Cycle-product criterion. Requires a symmetric zero pattern first;
-    an asymmetric entry is itself a violation witness."""
-    pos = p > 0
-    if not np.array_equal(pos, pos.T):
-        i, j = np.argwhere(pos & ~pos.T)[0]
+    """Kolmogorov's cycle criterion on the chain's digraph, diagonal
+    ignored (Kelly, Reversibility and Stochastic Networks, 1979, 1.5).
+
+    An asymmetric pattern is a violation, witnessed by the pair (i, j)
+    with i -> j but not j -> i. Otherwise a BFS spanning forest carries
+    the potential phi[v] = ln(fwd/rev) of the tree path from its root to
+    v. The fundamental cycles of the non-tree edges span the cycle space,
+    so the criterion holds iff every non-tree edge i - j has
+    |phi[i] + ln p_ij - ln p_ji - phi[j]| <= CYCLE_RTOL. The witness is
+    the first failing fundamental cycle, oriented so that fwd > rev: a
+    simple cycle of length at least 3 whose consecutive states are edges.
+    """
+    edge = transitions(p)
+    np.fill_diagonal(edge, False)
+    if not np.array_equal(edge, edge.T):
+        i, j = np.argwhere(edge & ~edge.T)[0]
         return False, (int(i), int(j))
-    for cyc in simple_cycles(p):
-        fwd = 1.0
-        rev = 1.0
-        m = len(cyc)
-        for a in range(m):
-            b = (a + 1) % m
-            fwd *= p[cyc[a], cyc[b]]
-            rev *= p[cyc[b], cyc[a]]
-        if abs(fwd - rev) > CYCLE_RTOL * max(abs(fwd), abs(rev), 1e-300):
-            return False, cyc
-    return True, None
+    n = p.shape[0]
+    log_ratio = np.zeros_like(p)
+    log_ratio[edge] = np.log(p[edge]) - np.log(p.T[edge])
+    succ = [np.flatnonzero(row).tolist() for row in edge]
+    parent = [-1] * n
+    depth = [-1] * n
+    phi = np.zeros(n)
+    for root in range(n):
+        if depth[root] >= 0:
+            continue
+        depth[root] = 0
+        queue = [root]
+        for u in queue:  # grows while it is walked: a BFS
+            for v in succ[u]:
+                if depth[v] < 0:
+                    depth[v], parent[v] = depth[u] + 1, u
+                    phi[v] = phi[u] + log_ratio[u, v]
+                    queue.append(v)
+    gap = phi[:, None] + log_ratio - phi[None, :]
+    failing = np.argwhere(np.triu(edge) & (np.abs(gap) > CYCLE_RTOL))
+    if not failing.size:
+        return True, None
+    i, j = (int(v) for v in failing[0])
+    up_i, up_j = [i], [j]  # tree paths climbed to the common ancestor
+    while up_i[-1] != up_j[-1]:
+        if depth[up_i[-1]] >= depth[up_j[-1]]:
+            up_i.append(parent[up_i[-1]])
+        else:
+            up_j.append(parent[up_j[-1]])
+    cycle = up_i[::-1] + up_j[:-1]  # ancestor ... i, j ... back to ancestor
+    if gap[i, j] < 0:
+        cycle.reverse()
+    return False, tuple(cycle)
 
 
 def reversibility(chain: TransitionMatrix, structure: ClassStructure,

@@ -8,10 +8,7 @@ from math import gcd
 
 import numpy as np
 
-from .chain import TransitionMatrix
-
-EDGE_TOL = 0.0  # an edge exists iff the entry is strictly positive
-ABSORBING_ATOL = 1e-12
+from .chain import TransitionMatrix, transitions
 
 
 @dataclass(frozen=True)
@@ -22,7 +19,9 @@ class ClassStructure:
     ordered by smallest member. recurrent[c] marks closed classes.
     period[c] is the gcd cycle length within class c (1 when the class
     has no internal edge). condensation_edges holds (from, to) class
-    pairs with from != to.
+    pairs with from != to. Edges are `chain.transitions`; an absorbing
+    state is a closed singleton class, and the chain is absorbing iff
+    every closed class is one.
     """
 
     classes: tuple[tuple[int, ...], ...]
@@ -37,13 +36,6 @@ class ClassStructure:
     ergodic: bool
     absorbing_states: tuple[int, ...]
     absorbing_chain: bool
-
-    def recurrent_states(self) -> list[int]:
-        out = []
-        for c, members in enumerate(self.classes):
-            if self.recurrent[c]:
-                out.extend(members)
-        return sorted(out)
 
 
 def _tarjan_scc(adj: list[list[int]], n: int) -> list[list[int]]:
@@ -95,67 +87,56 @@ def _tarjan_scc(adj: list[list[int]], n: int) -> list[list[int]]:
     return comps
 
 
-def _class_period(p: np.ndarray, members: list[int]) -> int:
-    """Gcd of cycle lengths within one communicating class, via BFS
-    levels: every intra-class edge u->v contributes level[u]+1-level[v]."""
-    sub = {s: i for i, s in enumerate(members)}
-    m = len(members)
-    adj = [[sub[j] for j in members if p[i, j] > EDGE_TOL and j in sub]
-           for i in members]
-    has_edge = any(adj[i] for i in range(m))
-    if not has_edge:
-        return 1
-    level = [-1] * m
-    level[0] = 0
-    queue = [0]
-    while queue:
-        u = queue.pop(0)
-        for v in adj[u]:
-            if level[v] == -1:
-                level[v] = level[u] + 1
-                queue.append(v)
-    g = 0
-    for u in range(m):
-        for v in adj[u]:
-            g = gcd(g, level[u] + 1 - level[v])
-    return abs(g) if g != 0 else 1
+def _condense(chain: TransitionMatrix):
+    """Classes, class_of, condensation edges and class periods, all read
+    from one successor list per state.
+
+    The period of a class is the gcd, over its internal edges u->v, of
+    level[u] + 1 - level[v], with levels from a BFS inside the class.
+    """
+    succ = [np.flatnonzero(row).tolist() for row in transitions(chain.p)]
+    classes = _tarjan_scc(succ, chain.n)
+    class_of = [0] * chain.n
+    for c, members in enumerate(classes):
+        for s in members:
+            class_of[s] = c
+    edges = set()
+    period = []
+    level = [-1] * chain.n
+    for c, members in enumerate(classes):
+        level[members[0]] = 0
+        queue = [members[0]]
+        g = 0
+        for u in queue:  # grows while it is walked: a BFS
+            for v in succ[u]:
+                if class_of[v] != c:
+                    edges.add((c, class_of[v]))
+                elif level[v] >= 0:
+                    g = gcd(g, level[u] + 1 - level[v])
+                else:
+                    level[v] = level[u] + 1
+                    queue.append(v)
+        period.append(g or 1)
+    return (tuple(tuple(c) for c in classes), tuple(class_of), frozenset(edges),
+            tuple(period))
 
 
 def communicating_classes(chain: TransitionMatrix) -> tuple[
         tuple[tuple[int, ...], ...], frozenset[tuple[int, int]]]:
     """Communicating classes (strongly connected components of the
-    positive-entry digraph) and the condensation edge set."""
-    p = chain.p
-    n = chain.n
-    adj = [[j for j in range(n) if p[i, j] > EDGE_TOL] for i in range(n)]
-    comps = _tarjan_scc(adj, n)
-    class_of = [0] * n
-    for c, members in enumerate(comps):
-        for s in members:
-            class_of[s] = c
-    edges = set()
-    for i in range(n):
-        for j in adj[i]:
-            if class_of[i] != class_of[j]:
-                edges.add((class_of[i], class_of[j]))
-    return tuple(tuple(c) for c in comps), frozenset(edges)
+    chain's digraph) and the condensation edge set."""
+    classes, _, edges, _ = _condense(chain)
+    return classes, edges
 
 
 def classify(chain: TransitionMatrix) -> ClassStructure:
     """Full structural classification of a chain."""
-    p = chain.p
-    n = chain.n
-    classes, edges = communicating_classes(chain)
+    classes, class_of, edges, period = _condense(chain)
     k = len(classes)
-    class_of = [0] * n
-    for c, members in enumerate(classes):
-        for s in members:
-            class_of[s] = c
     outgoing = [False] * k
     for a, _ in edges:
         outgoing[a] = True
     recurrent = tuple(not outgoing[c] for c in range(k))
-    period = tuple(_class_period(p, list(members)) for members in classes)
 
     irreducible = k == 1
     recurrent_chain = all(recurrent)
@@ -168,35 +149,20 @@ def classify(chain: TransitionMatrix) -> ClassStructure:
         periodicity, chain_period = "mixed", None
     ergodic = irreducible and periodicity == "aperiodic"
 
-    absorbing_states = tuple(i for i in range(n) if p[i, i] >= 1.0 - ABSORBING_ATOL)
-    absorbing_set = set(absorbing_states)
-    if absorbing_set:
-        # chain is absorbing iff every state reaches some absorbing state
-        reach = set(absorbing_set)
-        changed = True
-        while changed:
-            changed = False
-            for i in range(n):
-                if i in reach:
-                    continue
-                if any(p[i, j] > EDGE_TOL and j in reach for j in range(n)):
-                    reach.add(i)
-                    changed = True
-        absorbing_chain = len(reach) == n
-    else:
-        absorbing_chain = False
+    closed = [members for members, r in zip(classes, recurrent) if r]
+    absorbing_states = tuple(m[0] for m in closed if len(m) == 1)
 
     return ClassStructure(
         classes=classes,
         condensation_edges=edges,
         recurrent=recurrent,
         period=period,
-        class_of=tuple(class_of),
+        class_of=class_of,
         irreducible=irreducible,
         recurrent_chain=recurrent_chain,
         periodicity=periodicity,
         chain_period=chain_period,
         ergodic=ergodic,
         absorbing_states=absorbing_states,
-        absorbing_chain=absorbing_chain,
+        absorbing_chain=len(absorbing_states) == len(closed),
     )

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import TransitionMatrix, build_chain, validate_distribution
-from .errors import BadAlpha, NoConvergence
+from .errors import BadAlpha, BadTolerance, NoConvergence
 
 PAGERANK_TOL = 1e-12
 PAGERANK_MAX_ITERS = 100_000
@@ -55,6 +55,8 @@ def pagerank(chain: TransitionMatrix, config: SurferConfig,
     _check_alpha(config.alpha)
     if config.alpha >= 1.0:
         raise BadAlpha("pagerank requires damping strictly below 1")
+    if not 0.0 <= tol < np.inf:
+        raise BadTolerance(f"pagerank tolerance {tol} is not a finite number >= 0")
     tel = config.teleport_vector(chain.n)
     if np.any(tel <= 0):
         raise BadAlpha("pagerank requires a strictly positive teleport vector")

@@ -31,6 +31,17 @@ class TestBuildChain:
         with pytest.raises(errors.DuplicateLabel):
             build_chain("aa", [[0.5, 0.5], [0.5, 0.5]])
 
+    @pytest.mark.parametrize("labels", ["ab", ["a", "b"], ("a", 2), [1.5, 2]])
+    def test_labels_become_strings(self, labels):
+        c = build_chain(labels, [[0.5, 0.5], [0.5, 0.5]])
+        assert c.labels == tuple(str(x) for x in labels)
+
+    @pytest.mark.parametrize("labels", [5, None, {"a": 1, "b": 2}, [["a"], "b"],
+                                        ["a", None]])
+    def test_bad_labels(self, labels):
+        with pytest.raises(errors.BadLabel):
+            build_chain(labels, [[0.5, 0.5], [0.5, 0.5]])
+
     def test_dimension_mismatch(self):
         with pytest.raises(errors.DimensionMismatch):
             build_chain("abc", [[0.5, 0.5], [0.5, 0.5]])

@@ -159,6 +159,16 @@ class TestReports:
         assert r["irreducible"] and r["ergodic"]
         assert r["periodicity"] == "aperiodic"
 
+    def test_classify_flags_agree_on_roundoff_entry(self, tmp_path, capsys):
+        f = tmp_path / "leak.json"
+        f.write_text(json.dumps({"states": ["a", "b"],
+                                 "P": [[1 - 1e-13, 1e-13], [0.5, 0.5]]}))
+        code, out, _ = run(capsys, "classify", str(f))
+        r = json.loads(out)["result"]
+        assert code == 0 and r["classes"] == [["a"], ["b"]]
+        assert r["irreducible"] is False and r["ergodic"] is False
+        assert r["absorbing"] is True and r["absorbing_states"] == ["a"]
+
     def test_graph_input_normalizes_to_walk(self, graph_file, capsys):
         code, out, _ = run(capsys, "classify", graph_file)
         assert code == 0
@@ -402,6 +412,21 @@ class TestExitCodes:
         code, out, err = run(capsys, "classify", str(f))
         assert code == 2 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("states", [5, [["x"]], {"a": 1}],
+                             ids=["number", "nested", "object"])
+    def test_bad_states_is_exit_two(self, states, tmp_path, capsys):
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps({"states": states, "P": [[1.0]]}))
+        code, out, err = run(capsys, "classify", str(f))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-0.001"])
+    def test_bad_pagerank_tolerance_is_exit_two(self, tol, chain_file, capsys):
+        code, out, err = run(capsys, "pagerank", chain_file, "--damping", "0.5",
+                             "--pr-tol", tol)
+        assert code == 2 and out == "" and err.startswith("error:")
 
     def test_non_finite_signal_is_exit_two(self, graph_file, capsys):
         code, out, err = run(capsys, "gft", graph_file, "--signal", "1,nan,0")

@@ -1,3 +1,5 @@
+from itertools import combinations, permutations
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,8 @@ from chainkit import (
     stationary_basis,
     time_reverse,
 )
-from chainkit.reversal import pi_inner, simple_cycles
+from chainkit.chain import ENTRY_CLAMP
+from chainkit.reversal import CYCLE_RTOL, _kolmogorov, pi_inner
 
 from conftest import random_recurrent_chain
 
@@ -94,11 +97,124 @@ class TestReversibility:
         assert not rep.recurrent and not rep.reversible
         assert not rep.semi_reversible
 
-    def test_cycle_cap(self):
-        n = 13
-        p = np.full((n, n), 1.0 / n)
-        with pytest.raises(errors.CycleCapExceeded):
-            list(simple_cycles(p))
+
+def symmetric_flow(rng, n):
+    """Symmetric weights on a ring plus random chords (and self-loops):
+    the flow of a reversible chain, with many fundamental cycles."""
+    w = rng.random((n, n)) * (rng.random((n, n)) < 0.15)
+    ring = np.arange(n)
+    w[ring, (ring + 1) % n] += 0.5 + rng.random(n)
+    return w + w.T
+
+
+def circulating_flow(rng, n):
+    """A symmetric flow with one ring entry scaled: the ring through it
+    has fwd != rev, while the zero pattern stays symmetric."""
+    w = symmetric_flow(rng, n)
+    i = int(rng.integers(n))
+    w[i, (i + 1) % n] *= 1.5
+    return w
+
+
+def two_class_flow(rng, n, circulating):
+    h = n // 2
+    w = np.zeros((n, n))
+    w[:h, :h] = symmetric_flow(rng, h)
+    w[h:, h:] = (circulating_flow if circulating else symmetric_flow)(rng, n - h)
+    return w
+
+
+FAMILIES = {
+    "symmetric": (symmetric_flow, True),
+    "circulating": (circulating_flow, False),
+    "two-class": (lambda rng, n: two_class_flow(rng, n, False), True),
+    "two-class-circulating": (lambda rng, n: two_class_flow(rng, n, True), False),
+}
+
+
+def walk(w):
+    return build_chain([str(i) for i in range(len(w))], w / w.sum(1, keepdims=True))
+
+
+def assert_valid_witness(p, cycle):
+    """A simple cycle of at least 3 edges whose forward product wins."""
+    m = len(cycle)
+    assert m >= 3 and len(set(cycle)) == m
+    steps = list(zip(cycle, cycle[1:] + cycle[:1]))
+    assert all(p[a, b] > ENTRY_CLAMP for a, b in steps)
+    assert np.prod([p[a, b] for a, b in steps]) > np.prod([p[b, a] for a, b in steps])
+
+
+def brute_force_kolmogorov(p):
+    """Oracle: every simple cycle of length >= 3, enumerated outright."""
+    n = p.shape[0]
+    for m in range(3, n + 1):
+        for subset in combinations(range(n), m):
+            for rest in permutations(subset[1:]):
+                cycle = (subset[0],) + rest
+                steps = list(zip(cycle, cycle[1:] + cycle[:1]))
+                if any(p[a, b] <= ENTRY_CLAMP for a, b in steps):
+                    continue
+                log_ratio = sum(np.log(p[a, b]) - np.log(p[b, a]) for a, b in steps)
+                if abs(log_ratio) > CYCLE_RTOL:
+                    return False
+    return True
+
+
+@pytest.mark.filterwarnings("error")
+class TestKolmogorov:
+    @pytest.mark.parametrize("n", [13, 40, 80])
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_verdicts_agree_beyond_twelve_states(self, family, n):
+        make, reversible = FAMILIES[family]
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            chain = walk(make(rng, n))
+            st, b = prep(chain)
+            rep_db = reversibility(chain, st, b)
+            rep_kol = reversibility(chain, st, b, kolmogorov=True)
+            k = k_matrix(chain, b).k
+            k_sym = bool(np.max(np.abs(k - k.T)) <= 1e-9)
+            assert rep_db.reversible == rep_kol.reversible == k_sym == reversible
+            if reversible:
+                assert rep_kol.witness is None
+            else:
+                assert_valid_witness(chain.p, rep_kol.witness)
+
+    def test_matches_brute_force_cycles(self):
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            n = int(rng.integers(3, 7))
+            pattern = rng.random((n, n)) < 0.6
+            pattern |= pattern.T
+            ring = np.arange(n)
+            pattern[ring, (ring + 1) % n] = pattern[(ring + 1) % n, ring] = True
+            w = rng.random((n, n)) + 0.1
+            if rng.random() < 0.5:
+                w = w + w.T  # a symmetric flow: reversible
+            chain = walk(w * pattern)
+            st, b = prep(chain)
+            rep = reversibility(chain, st, b, kolmogorov=True)
+            assert rep.reversible == brute_force_kolmogorov(chain.p)
+            if not rep.reversible:
+                assert_valid_witness(chain.p, rep.witness)
+
+    def test_asymmetric_pattern_witness_is_the_pair(self, cycle3_chain):
+        st, b = prep(cycle3_chain)
+        rep = reversibility(cycle3_chain, st, b, kolmogorov=True)
+        assert not rep.reversible and rep.witness == (0, 1)
+
+    def test_entry_below_clamp_is_no_reverse_edge(self):
+        # 1e-13 is roundoff, so a -> b has no reverse edge; 1e-6 is one
+        tiny = build_chain("ab", [[0.5, 0.5], [1e-13, 1 - 1e-13]])
+        small = build_chain("ab", [[0.5, 0.5], [1e-6, 1 - 1e-6]])
+        assert _kolmogorov(tiny.p) == (False, (0, 1))
+        assert _kolmogorov(small.p) == (True, None)
+
+    def test_self_loops_are_ignored(self):
+        c = build_chain("ab", [[0.9, 0.1], [0.5, 0.5]])
+        st, b = prep(c)
+        assert reversibility(c, st, b, kolmogorov=True).reversible
 
 
 class TestReversibilize:

@@ -13,7 +13,7 @@ from chainkit import (
     pagerank,
     stationary_basis,
 )
-from chainkit.errors import BadAlpha
+from chainkit.errors import BadAlpha, BadTolerance
 
 WEB_MIXED_2DP = np.array([
     [0.02, 0.87, 0.02, 0.02, 0.02, 0.02, 0.02, 0.02],
@@ -101,3 +101,8 @@ class TestPagerank:
         tel = np.array([0.5, 0.5, 0, 0, 0, 0, 0, 0])
         with pytest.raises(BadAlpha):
             pagerank(surfer_chain, SurferConfig(alpha=0.85, teleport=tel))
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-3])
+    def test_bad_tolerance_rejected_before_iterating(self, surfer_chain, tol):
+        with pytest.raises(BadTolerance):
+            pagerank(surfer_chain, SurferConfig(alpha=0.85), tol=tol, max_iters=0)
