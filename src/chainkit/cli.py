@@ -41,7 +41,7 @@ from .chain import (
     validate_distribution,
 )
 from .demo import line_chain
-from .graph import WeightedDigraph, build_graph, random_walk, same_rw_set
+from .graph import SCALING_RTOL, WeightedDigraph, build_graph, random_walk, same_rw_set
 from .laplacian import (
     LaplacianMatrix,
     build_laplacian,
@@ -49,11 +49,13 @@ from .laplacian import (
     gft,
     smooth_spectrum,
 )
-from .reversal import k_matrix, reversibility, reversibilize, time_reverse
-from .spectral import SpectralDecomposition, decompose, perron_report, round12, taxonomy
-from .stationary import StationaryBasis, equal_weight, stationary_basis
+from .numlin import stationary_gth
+from .reversal import DB_ATOL, k_matrix, reversibility, reversibilize, time_reverse
+from .spectral import (TAXONOMY_EPSILON, SpectralDecomposition, decompose, perron_report,
+                       round12, taxonomy)
+from .stationary import STATIONARITY_ATOL, StationaryBasis, equal_weight, stationary_basis
 from .structure import ClassStructure, classify
-from .surfer import SurferConfig, google_matrix, pagerank
+from .surfer import SurferConfig, pagerank_matrix
 
 # the row-sum tolerance build_chain applies, echoed by the reports
 ROW_SUM = {"row_sum": ROW_SUM_ATOL}
@@ -85,7 +87,7 @@ def parse_graph_tsv(path: str) -> WeightedDigraph:
         raise errors.ParseError(1, 'first line must be "#undirected" or "#directed"')
     undirected = lines[0].strip() == "#undirected"
     edges = []
-    labels: list[str] = []
+    idx: dict[str, int] = {}  # label -> index, in order of first mention
     for no, line in enumerate(lines[1:], start=2):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -100,18 +102,16 @@ def parse_graph_tsv(path: str) -> WeightedDigraph:
             raise errors.ParseError(no, f"bad weight {raw!r}") from None
         if not (0 < weight < math.inf):
             raise errors.ParseError(no, "weights must be positive and finite")
-        for lab in (src, dst):
-            if lab not in labels:
-                labels.append(lab)
-        edges.append((src, dst, weight))
-    idx = {lab: i for i, lab in enumerate(labels)}
-    w = np.zeros((len(labels), len(labels)))
-    for src, dst, weight in edges:
-        i, j = idx[src], idx[dst]
-        w[i, j] += weight
-        if undirected and i != j:  # self-loops stay directed, counted once
-            w[j, i] += weight
-    return build_graph(labels, w)
+        edges.append((no, idx.setdefault(src, len(idx)), idx.setdefault(dst, len(idx)),
+                      weight))
+    w = np.zeros((len(idx), len(idx)))
+    for no, i, j, weight in edges:
+        # the set holds a self-loop once: it stays directed, counted once
+        for entry in {(i, j), (j, i)} if undirected else {(i, j)}:
+            w[entry] = float(w[entry]) + weight  # a float sum overflows silently
+            if w[entry] == math.inf:
+                raise errors.ParseError(no, "summed edge weight is not finite")
+    return build_graph(list(idx), w)
 
 
 def parse_input(path: str) -> TransitionMatrix | WeightedDigraph:
@@ -248,7 +248,7 @@ def _stationary(args, a: Analysis):
         "vectors": basis.vectors,
         "equal_weight_combination": equal_weight(basis),
     }
-    return result, {"stationarity": 1e-10}
+    return result, {"stationarity": STATIONARITY_ATOL}
 
 
 def _spectrum(args, a: Analysis):
@@ -271,7 +271,7 @@ def _spectrum(args, a: Analysis):
     result = {"eigenvalues": rows,
               "diagonalizable": dec.pairs.diagonalizable,
               "perron": perron_report(dec, recurrent_classes=n_rec)}
-    return result, {"epsilon": 1e-8}
+    return result, {"epsilon": TAXONOMY_EPSILON}
 
 
 def _evolve(args, a: Analysis):
@@ -304,12 +304,12 @@ def _simulate(args, a: Analysis):
 
 def _reverse(args, a: Analysis):
     out = time_reverse(a.chain, a.structure, a.basis)
-    return {"chain": chain_document(out)}, {"db": 1e-9}
+    return {"chain": chain_document(out)}, {"db": DB_ATOL}
 
 
 def _reversibilize(args, a: Analysis):
     out = reversibilize(a.chain, a.basis, args.mode)
-    return {"mode": args.mode, "chain": chain_document(out)}, {"db": 1e-9}
+    return {"mode": args.mode, "chain": chain_document(out)}, {"db": DB_ATOL}
 
 
 def _kmatrix(args, a: Analysis):
@@ -321,7 +321,7 @@ def _kmatrix(args, a: Analysis):
               "semi_reversible": rep.semi_reversible,
               "db_residual": rep.db_residual,
               "witness": rep.witness}
-    return result, {"db": 1e-9}
+    return result, {"db": DB_ATOL}
 
 
 def _laplacian(args, a: Analysis):
@@ -349,18 +349,15 @@ def _gft(args, a: Analysis):
 
 def _pagerank(args, a: Analysis):
     chain = a.chain
-    tel = None
-    if args.teleport is not None:
-        tel = validate_distribution(_parse_vector(args.teleport), chain.n)
-    cfg = SurferConfig(alpha=args.damping, teleport=tel)
-    gm = google_matrix(chain, cfg)
-    pi = pagerank(chain, cfg, tol=args.pr_tol)
+    tel = None if args.teleport is None else _parse_vector(args.teleport)
+    gm = pagerank_matrix(chain, SurferConfig(alpha=args.damping, teleport=tel))
+    pi = stationary_gth(gm.p)
     result = {"damping": args.damping, "pagerank": pi,
               "states": list(chain.labels),
               "residual_l1": float(np.sum(np.abs(pi @ gm.p - pi)))}
     if chain.n <= 16:
         result["google_matrix"] = gm.p
-    return result, {"power": args.pr_tol}
+    return result, ROW_SUM
 
 
 def _absorb(args, a: Analysis):
@@ -383,7 +380,7 @@ def _rwset(args, a: Analysis):
     g2 = Analysis(parse_input(args.other)).graph
     scaling = same_rw_set(g1.w, g2.w)
     return {"same_random_walk_set": scaling is not None,
-            "scaling": scaling}, {"rel": 1e-10}
+            "scaling": scaling}, {"rel": SCALING_RTOL}
 
 
 def _demo_line_chain(args, _):
@@ -504,7 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("pagerank", help="teleporting-walk stationary distribution")
     p.add_argument("--damping", type=float, default=0.85)
     p.add_argument("--teleport", help="comma-separated teleport distribution")
-    p.add_argument("--pr-tol", type=float, default=1e-12)
 
     add("absorb", help="canonical form and fundamental matrix")
 

@@ -81,10 +81,6 @@ class BadAlpha(ValidationError):
     pass
 
 
-class BadTolerance(ValidationError):
-    """A tolerance that is NaN, infinite or negative."""
-
-
 class NotPositiveStationary(ValidationError):
     pass
 

@@ -8,8 +8,10 @@ TRIDIAG_RTOL, machine epsilon, relative to their diagonal neighbours),
 and a Hessenberg + Francis double-shift QR iteration for the real Schur
 form of general (non-symmetric) matrices (subdiagonal entries deflate
 below DEFLATE_RTOL). Eigenpairs of general matrices are recovered from
-the Schur form by back-substitution. Every kernel rejects non-finite
-input with NumericError before it starts iterating.
+the Schur form by back-substitution. Stationary vectors come from
+Grassmann-Taksar-Heyman (GTH) elimination, which raises SingularMatrix
+only on a reducible input. Every kernel rejects non-finite input with
+NumericError before it starts iterating.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ PIVOT_RTOL = 1e-13
 DEFLATE_RTOL = 1e-12
 TRIDIAG_RTOL = float(np.finfo(float).eps)
 RANK_RTOL = 1e-8
+GTH_RESCALE = 1e150  # stationary_gth rescales x once an entry passes this
 
 
 def _require_finite(a: np.ndarray, what: str) -> None:
@@ -78,6 +81,35 @@ def solve_linear(a, b) -> np.ndarray:
     for k in range(n - 1, -1, -1):
         x[k] = (aug[k, n:] - aug[k, k + 1: n] @ x[k + 1:]) / aug[k, k]
     return x[:, 0] if vector else x
+
+
+def stationary_gth(a) -> np.ndarray:
+    """Stationary row vector of an irreducible nonnegative square matrix.
+
+    Grassmann-Taksar-Heyman elimination (Oper. Res. 33(5), 1985): state
+    k = m-1, ..., 1 is censored out by one rank-1 update scaled by its
+    off-diagonal row sum s = sum_{j<k} a[k, j]; then back-substitution
+    from x[0] = 1 and one normalization. The diagonal is never read and
+    nothing is subtracted, so every entry, however small, has a small
+    relative error (O'Cinneide, Numer. Math. 65, 1993). Raises
+    SingularMatrix when some s is not positive: the input is reducible.
+    """
+    a = _as_square(a).copy()
+    m = a.shape[0]
+    for k in range(m - 1, 0, -1):
+        s = a[k, :k].sum()
+        if not s > 0:
+            raise SingularMatrix(f"state {k} cannot reach states 0..{k - 1}: "
+                                 "matrix is reducible")
+        a[:k, k] /= s
+        a[:k, :k] += np.outer(a[:k, k], a[k, :k])
+    x = np.zeros(m)
+    x[0] = 1.0
+    for k in range(1, m):
+        x[k] = x[:k] @ a[:k, k]
+        if x[k] > GTH_RESCALE:  # keep x[:k+1] finite when pi spans > 1e308
+            x[:k + 1] /= x[k]
+    return x / x.sum()
 
 
 def sym_eigen(a, max_iters: int | None = None) -> tuple[np.ndarray, np.ndarray]:

@@ -7,9 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import TransitionMatrix
-from .errors import DimensionMismatch, ValidationError
-from .numlin import solve_linear
+from .chain import ROW_SUM_ATOL, TransitionMatrix
+from .errors import DimensionMismatch, NumericError, ValidationError
+from .numlin import stationary_gth
 from .structure import ClassStructure
 
 STATIONARITY_ATOL = 1e-10
@@ -32,29 +32,21 @@ class StationaryBasis:
         return len(self.class_ids) == 1
 
 
-def _class_stationary(p: np.ndarray, members: list[int]) -> np.ndarray:
-    """Solve pi^T P = pi^T on one closed class: (P^T - I) pi = 0 with the
-    last equation replaced by the normalization sum(pi) = 1."""
-    sub = p[np.ix_(members, members)]
-    m = len(members)
-    a = sub.T - np.eye(m)
-    a[-1, :] = 1.0
-    b = np.zeros(m)
-    b[-1] = 1.0
-    pi = solve_linear(a, b)
-    pi = np.where(pi < 0, 0.0, pi)  # clamp roundoff
-    return pi / pi.sum()
-
-
 def stationary_basis(chain: TransitionMatrix,
                      structure: ClassStructure) -> StationaryBasis:
+    """GTH on each closed class's block; raises NumericError if a vector
+    misses pi P = pi by more than STATIONARITY_ATOL."""
     ids = []
     vecs = []
     for c, members in enumerate(structure.classes):
         if not structure.recurrent[c]:
             continue
+        members = list(members)
         pi = np.zeros(chain.n)
-        pi[list(members)] = _class_stationary(chain.p, list(members))
+        pi[members] = stationary_gth(chain.p[np.ix_(members, members)])
+        if not is_stationary(chain, pi):
+            raise NumericError(f"stationary vector of class {c} fails the "
+                               f"{STATIONARITY_ATOL:g} balance check")
         ids.append(c)
         vecs.append(pi)
     return StationaryBasis(class_ids=tuple(ids), vectors=np.array(vecs))
@@ -65,7 +57,7 @@ def combine(basis: StationaryBasis, alphas) -> np.ndarray:
     alphas = np.asarray(alphas, dtype=float).reshape(-1)
     if alphas.size != len(basis.class_ids):
         raise DimensionMismatch("one weight per recurrent class required")
-    if np.any(alphas < 0) or abs(alphas.sum() - 1.0) > 1e-9:
+    if np.any(alphas < 0) or abs(alphas.sum() - 1.0) > ROW_SUM_ATOL:
         raise ValidationError("weights must be nonnegative and sum to one")
     return alphas @ basis.vectors
 
@@ -78,7 +70,8 @@ def equal_weight(basis: StationaryBasis) -> np.ndarray:
 def is_stationary(chain: TransitionMatrix, pi,
                   atol: float = STATIONARITY_ATOL) -> bool:
     pi = np.asarray(pi, dtype=float)
-    return bool(np.max(np.abs(pi @ chain.p - pi)) <= atol)
+    on = np.flatnonzero(pi)  # only the support adds to pi P
+    return bool(np.max(np.abs(pi[on] @ chain.p[on] - pi)) <= atol)
 
 
 def flow_matrix(chain: TransitionMatrix, pi) -> np.ndarray:

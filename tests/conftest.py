@@ -2,8 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from chainkit import build_chain, build_graph
+
+# property tests draw the same examples on every run and store none
+settings.register_profile("derandomize", derandomize=True, database=None,
+                          deadline=None)
+settings.load_profile("derandomize")
 
 
 @pytest.fixture

@@ -1,11 +1,16 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from chainkit import errors
+from chainkit import errors, line_chain
 from chainkit.numlin import (
     eigen_from_schur,
     real_schur,
     solve_linear,
+    stationary_gth,
     sym_eigen,
 )
 
@@ -49,6 +54,59 @@ class TestSolveLinear:
     def test_shape_mismatch(self):
         with pytest.raises(errors.DimensionMismatch):
             solve_linear(np.ones((2, 3)), np.ones(2))
+
+
+def exact_stationary(a):
+    """pi Q = 0, sum(pi) = 1 in rationals, with the generator Q taken
+    from the off-diagonal entries of a; that is the problem GTH solves."""
+    n = len(a)
+    q = [[Fraction(float(a[i, j])) if i != j else Fraction(0) for j in range(n)]
+         for i in range(n)]
+    for i in range(n):
+        q[i][i] = -sum(q[i])
+    rows = [[q[j][i] for j in range(n)] + [Fraction(0)] for i in range(n - 1)]
+    rows.append([Fraction(1)] * (n + 1))  # normalization replaces one equation
+    for k in range(n):
+        piv = next(r for r in range(k, n) if rows[r][k] != 0)
+        rows[k], rows[piv] = rows[piv], rows[k]
+        for r in range(n):
+            if r != k and rows[r][k] != 0:
+                f = rows[r][k] / rows[k][k]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[k])]
+    return np.array([float(rows[k][n] / rows[k][k]) for k in range(n)])
+
+
+class TestStationaryGTH:
+    @pytest.mark.parametrize("n, p", [(60, 0.3), (200, 0.3), (400, 0.45), (400, 0.9)])
+    def test_birth_death_relative_accuracy(self, n, p):
+        # detailed balance: pi_i+1 / pi_i = a[i, i+1] / a[i+1, i], so pi_i
+        # is proportional to (p / (1 - p))^i; at p = 0.9 it spans 1e-381,
+        # past the double range, and its smallest entries are 0
+        a = line_chain(n=n, p_right=p).p
+        weights = [Fraction(1)]
+        for i in range(n - 1):
+            weights.append(weights[-1] * Fraction(a[i, i + 1]) / Fraction(a[i + 1, i]))
+        total = sum(weights)
+        want = np.array([float(w / total) for w in weights])
+        got = stationary_gth(a)
+        normal = want > 1e-300
+        assert np.all(np.isfinite(got)) and np.all(got[normal] > 0)
+        assert np.max(np.abs(got[normal] / want[normal] - 1.0)) <= 1e-13
+
+    @given(st.integers(1, 6).flatmap(lambda n: st.lists(
+        st.lists(st.integers(0, 9), min_size=n, max_size=n), min_size=n, max_size=n)))
+    def test_matches_exact_rational_solve(self, weights):
+        w = np.array(weights, dtype=float)
+        n = len(w)
+        w[np.arange(n), (np.arange(n) + 1) % n] += 1.0  # a cycle: irreducible
+        a = w / w.sum(axis=1, keepdims=True)
+        want = exact_stationary(a)
+        assert np.max(np.abs(stationary_gth(a) / want - 1.0)) <= 1e-13
+
+    def test_reducible_raises(self):
+        a = [[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]]
+        with pytest.raises(errors.SingularMatrix):
+            stationary_gth(a)
 
 
 class TestSymEigen:
@@ -275,7 +333,8 @@ class TestKernelsAtWorkloadSizes:
     lambda m: solve_linear(np.eye(len(m)), m[3]),
     sym_eigen,
     real_schur,
-], ids=["solve_linear", "solve_linear_rhs", "sym_eigen", "real_schur"])
+    stationary_gth,
+], ids=["solve_linear", "solve_linear_rhs", "sym_eigen", "real_schur", "stationary_gth"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_input_is_numeric_error(kernel, bad):
     a = symmetric_family("random", 40, np.random.default_rng(7))

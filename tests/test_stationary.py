@@ -10,6 +10,7 @@ from chainkit import (
     flow_matrix,
     stationary_basis,
 )
+from chainkit import stationary
 from chainkit.stationary import is_stationary
 
 
@@ -62,6 +63,13 @@ class TestBasis:
             combine(b, [0.7])
         with pytest.raises(errors.DimensionMismatch):
             combine(b, [0.5, 0.5])
+
+    def test_vector_failing_balance_is_numeric_error(self, nonrev_chain, monkeypatch):
+        # the kernel is replaced by a uniform guess, which nonrev_chain rejects
+        monkeypatch.setattr(stationary, "stationary_gth",
+                            lambda a: np.full(len(a), 1.0 / len(a)))
+        with pytest.raises(errors.NumericError, match="balance"):
+            basis_of(nonrev_chain)
 
 
 class TestFlow:
