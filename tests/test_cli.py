@@ -344,8 +344,7 @@ class TestTransformCommands:
 class TestExitCodes:
     @pytest.mark.parametrize("template", [t + ["--tol", "1e-3"] for t in EVERY_SUBCOMMAND]
                              + [["classify", "{chain}", "--format", "csv"],
-                                ["stationary", "{chain}", "--seed", "1"],
-                                ["pagerank", "{chain}", "--pr-tol", "1e-12"]],
+                                ["stationary", "{chain}", "--seed", "1"]],
                              ids=lambda t: f"{case_id(t)}{t[-2]}")
     def test_flag_outside_its_subcommands_is_exit_two(self, template, inputs):
         with pytest.raises(SystemExit) as exc:
@@ -413,6 +412,15 @@ class TestExitCodes:
         code, out, err = run(capsys, "classify", str(f))
         assert code == 2 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-0.001"])
+    def test_bad_pagerank_tolerance_is_exit_two(self, tol, chain_file, capsys):
+        # pagerank has no tolerance to set: argparse refuses --pr-tol outright
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "pagerank", chain_file, "--damping", "0.5", "--pr-tol", tol)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert "unrecognized arguments: --pr-tol" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("states", [5, [["x"]], {"a": 1}],
                              ids=["number", "nested", "object"])
