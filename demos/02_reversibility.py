@@ -51,10 +51,9 @@ report("semi-reversible", semi)
 
 # The time reversal swaps the direction of stationary flow; applying it
 # twice gives the original chain back.
-structure = classify(circulating)
-basis = stationary_basis(circulating, structure)
-reversed_chain = time_reverse(circulating, structure, basis)
-back = time_reverse(reversed_chain, classify(reversed_chain),
+basis = stationary_basis(circulating, classify(circulating))
+reversed_chain = time_reverse(circulating, basis)
+back = time_reverse(reversed_chain,
                     stationary_basis(reversed_chain, classify(reversed_chain)))
 print("double reversal returns original:",
       np.max(np.abs(back.p - circulating.p)) < 1e-12)

@@ -303,13 +303,13 @@ def _simulate(args, a: Analysis):
 
 
 def _reverse(args, a: Analysis):
-    out = time_reverse(a.chain, a.structure, a.basis)
-    return {"chain": chain_document(out)}, {"db": DB_ATOL}
+    out = time_reverse(a.chain, a.basis)
+    return {"chain": chain_document(out)}, ROW_SUM
 
 
 def _reversibilize(args, a: Analysis):
     out = reversibilize(a.chain, a.basis, args.mode)
-    return {"mode": args.mode, "chain": chain_document(out)}, {"db": DB_ATOL}
+    return {"mode": args.mode, "chain": chain_document(out)}, ROW_SUM
 
 
 def _kmatrix(args, a: Analysis):

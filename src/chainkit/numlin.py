@@ -8,7 +8,12 @@ TRIDIAG_RTOL, machine epsilon, relative to their diagonal neighbours),
 and a Hessenberg + Francis double-shift QR iteration for the real Schur
 form of general (non-symmetric) matrices (subdiagonal entries deflate
 below DEFLATE_RTOL). Eigenpairs of general matrices are recovered from
-the Schur form by back-substitution. Stationary vectors come from
+the Schur form by one blocked back-substitution over all eigenvector
+columns at once (on T for the right vectors, on its flipped transpose
+for the left), with the residual measured in Schur coordinates. A
+matrix counts as diagonalizable when each eigenvalue cluster's
+geometric multiplicity, n - rank(T - lam I), reaches its size and the
+right eigenvectors form a full-rank basis. Stationary vectors come from
 Grassmann-Taksar-Heyman (GTH) elimination, which raises SingularMatrix
 only on a reducible input. Every kernel rejects non-finite input with
 NumericError before it starts iterating.
@@ -216,15 +221,15 @@ def _hessenberg(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return h, q
 
 
-def _split_real_block(hq: np.ndarray, p: int) -> bool:
+def _split_real_block(hq: np.ndarray, p: int) -> None:
     """If the 2x2 block of H at p has real eigenvalues, rotate it upper
-    triangular (in place on the stacked [H; Q]) and return True;
-    otherwise leave it alone."""
+    triangular (in place on the stacked [H; Q]); otherwise leave it
+    alone."""
     a, b = hq[p, p], hq[p, p + 1]
     c, d = hq[p + 1, p], hq[p + 1, p + 1]
     disc = 0.25 * (a - d) ** 2 + b * c
     if disc < 0:
-        return False
+        return
     root = np.sqrt(disc)
     mid = 0.5 * (a + d)
     lam = mid + root if mid >= 0 else mid - root  # larger-magnitude eigenvalue
@@ -241,7 +246,6 @@ def _split_real_block(hq: np.ndarray, p: int) -> bool:
     hq[p:p + 2, :] = g.T @ hq[p:p + 2, :]
     hq[:, p:p + 2] = hq[:, p:p + 2] @ g
     hq[p + 1, p] = 0.0
-    return True
 
 
 def _reflect(hq: np.ndarray, k: int, first_col: int, x: float, y: float,
@@ -294,21 +298,23 @@ def _francis_step(hq: np.ndarray, lo: int, hi: int, exceptional: bool) -> None:
     hq[hi, hi - 2] = 0.0
 
 
-def real_schur(a, max_iters: int | None = None) -> SchurForm:
+def real_schur(a) -> SchurForm:
     """Real Schur form via Hessenberg reduction and Francis double-shift
     QR with deflation.
 
     Subdiagonal entries are flushed to zero once they fall below
     DEFLATE_RTOL * (|t_ii| + |t_i+1,i+1|), with ||a||_F standing in when
-    both diagonal entries are 0. Every surviving 2x2 diagonal block
-    carries a complex conjugate eigenvalue pair. H and Q live stacked in
-    one (2n x n) array, so a reflector updates the columns of both with
-    one product.
+    both diagonal entries are 0. A 2x2 block is split as it deflates if
+    its eigenvalues are real, and no later sweep touches its entries, so
+    every surviving 2x2 diagonal block carries a complex conjugate
+    eigenvalue pair and block_sizes can be read off the subdiagonal. H
+    and Q live stacked in one (2n x n) array, so a reflector updates the
+    columns of both with one product. Raises NoConvergence after
+    max(30 n, 120) QR sweeps.
     """
     a = _as_square(a)
     n = a.shape[0]
-    if max_iters is None:
-        max_iters = max(30 * n, 120)
+    max_iters = max(30 * n, 120)
     if n == 0:
         return SchurForm(np.eye(0), np.zeros((0, 0)), ())
     hq = np.vstack(_hessenberg(a))
@@ -343,23 +349,11 @@ def real_schur(a, max_iters: int | None = None) -> SchurForm:
             raise NoConvergence("QR iteration exceeded the iteration budget")
         _francis_step(hq, lo, hi, exceptional=(stalled % 11 == 10))
     h, q = hq[:n], hq[n:]
-    # defensive: split any leftover 2x2 block that turned real
-    i = 0
-    while i < n - 1:
-        if h[i + 1, i] != 0.0:
-            _split_real_block(hq, i)
-            i += 2
-        else:
-            i += 1
     blocks = []
     i = 0
     while i < n:
-        if i < n - 1 and h[i + 1, i] != 0.0:
-            blocks.append(2)
-            i += 2
-        else:
-            blocks.append(1)
-            i += 1
+        blocks.append(2 if i < n - 1 and h[i + 1, i] != 0.0 else 1)
+        i += blocks[-1]
     return SchurForm(q, h, tuple(blocks))
 
 
@@ -410,89 +404,105 @@ def _pairs_to_complex(values: np.ndarray, enc: np.ndarray) -> np.ndarray:
     return out
 
 
-def _shifted_backsolve(t: np.ndarray, starts: list[int], sizes: list[int],
-                       lam: complex, rhs: np.ndarray, clamp: float) -> np.ndarray:
-    """Solve (T - lam I) y = rhs on the leading quasi-triangular part
-    covered by the given blocks, walking blocks bottom-up. Near-singular
-    diagonal blocks are clamped so the solve always returns something;
-    callers detect defectiveness separately."""
-    k = starts[-1] + sizes[-1] if starts else 0
-    y = np.zeros(k, dtype=complex)
-    for s, b in zip(reversed(starts), reversed(sizes)):
-        acc = rhs[s:s + b] - t[s:s + b, s + b:k] @ y[s + b:k]
+def _quasi_triangular_vectors(t: np.ndarray, starts: list[int], sizes: list[int],
+                              lams: np.ndarray, clamp: float) -> np.ndarray:
+    """One eigenvector of the upper quasi-triangular T per diagonal block,
+    as the columns of a complex (n, blocks) array.
+
+    Column k holds an eigenvector u of block k in that block's rows and
+    zeros below; above, it solves (T - lam_k I) y = -T[:, block k] u. All
+    columns are back-substituted together, block row by block row from
+    the bottom up (LAPACK xTREVC): a 1x1 row block divides by the vector
+    t_ss - lam, a 2x2 one applies its explicit inverse to every column.
+    Near-singular diagonal blocks are clamped (|den| < clamp -> clamp,
+    |det| < clamp^2 -> clamp^2) so the solve always returns something;
+    callers detect defectiveness separately.
+    """
+    x = np.zeros((t.shape[0], len(starts)), dtype=complex)
+    for k, (s, b) in enumerate(zip(starts, sizes)):
+        if b == 1:
+            x[s, k] = 1.0
+            continue
+        u = (t[s, s + 1], lams[k] - t[s, s])
+        if max(abs(u[0]), abs(u[1])) < clamp:
+            u = (lams[k] - t[s + 1, s + 1], t[s + 1, s])
+        x[s:s + 2, k] = u
+    for r in range(len(starts) - 2, -1, -1):
+        s, b = starts[r], sizes[r]
+        lam = lams[r + 1:]
+        acc = -(t[s:s + b, s + b:] @ x[s + b:, r + 1:])
         if b == 1:
             den = t[s, s] - lam
-            if abs(den) < clamp:
-                den = clamp
-            y[s] = acc[0] / den
+            den[np.abs(den) < clamp] = clamp
+            x[s, r + 1:] = acc[0] / den
         else:
             a11 = t[s, s] - lam
             a12 = t[s, s + 1]
             a21 = t[s + 1, s]
             a22 = t[s + 1, s + 1] - lam
             det = a11 * a22 - a12 * a21
-            if abs(det) < clamp * clamp:
-                det = clamp * clamp
-            y[s] = (a22 * acc[0] - a12 * acc[1]) / det
-            y[s + 1] = (a11 * acc[1] - a21 * acc[0]) / det
-    return y
-
-
-def _block_eigenvector(t: np.ndarray, starts: list[int], sizes: list[int],
-                       bi: int, lam: complex, clamp: float) -> np.ndarray:
-    """Right eigenvector of the quasi-triangular T for the eigenvalue lam
-    of diagonal block bi: an eigenvector of that block, extended upward
-    by back-substitution."""
-    s, b = starts[bi], sizes[bi]
-    if b == 1:
-        u = np.array([1.0 + 0j])
-    else:
-        u = np.array([t[s, s + 1], lam - t[s, s]])
-        if np.max(np.abs(u)) < clamp:
-            u = np.array([lam - t[s + 1, s + 1], t[s + 1, s]])
-    x = np.zeros(t.shape[0], dtype=complex)
-    x[s:s + b] = u
-    if s > 0:
-        rhs = -(t[:s, s:s + b] @ u)
-        x[:s] = _shifted_backsolve(t, starts[:bi], sizes[:bi], lam, rhs, clamp)
+            det[np.abs(det) < clamp * clamp] = clamp * clamp
+            x[s, r + 1:] = (a22 * acc[0] - a12 * acc[1]) / det
+            x[s + 1, r + 1:] = (a11 * acc[1] - a21 * acc[0]) / det
     return x
 
 
 def _complex_rank(m: np.ndarray, threshold: float) -> int:
+    """Rank by Gaussian elimination with partial pivoting: the number of
+    pivots above threshold. A column without one uses up no row."""
     a = m.astype(complex, copy=True)
-    n = a.shape[0]
     rank = 0
-    for k in range(min(a.shape)):
-        col = np.abs(a[k:, k])
-        p = k + int(np.argmax(col))
+    for k in range(a.shape[1]):
+        if rank == a.shape[0]:
+            break
+        p = rank + int(np.argmax(np.abs(a[rank:, k])))
         if np.abs(a[p, k]) <= threshold:
             continue
-        if p != k:
-            a[[k, p]] = a[[p, k]]
-        a[k + 1:, k:] -= np.outer(a[k + 1:, k] / a[k, k], a[k, k:])
+        if p != rank:
+            a[[rank, p]] = a[[p, rank]]
+        a[rank + 1:, k:] -= np.outer(a[rank + 1:, k] / a[rank, k], a[rank, k:])
         rank += 1
     return rank
 
 
-def _canonical_phase(v: np.ndarray) -> np.ndarray:
-    i = int(np.argmax(np.abs(v)))
-    pivot = v[i]
-    if pivot == 0:
-        return v
-    return v * (np.conj(pivot) / abs(pivot))
+def _unit_phase(v: np.ndarray) -> np.ndarray:
+    """The columns of v scaled to unit norm, each rotated so that its
+    first largest-magnitude entry is real and positive."""
+    v = v / np.linalg.norm(v, axis=0)
+    pivot = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    return v * (np.conj(pivot) / np.abs(pivot))
+
+
+def _pair_encoding(blocks: np.ndarray, starts: list[int], sizes: list[int]) -> np.ndarray:
+    """Real (n, n) pair encoding of one complex vector per diagonal block."""
+    enc = np.zeros((blocks.shape[0], blocks.shape[0]))
+    enc[:, starts] = blocks.real
+    pairs = [k for k, b in enumerate(sizes) if b == 2]
+    enc[:, [starts[k] + 1 for k in pairs]] = blocks[:, pairs].imag
+    return enc
 
 
 def eigen_from_schur(schur: SchurForm) -> ComplexEigenpairs:
     """Recover eigenvalues and left/right eigenvectors from a real Schur
-    form by back-substitution on T (on its flipped transpose for the left
-    vectors), then rotate back with Q.
+    form A = Q T Q^T.
 
-    Diagonalizability is decided by comparing algebraic multiplicity
-    (eigenvalue clusters) against geometric multiplicity, the latter via
-    thresholded rank of A - lam I.
+    One blocked back-substitution on T gives one right eigenvector y per
+    diagonal block; the same solve on the flipped transpose J T^T J gives
+    the left ones. Q rotates them back. Q is orthogonal, so the residual
+    max_j ||T y_j - lam_j y_j|| / ||y_j|| is measured in Schur
+    coordinates and equals that of A.
+
+    A is diagonalizable when two tests pass. First, every cluster of
+    eigenvalues within RANK_RTOL * ||T|| of one another has geometric
+    multiplicity n - rank(T - lam I) at least its size. Second, the right
+    eigenvectors form a numerically full-rank basis.
     """
     t, q = schur.t, schur.q
     n = t.shape[0]
+    if n == 0:
+        return ComplexEigenpairs(values=np.zeros(0, dtype=complex), right=np.zeros((0, 0)),
+                                 left=np.zeros((0, 0)), diagonalizable=True, simple=True,
+                                 residual=0.0)
     starts = schur.block_starts()
     sizes = list(schur.block_sizes)
     scale = np.linalg.norm(t)
@@ -511,82 +521,40 @@ def eigen_from_schur(schur: SchurForm) -> ComplexEigenpairs:
             values[s] = mid + 1j * im
             values[s + 1] = mid - 1j * im
 
+    lams = values[starts]
+    y = _quasi_triangular_vectors(t, starts, sizes, lams, clamp)
     # a left eigenvector of T is a right eigenvector of the flipped
     # transpose J T^T J, upper quasi-triangular with its blocks reversed
-    flipped = t.T[::-1, ::-1].copy()
-    flipped_starts = [n - s - b for s, b in zip(starts[::-1], sizes[::-1])]
-    flipped_sizes = sizes[::-1]
+    z = _quasi_triangular_vectors(
+        t.T[::-1, ::-1].copy(), [n - s - b for s, b in zip(starts[::-1], sizes[::-1])],
+        sizes[::-1], lams[::-1], clamp)[::-1, ::-1]
+    residual = float(np.max(np.linalg.norm(t @ y - y * lams, axis=0)
+                            / np.linalg.norm(y, axis=0)))
+    right_blocks = _unit_phase(q @ y)
+    left_blocks = _unit_phase(q @ z)
 
-    right = np.zeros((n, n))
-    left = np.zeros((n, n))
-    right_cplx = np.zeros((n, n), dtype=complex)
-    left_cplx = np.zeros((n, n), dtype=complex)
-    for bi, (s, b) in enumerate(zip(starts, sizes)):
-        lam = values[s]
-        r = q @ _block_eigenvector(t, starts, sizes, bi, lam, clamp)
-        r /= np.linalg.norm(r)
-        r = _canonical_phase(r)
-
-        z = _block_eigenvector(flipped, flipped_starts, flipped_sizes,
-                               len(sizes) - 1 - bi, lam, clamp)[::-1]
-        lv = q @ z
-        lv /= np.linalg.norm(lv)
-        lv = _canonical_phase(lv)
-
-        right_cplx[:, s] = r
-        left_cplx[:, s] = lv
-        if b == 2:
-            right_cplx[:, s + 1] = np.conj(r)
-            left_cplx[:, s + 1] = np.conj(lv)
-
-    a = q @ t @ q.T
-    residual = 0.0
-    for j in range(n):
-        res = np.linalg.norm(a @ right_cplx[:, j] - values[j] * right_cplx[:, j])
-        residual = max(residual, float(res))
-
-    # multiplicities
-    cluster_tol = RANK_RTOL * scale
-    unassigned = list(range(n))
-    diagonalizable = True
-    simple = True
-    while unassigned:
-        i = unassigned[0]
-        group = [j for j in unassigned if abs(values[j] - values[i]) <= cluster_tol]
-        for j in group:
-            unassigned.remove(j)
-        alg = len(group)
-        if alg > 1:
-            simple = False
-            shifted = a.astype(complex) - values[i] * np.eye(n)
-            geo = n - _complex_rank(shifted, RANK_RTOL * scale)
-            if geo < alg:
-                diagonalizable = False
+    close = np.abs(values[:, None] - values[None, :]) <= RANK_RTOL * scale
+    alg = close.sum(axis=1)
+    simple = bool(np.all(alg == 1))
+    # one rank test per cluster, at its first member
+    firsts = np.flatnonzero((np.argmax(close, axis=1) == np.arange(n)) & (alg > 1))
+    diagonalizable = all(
+        n - _complex_rank(t - values[i] * np.eye(n), RANK_RTOL * scale) >= alg[i]
+        for i in firsts)
+    right = _pair_encoding(right_blocks, starts, sizes)
     # QR scatters a defective eigenvalue wider than the cluster tolerance,
     # so also demand a numerically full-rank eigenvector basis
     if diagonalizable and n > 1:
-        if _complex_rank(right_cplx, RANK_RTOL) < n:
+        if _complex_rank(_pairs_to_complex(values, right), RANK_RTOL) < n:
             diagonalizable = False
             simple = False
 
     if simple:
-        for s, b in zip(starts, sizes):
-            d = left_cplx[:, s] @ right_cplx[:, s]
-            if abs(d) > 0:
-                left_cplx[:, s] = left_cplx[:, s] / d
-                if b == 2:
-                    left_cplx[:, s + 1] = np.conj(left_cplx[:, s])
+        d = np.sum(left_blocks * right_blocks, axis=0)
+        nonzero = np.abs(d) > 0
+        left_blocks[:, nonzero] /= d[nonzero]
 
-    for s, b in zip(starts, sizes):
-        if b == 1:
-            right[:, s] = right_cplx[:, s].real
-            left[:, s] = left_cplx[:, s].real
-        else:
-            right[:, s] = right_cplx[:, s].real
-            right[:, s + 1] = right_cplx[:, s].imag
-            left[:, s] = left_cplx[:, s].real
-            left[:, s + 1] = left_cplx[:, s].imag
-
-    return ComplexEigenpairs(values=values, right=right, left=left,
+    return ComplexEigenpairs(values=values, right=right,
+                             left=_pair_encoding(left_blocks, starts, sizes),
                              diagonalizable=diagonalizable, simple=simple,
                              residual=residual)

@@ -30,18 +30,20 @@ class SymmetrizedKernel:
     k: np.ndarray
 
 
-def _positive_pi(chain: TransitionMatrix, structure: ClassStructure,
-                 basis: StationaryBasis) -> np.ndarray:
-    if not structure.recurrent_chain:
-        raise NotRecurrent("operation requires every state to be recurrent")
-    return equal_weight(basis)
+def _positive_pi(basis: StationaryBasis, what: str) -> np.ndarray:
+    """The equal-weight stationary pi, refused unless every entry is
+    positive: a transient state has pi = 0, and so does a recurrent one
+    whose probability underflows."""
+    pi = equal_weight(basis)
+    if np.any(pi <= 0):
+        raise NotRecurrent(f"{what} requires strictly positive pi")
+    return pi
 
 
-def time_reverse(chain: TransitionMatrix, structure: ClassStructure,
-                 basis: StationaryBasis) -> TransitionMatrix:
+def time_reverse(chain: TransitionMatrix, basis: StationaryBasis) -> TransitionMatrix:
     """Transition matrix of the time-reversed chain, P_rev = Pi^-1 P^T Pi,
     with pi the equal-weight combination of the class distributions."""
-    pi = _positive_pi(chain, structure, basis)
+    pi = _positive_pi(basis, "time reversal")
     p_rev = chain.p.T * pi[None, :] / pi[:, None]
     return build_chain(chain.labels, p_rev)
 
@@ -107,8 +109,7 @@ def _kolmogorov(p: np.ndarray) -> tuple[bool, tuple[int, ...] | None]:
 
 
 def reversibility(chain: TransitionMatrix, structure: ClassStructure,
-                  basis: StationaryBasis, kolmogorov: bool = False,
-                  tol: float = DB_ATOL) -> ReversibilityReport:
+                  basis: StationaryBasis, kolmogorov: bool = False) -> ReversibilityReport:
     """Detailed-balance test by default; Kolmogorov cycle mode on request.
 
     Recurrent chains: one strictly positive stationary pi suffices.
@@ -121,7 +122,7 @@ def reversibility(chain: TransitionMatrix, structure: ClassStructure,
     pi = equal_weight(basis)
     residual, pair = _db_residual(chain.p, pi)
     recurrent = structure.recurrent_chain
-    semi = residual <= tol
+    semi = residual <= DB_ATOL
     reversible = recurrent and semi
     witness: tuple[int, ...] | None = None
     if recurrent and not reversible:
@@ -142,9 +143,7 @@ def reversibilize(chain: TransitionMatrix, basis: StationaryBasis,
 
     Both preserve the stationary distributions and have symmetric flow.
     """
-    pi = equal_weight(basis)
-    if np.any(pi <= 0):
-        raise NotRecurrent("reversibilization requires strictly positive pi")
+    pi = _positive_pi(basis, "reversibilization")
     p_rev = chain.p.T * pi[None, :] / pi[:, None]
     if mode == "additive":
         out = 0.5 * (chain.p + p_rev)
@@ -159,10 +158,7 @@ def k_matrix(chain: TransitionMatrix, basis: StationaryBasis) -> SymmetrizedKern
     """K = Pi^{1/2} P Pi^{-1/2}; symmetry of K is equivalent to
     reversibility, and K does not depend on which strictly positive
     stationary distribution is used."""
-    pi = equal_weight(basis)
-    if np.any(pi <= 0):
-        raise NotRecurrent("K-matrix requires strictly positive pi")
-    root = np.sqrt(pi)
+    root = np.sqrt(_positive_pi(basis, "K-matrix"))
     k = (chain.p * root[:, None]) / root[None, :]
     return SymmetrizedKernel(k=k)
 

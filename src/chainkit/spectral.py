@@ -78,24 +78,23 @@ def decompose(chain: TransitionMatrix) -> SpectralDecomposition:
                                  left_row_sums=left_sums)
 
 
-def taxonomy(decomp: SpectralDecomposition,
-             epsilon: float = TAXONOMY_EPSILON) -> list[str]:
+def taxonomy(decomp: SpectralDecomposition) -> list[str]:
     """Classify each eigenvalue by persistence (|lambda| vs 1) and by
     kind: structure (real nonnegative), oscillation (real negative), or
-    cycle (genuinely complex). Boundary values within epsilon classify
-    toward the persistent side."""
+    cycle (genuinely complex). Boundary values within TAXONOMY_EPSILON
+    classify toward the persistent side."""
     labels = []
     for lam in decomp.values:
         re, im, mod = lam.real, lam.imag, abs(lam)
-        if abs(lam - 1.0) < epsilon:
+        if abs(lam - 1.0) < TAXONOMY_EPSILON:
             labels.append(PERSISTENT_STRUCTURE)
-        elif abs(lam + 1.0) < epsilon:
+        elif abs(lam + 1.0) < TAXONOMY_EPSILON:
             labels.append(PERSISTENT_OSCILLATION)
-        elif abs(mod - 1.0) < epsilon and abs(im) >= epsilon:
+        elif abs(mod - 1.0) < TAXONOMY_EPSILON and abs(im) >= TAXONOMY_EPSILON:
             labels.append(PERSISTENT_CYCLE)
-        elif abs(im) < epsilon and re >= 0:
+        elif abs(im) < TAXONOMY_EPSILON and re >= 0:
             labels.append(TRANSIENT_STRUCTURE)
-        elif abs(im) < epsilon:
+        elif abs(im) < TAXONOMY_EPSILON:
             labels.append(TRANSIENT_OSCILLATION)
         else:
             labels.append(TRANSIENT_CYCLE)
@@ -140,8 +139,7 @@ def _block_power(values: np.ndarray, k: int) -> np.ndarray:
     return m
 
 
-def spectral_evolve(decomp: SpectralDecomposition, mu, k: int,
-                    epsilon: float = TAXONOMY_EPSILON) -> EigenEvolution:
+def spectral_evolve(decomp: SpectralDecomposition, mu, k: int) -> EigenEvolution:
     """Evolve mu for k steps entirely in the eigenbasis.
 
     Expands mu over the right eigenvectors, scales each coordinate by
@@ -161,7 +159,7 @@ def spectral_evolve(decomp: SpectralDecomposition, mu, k: int,
     coords_enc = mu @ r_enc
     power = _block_power(decomp.values, k)
     scaled = coords_enc @ power
-    persistent_mask = np.abs(np.abs(decomp.values) - 1.0) < epsilon
+    persistent_mask = np.abs(np.abs(decomp.values) - 1.0) < TAXONOMY_EPSILON
     persistent = (scaled * persistent_mask) @ dual
     transient = (scaled * ~persistent_mask) @ dual
     coordinates = mu @ decomp.pairs.right_complex()
@@ -172,8 +170,7 @@ def spectral_evolve(decomp: SpectralDecomposition, mu, k: int,
 
 
 def perron_report(decomp: SpectralDecomposition,
-                  recurrent_classes: int | None = None,
-                  epsilon: float = TAXONOMY_EPSILON) -> dict:
+                  recurrent_classes: int | None = None) -> dict:
     """Conformance summary for a stochastic spectrum: radius bound, the
     multiplicity of 1 against the recurrent-class count, and the second
     modulus |lambda_2|."""

@@ -67,11 +67,10 @@ def equal_weight(basis: StationaryBasis) -> np.ndarray:
     return combine(basis, np.full(k, 1.0 / k))
 
 
-def is_stationary(chain: TransitionMatrix, pi,
-                  atol: float = STATIONARITY_ATOL) -> bool:
+def is_stationary(chain: TransitionMatrix, pi) -> bool:
     pi = np.asarray(pi, dtype=float)
     on = np.flatnonzero(pi)  # only the support adds to pi P
-    return bool(np.max(np.abs(pi[on] @ chain.p[on] - pi)) <= atol)
+    return bool(np.max(np.abs(pi[on] @ chain.p[on] - pi)) <= STATIONARITY_ATOL)
 
 
 def flow_matrix(chain: TransitionMatrix, pi) -> np.ndarray:

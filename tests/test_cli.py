@@ -283,6 +283,15 @@ class TestTransformCommands:
         p = np.array(doc["P"])
         assert np.allclose(p.sum(axis=1), 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("argv", [["reverse"], ["reversibilize", "--mode", "additive"]],
+                             ids=["reverse", "reversibilize"])
+    def test_transform_echoes_row_sum_tolerance(self, argv, chain_file, capsys):
+        # the output chain passes build_chain's row-sum check; no
+        # detailed-balance tolerance is applied
+        code, out, _ = run(capsys, argv[0], chain_file, *argv[1:])
+        assert code == 0
+        assert json.loads(out)["tolerances"] == {"row_sum": cli.ROW_SUM_ATOL}
+
     def test_reversibilize_modes(self, chain_file, capsys):
         for mode in ("additive", "multiplicative"):
             code, out, _ = run(capsys, "reversibilize", chain_file,
@@ -368,6 +377,18 @@ class TestExitCodes:
                                  "P": [[0.5, 0.5], [0.0, 1.0]]}))
         code, _, _ = run(capsys, "reverse", str(f))
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [["reverse"], ["kmatrix"],
+                                      ["reversibilize", "--mode", "additive"]],
+                             ids=["reverse", "kmatrix", "reversibilize"])
+    def test_underflowing_pi_is_exit_two(self, argv, tmp_path, capsys):
+        # pi_i grows like 9^i, so pi_0 ~ 1e-381 underflows to 0
+        p = cli.line_chain(n=400, p_right=0.9).p
+        f = tmp_path / "birth_death.json"
+        f.write_text(json.dumps({"states": [str(i) for i in range(400)], "P": p.tolist()}))
+        code, out, err = run(capsys, argv[0], str(f), *argv[1:])
+        assert code == 2 and out == ""
+        assert "requires strictly positive pi" in err and "Warning" not in err
 
     def test_bad_damping_is_exit_two(self, chain_file, capsys):
         code, _, _ = run(capsys, "pagerank", chain_file, "--damping", "1.5")

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from chainkit import errors, line_chain
 from chainkit.numlin import (
+    RANK_RTOL,
+    _complex_rank,
     eigen_from_schur,
     real_schur,
     solve_linear,
@@ -224,6 +226,11 @@ class TestEigenFromSchur:
         j = np.array([[2.0, 1, 0], [0, 2, 1], [0, 0, 2]])
         assert not eigen_from_schur(real_schur(j)).diagonalizable
 
+    def test_empty_matrix(self):
+        ep = eigen_from_schur(real_schur(np.zeros((0, 0))))
+        assert ep.n == 0 and ep.right.shape == ep.left.shape == (0, 0)
+        assert ep.diagonalizable and ep.simple and ep.residual == 0.0
+
     def test_identity_diagonalizable(self):
         ep = eigen_from_schur(real_schur(np.eye(4)))
         assert ep.diagonalizable and not ep.simple
@@ -326,6 +333,92 @@ class TestKernelsAtWorkloadSizes:
         got = np.linalg.eigvals(sf.t)
         assert largest_matched_distance(got, want) <= 1e-10
         assert sf.block_sizes.count(2) == int(np.sum(want.imag > 1e-10))
+
+
+def dense_matrix(n, rng):
+    return _normalize(rng.random((n, n)) ** 2 + 1e-3)
+
+
+def rotation(theta):
+    return np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+
+
+class TestComplexRank:
+    @pytest.mark.parametrize("m, rank", [
+        ([[0.0, 1.0], [0.0, 0.0]], 1),
+        ([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]], 2),  # J3 - 2I
+        ([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]], 1),
+        (np.eye(3), 3),
+        (np.zeros((3, 3)), 0),
+    ])
+    def test_column_without_pivot_keeps_its_row(self, m, rank):
+        assert _complex_rank(np.array(m), 1e-12) == rank
+
+    def test_matches_numpy_on_strictly_upper_triangular(self):
+        # the shape of T - lam I at an eigenvalue in T's top-left corner
+        rng = np.random.default_rng(61)
+        for _ in range(50):
+            n = int(rng.integers(2, 9))
+            m = np.triu(rng.normal(size=(n, n)), 1)
+            m[:, rng.random(n) < 0.3] = 0.0
+            assert _complex_rank(m, 1e-9) == np.linalg.matrix_rank(m, tol=1e-9)
+
+
+class TestDiagonalizabilityVerdicts:
+    """Each half of the rule: a cluster's geometric multiplicity
+    n - rank(T - lam I) must reach its size, and the right eigenvectors
+    must form a full-rank basis."""
+
+    @pytest.mark.parametrize("corner", [0.0, 1e-16])
+    def test_rotated_jordan2_caught_by_cluster_rank(self, corner):
+        # QR splits the double eigenvalue by about 1e-8: a cluster, but
+        # the two computed eigenvectors are still numerically independent
+        q = rotation(np.pi / 6)
+        ep = eigen_from_schur(real_schur(q @ np.array([[2.0, 1.0], [corner, 2.0]]) @ q.T))
+        assert not ep.diagonalizable and not ep.simple
+        assert _complex_rank(ep.right_complex(), RANK_RTOL) == 2
+
+    def test_rotated_jordan3_caught_by_basis_rank(self):
+        # QR splits the triple eigenvalue by about 1e-5, far past the
+        # cluster tolerance, so only the eigenvector basis shows it
+        q, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(3, 3)))
+        a = q @ np.array([[2.0, 1, 0], [0, 2, 1], [0, 0, 2]]) @ q.T
+        sf = real_schur(a)
+        ep = eigen_from_schur(sf)
+        gaps = np.abs(ep.values[:, None] - ep.values[None, :]) + np.eye(3)
+        assert np.min(gaps) > RANK_RTOL * np.linalg.norm(sf.t)
+        assert not ep.diagonalizable and not ep.simple
+
+    def test_unrotated_jordan3_not_diagonalizable(self):
+        j = np.array([[2.0, 1, 0], [0, 2, 1], [0, 0, 2]])
+        ep = eigen_from_schur(real_schur(j))
+        assert not ep.diagonalizable and not ep.simple
+
+    @pytest.mark.parametrize("a", [
+        np.eye(90),
+        multiclass_matrix(60, 5, np.random.default_rng(5)),
+    ], ids=["identity90", "multiclass60"])
+    def test_repeated_semisimple_eigenvalue(self, a):
+        ep = eigen_from_schur(real_schur(a))
+        assert ep.diagonalizable and not ep.simple
+
+    @pytest.mark.parametrize("a", [
+        line_chain(n=60, p_right=0.52, perturb=0.04, seed=1).p,
+        line_chain(n=90, p_right=0.52, perturb=0.04, seed=2).p,
+        cycle_matrix(50, np.random.default_rng(50)),
+        cycle_matrix(90, np.random.default_rng(90)),
+        block_periodic_matrix(56, 4, np.random.default_rng(4)),
+        block_periodic_matrix(81, 3, np.random.default_rng(3)),
+        dense_matrix(45, np.random.default_rng(45)),
+        dense_matrix(60, np.random.default_rng(60)),
+    ], ids=["line60", "line90", "cycle50", "cycle90", "periodic56", "periodic81",
+            "dense45", "dense60"])
+    def test_workload_family_residual(self, a):
+        ep = eigen_from_schur(real_schur(a))
+        assert ep.diagonalizable
+        assert ep.residual <= 1e-12 * max(1.0, np.linalg.norm(a))
+        right = ep.right_complex()
+        assert np.max(np.abs(a @ right - right * ep.values)) <= 1e-12 * max(1.0, np.linalg.norm(a))
 
 
 @pytest.mark.parametrize("kernel", [

@@ -30,30 +30,30 @@ def prep(chain):
 class TestTimeReverse:
     def test_symmetric_chain_fixed(self, swap_chain):
         st, b = prep(swap_chain)
-        assert np.allclose(time_reverse(swap_chain, st, b).p, swap_chain.p)
+        assert np.allclose(time_reverse(swap_chain, b).p, swap_chain.p)
 
     def test_cycle_reverses_to_transpose(self, cycle3_chain):
         st, b = prep(cycle3_chain)
-        assert np.allclose(time_reverse(cycle3_chain, st, b).p, cycle3_chain.p.T)
+        assert np.allclose(time_reverse(cycle3_chain, b).p, cycle3_chain.p.T)
 
     def test_reversal_keeps_stationary(self, nonrev_chain):
         st, b = prep(nonrev_chain)
-        rev = time_reverse(nonrev_chain, st, b)
+        rev = time_reverse(nonrev_chain, b)
         assert not np.allclose(rev.p, nonrev_chain.p)
         pi = b.vectors[0]
         assert np.allclose(pi @ rev.p, pi, atol=1e-9)
 
     def test_involution(self, nonrev_chain):
         st, b = prep(nonrev_chain)
-        rev = time_reverse(nonrev_chain, st, b)
+        rev = time_reverse(nonrev_chain, b)
         st2, b2 = prep(rev)
-        back = time_reverse(rev, st2, b2)
+        back = time_reverse(rev, b2)
         assert np.allclose(back.p, nonrev_chain.p, atol=1e-10)
 
     def test_requires_recurrence(self, semirev_chain):
         st, b = prep(semirev_chain)
         with pytest.raises(errors.NotRecurrent):
-            time_reverse(semirev_chain, st, b)
+            time_reverse(semirev_chain, b)
 
     def test_alpha_independence_on_reducible_recurrent(self):
         from chainkit import combine
