@@ -4,7 +4,7 @@ Two input formats: chain JSON ({"states": [...], "P": [[...]]}) and a
 graph edge-list TSV whose first line is the directive "#undirected" or
 "#directed", followed by src<TAB>dst<TAB>weight records. Commands that
 need a chain accept a graph file too and normalize it into its random
-walk first.
+walk first. Both are UTF-8 text.
 
 Reports are JSON with sorted keys and floats fixed at 12 significant
 digits, so identical inputs and flags produce byte-identical output.
@@ -64,25 +64,20 @@ ROW_SUM = {"row_sum": ROW_SUM_ATOL}
 # ---------------------------------------------------------------------------
 # input parsing
 
-def _sha256(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
-
-
-def parse_chain_json(path: str) -> TransitionMatrix:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise errors.ParseError(exc.lineno, exc.msg) from None
+def parse_chain_json(text: str) -> TransitionMatrix:
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise errors.ParseError(exc.lineno, exc.msg) from None
+    except RecursionError:
+        raise errors.ParseError(1, "chain JSON nests too deeply") from None
     if not isinstance(doc, dict) or "states" not in doc or "P" not in doc:
         raise errors.ParseError(1, 'chain JSON needs "states" and "P" keys')
     return build_chain(doc["states"], doc["P"])
 
 
-def parse_graph_tsv(path: str) -> WeightedDigraph:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+def parse_graph_tsv(text: str) -> WeightedDigraph:
+    lines = text.splitlines()
     if not lines or lines[0].strip() not in ("#undirected", "#directed"):
         raise errors.ParseError(1, 'first line must be "#undirected" or "#directed"')
     undirected = lines[0].strip() == "#undirected"
@@ -114,19 +109,36 @@ def parse_graph_tsv(path: str) -> WeightedDigraph:
     return build_graph(list(idx), w)
 
 
-def parse_input(path: str) -> TransitionMatrix | WeightedDigraph:
-    """Sniff the format: JSON object for chains, directive TSV for graphs."""
-    with open(path) as fh:
-        head = fh.read(1024).lstrip()
-    if head.startswith("{"):
-        return parse_chain_json(path)
-    return parse_graph_tsv(path)
+def parse_input(path: str) -> tuple[TransitionMatrix | WeightedDigraph, str]:
+    """Read the file once; return its parse and the sha256 of its bytes.
+    The text must be UTF-8. A JSON object is a chain, anything else a
+    directive TSV graph."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise errors.ParseError(data.count(b"\n", 0, exc.start) + 1,
+                                "input is not UTF-8 text") from None
+    if "\r" in text:  # newlines as a text-mode read gives them; JSON error lines count "\n"
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    digest = hashlib.sha256(data).hexdigest()
+    # the sniff looks at the first 1024 characters only
+    if text[:1024].lstrip().startswith("{"):
+        return parse_chain_json(text), digest
+    return parse_graph_tsv(text), digest
 
 
 # ---------------------------------------------------------------------------
 # deterministic serialization
 
+# float ndarray entries formatted per step; bounds make_report's temporaries
+FLOAT_BLOCK = 1 << 14
+
+
 def _jsonable(obj):
+    if isinstance(obj, str):
+        return obj
     if isinstance(obj, (np.bool_, bool)):
         return bool(obj)
     if isinstance(obj, (np.floating, float)):
@@ -144,15 +156,62 @@ def _jsonable(obj):
     return obj
 
 
+def _float_text(a: np.ndarray) -> str:
+    """json.dumps(_jsonable(a)) for a non-empty 1-D or 2-D float64 array,
+    with one "%.12g" conversion per entry.
+
+    For a finite normal x whose 12-digit rounding is not an integer,
+    "%.12g" % x is repr(round12(x)): no other decimal of at most 12
+    digits rounds to the same double, and both switch to exponent form
+    below 1e-4. The mask `plain` keeps only such x. What it leaves out
+    is a superset of the rest: zeros (written 0.0), values within
+    1e-11·|x| of an integer (repr adds ".0"; every |x| >= 1e12 is one),
+    subnormals (repr is shorter), NaN and infinities. Those are written
+    one entry at a time, as _jsonable does.
+    """
+    width = a.shape[-1]
+    flat = a.ravel()
+    blocks = []
+    for start in range(0, flat.size, FLOAT_BLOCK):
+        x = flat[start:start + FLOAT_BLOCK]
+        mag = np.abs(x)
+        with np.errstate(invalid="ignore"):  # inf - rint(inf)
+            plain = (np.abs(x - np.rint(x)) > 1e-11 * mag) & (mag >= 2.3e-308)
+        fmt = np.empty(x.size, dtype=object)
+        fmt[:] = "%.12g"  # np.full converts per entry, ~10x slower on object arrays
+        fmt[x == 0] = "0.0"
+        rest = np.flatnonzero(~plain & (x != 0))
+        fmt[rest] = [json.dumps(round12(v)) for v in x[rest].tolist()]
+        if a.ndim == 2:  # brackets around each row
+            first = np.arange(-start % width, x.size, width)
+            fmt[first] = "[" + fmt[first]
+            last = np.arange((width - 1 - start) % width, x.size, width)
+            fmt[last] = fmt[last] + "]"
+        blocks.append(",".join(fmt.tolist()) % tuple(x[plain].tolist()))
+    return "[" + ",".join(blocks) + "]"
+
+
+def _report_text(obj) -> str:
+    """json.dumps(_jsonable(obj), sort_keys=True, separators=(",", ":")),
+    with dicts walked here and float arrays written by _float_text."""
+    if isinstance(obj, dict):
+        items = {str(k): v for k, v in obj.items()}
+        return "{" + ",".join(f"{json.dumps(k)}:{_report_text(items[k])}"
+                              for k in sorted(items)) + "}"
+    if (isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.ndim in (1, 2)
+            and obj.size):
+        return _float_text(obj)
+    return json.dumps(_jsonable(obj), sort_keys=True, separators=(",", ":"))
+
+
 def make_report(command: str, digest: str, result, tolerances: dict) -> str:
-    report = {
+    return _report_text({
         "command": command,
         "input_digest": digest,
-        "result": _jsonable(result),
-        "tolerances": _jsonable(tolerances),
+        "result": result,
+        "tolerances": tolerances,
         "tool_version": __version__,
-    }
-    return json.dumps(report, sort_keys=True, separators=(",", ":"))
+    })
 
 
 def chain_document(chain: TransitionMatrix) -> dict:
@@ -377,7 +436,7 @@ def _absorb(args, a: Analysis):
 
 def _rwset(args, a: Analysis):
     g1 = a.graph
-    g2 = Analysis(parse_input(args.other)).graph
+    g2 = Analysis(parse_input(args.other)[0]).graph
     scaling = same_rw_set(g1.w, g2.w)
     return {"same_random_walk_set": scaling is not None,
             "scaling": scaling}, {"rel": SCALING_RTOL}
@@ -435,8 +494,7 @@ def run_command(args: argparse.Namespace) -> str:
     if args.input is None:  # demo-line-chain builds its own chain
         obj, digest = None, "-"
     else:
-        obj = parse_input(args.input)
-        digest = _sha256(args.input)
+        obj, digest = parse_input(args.input)
     result, tolerances = COMMANDS[args.command](args, Analysis(obj))
     if tolerances is None:
         return result

@@ -1,9 +1,15 @@
 """Command-line interface: parsing, reports, determinism, exit codes."""
 
+import contextlib
+import hashlib
+import io
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from chainkit import cli, spectral
 from chainkit.cli import main, parse_graph_tsv
@@ -74,8 +80,8 @@ def run(capsys, *argv):
 
 
 class TestParsing:
-    def test_undirected_tsv_mirrors_edges(self, graph_file):
-        g = parse_graph_tsv(graph_file)
+    def test_undirected_tsv_mirrors_edges(self):
+        g = parse_graph_tsv(TSV_UNDIRECTED)
         assert g.is_undirected
         assert g.w[0, 1] == g.w[1, 0] == 3.0
 
@@ -94,6 +100,41 @@ class TestParsing:
     def test_missing_file_rejected(self, capsys):
         code, _, _ = run(capsys, "validate", "/nonexistent/chain.json")
         assert code == 2
+
+    @pytest.mark.parametrize("argv, data", [
+        (["classify"], b"\xff\xfe\x00garbage"),
+        (["validate"], b"#directed\na\tb\t1\nb\t\xff\t1\n"),
+        (["validate"], b'{"states": ["a"],\n "P": [[1.0]], "x": "\xff"}'),
+        (["rwset", "--other", "{bad}"], b"\xff"),
+    ], ids=["bytes", "tsv", "json", "rwset-other"])
+    def test_non_utf8_input_is_exit_two(self, argv, data, graph_file, tmp_path, capsys):
+        f = tmp_path / "bad.bin"
+        f.write_bytes(data)
+        first = graph_file if argv[0] == "rwset" else str(f)
+        code, out, err = run(capsys, argv[0], first, *[a.format(bad=f) for a in argv[1:]])
+        assert code == 2 and out == ""
+        assert err.startswith("error: line ") and "not UTF-8" in err
+        assert "Traceback" not in err
+
+    def test_deeply_nested_json_is_exit_two(self, tmp_path, capsys):
+        f = tmp_path / "deep.json"
+        f.write_text('{"states":["a"],"P":' + "[" * 200_000)
+        code, out, err = run(capsys, "validate", str(f))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_digest_is_of_the_bytes_read(self, tmp_path, capsys):
+        # CRLF line ends parse like LF ones; the digest covers the raw bytes
+        text = json.dumps(CHAIN_DOC, indent=1)
+        reports = []
+        for name, data in (("lf", text.encode()), ("crlf", text.replace("\n", "\r\n").encode())):
+            f = tmp_path / f"{name}.json"
+            f.write_bytes(data)
+            code, out, _ = run(capsys, "stationary", str(f))
+            assert code == 0
+            reports.append(json.loads(out))
+            assert reports[-1]["input_digest"] == hashlib.sha256(data).hexdigest()
+        assert reports[0]["result"] == reports[1]["result"]
 
 
 class TestReports:
@@ -119,6 +160,36 @@ class TestReports:
         assert code == 0
         _, second, _ = run(capsys, *argv)
         assert first == second
+
+    # sha256 of each EVERY_SUBCOMMAND case's stdout, as the per-value
+    # writer printed it before make_report formatted float arrays in bulk
+    GOLDEN_DIGESTS = {
+        "validate": "acee70ef984d86b6808a5a98b50705a1a5a5b70158dc2a5df66a75b1f9e49d3f",
+        "classify": "7971dbd7ce35d36a4ef63ce65964ae9a6b7ff44a103fd4fd9af371c570e8cc25",
+        "stationary": "93441cdf0e6f7e78a4c2d14b9b477f59040cec0a18046ce98edd4cf22773008b",
+        "spectrum": "33e1a31abefeb648464b8db074f2ec210dba7809bf9752d8044a8c92d4230857",
+        "taxonomy": "07901dd2d56ae36c1d8eca84eb95527e211e7a2f32406cefd1f1490f9e98d72f",
+        "evolve": "186eae0735b929bb9918261f8fdfb2022c33af34962e1ffaeddde383a993958a",
+        "simulate": "ff924d565db97a0911496a17f2b6cabe916e897802cfa32223dc06f286c4101b",
+        "simulate-trajectories":
+            "3f75d8d53230002bc9cb11d05887621767721b1d32d82738b8bb013fbc6b8d0f",
+        "reverse": "11fe4af16c85a91df677168cddd4eee844bb08c4bbbfb3ad47603f53cc136d6b",
+        "reversibilize": "0e5d8036eca86657e9193ec4e869737e45afc0216555fa90696cb2ce8766f554",
+        "kmatrix": "a571f26d78cbd8c23f5c0dfb2378301492403b5451c3e30f20d87240504daf52",
+        "laplacian": "2b353bec0d26b0ce7f252d3bc100c1eaab018145b3dd50377052c45ae6dd54b1",
+        "embed": "f302439161c0a08884090205b46bf39308e4ca6160eaf6ebe83f3cf5bfd82071",
+        "gft": "94ce405c989e4c62814745a4a7727e2d9b0b71ded9ee92ce8eafefb263aeda1e",
+        "pagerank": "31bd86897dee26f028d59d6f94817e5bd29ab0883893e7db3833e8348b37b0b6",
+        "absorb": "3599f491bf24bb6082248360bbcfbfd1cba8e200f5baec06e6905d7e092b7b2c",
+        "rwset": "4a6701ef2d431c0be0fcc1874a72cf77a6ea899750398ce4ae6f4bd5a5c85360",
+        "demo-line-chain": "91ef0aafed8de87230aa8a34d68dfd57751bcdaf4ac82214bfa2327be99ccbb2",
+    }
+
+    @pytest.mark.parametrize("template", EVERY_SUBCOMMAND, ids=case_id)
+    def test_report_matches_golden_digest(self, template, inputs, capsys):
+        code, out, _ = run(capsys, *[arg.format(**inputs) for arg in template])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN_DIGESTS[case_id(template)]
 
     def test_every_subcommand_is_covered(self):
         assert sorted({t[0] for t in EVERY_SUBCOMMAND}) == sorted(cli.COMMANDS)
@@ -455,6 +526,66 @@ class TestExitCodes:
     def test_non_finite_signal_is_exit_two(self, graph_file, capsys):
         code, out, err = run(capsys, "gft", graph_file, "--signal", "1,nan,0")
         assert code == 2 and out == ""
+
+
+# argv after the subcommand name for the exit-code fuzz; {input} is the
+# fuzzed file itself
+FUZZ_COMMANDS = [
+    ["validate"], ["classify"], ["stationary"], ["spectrum"],
+    ["taxonomy", "--format", "csv"], ["evolve", "--start", "a", "--steps", "2"],
+    ["evolve", "--mu", "0.5,0.5"], ["simulate", "--start", "a", "--length", "3"],
+    ["simulate", "--start", "a", "--length", "2", "--trajectories", "3"],
+    ["reverse"], ["reversibilize", "--mode", "multiplicative"], ["kmatrix"],
+    ["laplacian", "--variant", "normalized"], ["laplacian", "--variant", "unnormalized"],
+    ["laplacian", "--variant", "directed"], ["embed", "--k", "1"],
+    ["gft", "--signal", "1,0"], ["pagerank", "--damping", "0.5"], ["absorb"],
+    ["rwset", "--other", "{input}"],
+]
+
+_labels = st.one_of(st.sampled_from(["a", "b", "c"]), st.text(max_size=2))
+_json_numbers = st.one_of(st.sampled_from([0, 1, 0.5, -0.5, 1e-13, 1e308, 10 ** 400]),
+                          st.floats(allow_nan=True, allow_infinity=True),
+                          st.integers(-10 ** 20, 10 ** 20))
+_json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), _json_numbers, _labels),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(_labels, inner, max_size=3)),
+    max_leaves=10)
+_chain_docs = st.fixed_dictionaries({
+    "states": st.one_of(st.lists(_labels, max_size=3), _json_values),
+    "P": st.one_of(st.lists(st.lists(_json_numbers, max_size=3), max_size=3), _json_values),
+})
+_tsv = st.builds(
+    lambda head, rows: "\n".join([head] + ["\t".join(r) for r in rows]),
+    st.sampled_from(["#directed", "#undirected", "", "#other"]),
+    st.lists(st.lists(st.one_of(_labels, _json_numbers.map(str)), min_size=1, max_size=4),
+             max_size=5))
+_nested = st.builds(lambda depth, tail: '{"states":["a"],"P":' + "[" * depth + tail,
+                    st.integers(0, 5000), st.sampled_from(["", "1.0]]}", "]"]))
+FUZZ_INPUTS = st.one_of(
+    st.binary(max_size=40),
+    _json_values.map(json.dumps).map(str.encode),
+    _chain_docs.map(json.dumps).map(str.encode),
+    _tsv.map(str.encode),
+    _nested.map(str.encode),
+)
+
+
+class TestExitCodeFuzz:
+    @given(command=st.sampled_from(FUZZ_COMMANDS), data=FUZZ_INPUTS)
+    def test_any_input_ends_in_a_contract_exit_code(self, command, data, tmp_path_factory):
+        # every input ends in 0, 2 or 3, with no traceback and no warning
+        f = tmp_path_factory.mktemp("fuzz") / "input"
+        f.write_bytes(data)
+        argv = [command[0], str(f)] + [a.format(input=f) for a in command[1:]]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+        assert code in (0, 2, 3)
+        assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
+        assert (out.getvalue() == "") == (code != 0)
 
 
 class TestDemoCommand:

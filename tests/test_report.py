@@ -1,0 +1,97 @@
+"""Report writer: `make_report` against the per-value composition it
+replaces, byte for byte."""
+
+import json
+from unittest import mock
+
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from chainkit import __version__, cli
+
+
+def reference_report(command, digest, result, tolerances) -> str:
+    """The old writer: every value through _jsonable, then one json.dumps."""
+    report = {
+        "command": command,
+        "input_digest": digest,
+        "result": cli._jsonable(result),
+        "tolerances": cli._jsonable(tolerances),
+        "tool_version": __version__,
+    }
+    return json.dumps(report, sort_keys=True, separators=(",", ":"))
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.3e-308,
+               1e-330, 1e308, -1e308, 0.99999999999995, -0.99999999999995,
+               999999999999.7, 999999999999.4, 1e12, 1e16, 1e17, 0.5, 1.0,
+               1e-4, 9.99999999999995e-5, float("nan"), float("inf"), float("-inf")]
+
+floats = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(EDGE_FLOATS),
+    # every magnitude from 1e-330 to 1e308, on and near 12-digit values
+    st.builds(lambda m, e: m * 10.0 ** e, st.integers(-10 ** 13, 10 ** 13),
+              st.integers(-343, 295)),
+    st.integers(10 ** 12, 10 ** 17).map(float),
+)
+
+float_arrays = hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=2,
+                                                       min_side=0, max_side=7),
+                          elements=floats)
+
+leaves = st.one_of(
+    floats,
+    float_arrays,
+    st.text(max_size=4),
+    st.booleans(),
+    st.integers(-2 ** 70, 2 ** 70),
+    st.complex_numbers(allow_nan=True, allow_infinity=True),
+    floats.map(np.float64),
+    st.integers(-2 ** 40, 2 ** 40).map(np.int64),
+    st.booleans().map(np.bool_),
+    hnp.arrays(np.int64, hnp.array_shapes(max_dims=2, min_side=0, max_side=4)),
+)
+
+values = st.recursive(
+    leaves,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.lists(inner, max_size=3).map(tuple),
+                            st.dictionaries(st.text(max_size=3), inner, max_size=4)),
+    max_leaves=12,
+)
+
+
+class TestMakeReport:
+    @given(result=values, tolerances=st.dictionaries(st.text(max_size=3), floats, max_size=3),
+           block=st.sampled_from([1, 3, 7, cli.FLOAT_BLOCK]))
+    def test_matches_per_value_writer(self, result, tolerances, block):
+        # small blocks split rows across blocks and blocks inside a row
+        with mock.patch.object(cli, "FLOAT_BLOCK", block):
+            text = cli.make_report("cmd", "digest", result, tolerances)
+        assert text == reference_report("cmd", "digest", result, tolerances)
+
+    @given(a=hnp.arrays(np.float64, st.sampled_from([(0,), (0, 3), (3, 0), (1, 9), (9, 1),
+                                                     (4, 5), (5, 3), (40, 40), ()]),
+                        elements=floats),
+           block=st.integers(1, 20))
+    def test_float_array_shapes(self, a, block):
+        result = {"m": a, "rows": [a, a.T]}
+        with mock.patch.object(cli, "FLOAT_BLOCK", block):
+            text = cli.make_report("c", "d", result, {})
+        assert text == reference_report("c", "d", result, {})
+
+    def test_float_text_rule(self):
+        result = {"v": np.array([[-0.0, 0.1 + 0.2, 1 / 3, 2.0000000000001],
+                                 [5e-324, 1234567890123.0, float("nan"), -float("inf")]])}
+        doc = cli.make_report("c", "d", result, {})
+        assert ('"v":[[0.0,0.3,0.333333333333,2.0],'
+                '[5e-324,1234567890120.0,NaN,-Infinity]]') in doc
+
+    def test_nested_dicts_sorted_by_string_key(self):
+        result = {"b": {2: 1.5, "10": np.arange(3.0)}, "a": [("x", True, None)]}
+        doc = cli.make_report("c", "d", result, {})
+        assert doc == reference_report("c", "d", result, {})
+        assert '"result":{"a":[["x",true,null]],"b":{"10":[0.0,1.0,2.0],"2":1.5}}' in doc
