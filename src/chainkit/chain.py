@@ -136,13 +136,36 @@ def point_mass(chain: TransitionMatrix, label: str) -> np.ndarray:
     return mu
 
 
+def _pushed(p: np.ndarray, v: np.ndarray, steps: int, left: bool) -> np.ndarray:
+    """v^T P^steps when `left`, else P^steps v, for row-stochastic P.
+
+    One squaring of the stride matrix costs about n^3 flops, one step
+    with it n^2, so squaring pays while more than n strides remain:
+    fold the low bit of the stride count into v, square, halve the
+    count. At most n plain products with the last stride finish the
+    job; steps <= n is exactly the plain loop. Each squared stride is
+    rescaled to unit row sums: a power of P is stochastic, and without
+    it the row sums of P, one ulp off, would double their error with
+    every squaring. Products and rescaling never subtract, so every
+    entry of a stride keeps a small relative error.
+    """
+    n = p.shape[0]
+    while steps > n:
+        if steps & 1:
+            v = v @ p if left else p @ v
+        p = p @ p
+        p /= p.sum(axis=1, keepdims=True)
+        steps >>= 1
+    for _ in range(steps):
+        v = v @ p if left else p @ v
+    return v
+
+
 def evolve(chain: TransitionMatrix, mu, steps: int = 1) -> np.ndarray:
     """Push a distribution forward: mu(t+k)^T = mu(t)^T P^k."""
     mu = validate_distribution(mu, chain.n)
     require_count(steps, "steps")
-    for _ in range(steps):
-        mu = mu @ chain.p
-    return mu
+    return _pushed(chain.p, mu, steps, left=True)
 
 
 def conditional_expectation(chain: TransitionMatrix, x, steps: int = 1) -> np.ndarray:
@@ -151,10 +174,7 @@ def conditional_expectation(chain: TransitionMatrix, x, steps: int = 1) -> np.nd
     if x.size != chain.n:
         raise DimensionMismatch(f"state function length {x.size}, expected {chain.n}")
     require_count(steps, "steps")
-    out = x.copy()
-    for _ in range(steps):
-        out = chain.p @ out
-    return out
+    return _pushed(chain.p, x.copy(), steps, left=False)
 
 
 def _start(chain: TransitionMatrix, start) -> int:

@@ -22,6 +22,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 from functools import cached_property
 
@@ -109,10 +110,13 @@ def parse_graph_tsv(text: str) -> WeightedDigraph:
     return build_graph(list(idx), w)
 
 
+JSON_OBJECT = re.compile(r"\s*\{")
+
+
 def parse_input(path: str) -> tuple[TransitionMatrix | WeightedDigraph, str]:
     """Read the file once; return its parse and the sha256 of its bytes.
-    The text must be UTF-8. A JSON object is a chain, anything else a
-    directive TSV graph."""
+    The text must be UTF-8. A text whose first non-whitespace character
+    is "{" is a chain JSON object, anything else a directive TSV graph."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -123,8 +127,7 @@ def parse_input(path: str) -> tuple[TransitionMatrix | WeightedDigraph, str]:
     if "\r" in text:  # newlines as a text-mode read gives them; JSON error lines count "\n"
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     digest = hashlib.sha256(data).hexdigest()
-    # the sniff looks at the first 1024 characters only
-    if text[:1024].lstrip().startswith("{"):
+    if JSON_OBJECT.match(text):
         return parse_chain_json(text), digest
     return parse_graph_tsv(text), digest
 

@@ -15,8 +15,11 @@ matrix counts as diagonalizable when each eigenvalue cluster's
 geometric multiplicity, n - rank(T - lam I), reaches its size and the
 right eigenvectors form a full-rank basis. Stationary vectors come from
 Grassmann-Taksar-Heyman (GTH) elimination, which raises SingularMatrix
-only on a reducible input. Every kernel rejects non-finite input with
-NumericError before it starts iterating.
+only on a reducible input. It censors states in panels of GTH_PANEL:
+each state updates only the panel's rows and columns, and the leading
+block takes a whole panel's rank-1 updates as one matrix product. Every
+kernel rejects non-finite input with NumericError before it starts
+iterating.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ DEFLATE_RTOL = 1e-12
 TRIDIAG_RTOL = float(np.finfo(float).eps)
 RANK_RTOL = 1e-8
 GTH_RESCALE = 1e150  # stationary_gth rescales x once an entry passes this
+GTH_PANEL = 32  # states stationary_gth censors per deferred leading-block product
 
 
 def _require_finite(a: np.ndarray, what: str) -> None:
@@ -94,20 +98,36 @@ def stationary_gth(a) -> np.ndarray:
     Grassmann-Taksar-Heyman elimination (Oper. Res. 33(5), 1985): state
     k = m-1, ..., 1 is censored out by one rank-1 update scaled by its
     off-diagonal row sum s = sum_{j<k} a[k, j]; then back-substitution
-    from x[0] = 1 and one normalization. The diagonal is never read and
+    from x[0] = 1 and one normalization. States are censored in panels
+    [k0, k1) of GTH_PANEL states, from the last one down: within a panel
+    the rank-1 update reaches only the panel rows and the panel columns
+    of the leading rows, and the leading block a[:k0, :k0] takes the
+    whole panel's updates as one matrix product. Deferring pays only
+    while at least a panel of leading rows remains, so the last panel
+    (fewer than 2 GTH_PANEL states) updates every row: it is the plain
+    update, and nothing is deferred. The diagonal is never read and
     nothing is subtracted, so every entry, however small, has a small
-    relative error (O'Cinneide, Numer. Math. 65, 1993). Raises
-    SingularMatrix when some s is not positive: the input is reducible.
+    relative error (O'Cinneide, Numer. Math. 65, 1993); blocking only
+    reorders sums of nonnegative terms. Raises SingularMatrix when some
+    s is not positive: the input is reducible.
     """
     a = _as_square(a).copy()
     m = a.shape[0]
-    for k in range(m - 1, 0, -1):
-        s = a[k, :k].sum()
-        if not s > 0:
-            raise SingularMatrix(f"state {k} cannot reach states 0..{k - 1}: "
-                                 "matrix is reducible")
-        a[:k, k] /= s
-        a[:k, :k] += np.outer(a[:k, k], a[k, :k])
+    k1 = m
+    while k1 > 1:
+        k0 = k1 - GTH_PANEL if k1 > 2 * GTH_PANEL else 0
+        for k in range(k1 - 1, max(k0 - 1, 0), -1):
+            s = a[k, :k].sum()
+            if not s > 0:
+                raise SingularMatrix(f"state {k} cannot reach states 0..{k - 1}: "
+                                     "matrix is reducible")
+            a[:k, k] /= s
+            a[k0:k, :k] += a[k0:k, k, None] * a[k, :k]
+            if k0:
+                a[:k0, k0:k] += a[:k0, k, None] * a[k, k0:k]
+        if k0:
+            a[:k0, :k0] += a[:k0, k0:k1] @ a[k0:k1, :k0]
+        k1 = k0
     x = np.zeros(m)
     x[0] = 1.0
     for k in range(1, m):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from chainkit import (
     build_chain,
@@ -7,11 +9,12 @@ from chainkit import (
     conditional_expectation,
     errors,
     evolve,
+    line_chain,
     occupancy,
     point_mass,
     sample,
 )
-from chainkit.chain import TransitionMatrix
+from chainkit.chain import TransitionMatrix, validate_distribution
 
 
 class TestBuildChain:
@@ -223,6 +226,81 @@ class TestSamplingContract:
         for length in (63, 64, 65, 200):
             assert (sample(chain, "d1", length, 8)
                     == _sample_per_step(chain, "d1", length, 8))
+
+
+# evolve and conditional_expectation as they were first written, one
+# vector product per step; kept as the reference for repeated squaring
+def _stepwise(p, v, steps, left):
+    for _ in range(steps):
+        v = v @ p if left else p @ v
+    return v
+
+
+def _line_chain():
+    return line_chain(n=50, p_right=0.7)
+
+
+POWER_CHAINS = [_dense_chain, _absorbing_chain, _cycle_chain, _line_chain]
+
+
+class TestRepeatedSquaring:
+    @pytest.mark.parametrize("make", POWER_CHAINS)
+    def test_short_runs_are_the_plain_loop(self, make):
+        chain = make()
+        rng = np.random.default_rng(chain.n)
+        mu = rng.random(chain.n)
+        mu /= mu.sum()
+        x = rng.standard_normal(chain.n)
+        start = validate_distribution(mu, chain.n)
+        for k in range(chain.n + 1):
+            assert np.array_equal(evolve(chain, mu, k),
+                                  _stepwise(chain.p, start, k, left=True))
+            assert np.array_equal(conditional_expectation(chain, x, k),
+                                  _stepwise(chain.p, x, k, left=False))
+
+    @pytest.mark.parametrize("make", POWER_CHAINS)
+    def test_long_runs_match_extended_precision(self, make):
+        # the reference renormalizes P's rows in extended precision, so
+        # the float rows' one-ulp defect does not compound over 20000 steps
+        chain = make()
+        n = chain.n
+        p = chain.p.astype(np.longdouble)
+        p /= p.sum(axis=1, keepdims=True)
+        mu = point_mass(chain, chain.labels[0])
+        x = np.random.default_rng(n).random(n)  # nonnegative: no cancellation
+        j = n.bit_length() + 1
+        for k in sorted({n + 1, 2 * n, 2 ** j - 1, 2 ** j, 20000}):
+            for got, want in (
+                    (evolve(chain, mu, k), _stepwise(p, mu.astype(np.longdouble), k, True)),
+                    (conditional_expectation(chain, x, k),
+                     _stepwise(p, x.astype(np.longdouble), k, False))):
+                big = want > 1e-250
+                rel = np.abs(got[big] - want[big]) / want[big]
+                assert float(np.max(rel)) <= 1e-12, (k, float(np.max(rel)))
+
+    def test_cycle_powers_are_exact_permutations(self):
+        chain = build_chain([str(i) for i in range(7)], np.roll(np.eye(7), 1, axis=1))
+        x = np.arange(7.0)
+        for k in (8, 13, 100, 12345, 10**9 + 3):
+            want = np.zeros(7)
+            want[(2 + k) % 7] = 1.0
+            assert np.array_equal(evolve(chain, point_mass(chain, "2"), k), want)
+            assert np.array_equal(conditional_expectation(chain, x, k),
+                                  np.roll(x, -k))
+
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+        st.lists(st.lists(st.integers(0, 9), min_size=n, max_size=n),
+                 min_size=n, max_size=n),
+        st.lists(st.integers(1, 9), min_size=n, max_size=n))),
+        st.integers(0, 3000), st.integers(0, 3000))
+    def test_steps_add(self, weights_mu, a, b):
+        weights, mu = weights_mu
+        w = np.array(weights, dtype=float) + np.eye(len(mu))  # no empty row
+        chain = build_chain([str(i) for i in range(len(mu))],
+                            w / w.sum(axis=1, keepdims=True))
+        mu = np.array(mu, dtype=float) / sum(mu)
+        assert np.allclose(evolve(chain, evolve(chain, mu, a), b),
+                           evolve(chain, mu, a + b), rtol=0, atol=1e-12)
 
 
 class TestCounts:

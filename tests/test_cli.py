@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import time
 import warnings
 
 import numpy as np
@@ -122,6 +123,18 @@ class TestParsing:
         code, out, err = run(capsys, "validate", str(f))
         assert code == 2 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
+
+    def test_json_after_long_leading_whitespace(self, tmp_path, capsys):
+        # the JSON/TSV decision reads the first non-whitespace character,
+        # however far into the file it sits
+        results = []
+        for pad in (0, 10, 2000):
+            f = tmp_path / f"pad{pad}.json"
+            f.write_text(" " * pad + json.dumps(CHAIN_DOC))
+            code, out, err = run(capsys, "validate", str(f))
+            assert code == 0 and err == ""
+            results.append(json.loads(out)["result"])
+        assert results[0] == results[1] == results[2]
 
     def test_digest_is_of_the_bytes_read(self, tmp_path, capsys):
         # CRLF line ends parse like LF ones; the digest covers the raw bytes
@@ -297,6 +310,18 @@ class TestEvolutionAndSimulation:
         dist = json.loads(out)["result"]["distribution"]
         expected = np.linalg.matrix_power(np.array(CHAIN_DOC["P"]), 2)[0]
         assert np.allclose(dist, expected, atol=1e-9)
+
+    def test_evolve_huge_step_count(self, chain_file, capsys):
+        # 10^9 steps take about 30 squarings, not 10^9 vector products.
+        # The oracle is pi, not np.linalg.matrix_power: the stored row
+        # (0.1, 0.8, 0.1) sums to 1 + 5.6e-17, and unnormalized squaring
+        # compounds that to a mass of 1 + 3e-9 by 10^9 steps
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "evolve", chain_file, "--start", "S",
+                           "--steps", "1000000000")
+        assert code == 0 and time.perf_counter() - start < 1.0
+        dist = np.array(json.loads(out)["result"]["distribution"])
+        assert np.max(np.abs(dist - [4 / 17, 19 / 34, 7 / 34])) <= 1e-12
 
     def test_evolve_needs_a_start(self, chain_file, capsys):
         code, _, err = run(capsys, "evolve", chain_file)

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chainkit import errors, line_chain
+from chainkit import SurferConfig, build_chain, errors, line_chain
 from chainkit.numlin import (
+    GTH_PANEL,
+    GTH_RESCALE,
     RANK_RTOL,
     _complex_rank,
     eigen_from_schur,
@@ -15,6 +17,7 @@ from chainkit.numlin import (
     stationary_gth,
     sym_eigen,
 )
+from chainkit.surfer import pagerank_matrix
 
 NONDIAG_COMPLEX = [[0, 0.4, 0.6, 0, 0],
                        [0, 0, 0, 0, 1],
@@ -109,6 +112,88 @@ class TestStationaryGTH:
         a = [[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]]
         with pytest.raises(errors.SingularMatrix):
             stationary_gth(a)
+
+
+def unblocked_gth(a):
+    """GTH one censored state at a time, each by a full rank-1 update of
+    the leading block: the reference the panelled kernel reorders."""
+    a = np.array(a, dtype=float)
+    m = a.shape[0]
+    for k in range(m - 1, 0, -1):
+        s = a[k, :k].sum()
+        if not s > 0:
+            raise errors.SingularMatrix(f"state {k} cannot reach states 0..{k - 1}: "
+                                        "matrix is reducible")
+        a[:k, k] /= s
+        a[:k, :k] += np.outer(a[:k, k], a[k, :k])
+    x = np.zeros(m)
+    x[0] = 1.0
+    for k in range(1, m):
+        x[k] = x[:k] @ a[:k, k]
+        if x[k] > GTH_RESCALE:
+            x[:k + 1] /= x[k]
+    return x / x.sum()
+
+
+def gth_family(name, m, rng):
+    """An irreducible stochastic matrix: dense, sparse, or the Google
+    matrix of a sparse chain."""
+    if name == "dense":
+        w = rng.random((m, m))
+    else:  # a cycle keeps the sparse pattern irreducible
+        w = (rng.random((m, m)) < 3.0 / m) * rng.random((m, m))
+        w[np.arange(m), (np.arange(m) + 1) % m] += 1.0
+    p = w / w.sum(axis=1, keepdims=True)
+    if name == "google":
+        chain = build_chain([str(i) for i in range(m)], p)
+        p = pagerank_matrix(chain, SurferConfig(alpha=0.99)).p
+    return p
+
+
+PANEL_SIZES = [1, 2, GTH_PANEL - 1, GTH_PANEL, GTH_PANEL + 1, 2 * GTH_PANEL,
+               2 * GTH_PANEL + 1, 3 * GTH_PANEL + 1]
+
+
+class TestBlockedGTH:
+    @pytest.mark.parametrize("family", ["dense", "sparse", "google"])
+    @pytest.mark.parametrize("m", PANEL_SIZES)
+    def test_matches_unblocked_reference(self, family, m):
+        a = gth_family(family, m, np.random.default_rng(m))
+        want = unblocked_gth(a)
+        assert np.all(want > 0)
+        assert np.max(np.abs(stationary_gth(a) / want - 1.0)) <= 1e-13
+
+    def test_underflowing_birth_death_rescales_like_reference(self):
+        # pi spans 1e-381: back-substitution rescales past GTH_RESCALE
+        a = line_chain(n=400, p_right=0.9).p
+        want = unblocked_gth(a)
+        got = stationary_gth(a)
+        normal = want > 1e-300
+        assert normal.sum() < 400 and np.all(got[normal] > 0)
+        assert np.max(np.abs(got[normal] / want[normal] - 1.0)) <= 1e-13
+
+    @pytest.mark.parametrize("state", [
+        3 * GTH_PANEL,          # the first state censored
+        2 * GTH_PANEL + 7,      # inside the first panel
+        2 * GTH_PANEL + 1,      # the last state of the first panel
+        2 * GTH_PANEL,          # the first state after a deferred product
+        GTH_PANEL + 1,          # the last state of a deferred panel
+        GTH_PANEL,              # the first state of the plain panel
+        1,                      # the last state censored
+    ])
+    def test_reducible_names_the_reference_state(self, state):
+        # states >= `state` form a closed class, so censoring first
+        # fails there: row `state` has nothing left in columns < state
+        m = 3 * GTH_PANEL + 1
+        a = gth_family("dense", m, np.random.default_rng(state))
+        a[state:, :state] = 0.0
+        a /= a.sum(axis=1, keepdims=True)
+        with pytest.raises(errors.SingularMatrix) as want:
+            unblocked_gth(a)
+        with pytest.raises(errors.SingularMatrix) as got:
+            stationary_gth(a)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith(f"state {state} ")
 
 
 class TestSymEigen:
