@@ -82,8 +82,9 @@ class TransitionMatrix:
             raise UnknownLabel(f"unknown state label {label!r}") from None
 
     def power(self, k: int) -> np.ndarray:
+        """P^k, by `_pushed` on the identity: its squares keep unit row sums."""
         require_count(k, "matrix power")
-        return np.linalg.matrix_power(self.p, k)
+        return _pushed(self.p, np.eye(self.n), k, left=True)
 
 
 def build_chain(labels, p) -> TransitionMatrix:
@@ -137,20 +138,22 @@ def point_mass(chain: TransitionMatrix, label: str) -> np.ndarray:
 
 
 def _pushed(p: np.ndarray, v: np.ndarray, steps: int, left: bool) -> np.ndarray:
-    """v^T P^steps when `left`, else P^steps v, for row-stochastic P.
+    """v^T P^steps when `left`, else P^steps v, for row-stochastic P and
+    v one vector or a block of w of them.
 
     One squaring of the stride matrix costs about n^3 flops, one step
-    with it n^2, so squaring pays while more than n strides remain:
+    with it w n^2, so squaring pays while more than n / w strides remain:
     fold the low bit of the stride count into v, square, halve the
-    count. At most n plain products with the last stride finish the
-    job; steps <= n is exactly the plain loop. Each squared stride is
-    rescaled to unit row sums: a power of P is stochastic, and without
-    it the row sums of P, one ulp off, would double their error with
-    every squaring. Products and rescaling never subtract, so every
-    entry of a stride keeps a small relative error.
+    count. At most n / w plain products with the last stride finish the
+    job; for one vector and steps <= n that is exactly the plain loop,
+    and for the n x n identity every step but the last squares. Each
+    squared stride is rescaled to unit row sums: a power of P is
+    stochastic, and without it the row sums of P, one ulp off, would
+    double their error with every squaring. Products and rescaling never
+    subtract, so every entry of a stride keeps a small relative error.
     """
     n = p.shape[0]
-    while steps > n:
+    while steps * v.size > n * n:
         if steps & 1:
             v = v @ p if left else p @ v
         p = p @ p

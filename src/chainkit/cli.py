@@ -24,7 +24,7 @@ import math
 import os
 import re
 import sys
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -77,36 +77,69 @@ def parse_chain_json(text: str) -> TransitionMatrix:
     return build_chain(doc["states"], doc["P"])
 
 
+def _refuse_first_bad_record(records: list[tuple[int, str]]) -> None:
+    """Raise the ParseError of the first (line number, text) record that
+    a whole-file check refused."""
+    for no, record in records:
+        parts = record.split("\t")
+        if len(parts) != 3:
+            raise errors.ParseError(no, "expected src<TAB>dst<TAB>weight")
+        try:
+            weight = float(parts[2])
+        except ValueError:
+            raise errors.ParseError(no, f"bad weight {parts[2]!r}") from None
+        if not (0 < weight < math.inf):
+            raise errors.ParseError(no, "weights must be positive and finite")
+
+
 def parse_graph_tsv(text: str) -> WeightedDigraph:
+    """A graph from a directive TSV, every record checked and summed at once.
+
+    Labels are numbered in order of first mention. An undirected record
+    adds its weight at (i, j) and at (j, i), a self-loop once. Entries
+    listed more than once are summed in file order, which np.add.at
+    keeps: it adds in index order, and each record's (i, j) and (j, i)
+    sit side by side.
+    """
     lines = text.splitlines()
     if not lines or lines[0].strip() not in ("#undirected", "#directed"):
         raise errors.ParseError(1, 'first line must be "#undirected" or "#directed"')
     undirected = lines[0].strip() == "#undirected"
-    edges = []
-    idx: dict[str, int] = {}  # label -> index, in order of first mention
-    for no, line in enumerate(lines[1:], start=2):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise errors.ParseError(no, "expected src<TAB>dst<TAB>weight")
-        src, dst, raw = parts
+    records = [(no, s) for no, s in enumerate(map(str.strip, lines[1:]), start=2)
+               if s and s[0] != "#"]
+    m = len(records)
+    # No line holds "\n", so a "\n" field is a separator: the records have
+    # three fields each iff the separators sit at every fourth field.
+    fields = "\t\n\t".join(["", *(s for _, s in records)]).split("\t")
+    weight = None
+    if len(fields) == 4 * m + 1 and fields[1::4].count("\n") == m:
         try:
-            weight = float(raw)
+            weight = np.fromiter(map(float, fields[4::4]), dtype=float, count=m)
         except ValueError:
-            raise errors.ParseError(no, f"bad weight {raw!r}") from None
-        if not (0 < weight < math.inf):
-            raise errors.ParseError(no, "weights must be positive and finite")
-        edges.append((no, idx.setdefault(src, len(idx)), idx.setdefault(dst, len(idx)),
-                      weight))
+            pass
+    if weight is None or not np.all((weight > 0) & (weight < math.inf)):
+        _refuse_first_bad_record(records)
+    ends = [""] * (2 * m)
+    ends[0::2], ends[1::2] = fields[2::4], fields[3::4]
+    idx = {label: k for k, label in enumerate(dict.fromkeys(ends))}
+    cells = np.fromiter(map(idx.__getitem__, ends), dtype=np.intp,
+                        count=2 * m).reshape(m, 2)
+    record = np.arange(m)
+    if undirected:  # each record's (i, j), then its (j, i) unless i == j
+        keep = np.stack([np.ones(m, dtype=bool), cells[:, 0] != cells[:, 1]], 1).ravel()
+        cells = np.stack([cells, cells[:, ::-1]], 1).reshape(-1, 2)[keep]
+        record = np.repeat(record, 2)[keep]
+    i, j, x = cells[:, 0], cells[:, 1], weight[record]
     w = np.zeros((len(idx), len(idx)))
-    for no, i, j, weight in edges:
-        # the set holds a self-loop once: it stays directed, counted once
-        for entry in {(i, j), (j, i)} if undirected else {(i, j)}:
-            w[entry] = float(w[entry]) + weight  # a float sum overflows silently
-            if w[entry] == math.inf:
-                raise errors.ParseError(no, "summed edge weight is not finite")
+    with np.errstate(over="ignore"):  # a float sum overflows to inf
+        np.add.at(w, (i, j), x)
+    if not np.all(w[i, j] < math.inf):  # name the line where a sum first overflows
+        sums: dict[tuple[int, int], float] = {}
+        for r, cell, value in zip(record.tolist(), zip(i.tolist(), j.tolist()),
+                                  x.tolist()):
+            sums[cell] = total = sums.get(cell, 0.0) + value
+            if total == math.inf:
+                raise errors.ParseError(records[r][0], "summed edge weight is not finite")
     return build_graph(list(idx), w)
 
 
@@ -504,6 +537,19 @@ def run_command(args: argparse.Namespace) -> str:
     return make_report(args.command, digest, result, tolerances)
 
 
+def _seed(text: str) -> int:
+    """The --seed value. Its default, "$CHAINS_SEED", is read when the
+    arguments are parsed, so the one cached parser sees the environment
+    of each call; a malformed value is a usage error."""
+    if text == "$CHAINS_SEED":
+        text = os.environ.get("CHAINS_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chainkit",
@@ -520,9 +566,8 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     def add_seed(p):
-        # argparse converts a string default with `type`, so a malformed
-        # CHAINS_SEED is a usage error
-        p.add_argument("--seed", type=int, default=os.environ.get("CHAINS_SEED", "0"),
+        # argparse converts a string default with `type` at parse time
+        p.add_argument("--seed", type=_seed, default="$CHAINS_SEED",
                        help="RNG seed (falls back to CHAINS_SEED, then 0)")
 
     add("validate", help="parse and validate an input file")

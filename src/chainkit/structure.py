@@ -1,10 +1,17 @@
 """Communication structure of a chain: classes, recurrence, periodicity,
-absorbing states, and the headline chain-level flags."""
+absorbing states, and the headline chain-level flags.
+
+Everything is read from the edge arrays (u, v) = nonzero(transitions(P)).
+`_condense` runs one iterative Tarjan scan (Tarjan, SIAM J. Comput.
+1972) over them, which gives the classes and each state's depth in the
+DFS forest; class_of, the condensation edges and the class periods
+(Denardo, Math. Oper. Res. 1977) are then numpy over the edges, so the
+pass is linear in the number of transitions.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 import numpy as np
 
@@ -38,87 +45,89 @@ class ClassStructure:
     absorbing_chain: bool
 
 
-def _tarjan_scc(adj: list[list[int]], n: int) -> list[list[int]]:
-    """Iterative Tarjan; components returned in reverse topological
-    order of discovery, then normalized by smallest member."""
+def _tarjan(succ: list[int], start: list[int], n: int) -> tuple[list[int], list[int]]:
+    """Iterative Tarjan over one flat successor list: the successors of v
+    are succ[start[v]:start[v + 1]]. Returns each state's component, in
+    order of completion, and its depth in the DFS forest.
+
+    A finished state's index is raised past every live one, so an edge
+    into a finished component never lowers a low-link: one comparison per
+    edge stands for the on-stack test.
+    """
     index = [-1] * n
     low = [0] * n
-    on_stack = [False] * n
+    depth = [0] * n
+    comp = [0] * n
     stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = 0
+    counter = count = 0
     for root in range(n):
-        if index[root] != -1:
+        if index[root] >= 0:
             continue
-        work = [(root, 0)]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, iter(succ[start[root]:start[root + 1]]))]
         while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for k in range(pi, len(adj[v])):
-                w = adj[v][k]
-                if index[w] == -1:
-                    work[-1] = (v, k + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
+            v, edges = work[-1]
+            lv = low[v]
+            for w in edges:  # the iterator resumes after the child returns
+                x = index[w]
+                if x < lv:
+                    if x < 0:  # unvisited: descend
+                        low[v] = lv
+                        index[w] = low[w] = counter
+                        counter += 1
+                        depth[w] = depth[v] + 1
+                        stack.append(w)
+                        work.append((w, iter(succ[start[w]:start[w + 1]])))
                         break
-                comps.append(sorted(comp))
-    comps.sort(key=lambda c: c[0])
-    return comps
+                    lv = x
+            else:
+                work.pop()
+                if work and lv < low[work[-1][0]]:
+                    low[work[-1][0]] = lv
+                if lv == index[v]:
+                    while True:
+                        w = stack.pop()
+                        comp[w] = count
+                        index[w] = n + count  # above every live index
+                        if w == v:
+                            break
+                    count += 1
+    return comp, depth
 
 
 def _condense(chain: TransitionMatrix):
-    """Classes, class_of, condensation edges and class periods, all read
-    from one successor list per state.
+    """Classes, class_of, condensation edges and class periods.
 
-    The period of a class is the gcd, over its internal edges u->v, of
-    level[u] + 1 - level[v], with levels from a BFS inside the class.
+    The states of a class form a subtree of the DFS forest, so the period
+    of a class is the gcd, over its internal edges u->v, of the depth
+    defects d(u) + 1 - d(v) (1 when it has none).
     """
-    succ = [np.flatnonzero(row).tolist() for row in transitions(chain.p)]
-    classes = _tarjan_scc(succ, chain.n)
-    class_of = [0] * chain.n
-    for c, members in enumerate(classes):
-        for s in members:
-            class_of[s] = c
-    edges = set()
-    period = []
-    level = [-1] * chain.n
-    for c, members in enumerate(classes):
-        level[members[0]] = 0
-        queue = [members[0]]
-        g = 0
-        for u in queue:  # grows while it is walked: a BFS
-            for v in succ[u]:
-                if class_of[v] != c:
-                    edges.add((c, class_of[v]))
-                elif level[v] >= 0:
-                    g = gcd(g, level[u] + 1 - level[v])
-                else:
-                    level[v] = level[u] + 1
-                    queue.append(v)
-        period.append(g or 1)
-    return (tuple(tuple(c) for c in classes), tuple(class_of), frozenset(edges),
-            tuple(period))
+    n = chain.n
+    u, v = np.nonzero(transitions(chain.p))  # row-major: u ascending
+    start = np.searchsorted(u, np.arange(n + 1))
+    comp, depth = _tarjan(v.tolist(), start.tolist(), n)
+    number: dict[int, int] = {}  # classes in order of their smallest member
+    class_of = np.array([number.setdefault(c, len(number)) for c in comp], dtype=np.intp)
+    k = len(number)
+    flat = np.argsort(class_of, kind="stable").tolist()
+    ends = np.cumsum(np.bincount(class_of, minlength=k)).tolist()
+    classes = tuple(tuple(flat[a:b]) for a, b in zip([0] + ends, ends))
+    cu, cv = class_of[u], class_of[v]
+    cross = cu != cv
+    pairs = np.unique(cu[cross] * k + cv[cross])
+    edges = frozenset(zip((pairs // k).tolist(), (pairs % k).tolist()))
+    # gcd per state over its out-edges (a cross edge adds 0), then per class
+    depth = np.array(depth, dtype=np.intp)
+    defect = np.abs(depth[u] + 1 - depth[v])
+    defect[cross] = 0
+    tails = np.flatnonzero(start[1:] > start[:-1])  # states with an out-edge
+    period = np.zeros(k, dtype=np.intp)
+    if tails.size:
+        np.gcd.at(period, class_of[tails], np.gcd.reduceat(defect, start[tails]))
+    period[period == 0] = 1
+    return (classes, tuple(class_of.tolist()), edges, tuple(period.tolist()))
 
 
 def communicating_classes(chain: TransitionMatrix) -> tuple[

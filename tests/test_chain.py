@@ -83,6 +83,22 @@ class TestEvolve:
             assert np.allclose(pk.sum(axis=1), 1.0, atol=1e-10)
             assert np.all(pk >= -1e-12)
 
+    def test_huge_power_keeps_unit_row_sums(self):
+        # matrix_power compounds the row-sum defect: 1 + 3.1e-9 at k = 1e9
+        c = build_chain("abc", [[0.5, 0.3, 0.2], [0.1, 0.8, 0.1], [0.3, 0.2, 0.5]])
+        pi = np.linalg.solve(np.vstack([(c.p.T - np.eye(3))[:2], np.ones(3)]), [0, 0, 1])
+        for k in (10**6, 10**9):
+            assert np.max(np.abs(c.power(k) - pi)) <= 1e-12
+
+    def test_small_powers_match_matrix_power(self, phd_chain):
+        rng = np.random.default_rng(8)
+        p = rng.random((6, 6))
+        c = build_chain("abcdef", p / p.sum(axis=1, keepdims=True))
+        for chain in (phd_chain, c):
+            for k in range(21):
+                assert np.max(np.abs(chain.power(k)
+                                     - np.linalg.matrix_power(chain.p, k))) <= 1e-14
+
     def test_rejects_bad_distribution(self, phd_chain):
         with pytest.raises(errors.RowSumViolation):
             evolve(phd_chain, [0.5, 0.1, 0.1, 0.1])

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import time
 import warnings
 
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chainkit import cli, spectral
+from chainkit import cli, errors, spectral
 from chainkit.cli import main, parse_graph_tsv
 
 CHAIN_DOC = {
@@ -148,6 +149,149 @@ class TestParsing:
             reports.append(json.loads(out))
             assert reports[-1]["input_digest"] == hashlib.sha256(data).hexdigest()
         assert reports[0]["result"] == reports[1]["result"]
+
+
+# ---------------------------------------------------------------------------
+# the whole-file TSV reader against the per-edge loop it replaced
+
+def reference_parse_graph_tsv(text):
+    """The former reader: one record at a time, then one W update per entry."""
+    lines = text.splitlines()
+    if not lines or lines[0].strip() not in ("#undirected", "#directed"):
+        raise errors.ParseError(1, 'first line must be "#undirected" or "#directed"')
+    undirected = lines[0].strip() == "#undirected"
+    edges = []
+    idx = {}
+    for no, line in enumerate(lines[1:], start=2):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise errors.ParseError(no, "expected src<TAB>dst<TAB>weight")
+        src, dst, raw = parts
+        try:
+            weight = float(raw)
+        except ValueError:
+            raise errors.ParseError(no, f"bad weight {raw!r}") from None
+        if not (0 < weight < math.inf):
+            raise errors.ParseError(no, "weights must be positive and finite")
+        edges.append((no, idx.setdefault(src, len(idx)), idx.setdefault(dst, len(idx)),
+                      weight))
+    w = np.zeros((len(idx), len(idx)))
+    for no, i, j, weight in edges:
+        for entry in {(i, j), (j, i)} if undirected else {(i, j)}:
+            w[entry] = float(w[entry]) + weight
+            if w[entry] == math.inf:
+                raise errors.ParseError(no, "summed edge weight is not finite")
+    return list(idx), w
+
+
+def tsv_outcome(parse, text):
+    """(labels, W) of a parse, or its ParseError's line and message."""
+    try:
+        out = parse(text)
+    except errors.ParseError as exc:
+        return exc.line, str(exc)
+    return (list(out.labels), out.w) if hasattr(out, "labels") else out
+
+
+def assert_same_tsv_outcome(text):
+    got, want = tsv_outcome(parse_graph_tsv, text), tsv_outcome(reference_parse_graph_tsv,
+                                                                  text)
+    assert got[0] == want[0]
+    if isinstance(want[1], np.ndarray):
+        assert np.array_equal(got[1], want[1])
+    else:
+        assert got[1] == want[1]
+
+
+_tsv_labels = st.sampled_from(["a", "b", "c", "node 1", "x y z", "é", "节点", "0.5"]) | st.text(
+    st.characters(blacklist_characters="\t\r\n"), min_size=1, max_size=3)
+_tsv_pad = st.sampled_from(["", " ", "\t", "  \t ", "\u3000"])
+_tsv_weights = st.one_of(
+    st.floats(min_value=5e-324, max_value=1e300).map(repr),
+    st.sampled_from(["1", "2.5", " 3 ", "1e-3", "1_000", "+4", "1E2", "7."]))
+_tsv_bad_weights = st.sampled_from(["nan", "-1", "0", "-0.0", "inf", "-inf", "x", "", "1e999",
+                                    "1e-400", "1e308", "0x10", "1,5"])
+
+
+@st.composite
+def tsv_files(draw, bad=False):
+    """A directive TSV: records drawn from a few labels (so duplicates,
+    mirrored duplicates and self-loops are common) between comments and
+    blank lines, padded with whitespace, with LF or CRLF line ends; with
+    `bad`, also malformed records."""
+    labels = draw(st.lists(_tsv_labels, min_size=1, max_size=5))
+    lines = [draw(_tsv_pad) + draw(st.sampled_from(["#undirected", "#directed"]))
+             + draw(_tsv_pad)]
+    kinds = ["edge"] * 12 + ["comment", "blank"] + (["fields", "weight", "huge"] if bad else [])
+    for _ in range(draw(st.integers(0, 25))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "comment":
+            lines.append(draw(_tsv_pad) + "#" + draw(st.sampled_from(["", " note", "\tx\ty"])))
+        elif kind == "blank":
+            lines.append(draw(_tsv_pad))
+        else:
+            fields = [draw(st.sampled_from(labels)), draw(st.sampled_from(labels)),
+                      "1e308" if kind == "huge" else
+                      draw(_tsv_bad_weights if kind == "weight" else _tsv_weights)]
+            if kind == "fields":
+                fields = fields[:draw(st.integers(1, 2))] if draw(st.booleans()) else fields + ["1"]
+            lines.append(draw(_tsv_pad) + "\t".join(fields) + draw(_tsv_pad))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+class TestGraphTsvReader:
+    @given(tsv_files())
+    def test_valid_files_match_reference(self, text):
+        got = parse_graph_tsv(text)
+        labels, w = reference_parse_graph_tsv(text)
+        assert list(got.labels) == labels and np.array_equal(got.w, w)
+
+    @given(tsv_files(bad=True))
+    def test_any_file_matches_reference(self, text):
+        assert_same_tsv_outcome(text)
+
+    @pytest.mark.parametrize("text, line, reason", [
+        ("#directed\na\tb\t1\na\tb\n", 3, "expected src<TAB>dst<TAB>weight"),
+        ("#directed\na\tb\t1\t2\n", 2, "expected src<TAB>dst<TAB>weight"),
+        # one and five fields: three per record on average, all numeric
+        ("#directed\n1\n1\t1\t1\t1\t1\n", 2, "expected src<TAB>dst<TAB>weight"),
+        ("#directed\na\tb\tone\n", 2, "bad weight 'one'"),
+        ("#directed\na\tb\tnan\n", 2, "weights must be positive and finite"),
+        ("#directed\na\tb\t-1\n", 2, "weights must be positive and finite"),
+        ("#directed\na\tb\t0\n", 2, "weights must be positive and finite"),
+        ("#directed\na\tb\tinf\n", 2, "weights must be positive and finite"),
+        ("#directed\na\tb\t1e308\n\na\tb\t1e308\n", 4, "summed edge weight is not finite"),
+        ("#undirected\na\tb\t1e308\nb\ta\t1e308\n", 3, "summed edge weight is not finite"),
+        ("#undirected\na\ta\t1e308\n# c\na\ta\t1e308\n", 4,
+         "summed edge weight is not finite"),
+        # a bad record anywhere outranks an overflow before it
+        ("#directed\na\tb\t1e308\na\tb\t1e308\na\tb\n", 4,
+         "expected src<TAB>dst<TAB>weight"),
+        ("a\tb\t1\n", 1, 'first line must be "#undirected" or "#directed"'),
+    ])
+    def test_errors_match_reference(self, text, line, reason):
+        with pytest.raises(errors.ParseError) as exc:
+            parse_graph_tsv(text)
+        assert (exc.value.line, str(exc.value)) == (line, f"line {line}: {reason}")
+        assert_same_tsv_outcome(text)
+
+    @pytest.mark.parametrize("bad", ["a\tb", "a\tb\tx", "a\tb\t0", "a\tb\t1e308"])
+    def test_error_after_long_valid_prefix(self, bad):
+        rng = np.random.default_rng(4)
+        records = [f"v{i}\tv{j}\t{x!r}" for i, j, x in
+                   zip(*rng.integers(0, 300, (2, 3000)).tolist(), rng.random(3000).tolist())]
+        text = "\n".join(["#undirected", "a\tb\t1e308", *records, bad, "c\td\t1"])
+        assert_same_tsv_outcome(text)
+        with pytest.raises(errors.ParseError, match="^line 3003: "):
+            parse_graph_tsv(text)
+
+    def test_undirected_self_loop_counts_once(self):
+        g = parse_graph_tsv("#undirected\na\ta\t2\na\tb\t1\nb\ta\t0.5\n")
+        assert g.labels == ("a", "b")
+        assert np.array_equal(g.w, [[2.0, 1.5], [1.5, 0.0]])
 
 
 class TestReports:
@@ -335,6 +479,30 @@ class TestEvolutionAndSimulation:
                       "--length", "20")
         assert a == b
         assert json.loads(a)["result"]["seed"] == 5
+
+    def test_chains_seed_is_read_on_every_call(self, chain_file, capsys, monkeypatch):
+        # the parser is built once per process; the environment is read per call
+        seeds = []
+        for env in ("5", "7"):
+            monkeypatch.setenv("CHAINS_SEED", env)
+            _, out, _ = run(capsys, "simulate", chain_file, "--start", "S")
+            seeds.append(json.loads(out)["result"]["seed"])
+        assert seeds == [5, 7]
+
+    def test_malformed_chains_seed_is_a_usage_error(self, chain_file, capsys,
+                                                    monkeypatch):
+        monkeypatch.setenv("CHAINS_SEED", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", chain_file, "--start", "S"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and err.startswith("usage:")
+        assert "argument --seed: invalid int value: 'abc'" in err
+        assert "Traceback" not in err
+
+    def test_seed_flag_overrides_chains_seed(self, chain_file, capsys, monkeypatch):
+        monkeypatch.setenv("CHAINS_SEED", "abc")
+        _, out, _ = run(capsys, "simulate", chain_file, "--start", "S", "--seed", "9")
+        assert json.loads(out)["result"]["seed"] == 9
 
     def test_simulate_many_trajectories_reports_occupancy(self, chain_file,
                                                           capsys):

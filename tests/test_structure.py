@@ -1,8 +1,15 @@
+from math import gcd
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from chainkit import build_chain, classify, communicating_classes, decompose, perron_report
-from chainkit.chain import ENTRY_CLAMP
+from chainkit.chain import ENTRY_CLAMP, TransitionMatrix, transitions
+from chainkit.structure import _condense
 
 from conftest import random_recurrent_chain
 
@@ -15,7 +22,6 @@ def boolean_power_period(p, state, cap=None):
         cap = 2 * n * n
     reach = (p > 0)
     step = (p > 0)
-    from math import gcd
     g = 0
     for k in range(1, cap + 1):
         if reach[state, state]:
@@ -170,3 +176,188 @@ class TestFlagsAgree:
                 assert np.all(np.delete(chain.p[s], s) <= ENTRY_CLAMP)
             perron = perron_report(decompose(chain), recurrent_classes=len(rec))
             assert perron["unit_multiplicity_matches_recurrent_classes"]
+
+
+# ---------------------------------------------------------------------------
+# the edge-array structure pass against the two-pass scan it replaced
+
+def _reference_tarjan_scc(adj, n):
+    """The former iterative Tarjan over per-state successor lists."""
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack = []
+    comps = []
+    counter = 0
+    for root in range(n):
+        if index[root] != -1:
+            continue
+        work = [(root, 0)]
+        while work:
+            v, pi = work[-1]
+            if pi == 0:
+                index[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = True
+            advanced = False
+            for k in range(pi, len(adj[v])):
+                w = adj[v][k]
+                if index[w] == -1:
+                    work[-1] = (v, k + 1)
+                    work.append((w, 0))
+                    advanced = True
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[v])
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp.append(w)
+                    if w == v:
+                        break
+                comps.append(sorted(comp))
+    comps.sort(key=lambda c: c[0])
+    return comps
+
+
+def _reference_condense(chain):
+    """The former _condense: Tarjan, then a BFS per class with one gcd
+    per internal edge over BFS levels."""
+    succ = [np.flatnonzero(row).tolist() for row in transitions(chain.p)]
+    classes = _reference_tarjan_scc(succ, chain.n)
+    class_of = [0] * chain.n
+    for c, members in enumerate(classes):
+        for s in members:
+            class_of[s] = c
+    edges = set()
+    period = []
+    level = [-1] * chain.n
+    for c, members in enumerate(classes):
+        level[members[0]] = 0
+        queue = [members[0]]
+        g = 0
+        for u in queue:
+            for v in succ[u]:
+                if class_of[v] != c:
+                    edges.add((c, class_of[v]))
+                elif level[v] >= 0:
+                    g = gcd(g, level[u] + 1 - level[v])
+                else:
+                    level[v] = level[u] + 1
+                    queue.append(v)
+        period.append(g or 1)
+    return (tuple(tuple(c) for c in classes), tuple(class_of), frozenset(edges),
+            tuple(period))
+
+
+def _family(rng, kind, n):
+    """A boolean n x n adjacency matrix of one digraph family."""
+    if kind == "dense":
+        return rng.random((n, n)) < rng.uniform(0.3, 1.0)
+    if kind == "sparse":  # mostly a DAG: many singleton classes
+        a = np.triu(rng.random((n, n)) < 2.0 / n, 1)
+        return a | (rng.random((n, n)) < 0.3 / n)
+    if kind == "cycle":  # length 1-12 through a shuffled order, maybe chords
+        length = min(n, int(rng.integers(1, 13)))
+        a = np.zeros((n, n), dtype=bool)
+        order = rng.permutation(n)[:length]
+        a[order, np.roll(order, -1)] = True
+        if rng.random() < 0.5:
+            chords = int(rng.integers(1, length + 1))
+            a[rng.choice(order, chords), rng.choice(order, chords)] = True
+        return a
+    if kind == "block":  # d groups visited cyclically: period d
+        d = min(n, int(rng.integers(2, 7)))
+        group = rng.permutation(np.arange(n) % d)
+        nxt = (group + 1) % d
+        a = (group[None, :] == nxt[:, None]) & (rng.random((n, n)) < 0.7)
+        for i in range(n):  # every state has an edge into the next group
+            a[i, rng.choice(np.flatnonzero(group == nxt[i]))] = True
+        return a
+    parts = [_family(rng, rng.choice(["dense", "sparse", "cycle", "block"]),
+                     int(rng.integers(1, max(1, n // 3) + 1)))
+             for _ in range(int(rng.integers(2, 4)))]
+    m = sum(len(p) for p in parts)
+    a = np.zeros((m, m), dtype=bool)
+    at = 0
+    for p in parts:
+        a[at:at + len(p), at:at + len(p)] = p
+        at += len(p)
+    if rng.random() < 0.5:  # a few edges between the parts
+        a |= rng.random((m, m)) < 0.5 / m
+    return a
+
+
+@hs.composite
+def digraph_chains(draw):
+    """A chain on a drawn digraph: n from 1 to 60, some states absorbing,
+    some self-loops, rows without an edge made absorbing."""
+    kind = draw(hs.sampled_from(["dense", "sparse", "cycle", "block", "union"]))
+    rng = np.random.default_rng(draw(hs.integers(0, 2**32 - 1)))
+    a = _family(rng, kind, draw(hs.integers(1, 60)))
+    n = len(a)
+    if draw(hs.booleans()):
+        a[np.diag_indices(n)] |= rng.random(n) < 0.3
+    if draw(hs.booleans()):
+        s = np.flatnonzero(rng.random(n) < 0.1)
+        a[s] = False
+        a[s, s] = True
+    s = np.flatnonzero(~a.any(axis=1))
+    a[s, s] = True
+    p = a / a.sum(axis=1, keepdims=True)
+    return TransitionMatrix(tuple(map(str, range(n))), p)
+
+
+def brute_force_periods(a, classes):
+    """Per class, the gcd over its states i and over k <= n of every k
+    with (A^k)_ii > 0; 1 when there is none."""
+    n = len(a)
+    step = a.astype(np.int64)
+    reach = step.copy()
+    g = np.zeros(n, dtype=np.int64)  # per state
+    for k in range(1, n + 1):
+        g = np.where(reach.diagonal() > 0, np.gcd(g, k), g)
+        reach = ((reach @ step) > 0).astype(np.int64)
+    return tuple(int(np.gcd.reduce(g[list(members)])) or 1 for members in classes)
+
+
+class TestCondenseProperties:
+    @given(digraph_chains())
+    @settings(max_examples=300)
+    def test_matches_reference_scan(self, chain):
+        assert _condense(chain) == _reference_condense(chain)
+
+    @given(digraph_chains())
+    @settings(max_examples=150)
+    def test_independent_oracles(self, chain):
+        classes, class_of, edges, period = _condense(chain)
+        a = transitions(chain.p)
+        k, labels = connected_components(csr_matrix(a), directed=True, connection="strong")
+        assert len(classes) == k
+        assert {frozenset(c) for c in classes} == {
+            frozenset(np.flatnonzero(labels == c).tolist()) for c in range(k)}
+        assert all(class_of[s] == c for c, members in enumerate(classes) for s in members)
+        u, v = np.nonzero(a)
+        assert edges == {(class_of[x], class_of[y]) for x, y in zip(u.tolist(), v.tolist())
+                         if class_of[x] != class_of[y]}
+        assert period == brute_force_periods(a, classes)
+
+    def test_long_shuffled_cycle(self):
+        # one class of period n, reached by the deepest DFS: n - 1 levels
+        n = 3000
+        order = np.random.default_rng(3).permutation(n)
+        p = np.zeros((n, n))
+        p[order, np.roll(order, -1)] = 1.0
+        classes, class_of, edges, period = _condense(
+            TransitionMatrix(tuple(map(str, range(n))), p))
+        assert classes == (tuple(range(n)),) and period == (n,)
+        assert class_of == (0,) * n and edges == frozenset()
