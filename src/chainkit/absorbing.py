@@ -7,8 +7,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain import TransitionMatrix
-from .errors import NotAbsorbing, SingularMatrix
-from .numlin import solve_linear
+from .errors import NotAbsorbing
+from .numlin import _gth_censor
 from .structure import ClassStructure
 
 
@@ -50,13 +50,27 @@ def canonical_form(chain: TransitionMatrix,
 
 
 def fundamental_matrix(decomp: AbsorbingDecomposition) -> FundamentalMatrix:
-    """Solve (I-Q) N = I column by column."""
-    t = decomp.t
-    if t == 0:
-        n = np.zeros((0, 0))
-        return FundamentalMatrix(n=n, expected_steps=np.zeros(0))
-    try:
-        n = solve_linear(np.eye(t) - decomp.q, np.eye(t))
-    except SingularMatrix as exc:
-        raise SingularMatrix("I - Q singular: chain was not truly absorbing") from exc
-    return FundamentalMatrix(n=n, expected_steps=n @ np.ones(t))
+    """N = (I-Q)^{-1} by GTH state reduction, without a subtraction.
+
+    With the absorbing states first, `_gth_censor` reduces the transient
+    states onto them; pivot s_k is state k's censored outflow, summed
+    over its off-diagonal Q row and its R row, never the 1 - q_kk that
+    cancels when absorption is rare. That factors I - Q = (I - U) D
+    (I - L) with D = diag(s), U the scaled columns left above the
+    diagonal and L the rows below it over s. Both inverses are
+    nonnegative, so N = (I - L)^{-1} D^{-1} (I - U)^{-1} takes a
+    bottom-up and a top-down row pass that only add nonnegative terms.
+    """
+    t, a = decomp.t, decomp.a
+    g = np.zeros((a + t, a + t))
+    g[a:, :a] = decomp.r
+    g[a:, a:] = decomp.q
+    s = _gth_censor(g, a)
+    u = g[a:, a:]
+    n = np.eye(t)
+    for k in range(t - 2, -1, -1):
+        n[k, k + 1:] = u[k, k + 1:] @ n[k + 1:, k + 1:]
+    n /= s[:, None]
+    for k in range(1, t):
+        n[k] += u[k, :k] / s[k] @ n[:k]
+    return FundamentalMatrix(n=n, expected_steps=n.sum(axis=1))

@@ -43,9 +43,11 @@ def as_finite(values, what: str) -> np.ndarray:
 
 def as_labels(labels) -> tuple[str, ...]:
     """State labels as strings, from a string of one-character labels or
-    a list of strings and numbers."""
+    a list of strings and numbers; a chain or graph needs at least one."""
     if not isinstance(labels, (str, list, tuple, np.ndarray)):
         raise BadLabel(f"state labels must be a list, not {type(labels).__name__}")
+    if len(labels) == 0:
+        raise ValidationError("a chain or graph needs at least one state")
     for x in labels:
         if not isinstance(x, (str, int, float, np.generic)):
             raise BadLabel(f"state label {x!r} is not a string or a number")

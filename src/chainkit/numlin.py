@@ -1,25 +1,23 @@
 """Dense linear-algebra kernels used by the rest of the package.
 
 Everything here operates on plain numpy arrays. The routines are
-deliberately self-contained: partial-pivoted elimination for linear
-systems, Householder tridiagonalization plus implicit Wilkinson-shift
-QR for symmetric eigenproblems (off-diagonal entries deflate below
-TRIDIAG_RTOL, machine epsilon, relative to their diagonal neighbours),
-and a Hessenberg + Francis double-shift QR iteration for the real Schur
-form of general (non-symmetric) matrices (subdiagonal entries deflate
+deliberately self-contained: partial-pivoted elimination for general
+linear systems, Householder tridiagonalization plus implicit
+Wilkinson-shift QR for symmetric eigenproblems (off-diagonal entries
+deflate below TRIDIAG_RTOL, machine epsilon, relative to their diagonal
+neighbours), and a Hessenberg + Francis double-shift QR iteration for
+the real Schur form of general matrices (subdiagonal entries deflate
 below DEFLATE_RTOL). Eigenpairs of general matrices are recovered from
 the Schur form by one blocked back-substitution over all eigenvector
 columns at once (on T for the right vectors, on its flipped transpose
 for the left), with the residual measured in Schur coordinates. A
 matrix counts as diagonalizable when each eigenvalue cluster's
 geometric multiplicity, n - rank(T - lam I), reaches its size and the
-right eigenvectors form a full-rank basis. Stationary vectors come from
-Grassmann-Taksar-Heyman (GTH) elimination, which raises SingularMatrix
-only on a reducible input. It censors states in panels of GTH_PANEL:
-each state updates only the panel's rows and columns, and the leading
-block takes a whole panel's rank-1 updates as one matrix product. Every
-kernel rejects non-finite input with NumericError before it starts
-iterating.
+right eigenvectors form a full-rank basis. Stationary vectors, PageRank
+and absorption share one subtraction-free Grassmann-Taksar-Heyman (GTH)
+state reduction in panels of GTH_PANEL, down to state 1 or down to the
+absorbing states. Every kernel rejects non-finite input with
+NumericError before it starts iterating.
 """
 
 from __future__ import annotations
@@ -43,7 +41,7 @@ DEFLATE_RTOL = 1e-12
 TRIDIAG_RTOL = float(np.finfo(float).eps)
 RANK_RTOL = 1e-8
 GTH_RESCALE = 1e150  # stationary_gth rescales x once an entry passes this
-GTH_PANEL = 32  # states stationary_gth censors per deferred leading-block product
+GTH_PANEL = 32  # states _gth_censor censors per deferred leading-block product
 
 
 def _require_finite(a: np.ndarray, what: str) -> None:
@@ -92,42 +90,47 @@ def solve_linear(a, b) -> np.ndarray:
     return x[:, 0] if vector else x
 
 
-def stationary_gth(a) -> np.ndarray:
-    """Stationary row vector of an irreducible nonnegative square matrix.
+def _gth_censor(a: np.ndarray, stop: int) -> np.ndarray:
+    """Censor states m-1, ..., stop out of the nonnegative a, in place,
+    and return their pivot sums s_k = sum_{j<k} a[k, j] (GTH: Grassmann,
+    Taksar & Heyman, Oper. Res. 33(5), 1985). Column k is left scaled to
+    a[:k, k] / s_k, row k as it stood when state k was censored.
 
-    Grassmann-Taksar-Heyman elimination (Oper. Res. 33(5), 1985): state
-    k = m-1, ..., 1 is censored out by one rank-1 update scaled by its
-    off-diagonal row sum s = sum_{j<k} a[k, j]; then back-substitution
-    from x[0] = 1 and one normalization. States are censored in panels
-    [k0, k1) of GTH_PANEL states, from the last one down: within a panel
-    the rank-1 update reaches only the panel rows and the panel columns
-    of the leading rows, and the leading block a[:k0, :k0] takes the
-    whole panel's updates as one matrix product. Deferring pays only
-    while at least a panel of leading rows remains, so the last panel
-    (fewer than 2 GTH_PANEL states) updates every row: it is the plain
-    update, and nothing is deferred. The diagonal is never read and
-    nothing is subtracted, so every entry, however small, has a small
-    relative error (O'Cinneide, Numer. Math. 65, 1993); blocking only
-    reorders sums of nonnegative terms. Raises SingularMatrix when some
-    s is not positive: the input is reducible.
+    States go in panels [k0, k1) of GTH_PANEL from the last one down:
+    within a panel the rank-1 update reaches only the panel rows and the
+    panel columns of the leading rows, and the leading block a[:k0, :k0]
+    takes the whole panel's updates as one matrix product; the last
+    panel (fewer than 2 GTH_PANEL states) ends at stop. The diagonal is
+    never read and nothing is subtracted, so every entry has a small
+    relative error (O'Cinneide, Numer. Math. 65, 1993). Raises
+    SingularMatrix when some s_k is not positive: state k cannot reach
+    the states below it.
     """
-    a = _as_square(a).copy()
     m = a.shape[0]
+    pivots = np.zeros(m - stop)
     k1 = m
-    while k1 > 1:
-        k0 = k1 - GTH_PANEL if k1 > 2 * GTH_PANEL else 0
-        for k in range(k1 - 1, max(k0 - 1, 0), -1):
-            s = a[k, :k].sum()
+    while k1 > stop:
+        k0 = k1 - GTH_PANEL if k1 - stop >= 2 * GTH_PANEL else stop
+        for k in range(k1 - 1, k0 - 1, -1):
+            s = pivots[k - stop] = a[k, :k].sum()
             if not s > 0:
                 raise SingularMatrix(f"state {k} cannot reach states 0..{k - 1}: "
                                      "matrix is reducible")
             a[:k, k] /= s
             a[k0:k, :k] += a[k0:k, k, None] * a[k, :k]
-            if k0:
-                a[:k0, k0:k] += a[:k0, k, None] * a[k, k0:k]
-        if k0:
-            a[:k0, :k0] += a[:k0, k0:k1] @ a[k0:k1, :k0]
+            a[:k0, k0:k] += a[:k0, k, None] * a[k, k0:k]
+        a[:k0, :k0] += a[:k0, k0:k1] @ a[k0:k1, :k0]
         k1 = k0
+    return pivots
+
+
+def stationary_gth(a) -> np.ndarray:
+    """Stationary row vector of an irreducible nonnegative square matrix:
+    `_gth_censor` of states m-1, ..., 1, back-substitution from x[0] = 1
+    and one normalization. Raises SingularMatrix on a reducible input."""
+    a = _as_square(a).copy()
+    m = a.shape[0]
+    _gth_censor(a, 1)
     x = np.zeros(m)
     x[0] = 1.0
     for k in range(1, m):
@@ -137,7 +140,12 @@ def stationary_gth(a) -> np.ndarray:
     return x / x.sum()
 
 
-def sym_eigen(a, max_iters: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _qr_budget(n: int) -> int:
+    """QR steps sym_eigen and sweeps real_schur may take on order n."""
+    return max(30 * n, 120)
+
+
+def sym_eigen(a) -> tuple[np.ndarray, np.ndarray]:
     """Full eigendecomposition of a symmetric matrix.
 
     Householder reduction to tridiagonal form (the Hessenberg reduction
@@ -146,8 +154,8 @@ def sym_eigen(a, max_iters: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     entry e_i is flushed to zero once |e_i| <= TRIDIAG_RTOL * (|d_i| +
     |d_i+1|), with ||a||_F standing in when both diagonal entries are 0.
     Returns (values, vectors) with values ascending and vectors as
-    orthonormal columns; raises NoConvergence after max_iters QR steps
-    (default max(30 n, 120)).
+    orthonormal columns; raises NoConvergence after `_qr_budget(n)` QR
+    steps.
     """
     a = _as_square(a)
     n = a.shape[0]
@@ -157,8 +165,6 @@ def sym_eigen(a, max_iters: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     m = 0.5 * (a + a.T)
     if scale == 0 or n == 1:
         return np.diag(m).copy(), np.eye(n)
-    if max_iters is None:
-        max_iters = max(30 * n, 120)
     t, q = _hessenberg(m)
     d = np.diag(t).tolist()
     e = np.diag(t, -1).tolist()
@@ -177,7 +183,7 @@ def sym_eigen(a, max_iters: int | None = None) -> tuple[np.ndarray, np.ndarray]:
             hi -= 1
             continue
         total += 1
-        if total > max_iters:
+        if total > _qr_budget(n):
             raise NoConvergence("symmetric QR exceeded the iteration budget")
         # Wilkinson shift: the eigenvalue of the trailing 2x2 block nearer d[hi]
         half = 0.5 * (d[hi - 1] - d[hi])
@@ -330,11 +336,10 @@ def real_schur(a) -> SchurForm:
     eigenvalue pair and block_sizes can be read off the subdiagonal. H
     and Q live stacked in one (2n x n) array, so a reflector updates the
     columns of both with one product. Raises NoConvergence after
-    max(30 n, 120) QR sweeps.
+    `_qr_budget(n)` QR sweeps.
     """
     a = _as_square(a)
     n = a.shape[0]
-    max_iters = max(30 * n, 120)
     if n == 0:
         return SchurForm(np.eye(0), np.zeros((0, 0)), ())
     hq = np.vstack(_hessenberg(a))
@@ -365,7 +370,7 @@ def real_schur(a) -> SchurForm:
             continue
         total += 1
         stalled += 1
-        if total > max_iters:
+        if total > _qr_budget(n):
             raise NoConvergence("QR iteration exceeded the iteration budget")
         _francis_step(hq, lo, hi, exceptional=(stalled % 11 == 10))
     h, q = hq[:n], hq[n:]

@@ -116,36 +116,14 @@ class EigenEvolution:
     evolved: np.ndarray
 
 
-def _block_power(values: np.ndarray, k: int) -> np.ndarray:
-    """k-th power of the block-diagonal real form of the eigenvalues:
-    scalars for real eigenvalues, 2x2 rotation-scalings for pairs."""
-    n = len(values)
-    m = np.zeros((n, n))
-    j = 0
-    while j < n:
-        lam = values[j]
-        if lam.imag > 0:
-            r = abs(lam) ** k
-            th = np.angle(lam) * k
-            c, s = r * np.cos(th), r * np.sin(th)
-            m[j, j] = c
-            m[j, j + 1] = s
-            m[j + 1, j] = -s
-            m[j + 1, j + 1] = c
-            j += 2
-        else:
-            m[j, j] = lam.real ** k
-            j += 1
-    return m
-
-
 def spectral_evolve(decomp: SpectralDecomposition, mu, k: int) -> EigenEvolution:
     """Evolve mu for k steps entirely in the eigenbasis.
 
-    Expands mu over the right eigenvectors, scales each coordinate by
-    lambda^k, and reassembles through the dual (left) basis. Complex
-    arithmetic stays inside the paired real encoding, so everything here
-    is real linear algebra.
+    Expands mu over the complex right eigenvectors, scales each
+    coordinate by lambda^k, and reassembles through the dual (left)
+    basis, the inverse of the pair-encoded right vectors. A conjugate
+    pair's two dual rows take the real and imaginary parts of its
+    positive-imaginary member's scaled coordinate, so the sum is real.
     """
     if not decomp.pairs.diagonalizable:
         raise NotDiagonalizable("defective spectrum; fall back to direct evolution")
@@ -156,13 +134,12 @@ def spectral_evolve(decomp: SpectralDecomposition, mu, k: int) -> EigenEvolution
         dual = solve_linear(r_enc, np.eye(n))
     except SingularMatrix as exc:
         raise NotDiagonalizable("eigenbasis numerically singular") from exc
-    coords_enc = mu @ r_enc
-    power = _block_power(decomp.values, k)
-    scaled = coords_enc @ power
+    coordinates = mu @ decomp.pairs.right_complex()
+    scaled = coordinates * decomp.values ** k
+    scaled = np.where(decomp.values.imag < 0, -scaled.imag, scaled.real)
     persistent_mask = np.abs(np.abs(decomp.values) - 1.0) < TAXONOMY_EPSILON
     persistent = (scaled * persistent_mask) @ dual
     transient = (scaled * ~persistent_mask) @ dual
-    coordinates = mu @ decomp.pairs.right_complex()
     return EigenEvolution(coordinates=coordinates,
                           persistent_part=persistent,
                           transient_part=transient,

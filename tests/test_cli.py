@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from chainkit import cli, errors, spectral
@@ -184,15 +184,18 @@ def reference_parse_graph_tsv(text):
             w[entry] = float(w[entry]) + weight
             if w[entry] == math.inf:
                 raise errors.ParseError(no, "summed edge weight is not finite")
+    if not idx:  # build_graph refuses a graph without vertices
+        raise errors.ValidationError("a chain or graph needs at least one state")
     return list(idx), w
 
 
 def tsv_outcome(parse, text):
-    """(labels, W) of a parse, or its ParseError's line and message."""
+    """(labels, W) of a parse, or its error's line (None for a file
+    without records) and message."""
     try:
         out = parse(text)
-    except errors.ParseError as exc:
-        return exc.line, str(exc)
+    except errors.ValidationError as exc:
+        return getattr(exc, "line", None), str(exc)
     return (list(out.labels), out.w) if hasattr(out, "labels") else out
 
 
@@ -245,8 +248,13 @@ def tsv_files(draw, bad=False):
 class TestGraphTsvReader:
     @given(tsv_files())
     def test_valid_files_match_reference(self, text):
+        try:
+            labels, w = reference_parse_graph_tsv(text)
+        except errors.ValidationError:  # no records: a zero-state graph
+            with pytest.raises(errors.ValidationError, match="at least one state"):
+                parse_graph_tsv(text)
+            return
         got = parse_graph_tsv(text)
-        labels, w = reference_parse_graph_tsv(text)
         assert list(got.labels) == labels and np.array_equal(got.w, w)
 
     @given(tsv_files(bad=True))
@@ -716,6 +724,17 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["classify", "stationary", "pagerank", "absorb"])
+    @pytest.mark.parametrize("text", ["#directed\n", "#undirected\n",
+                                      '{"states": [], "P": []}'],
+                             ids=["directed", "undirected", "json"])
+    def test_zero_state_input_is_exit_two(self, command, text, tmp_path, capsys):
+        f = tmp_path / "empty"
+        f.write_text(text)
+        code, out, err = run(capsys, command, str(f))
+        assert code == 2 and out == ""
+        assert "at least one state" in err and "Traceback" not in err
+
     def test_non_finite_signal_is_exit_two(self, graph_file, capsys):
         code, out, err = run(capsys, "gft", graph_file, "--signal", "1,nan,0")
         assert code == 2 and out == ""
@@ -766,6 +785,8 @@ FUZZ_INPUTS = st.one_of(
 
 class TestExitCodeFuzz:
     @given(command=st.sampled_from(FUZZ_COMMANDS), data=FUZZ_INPUTS)
+    @example(command=["stationary"], data=b"#directed\n")
+    @example(command=["pagerank", "--damping", "0.5"], data=b"#undirected\n")
     def test_any_input_ends_in_a_contract_exit_code(self, command, data, tmp_path_factory):
         # every input ends in 0, 2 or 3, with no traceback and no warning
         f = tmp_path_factory.mktemp("fuzz") / "input"
