@@ -6,6 +6,7 @@ import numpy as np
 
 from chainkit import (
     build_chain,
+    classify,
     decompose,
     evolve,
     spectral_evolve,
@@ -14,7 +15,7 @@ from chainkit import (
 
 # A period-3 cycle puts three eigenvalues on the unit circle.
 cycle = build_chain("abc", [[0, 1.0, 0], [0, 0, 1.0], [1.0, 0, 0]])
-dec = decompose(cycle)
+dec = decompose(cycle, classify(cycle))
 for lam, label in zip(dec.values, taxonomy(dec)):
     print(f"lambda = {lam.real:+.3f}{lam.imag:+.3f}i  |lambda| = "
           f"{abs(lam):.3f}  -> {label}")
@@ -24,7 +25,7 @@ ergodic = build_chain("1234", [[0.5, 0.1, 0.2, 0.2],
                                [1.0, 0.0, 0.0, 0.0],
                                [0.3, 0.0, 0.5, 0.2],
                                [0.0, 0.0, 0.5, 0.5]])
-dec = decompose(ergodic)
+dec = decompose(ergodic, classify(ergodic))
 print()
 for lam, label in zip(dec.values, taxonomy(dec)):
     print(f"lambda = {lam.real:+.3f}{lam.imag:+.3f}i  -> {label}")

@@ -283,7 +283,7 @@ class Analysis:
 
     @cached_property
     def decomposition(self) -> SpectralDecomposition:
-        return decompose(self.chain)
+        return decompose(self.chain, self.structure)
 
     @cached_property
     def directed_laplacian(self) -> LaplacianMatrix:

@@ -13,7 +13,10 @@ columns at once (on T for the right vectors, on its flipped transpose
 for the left), with the residual measured in Schur coordinates. A
 matrix counts as diagonalizable when each eigenvalue cluster's
 geometric multiplicity, n - rank(T - lam I), reaches its size and the
-right eigenvectors form a full-rank basis. Stationary vectors, PageRank
+right eigenvectors form a full-rank basis. The eigenpairs of a d-cyclic
+matrix are lifted from those of its cycle product, d times smaller;
+both routes end in the same unit-phase, l^T r = 1 and pair-encoding
+step. Stationary vectors, PageRank
 and absorption share one subtraction-free Grassmann-Taksar-Heyman (GTH)
 state reduction in panels of GTH_PANEL, down to state 1 or down to the
 absorbing states. Every kernel rejects non-finite input with
@@ -60,17 +63,17 @@ def _as_square(a) -> np.ndarray:
 def solve_linear(a, b) -> np.ndarray:
     """Solve a x = b by Gaussian elimination with partial pivoting.
 
-    b may be a vector or a matrix of stacked right-hand sides. Raises
-    SingularMatrix when the best available pivot falls below
-    PIVOT_RTOL * ||a||_F.
+    b may be a vector or a matrix of stacked right-hand sides; a 0x0
+    system has the empty solution. Raises SingularMatrix when the best
+    available pivot falls below PIVOT_RTOL * ||a||_F.
     """
     a = _as_square(a)
     n = a.shape[0]
     b = np.asarray(b, dtype=float)
     _require_finite(b, "right-hand side")
     vector = b.ndim == 1
-    rhs = b.reshape(n, -1) if vector else b
-    if rhs.shape[0] != n:
+    rhs = b[:, None] if vector else b
+    if rhs.ndim != 2 or rhs.shape[0] != n:
         raise DimensionMismatch("right-hand side rows do not match matrix order")
 
     aug = np.hstack([a.copy(), rhs.astype(float, copy=True)])
@@ -127,9 +130,12 @@ def _gth_censor(a: np.ndarray, stop: int) -> np.ndarray:
 def stationary_gth(a) -> np.ndarray:
     """Stationary row vector of an irreducible nonnegative square matrix:
     `_gth_censor` of states m-1, ..., 1, back-substitution from x[0] = 1
-    and one normalization. Raises SingularMatrix on a reducible input."""
+    and one normalization. Raises SingularMatrix on a reducible input and
+    DimensionMismatch on a 0x0 one."""
     a = _as_square(a).copy()
     m = a.shape[0]
+    if m == 0:
+        raise DimensionMismatch("a 0x0 matrix has no stationary vector")
     _gth_censor(a, 1)
     x = np.zeros(m)
     x[0] = 1.0
@@ -507,6 +513,25 @@ def _pair_encoding(blocks: np.ndarray, starts: list[int], sizes: list[int]) -> n
     return enc
 
 
+def _eigenpairs(values: np.ndarray, starts: list[int], sizes: list[int],
+                right_blocks: np.ndarray, left_blocks: np.ndarray, diagonalizable: bool,
+                simple: bool, residual: float) -> ComplexEigenpairs:
+    """The ComplexEigenpairs of one right and one left complex vector per
+    diagonal block: each vector at unit norm and phase, the left ones
+    rescaled so that l^T r = 1 when the spectrum is simple, both pair
+    encoded."""
+    right_blocks = _unit_phase(right_blocks)
+    left_blocks = _unit_phase(left_blocks)
+    if simple:
+        d = np.sum(left_blocks * right_blocks, axis=0)
+        nonzero = np.abs(d) > 0
+        left_blocks[:, nonzero] /= d[nonzero]
+    return ComplexEigenpairs(values=values, right=_pair_encoding(right_blocks, starts, sizes),
+                             left=_pair_encoding(left_blocks, starts, sizes),
+                             diagonalizable=diagonalizable, simple=simple,
+                             residual=residual)
+
+
 def eigen_from_schur(schur: SchurForm) -> ComplexEigenpairs:
     """Recover eigenvalues and left/right eigenvectors from a real Schur
     form A = Q T Q^T.
@@ -555,8 +580,6 @@ def eigen_from_schur(schur: SchurForm) -> ComplexEigenpairs:
         sizes[::-1], lams[::-1], clamp)[::-1, ::-1]
     residual = float(np.max(np.linalg.norm(t @ y - y * lams, axis=0)
                             / np.linalg.norm(y, axis=0)))
-    right_blocks = _unit_phase(q @ y)
-    left_blocks = _unit_phase(q @ z)
 
     close = np.abs(values[:, None] - values[None, :]) <= RANK_RTOL * scale
     alg = close.sum(axis=1)
@@ -566,20 +589,105 @@ def eigen_from_schur(schur: SchurForm) -> ComplexEigenpairs:
     diagonalizable = all(
         n - _complex_rank(t - values[i] * np.eye(n), RANK_RTOL * scale) >= alg[i]
         for i in firsts)
-    right = _pair_encoding(right_blocks, starts, sizes)
+    right = q @ y
     # QR scatters a defective eigenvalue wider than the cluster tolerance,
-    # so also demand a numerically full-rank eigenvector basis
+    # so also demand a numerically full-rank basis of the unit
+    # eigenvectors _eigenpairs returns
     if diagonalizable and n > 1:
-        if _complex_rank(_pairs_to_complex(values, right), RANK_RTOL) < n:
+        unit = _pairs_to_complex(values, _pair_encoding(_unit_phase(right), starts, sizes))
+        if _complex_rank(unit, RANK_RTOL) < n:
             diagonalizable = False
             simple = False
+    return _eigenpairs(values, starts, sizes, right, q @ z, diagonalizable, simple,
+                       residual)
 
-    if simple:
-        d = np.sum(left_blocks * right_blocks, axis=0)
-        nonzero = np.abs(d) > 0
-        left_blocks[:, nonzero] /= d[nonzero]
 
-    return ComplexEigenpairs(values=values, right=right,
-                             left=_pair_encoding(left_blocks, starts, sizes),
-                             diagonalizable=diagonalizable, simple=simple,
-                             residual=residual)
+def lift_cyclic(a: np.ndarray, groups: list[np.ndarray], blocks: list[np.ndarray],
+                base: ComplexEigenpairs) -> ComplexEigenpairs:
+    """Eigenpairs of a d-cyclic matrix from those of its cycle product.
+
+    a is zero outside the m x m blocks A_g = a[groups[g], groups[g+1 mod
+    d]] (given as blocks), and base holds the eigenpairs of B = A_0 A_1
+    ... A_{d-1}, none of them zero. With omega = e^{2 pi i/d}, each (mu,
+    x, y) of B lifts to d eigenpairs of a (Seneta, Non-negative Matrices
+    and Markov Chains, 2006, ch. 1): lam_k = |mu|^{1/d} e^{i(arg mu + 2 pi
+    k)/d}, whose right vector has block g = omega^{kg} lam_0^{-(d-g)} A_g
+    ... A_{d-1} x (x itself at g = 0) and whose left vector has block g =
+    omega^{-kg} lam_0^{-g} (A_0 ... A_{g-1})^T y.
+
+    lam_k is real only when mu is real and arg mu + 2 pi k is a multiple
+    of d pi, and the sign of a non-real lam_k's imaginary part follows
+    from k as well, so integer arithmetic on k sorts the lifted values
+    into real ones and conjugate pairs; no rounded imaginary part is
+    read. A conjugate pair of B is lifted from its positive-imaginary
+    member. diagonalizable and simple are B's; the residual is the
+    largest relative right or left eigenvector residual on a.
+    """
+    d, m = len(blocks), blocks[0].shape[0]
+    x, y = base.right_complex(), base.left_complex()
+    # right[g] = A_g ... A_{d-1} x and left[g] = (A_0 ... A_{g-1})^T y
+    right, left = np.empty((2, d, m, m), dtype=complex)
+    right[0], left[0] = x, y
+    for g in range(d - 1, 0, -1):
+        right[g] = blocks[g] @ right[(g + 1) % d]
+    for g in range(1, d):
+        left[g] = blocks[g - 1].T @ left[g - 1]
+
+    # one representative (j, k) per real lam_k and per conjugate pair,
+    # the member with positive imaginary part; flip marks a lam_k below
+    # the real axis, whose conjugate stands for it, and sign is +-1 for a
+    # real lam_k, 0 otherwise
+    reps, flip, sign = [], [], []
+    for j, mu in enumerate(base.values):
+        if mu.imag < 0:
+            continue
+        odd = int(mu.imag == 0 and mu.real < 0)  # arg mu = odd * pi when mu is real
+        for k in range(d):
+            t = odd + 2 * k  # (arg mu + 2 pi k) / (pi / d), for real mu
+            if mu.imag > 0:
+                reps.append((j, k))
+                flip.append(2 * k >= d)
+                sign.append(0)
+            elif t <= d:
+                reps.append((j, k))
+                flip.append(False)
+                sign.append(1 if t == 0 else -1 if t == d else 0)
+    js, ks = np.array(reps).T
+    mus = base.values[js]
+    rho = np.abs(mus) ** (1.0 / d)
+    arg = np.where(mus.imag == 0, np.where(mus.real < 0, np.pi, 0.0), np.angle(mus)) / d
+    g = np.arange(d)
+    up = np.where(g > 0, g - d, 0)  # block 0 of the right vector is x itself
+    turn = 2.0 * np.pi * ((ks[:, None] * g) % d) / d  # omega^{kg}, exact in kg mod d
+    right_coef = rho[:, None] ** up * np.exp(1j * (turn + arg[:, None] * up))
+    left_coef = rho[:, None] ** -g * np.exp(-1j * (turn + arg[:, None] * g))
+    lams = rho * np.exp(1j * (arg + 2.0 * np.pi * ks / d))
+    sign, flip = np.array(sign), np.array(flip)
+    real = sign != 0
+    lams[real] = sign[real] * rho[real]
+    right_coef[real] = right_coef[real].real
+    left_coef[real] = left_coef[real].real
+
+    n = d * m
+    order = np.concatenate(groups)
+    right_blocks = np.empty((n, len(reps)), dtype=complex)
+    left_blocks = np.empty((n, len(reps)), dtype=complex)
+    right_blocks[order] = (right[:, :, js] * right_coef.T[:, None, :]).reshape(n, -1)
+    left_blocks[order] = (left[:, :, js] * left_coef.T[:, None, :]).reshape(n, -1)
+    lams[flip] = lams[flip].conj()
+    right_blocks[:, flip] = right_blocks[:, flip].conj()
+    left_blocks[:, flip] = left_blocks[:, flip].conj()
+
+    sizes = [1 if r else 2 for r in real]
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1])).tolist()
+    values = np.zeros(n, dtype=complex)
+    values[starts] = lams
+    pairs = [s + 1 for s, b in zip(starts, sizes) if b == 2]
+    values[pairs] = lams[~real].conj()
+    residual = float(max(
+        np.max(np.linalg.norm(a @ right_blocks - right_blocks * lams, axis=0)
+               / np.linalg.norm(right_blocks, axis=0)),
+        np.max(np.linalg.norm(a.T @ left_blocks - left_blocks * lams, axis=0)
+               / np.linalg.norm(left_blocks, axis=0))))
+    return _eigenpairs(values, starts, sizes, right_blocks, left_blocks,
+                       base.diagonalizable, base.simple, residual)

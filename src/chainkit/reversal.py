@@ -161,8 +161,3 @@ def k_matrix(chain: TransitionMatrix, basis: StationaryBasis) -> SymmetrizedKern
     root = np.sqrt(_positive_pi(basis, "K-matrix"))
     k = (chain.p * root[:, None]) / root[None, :]
     return SymmetrizedKernel(k=k)
-
-
-def pi_inner(pi: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
-    """Inner product weighted by the stationary probabilities."""
-    return float(np.sum(pi * x * y))

@@ -1,16 +1,34 @@
 """Spectral analysis of transition matrices: decomposition, the six-way
 eigenvalue taxonomy, evolution in the eigenbasis, and checks that the
-spectrum behaves the way stochastic matrices must."""
+spectrum behaves the way stochastic matrices must.
+
+`decompose` reads the spectrum through the class structure: a reducible
+chain is block upper triangular in a topological order of its classes,
+and an irreducible chain of period d is block-cyclic, so its spectrum is
+the d-th roots of that of the cycle product (Seneta, Non-negative
+Matrices and Markov Chains, 2006, ch. 1)."""
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .chain import TransitionMatrix, validate_distribution
 from .errors import NotDiagonalizable, NumericError, SingularMatrix
-from .numlin import ComplexEigenpairs, eigen_from_schur, real_schur, solve_linear
+from .numlin import (
+    DEFLATE_RTOL,
+    RANK_RTOL,
+    ComplexEigenpairs,
+    SchurForm,
+    eigen_from_schur,
+    lift_cyclic,
+    real_schur,
+    solve_linear,
+)
+from .structure import ClassStructure
 
 TAXONOMY_EPSILON = 1e-8
 SPECTRAL_RADIUS_SLACK = 1e-8
@@ -56,13 +74,110 @@ class SpectralDecomposition:
         return self.pairs.values[list(self.order)]
 
 
-def decompose(chain: TransitionMatrix) -> SpectralDecomposition:
-    """Eigendecomposition via the real Schur form.
+def _topological_classes(structure: ClassStructure) -> list[int]:
+    """Class ids in a topological order of the condensation, sources
+    first, ties to the smallest id (Kahn's algorithm on a heap)."""
+    k = len(structure.classes)
+    indegree = [0] * k
+    succ: list[list[int]] = [[] for _ in range(k)]
+    for a, b in structure.condensation_edges:
+        succ[a].append(b)
+        indegree[b] += 1
+    ready = [c for c in range(k) if indegree[c] == 0]
+    out = []
+    while ready:
+        c = heapq.heappop(ready)
+        out.append(c)
+        for b in succ[c]:
+            indegree[b] -= 1
+            if indegree[b] == 0:
+                heapq.heappush(ready, b)
+    return out
+
+
+def _schur_by_class(p: np.ndarray, structure: ClassStructure) -> SchurForm:
+    """Real Schur form of P assembled from one Schur form per class.
+
+    In a topological order of the classes P is block upper triangular, so
+    Q = blockdiag(q_k) with its rows put back in state order, and T holds
+    each class's t_k on the diagonal, q_i^T P_ij q_j above it and exact
+    zeros below. A 1x1 class is its own Schur form. P is one block when
+    it is irreducible, or when some entry below the class blocks is
+    nonzero (at most ENTRY_CLAMP, so not a transition, but part of P).
+    """
+    order = _topological_classes(structure)
+    level = np.empty(len(order), dtype=np.intp)
+    level[order] = np.arange(len(order))
+    at = level[np.array(structure.class_of, dtype=np.intp)]
+    if len(order) <= 1 or np.any(p[at[:, None] > at[None, :]]):
+        return real_schur(p)
+    perm = np.array([s for c in order for s in structure.classes[c]])
+    pp = p[np.ix_(perm, perm)]
+    ends = np.cumsum([len(structure.classes[c]) for c in order]).tolist()
+    spans = list(zip([0] + ends[:-1], ends))
+    forms = [real_schur(pp[a:b, a:b]) if b - a > 1
+             else SchurForm(np.ones((1, 1)), pp[a:b, a:b].copy(), (1,)) for a, b in spans]
+    qb = np.zeros_like(pp)
+    for (a, b), form in zip(spans, forms):
+        qb[a:b, a:b] = form.q
+    t = qb.T @ pp @ qb
+    for (a, b), form in zip(spans, forms):
+        t[a:b, :b] = 0.0
+        t[a:b, a:b] = form.t
+    q = np.empty_like(qb)
+    q[perm] = qb
+    return SchurForm(q, t, tuple(b for form in forms for b in form.block_sizes))
+
+
+def _cyclic_pairs(p: np.ndarray, structure: ClassStructure) -> ComplexEigenpairs | None:
+    """Eigenpairs of an irreducible chain of period d from its cycle
+    product, or None when that route does not apply.
+
+    In phase order P is block-cyclic: its only nonzero blocks are A_g =
+    P[G_g, G_{g+1 mod d}], so P^d is block diagonal and the spectrum of P
+    is the d-th roots of the eigenvalues of B = A_0 A_1 ... A_{d-1}. The
+    route needs d groups of n/d states, P exactly zero outside the A_g,
+    and every eigenvalue mu of B with |mu| > RANK_RTOL * ||B||_F. Last,
+    the lifted pairs must have residuals on P within DEFLATE_RTOL *
+    ||P||_F, the backward error real_schur accepts: B is formed
+    explicitly, so mu carries an absolute error near eps * ||B||, which
+    the d-th root magnifies by 1 / (d |lambda|^(d-1)).
+    """
+    d = structure.chain_period
+    phase = np.array(structure.phase, dtype=np.intp)
+    counts = np.bincount(phase, minlength=d)
+    if counts.min() != counts.max():
+        return None
+    if np.any(p[phase[None, :] != (phase[:, None] + 1) % d]):
+        return None
+    groups = [np.flatnonzero(phase == g) for g in range(d)]
+    blocks = [p[np.ix_(groups[g], groups[(g + 1) % d])] for g in range(d)]
+    b = reduce(np.matmul, blocks)
+    base = eigen_from_schur(real_schur(b))
+    if not np.all(np.abs(base.values) > RANK_RTOL * np.linalg.norm(b)):
+        return None
+    pairs = lift_cyclic(p, groups, blocks, base)
+    return pairs if pairs.residual <= DEFLATE_RTOL * np.linalg.norm(p) else None
+
+
+def decompose(chain: TransitionMatrix, structure: ClassStructure) -> SpectralDecomposition:
+    """Eigendecomposition read through the chain's class structure.
+
+    An irreducible chain of period d > 1 lifts the eigenpairs of its
+    (n/d) x (n/d) cycle product (`_cyclic_pairs`, `numlin.lift_cyclic`).
+    Every other chain, and a periodic one that route refuses, takes one
+    real Schur form per communicating class (`_schur_by_class`) and
+    `eigen_from_schur` on the assembled form; an irreducible chain is one
+    class, so that is `real_schur` of P itself.
 
     Asserts the spectral radius of a stochastic matrix never exceeds one
     (up to roundoff) and counts the multiplicity of the eigenvalue 1.
     """
-    pairs = eigen_from_schur(real_schur(chain.p))
+    pairs = None
+    if structure.irreducible and structure.chain_period:
+        pairs = _cyclic_pairs(chain.p, structure)
+    if pairs is None:
+        pairs = eigen_from_schur(_schur_by_class(chain.p, structure))
     values = pairs.values
     radius = float(np.max(np.abs(values))) if len(values) else 0.0
     if radius > 1.0 + SPECTRAL_RADIUS_SLACK:

@@ -25,7 +25,9 @@ class ClassStructure:
     classes: state indices per communicating class, each sorted, classes
     ordered by smallest member. recurrent[c] marks closed classes.
     period[c] is the gcd cycle length within class c (1 when the class
-    has no internal edge). condensation_edges holds (from, to) class
+    has no internal edge), and phase[i] is state i's cyclic phase in its
+    class: every transition inside a class goes from phase g to phase
+    g + 1 mod its period. condensation_edges holds (from, to) class
     pairs with from != to. Edges are `chain.transitions`; an absorbing
     state is a closed singleton class, and the chain is absorbing iff
     every closed class is one.
@@ -36,6 +38,7 @@ class ClassStructure:
     recurrent: tuple[bool, ...]
     period: tuple[int, ...]
     class_of: tuple[int, ...]
+    phase: tuple[int, ...]
     irreducible: bool
     recurrent_chain: bool
     periodicity: str  # "aperiodic" | "periodic" | "mixed"
@@ -98,11 +101,12 @@ def _tarjan(succ: list[int], start: list[int], n: int) -> tuple[list[int], list[
 
 
 def _condense(chain: TransitionMatrix):
-    """Classes, class_of, condensation edges and class periods.
+    """Classes, class_of, condensation edges, class periods and phases.
 
     The states of a class form a subtree of the DFS forest, so the period
     of a class is the gcd, over its internal edges u->v, of the depth
-    defects d(u) + 1 - d(v) (1 when it has none).
+    defects d(u) + 1 - d(v) (1 when it has none), and a state's phase is
+    its depth mod its class's period.
     """
     n = chain.n
     u, v = np.nonzero(transitions(chain.p))  # row-major: u ascending
@@ -127,20 +131,22 @@ def _condense(chain: TransitionMatrix):
     if tails.size:
         np.gcd.at(period, class_of[tails], np.gcd.reduceat(defect, start[tails]))
     period[period == 0] = 1
-    return (classes, tuple(class_of.tolist()), edges, tuple(period.tolist()))
+    phase = depth % period[class_of]
+    return (classes, tuple(class_of.tolist()), edges, tuple(period.tolist()),
+            tuple(phase.tolist()))
 
 
 def communicating_classes(chain: TransitionMatrix) -> tuple[
         tuple[tuple[int, ...], ...], frozenset[tuple[int, int]]]:
     """Communicating classes (strongly connected components of the
     chain's digraph) and the condensation edge set."""
-    classes, _, edges, _ = _condense(chain)
+    classes, _, edges, _, _ = _condense(chain)
     return classes, edges
 
 
 def classify(chain: TransitionMatrix) -> ClassStructure:
     """Full structural classification of a chain."""
-    classes, class_of, edges, period = _condense(chain)
+    classes, class_of, edges, period, phase = _condense(chain)
     k = len(classes)
     outgoing = [False] * k
     for a, _ in edges:
@@ -167,6 +173,7 @@ def classify(chain: TransitionMatrix) -> ClassStructure:
         recurrent=recurrent,
         period=period,
         class_of=class_of,
+        phase=phase,
         irreducible=irreducible,
         recurrent_chain=recurrent_chain,
         periodicity=periodicity,

@@ -170,3 +170,41 @@ def random_undirected_graph(rng, n_max=40, max_components=3):
             w[off + v, off + u] += weight
         off += size
     return build_graph([str(i) for i in range(n)], w), k
+
+
+def periodic_chain(rng, d, m, tiny=0.0):
+    """An irreducible chain of period d: d groups of m states visited
+    cyclically, every entry from group g to group g+1 (mod d) positive,
+    states shuffled. tiny > 0 puts that much weight on one entry outside
+    the cyclic blocks (at most chain.ENTRY_CLAMP keeps the period)."""
+    n = d * m
+    group = rng.permutation(np.arange(n) % d)
+    mask = group[None, :] == (group[:, None] + 1) % d
+    p = mask * (rng.random((n, n)) + 0.05)
+    p /= p.sum(axis=1, keepdims=True)
+    if tiny:
+        i = int(np.flatnonzero(group == 0)[0])
+        p[i, i] = tiny
+        p[i] /= p[i].sum()
+    return build_chain([str(i) for i in range(n)], p)
+
+
+def layered_chain(rng, sizes, tiny=0.0):
+    """A reducible chain whose classes are dense blocks of the given
+    sizes: class c feeds class c+1, the last is closed, and the states
+    are shuffled. tiny > 0 puts that much weight on one entry from the
+    last class back into the first (not a transition at ENTRY_CLAMP or
+    below)."""
+    n = sum(sizes)
+    ends = np.cumsum(sizes)
+    p = np.zeros((n, n))
+    for c, (a, b) in enumerate(zip(ends - sizes, ends)):
+        p[a:b, a:b] = rng.random((b - a, b - a)) + 0.05
+        if b < n:
+            p[a:b, b:ends[c + 1]] = 0.5 * rng.random((b - a, ends[c + 1] - b))
+    if tiny:
+        p[n - 1, 0] = tiny * p[n - 1].sum()
+    p /= p.sum(axis=1, keepdims=True)
+    order = rng.permutation(n)
+    p = p[np.ix_(order, order)]
+    return build_chain([str(i) for i in range(n)], p)

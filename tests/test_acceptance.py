@@ -155,7 +155,7 @@ def test_criterion_07_cycle_roots_of_unity():
         for i in range(d):
             p[i, (i + 1) % d] = 1.0
         chain = build_chain([str(i) for i in range(d)], p)
-        values = decompose(chain).values
+        values = decompose(chain, classify(chain)).values
         on_circle = np.sort_complex(values[np.abs(np.abs(values) - 1.0) < 1e-8])
         expected = np.sort_complex(np.exp(2j * np.pi * np.arange(d) / d))
         assert on_circle.shape == (d,)
@@ -183,7 +183,7 @@ def test_criterion_08_oracle_equivalence_property_suite():
             assert period == oracle
 
         # eigenbasis evolution against matrix evolution
-        dec = decompose(chain)
+        dec = decompose(chain, st)
         if dec.pairs.diagonalizable:
             mu = rng.random(chain.n)
             mu = mu / mu.sum()

@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 from chainkit import cli, errors, spectral
 from chainkit.cli import main, parse_graph_tsv
 
+from conftest import layered_chain, periodic_chain
+
 CHAIN_DOC = {
     "states": ["S", "C", "B"],
     "P": [[0.5, 0.3, 0.2], [0.1, 0.8, 0.1], [0.3, 0.2, 0.5]],
@@ -359,21 +361,32 @@ class TestReports:
     def test_every_subcommand_is_covered(self):
         assert sorted({t[0] for t in EVERY_SUBCOMMAND}) == sorted(cli.COMMANDS)
 
-    def test_spectrum_report_analyses_once(self, chain_file, capsys, monkeypatch):
-        calls = {"real_schur": 0, "classify": 0}
+    def test_spectrum_report_analyses_once(self, chain_file, tmp_path, capsys, monkeypatch):
+        calls = {"real_schur": [], "classify": []}
 
         def counted(name, func):
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                calls[name].append(np.shape(args[0].p if name == "classify" else args[0]))
                 return func(*args, **kwargs)
             return wrapper
 
         monkeypatch.setattr(spectral, "real_schur",
                             counted("real_schur", spectral.real_schur))
         monkeypatch.setattr(cli, "classify", counted("classify", cli.classify))
-        code, _, _ = run(capsys, "spectrum", chain_file)
-        assert code == 0
-        assert calls == {"real_schur": 1, "classify": 1}
+        # an ergodic chain takes one Schur form of P, a 12-state chain of
+        # period 3 one of its 4x4 cycle product, and a 3-class chain one
+        # per class, sources first
+        periodic, layered = tmp_path / "periodic.json", tmp_path / "layered.json"
+        for path, chain in ((periodic, periodic_chain(np.random.default_rng(3), 3, 4)),
+                            (layered, layered_chain(np.random.default_rng(6), [3, 4, 5]))):
+            path.write_text(json.dumps({"states": list(chain.labels), "P": chain.p.tolist()}))
+        for path, n, schur in ((chain_file, 3, [(3, 3)]), (str(periodic), 12, [(4, 4)]),
+                               (str(layered), 12, [(3, 3), (4, 4), (5, 5)])):
+            calls["real_schur"].clear()
+            calls["classify"].clear()
+            code, _, _ = run(capsys, "spectrum", path)
+            assert code == 0
+            assert calls == {"real_schur": schur, "classify": [(n, n)]}
 
     def test_floats_rounded_to_twelve_significant_digits(self, chain_file, capsys):
         _, out, _ = run(capsys, "stationary", chain_file)
@@ -783,10 +796,29 @@ FUZZ_INPUTS = st.one_of(
 )
 
 
+# chains of period d > 1 whose spectrum is not lifted from the cycle
+# product: groups of 1 and 2 states, a singular product, and an entry of
+# 1e-13 outside the cyclic blocks
+UNEQUAL_GROUPS = json.dumps({"states": list("abc"),
+                             "P": [[0, 0.4, 0.6], [1, 0, 0], [1, 0, 0]]}).encode()
+SINGULAR_PRODUCT = json.dumps({"states": list("abcd"),
+                               "P": [[0, 0, 0.5, 0.5], [0, 0, 0.5, 0.5],
+                                     [0.3, 0.7, 0, 0], [0.3, 0.7, 0, 0]]}).encode()
+TINY_ENTRY = json.dumps({"states": list("abcd"),
+                         "P": [[1e-13, 0, 0.5, 0.5], [0, 0, 0.25, 0.75],
+                               [0.3, 0.7, 0, 0], [0.6, 0.4, 0, 0]]}).encode()
+
+
 class TestExitCodeFuzz:
     @given(command=st.sampled_from(FUZZ_COMMANDS), data=FUZZ_INPUTS)
     @example(command=["stationary"], data=b"#directed\n")
     @example(command=["pagerank", "--damping", "0.5"], data=b"#undirected\n")
+    @example(command=["spectrum"], data=UNEQUAL_GROUPS)
+    @example(command=["taxonomy", "--format", "csv"], data=UNEQUAL_GROUPS)
+    @example(command=["spectrum"], data=SINGULAR_PRODUCT)
+    @example(command=["taxonomy", "--format", "csv"], data=SINGULAR_PRODUCT)
+    @example(command=["spectrum"], data=TINY_ENTRY)
+    @example(command=["taxonomy", "--format", "csv"], data=TINY_ENTRY)
     def test_any_input_ends_in_a_contract_exit_code(self, command, data, tmp_path_factory):
         # every input ends in 0, 2 or 3, with no traceback and no warning
         f = tmp_path_factory.mktemp("fuzz") / "input"

@@ -59,6 +59,14 @@ class TestSolveLinear:
     def test_shape_mismatch(self):
         with pytest.raises(errors.DimensionMismatch):
             solve_linear(np.ones((2, 3)), np.ones(2))
+        with pytest.raises(errors.DimensionMismatch):
+            solve_linear(np.eye(2), np.ones((2, 2, 2)))
+
+    def test_empty_system_has_the_empty_solution(self):
+        assert solve_linear(np.zeros((0, 0)), np.zeros(0)).shape == (0,)
+        assert solve_linear(np.zeros((0, 0)), np.zeros((0, 3))).shape == (0, 3)
+        with pytest.raises(errors.DimensionMismatch):
+            solve_linear(np.zeros((0, 0)), np.zeros(1))
 
 
 def exact_stationary(a):
@@ -82,6 +90,10 @@ def exact_stationary(a):
 
 
 class TestStationaryGTH:
+    def test_empty_matrix_is_dimension_mismatch(self):
+        with pytest.raises(errors.DimensionMismatch):
+            stationary_gth(np.zeros((0, 0)))
+
     @pytest.mark.parametrize("n, p", [(60, 0.3), (200, 0.3), (400, 0.45), (400, 0.9)])
     def test_birth_death_relative_accuracy(self, n, p):
         # detailed balance: pi_i+1 / pi_i = a[i, i+1] / a[i+1, i], so pi_i

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
+from scipy.optimize import linear_sum_assignment
 
 from chainkit import (
     build_chain,
@@ -12,10 +15,11 @@ from chainkit import (
     stationary_basis,
     taxonomy,
 )
+from chainkit import spectral
 from chainkit.numlin import eigen_from_schur, real_schur
-from chainkit.spectral import SpectralDecomposition
+from chainkit.spectral import SpectralDecomposition, _schur_by_class, _topological_classes
 
-from conftest import random_recurrent_chain
+from conftest import layered_chain, periodic_chain, random_recurrent_chain
 
 
 def decomp_of_matrix(m):
@@ -32,11 +36,11 @@ def decomp_of_matrix(m):
 
 class TestDecompose:
     def test_swap_chain(self, swap_chain):
-        dec = decompose(swap_chain)
+        dec = decompose(swap_chain, classify(swap_chain))
         assert np.allclose(np.sort_complex(dec.values), [-1, 1], atol=1e-12)
 
     def test_directed_cycle_roots_of_unity(self, cycle3_chain):
-        dec = decompose(cycle3_chain)
+        dec = decompose(cycle3_chain, classify(cycle3_chain))
         want = np.sort_complex(np.exp(2j * np.pi * np.arange(3) / 3))
         assert np.allclose(np.sort_complex(dec.values), want, atol=1e-10)
 
@@ -44,11 +48,12 @@ class TestDecompose:
         p = np.zeros((4, 4))
         p[0, 1] = p[1, 0] = 1.0
         p[2, 3] = p[3, 2] = 1.0
-        dec = decompose(build_chain("abcd", p))
+        chain = build_chain("abcd", p)
+        dec = decompose(chain, classify(chain))
         assert dec.unit_multiplicity == 2
 
     def test_sorted_view(self, phd_chain):
-        vals = decompose(phd_chain).sorted_values()
+        vals = decompose(phd_chain, classify(phd_chain)).sorted_values()
         mods = np.abs(vals)
         assert np.all(np.diff(mods) <= 1e-12)
         assert np.isclose(vals[0], 1.0, atol=1e-10)
@@ -58,7 +63,7 @@ class TestDecompose:
         for _ in range(60):
             chain = random_recurrent_chain(rng)
             st = classify(chain)
-            dec = decompose(chain)
+            dec = decompose(chain, st)
             n_rec = sum(st.recurrent)
             assert dec.unit_multiplicity == n_rec
             rep = perron_report(dec, recurrent_classes=n_rec)
@@ -72,7 +77,7 @@ class TestDecompose:
             p = rng.random((n, n)) + 1e-3
             chain = build_chain([str(i) for i in range(n)],
                                 p / p.sum(1, keepdims=True))
-            dec = decompose(chain)
+            dec = decompose(chain, classify(chain))
             for j, lam in enumerate(dec.values):
                 if abs(lam - 1.0) > 1e-8:
                     l = dec.pairs.left_complex()[:, j]
@@ -102,7 +107,7 @@ class TestTaxonomy:
         assert all(labels[v] == "transient_cycle" for v in cplx)
 
     def test_persistent_cycle_on_directed_cycle(self, cycle3_chain):
-        dec = decompose(cycle3_chain)
+        dec = decompose(cycle3_chain, classify(cycle3_chain))
         labels = taxonomy(dec)
         by_val = dict(zip(dec.values, labels))
         for lam, lab in by_val.items():
@@ -119,14 +124,14 @@ class TestTaxonomy:
 
 class TestSpectralEvolve:
     def test_matches_direct_evolution(self, phd_chain):
-        dec = decompose(phd_chain)
+        dec = decompose(phd_chain, classify(phd_chain))
         mu = np.array([1.0, 0, 0, 0])
         for k in (0, 1, 7, 64):
             got = spectral_evolve(dec, mu, k).evolved
             assert np.allclose(got, evolve(phd_chain, mu, k), atol=1e-9)
 
     def test_long_run_reaches_stationary(self, phd_chain):
-        dec = decompose(phd_chain)
+        dec = decompose(phd_chain, classify(phd_chain))
         basis = stationary_basis(phd_chain, classify(phd_chain))
         out = spectral_evolve(dec, [0.1, 0.2, 0.3, 0.4], 256)
         assert np.allclose(out.evolved, basis.vectors[0], atol=1e-8)
@@ -134,7 +139,7 @@ class TestSpectralEvolve:
         assert np.allclose(out.transient_part, 0.0, atol=1e-8)
 
     def test_swap_chain_oscillates(self, swap_chain):
-        dec = decompose(swap_chain)
+        dec = decompose(swap_chain, classify(swap_chain))
         for k in range(6):
             out = spectral_evolve(dec, [1.0, 0.0], k).evolved
             want = [1.0, 0.0] if k % 2 == 0 else [0.0, 1.0]
@@ -143,12 +148,12 @@ class TestSpectralEvolve:
     def test_stationary_is_fixed_point(self, rev_chain):
         basis = stationary_basis(rev_chain, classify(rev_chain))
         pi = basis.vectors[0]
-        dec = decompose(rev_chain)
+        dec = decompose(rev_chain, classify(rev_chain))
         for k in (1, 17):
             assert np.allclose(spectral_evolve(dec, pi, k).evolved, pi, atol=1e-10)
 
     def test_parts_reconstruct(self, nonrev_chain):
-        dec = decompose(nonrev_chain)
+        dec = decompose(nonrev_chain, classify(nonrev_chain))
         mu = np.full(4, 0.25)
         out = spectral_evolve(dec, mu, 9)
         assert np.allclose(out.persistent_part + out.transient_part, out.evolved,
@@ -159,7 +164,7 @@ class TestSpectralEvolve:
         p = build_chain("abc", [[0.25, 0.625, 0.125],
                                 [0.125, 0.25, 0.625],
                                 [0.125, 0.125, 0.75]])
-        dec = decompose(p)
+        dec = decompose(p, classify(p))
         assert not dec.pairs.diagonalizable
         with pytest.raises(errors.NotDiagonalizable):
             spectral_evolve(dec, np.full(3, 1 / 3), 4)
@@ -169,7 +174,7 @@ class TestSpectralEvolve:
         done = 0
         while done < 100:
             chain = random_recurrent_chain(rng, n_max=6)
-            dec = decompose(chain)
+            dec = decompose(chain, classify(chain))
             if not dec.pairs.diagonalizable:
                 continue
             mu = rng.random(chain.n)
@@ -178,3 +183,143 @@ class TestSpectralEvolve:
                 assert np.allclose(spectral_evolve(dec, mu, k).evolved,
                                    evolve(chain, mu, k), atol=1e-8)
             done += 1
+
+
+def max_matched_distance(got, want):
+    """Largest distance in the one-to-one pairing of two spectra with the
+    least total distance."""
+    cost = np.abs(got[:, None] - want[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].max())
+
+
+def eigen_residuals(p, pairs):
+    """Largest relative right and left eigenvector residuals on p."""
+    r, l = pairs.right_complex(), pairs.left_complex()
+    lam = pairs.values
+    right = np.linalg.norm(p @ r - r * lam, axis=0) / np.linalg.norm(r, axis=0)
+    left = np.linalg.norm(p.T @ l - l * lam, axis=0) / np.linalg.norm(l, axis=0)
+    return float(right.max()), float(left.max())
+
+
+def schur_calls(monkeypatch, chain):
+    """decompose(chain) with the orders of its real_schur calls recorded."""
+    orders = []
+
+    def counted(a):
+        orders.append(np.asarray(a).shape[0])
+        return real_schur(a)
+
+    monkeypatch.setattr(spectral, "real_schur", counted)
+    return decompose(chain, classify(chain)), orders
+
+
+# a 4-state chain of period 2 whose A_0 (and A_1) has rank 1: B is
+# singular, and 0 is a double eigenvalue of P with two eigenvectors
+SINGULAR_PRODUCT = [[0, 0, 0.5, 0.5], [0, 0, 0.5, 0.5], [0.3, 0.7, 0, 0], [0.3, 0.7, 0, 0]]
+
+
+class TestCyclicRoute:
+    """Irreducible chains of period d > 1: eigenpairs lifted from the
+    cycle product of the d cyclic blocks."""
+
+    @given(d=hs.integers(2, 6), m=hs.integers(1, 5), seed=hs.integers(0, 2**32 - 1))
+    @settings(max_examples=150)
+    def test_matches_whole_matrix(self, d, m, seed):
+        chain = periodic_chain(np.random.default_rng(seed), d, m)
+        p = chain.p
+        dec = decompose(chain, classify(chain))
+        values = dec.values
+        assert max_matched_distance(values, np.linalg.eigvals(p)) <= 1e-10
+        # every d-th root of unity turns the spectrum into itself
+        assert max_matched_distance(values, values * np.exp(2j * np.pi / d)) <= 1e-12
+        right, left = eigen_residuals(p, dec.pairs)
+        assert right <= 1e-10 and left <= 1e-10
+        whole = eigen_from_schur(real_schur(p))
+        assert dec.pairs.diagonalizable == whole.diagonalizable
+        assert dec.pairs.simple == whole.simple
+
+    def test_cycle_product_is_the_only_schur_form(self, monkeypatch):
+        chain = periodic_chain(np.random.default_rng(3), 3, 4)
+        dec, orders = schur_calls(monkeypatch, chain)
+        assert orders == [4]
+        assert max_matched_distance(dec.values, np.linalg.eigvals(chain.p)) <= 1e-12
+
+    def test_real_roots_are_exactly_real(self, monkeypatch):
+        # an even period puts -|mu|^(1/d) beside |mu|^(1/d) for each real
+        # mu > 0 of B, and no real root for mu < 0
+        chain = periodic_chain(np.random.default_rng(6), 4, 3)
+        dec, orders = schur_calls(monkeypatch, chain)
+        assert orders == [3]
+        real = dec.values[dec.values.imag == 0].real
+        assert len(real) >= 2 and sorted(real) == sorted(-real)
+        assert np.sum(np.abs(real - 1.0) < 1e-12) == np.sum(np.abs(real + 1.0) < 1e-12) == 1
+
+    @pytest.mark.parametrize("case", ["unequal_groups", "singular_product", "tiny_entry"])
+    def test_falls_back_to_whole_matrix(self, case, monkeypatch):
+        if case == "unequal_groups":  # a -> {b, c} -> a: groups of 1 and 2
+            chain = build_chain("abc", [[0, 0.4, 0.6], [1, 0, 0], [1, 0, 0]])
+        elif case == "singular_product":  # A_0 has rank 1, so B = A_0 A_1 is singular
+            chain = build_chain("abcd", SINGULAR_PRODUCT)
+        else:  # one entry of 1e-13 outside the cyclic blocks: not a transition
+            chain = periodic_chain(np.random.default_rng(5), 3, 3, tiny=1e-13)
+        st = classify(chain)
+        assert st.irreducible and st.chain_period > 1
+        dec, orders = schur_calls(monkeypatch, chain)
+        assert orders[-1] == chain.n
+        assert max_matched_distance(dec.values, np.linalg.eigvals(chain.p)) <= 1e-10
+        assert max(eigen_residuals(chain.p, dec.pairs)) <= 1e-10
+
+
+@hs.composite
+def reducible_chains(draw):
+    sizes = draw(hs.lists(hs.integers(1, 6), min_size=2, max_size=5))
+    return layered_chain(np.random.default_rng(draw(hs.integers(0, 2**32 - 1))), sizes)
+
+
+class TestClassRoute:
+    """Reducible chains: one real Schur form per communicating class."""
+
+    @given(reducible_chains())
+    @settings(max_examples=100)
+    def test_assembled_schur_form(self, chain):
+        p = chain.p
+        st = classify(chain)
+        sf = _schur_by_class(p, st)
+        n = chain.n
+        # the assembly adds at most 1e-13 ||P|| to the classes' own Schur
+        # residuals, which real_schur's 1e-12 deflation bounds
+        own = [real_schur(p[np.ix_(m, m)]) for m in st.classes if len(m) > 1]
+        own = np.sqrt(sum(np.linalg.norm(f.q @ f.t @ f.q.T - p[np.ix_(m, m)]) ** 2
+                          for f, m in zip(own, [m for m in st.classes if len(m) > 1])))
+        assert np.linalg.norm(sf.q @ sf.t @ sf.q.T - p) <= own + 1e-13 * np.linalg.norm(p)
+        assert np.linalg.norm(sf.q.T @ sf.q - np.eye(n)) <= 1e-13
+        # exact zeros below the class blocks, in topological order
+        level = np.repeat(np.arange(len(st.classes)),
+                          [len(st.classes[c]) for c in _topological_classes(st)])
+        assert np.all(sf.t[level[:, None] > level[None, :]] == 0.0)
+        assert sum(sf.block_sizes) == n
+        dec = decompose(chain, st)
+        assert max_matched_distance(dec.values, np.linalg.eigvals(p)) <= 1e-10
+        assert dec.unit_multiplicity == sum(st.recurrent)
+
+    def test_one_schur_form_per_class(self, monkeypatch):
+        chain = layered_chain(np.random.default_rng(6), [3, 4, 5])
+        dec, orders = schur_calls(monkeypatch, chain)
+        assert orders == [3, 4, 5]
+        assert max_matched_distance(dec.values, np.linalg.eigvals(chain.p)) <= 1e-12
+
+    def test_topological_order_sources_first(self):
+        chain = layered_chain(np.random.default_rng(7), [2, 3, 2, 4])
+        st = classify(chain)
+        order = _topological_classes(st)
+        assert sorted(order) == list(range(len(st.classes)))
+        rank = {c: i for i, c in enumerate(order)}
+        assert all(rank[a] < rank[b] for a, b in st.condensation_edges)
+
+    def test_entry_below_the_blocks_keeps_one_block(self, monkeypatch):
+        chain = layered_chain(np.random.default_rng(8), [3, 4], tiny=1e-13)
+        assert len(classify(chain).classes) == 2
+        dec, orders = schur_calls(monkeypatch, chain)
+        assert orders == [7]
+        assert max_matched_distance(dec.values, np.linalg.eigvals(chain.p)) <= 1e-10

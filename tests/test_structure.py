@@ -174,7 +174,7 @@ class TestFlagsAgree:
                 c = st.class_of[s]
                 assert st.classes[c] == (s,) and st.recurrent[c]
                 assert np.all(np.delete(chain.p[s], s) <= ENTRY_CLAMP)
-            perron = perron_report(decompose(chain), recurrent_classes=len(rec))
+            perron = perron_report(decompose(chain, st), recurrent_classes=len(rec))
             assert perron["unit_multiplicity_matches_recurrent_classes"]
 
 
@@ -334,12 +334,12 @@ class TestCondenseProperties:
     @given(digraph_chains())
     @settings(max_examples=300)
     def test_matches_reference_scan(self, chain):
-        assert _condense(chain) == _reference_condense(chain)
+        assert _condense(chain)[:4] == _reference_condense(chain)
 
     @given(digraph_chains())
     @settings(max_examples=150)
     def test_independent_oracles(self, chain):
-        classes, class_of, edges, period = _condense(chain)
+        classes, class_of, edges, period, phase = _condense(chain)
         a = transitions(chain.p)
         k, labels = connected_components(csr_matrix(a), directed=True, connection="strong")
         assert len(classes) == k
@@ -350,6 +350,10 @@ class TestCondenseProperties:
         assert edges == {(class_of[x], class_of[y]) for x, y in zip(u.tolist(), v.tolist())
                          if class_of[x] != class_of[y]}
         assert period == brute_force_periods(a, classes)
+        # inside a class every transition steps the phase by one
+        assert all(phase[y] == (phase[x] + 1) % period[class_of[x]]
+                   for x, y in zip(u.tolist(), v.tolist()) if class_of[x] == class_of[y])
+        assert all(0 <= phase[s] < period[class_of[s]] for s in range(len(phase)))
 
     def test_long_shuffled_cycle(self):
         # one class of period n, reached by the deepest DFS: n - 1 levels
@@ -357,7 +361,10 @@ class TestCondenseProperties:
         order = np.random.default_rng(3).permutation(n)
         p = np.zeros((n, n))
         p[order, np.roll(order, -1)] = 1.0
-        classes, class_of, edges, period = _condense(
+        classes, class_of, edges, period, phase = _condense(
             TransitionMatrix(tuple(map(str, range(n))), p))
         assert classes == (tuple(range(n)),) and period == (n,)
         assert class_of == (0,) * n and edges == frozenset()
+        # the scan starts at state 0, which has phase 0
+        first = int(np.flatnonzero(order == 0)[0])
+        assert [phase[s] for s in np.roll(order, -first)] == list(range(n))
