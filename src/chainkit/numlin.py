@@ -5,22 +5,25 @@ deliberately self-contained: partial-pivoted elimination for general
 linear systems, Householder tridiagonalization plus implicit
 Wilkinson-shift QR for symmetric eigenproblems (off-diagonal entries
 deflate below TRIDIAG_RTOL, machine epsilon, relative to their diagonal
-neighbours), and a Hessenberg + Francis double-shift QR iteration for
-the real Schur form of general matrices (subdiagonal entries deflate
-below DEFLATE_RTOL). Eigenpairs of general matrices are recovered from
-the Schur form by one blocked back-substitution over all eigenvector
-columns at once (on T for the right vectors, on its flipped transpose
-for the left), with the residual measured in Schur coordinates. A
-matrix counts as diagonalizable when each eigenvalue cluster's
-geometric multiplicity, n - rank(T - lam I), reaches its size and the
-right eigenvectors form a full-rank basis. The eigenpairs of a d-cyclic
-matrix are lifted from those of its cycle product, d times smaller;
-both routes end in the same unit-phase, l^T r = 1 and pair-encoding
-step. Stationary vectors, PageRank
-and absorption share one subtraction-free Grassmann-Taksar-Heyman (GTH)
-state reduction in panels of GTH_PANEL, down to state 1 or down to the
-absorbing states. Every kernel rejects non-finite input with
-NumericError before it starts iterating.
+neighbours; the QR rotations reach the eigenvectors in wavefronts, one
+numpy update per wave), and a Hessenberg + Francis double-shift QR
+iteration for the real Schur form of general matrices (subdiagonal
+entries deflate below DEFLATE_RTOL). The Householder reduction both
+share skips every column already in Hessenberg form, so a tridiagonal
+input costs it nothing. Eigenpairs of general matrices are recovered
+from the Schur form by one blocked back-substitution over all
+eigenvector columns at once (on T for the right vectors, on its flipped
+transpose for the left), each column scaled by its largest entry, with
+the residual measured in Schur coordinates. A matrix counts as
+diagonalizable when each eigenvalue cluster's geometric multiplicity,
+n - rank(T - lam I), reaches its size and the right eigenvectors form a
+full-rank basis. The eigenpairs of a d-cyclic matrix are lifted from
+those of its cycle product, d times smaller; every eigenpair route ends
+in the same unit-phase, l^T r = 1 and pair-encoding step. Stationary
+vectors, PageRank and absorption share one subtraction-free
+Grassmann-Taksar-Heyman (GTH) state reduction in panels of GTH_PANEL,
+down to state 1 or down to the absorbing states. Every kernel rejects
+non-finite input with NumericError before it starts iterating.
 """
 
 from __future__ import annotations
@@ -156,12 +159,16 @@ def sym_eigen(a) -> tuple[np.ndarray, np.ndarray]:
 
     Householder reduction to tridiagonal form (the Hessenberg reduction
     of a symmetric matrix), then implicit symmetric QR with Wilkinson
-    shifts (Golub & Van Loan, Matrix Computations, 8.3). An off-diagonal
-    entry e_i is flushed to zero once |e_i| <= TRIDIAG_RTOL * (|d_i| +
-    |d_i+1|), with ||a||_F standing in when both diagonal entries are 0.
-    Returns (values, vectors) with values ascending and vectors as
-    orthonormal columns; raises NoConvergence after `_qr_budget(n)` QR
-    steps.
+    shifts (Golub & Van Loan, Matrix Computations, 8.3). The reduction
+    skips each column that is already tridiagonal, so a tridiagonal a
+    (a birth-death chain, a path graph's Laplacian) starts QR at once
+    with Q = I. An off-diagonal entry e_i is flushed to zero once |e_i|
+    <= TRIDIAG_RTOL * (|d_i| + |d_i+1|), with ||a||_F standing in when
+    both diagonal entries are 0. The QR sweeps run on scalars and only
+    record their Givens rotations; `_apply_rotations` then applies them
+    to Q^T in wavefronts. Returns (values, vectors) with values ascending
+    and vectors as orthonormal columns; raises NoConvergence after
+    `_qr_budget(n)` QR steps.
     """
     a = _as_square(a)
     n = a.shape[0]
@@ -174,7 +181,7 @@ def sym_eigen(a) -> tuple[np.ndarray, np.ndarray]:
     t, q = _hessenberg(m)
     d = np.diag(t).tolist()
     e = np.diag(t, -1).tolist()
-    vt = q.T.copy()  # rows are the eigenvectors being accumulated
+    rotations = []  # (k, sweep, c, s) of every Givens rotation, in order
     total = 0
     hi = n - 1
     while hi > 0:
@@ -208,10 +215,36 @@ def sym_eigen(a) -> tuple[np.ndarray, np.ndarray]:
             if k + 1 < hi:
                 x, z = e[k], s * e[k + 1]
                 e[k + 1] *= c
-            vt[k:k + 2] = np.array(((c, s), (-s, c))) @ vt[k:k + 2]
+            rotations.append((k, total, c, s))
+    vt = _apply_rotations(q.T.copy(), rotations)
     values = np.array(d)
     order = np.argsort(values, kind="stable")
     return values[order], vt[order].T
+
+
+def _apply_rotations(vt: np.ndarray, rotations: list) -> np.ndarray:
+    """Apply sym_eigen's Givens rotations (k, sweep, c, s), in their
+    order, to rows k and k + 1 of vt, in place, one wave per numpy update.
+
+    Rotation k of sweep j goes in wave k + 2j (Van Zee, van de Geijn &
+    Quintana-Orti, ACM TOMS 40(3), 2014). The rotations of one wave
+    touch disjoint row pairs, and every earlier rotation on row k or
+    k + 1 (k - 1 of the same sweep, k - 1 to k + 1 of an earlier one)
+    sits in an earlier wave, so each row meets its rotations in order
+    and with the same 2x2 product as one at a time.
+    """
+    if not rotations:
+        return vt
+    k, sweep, c, s = (np.array(col) for col in zip(*rotations))
+    wave = k + 2 * sweep
+    order = np.argsort(wave, kind="stable")
+    rows = k[order, None] + np.array((0, 1))
+    g = np.array(((c, s), (-s, c))).transpose(2, 0, 1)[order]
+    cuts = (np.flatnonzero(np.diff(wave[order])) + 1).tolist()
+    for a, b in zip([0] + cuts, cuts + [len(order)]):
+        pair = rows[a:b]
+        vt[pair] = g[a:b] @ vt[pair]
+    return vt
 
 
 @dataclass(frozen=True)
@@ -239,10 +272,10 @@ def _hessenberg(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = h.shape[0]
     q = np.eye(n)
     for k in range(n - 2):
+        if not np.any(h[k + 2:, k]):  # column k is already Hessenberg
+            continue
         x = h[k + 1:, k]
         nx = np.linalg.norm(x)
-        if nx == 0:
-            continue
         v = x.copy()
         v[0] += np.copysign(nx, x[0]) if x[0] != 0 else nx
         v /= np.linalg.norm(v)
@@ -513,6 +546,13 @@ def _pair_encoding(blocks: np.ndarray, starts: list[int], sizes: list[int]) -> n
     return enc
 
 
+def _residual(a: np.ndarray, x: np.ndarray, lams: np.ndarray) -> float:
+    """Largest relative eigenvector residual max_j ||a x_j - lam_j x_j|| /
+    ||x_j|| over the columns of x."""
+    return float(np.max(np.linalg.norm(a @ x - x * lams, axis=0)
+                        / np.linalg.norm(x, axis=0)))
+
+
 def _eigenpairs(values: np.ndarray, starts: list[int], sizes: list[int],
                 right_blocks: np.ndarray, left_blocks: np.ndarray, diagonalizable: bool,
                 simple: bool, residual: float) -> ComplexEigenpairs:
@@ -578,8 +618,11 @@ def eigen_from_schur(schur: SchurForm) -> ComplexEigenpairs:
     z = _quasi_triangular_vectors(
         t.T[::-1, ::-1].copy(), [n - s - b for s, b in zip(starts[::-1], sizes[::-1])],
         sizes[::-1], lams[::-1], clamp)[::-1, ::-1]
-    residual = float(np.max(np.linalg.norm(t @ y - y * lams, axis=0)
-                            / np.linalg.norm(y, axis=0)))
+    # on a far from normal T the back-substitution grows a column past
+    # 1e154, whose squared norm overflows: scale each by its largest entry
+    y /= np.max(np.abs(y), axis=0)
+    z /= np.max(np.abs(z), axis=0)
+    residual = _residual(t, y, lams)
 
     close = np.abs(values[:, None] - values[None, :]) <= RANK_RTOL * scale
     alg = close.sum(axis=1)
@@ -684,10 +727,6 @@ def lift_cyclic(a: np.ndarray, groups: list[np.ndarray], blocks: list[np.ndarray
     values[starts] = lams
     pairs = [s + 1 for s, b in zip(starts, sizes) if b == 2]
     values[pairs] = lams[~real].conj()
-    residual = float(max(
-        np.max(np.linalg.norm(a @ right_blocks - right_blocks * lams, axis=0)
-               / np.linalg.norm(right_blocks, axis=0)),
-        np.max(np.linalg.norm(a.T @ left_blocks - left_blocks * lams, axis=0)
-               / np.linalg.norm(left_blocks, axis=0))))
+    residual = max(_residual(a, right_blocks, lams), _residual(a.T, left_blocks, lams))
     return _eigenpairs(values, starts, sizes, right_blocks, left_blocks,
                        base.diagonalizable, base.simple, residual)

@@ -55,9 +55,10 @@ def _db_residual(p: np.ndarray, pi: np.ndarray) -> tuple[float, tuple[int, int]]
     return float(gap[i, j]), (int(i), int(j))
 
 
-def _kolmogorov(p: np.ndarray) -> tuple[bool, tuple[int, ...] | None]:
+def _kolmogorov(p: np.ndarray) -> tuple[bool, tuple[int, ...] | None, np.ndarray | None]:
     """Kolmogorov's cycle criterion on the chain's digraph, diagonal
     ignored (Kelly, Reversibility and Stochastic Networks, 1979, 1.5).
+    Returns (reversible, witness, phi).
 
     An asymmetric pattern is a violation, witnessed by the pair (i, j)
     with i -> j but not j -> i. Otherwise a BFS spanning forest carries
@@ -67,12 +68,14 @@ def _kolmogorov(p: np.ndarray) -> tuple[bool, tuple[int, ...] | None]:
     |phi[i] + ln p_ij - ln p_ji - phi[j]| <= CYCLE_RTOL. The witness is
     the first failing fundamental cycle, oriented so that fwd > rev: a
     simple cycle of length at least 3 whose consecutive states are edges.
+    When the criterion holds, phi is ln pi up to one additive constant per
+    connected component, and None otherwise.
     """
     edge = transitions(p)
     np.fill_diagonal(edge, False)
     if not np.array_equal(edge, edge.T):
         i, j = np.argwhere(edge & ~edge.T)[0]
-        return False, (int(i), int(j))
+        return False, (int(i), int(j)), None
     n = p.shape[0]
     log_ratio = np.zeros_like(p)
     log_ratio[edge] = np.log(p[edge]) - np.log(p.T[edge])
@@ -94,7 +97,7 @@ def _kolmogorov(p: np.ndarray) -> tuple[bool, tuple[int, ...] | None]:
     gap = phi[:, None] + log_ratio - phi[None, :]
     failing = np.argwhere(np.triu(edge) & (np.abs(gap) > CYCLE_RTOL))
     if not failing.size:
-        return True, None
+        return True, None, phi
     i, j = (int(v) for v in failing[0])
     up_i, up_j = [i], [j]  # tree paths climbed to the common ancestor
     while up_i[-1] != up_j[-1]:
@@ -105,7 +108,7 @@ def _kolmogorov(p: np.ndarray) -> tuple[bool, tuple[int, ...] | None]:
     cycle = up_i[::-1] + up_j[:-1]  # ancestor ... i, j ... back to ancestor
     if gap[i, j] < 0:
         cycle.reverse()
-    return False, tuple(cycle)
+    return False, tuple(cycle), None
 
 
 def reversibility(chain: TransitionMatrix, structure: ClassStructure,
@@ -128,7 +131,7 @@ def reversibility(chain: TransitionMatrix, structure: ClassStructure,
     if recurrent and not reversible:
         witness = pair
     if kolmogorov and recurrent:
-        ok, cyc_witness = _kolmogorov(chain.p)
+        ok, cyc_witness, _ = _kolmogorov(chain.p)
         reversible = ok
         semi = ok
         witness = None if ok else cyc_witness

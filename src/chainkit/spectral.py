@@ -2,11 +2,14 @@
 eigenvalue taxonomy, evolution in the eigenbasis, and checks that the
 spectrum behaves the way stochastic matrices must.
 
-`decompose` reads the spectrum through the class structure: a reducible
-chain is block upper triangular in a topological order of its classes,
-and an irreducible chain of period d is block-cyclic, so its spectrum is
-the d-th roots of that of the cycle product (Seneta, Non-negative
-Matrices and Markov Chains, 2006, ch. 1)."""
+`decompose` reads the spectrum through the chain's structure, by three
+routes. A reversible chain is similar to the symmetric S = Pi^1/2 P
+Pi^-1/2, so its spectrum is real and its eigenvectors come from S's
+(Levin, Peres & Wilmer, Markov Chains and Mixing Times, 2009, 12.1).
+An irreducible chain of period d is block-cyclic, so its spectrum is
+the d-th roots of that of the cycle product, and a reducible chain is
+block upper triangular in a topological order of its classes (Seneta,
+Non-negative Matrices and Markov Chains, 2006, ch. 1)."""
 
 from __future__ import annotations
 
@@ -23,11 +26,15 @@ from .numlin import (
     RANK_RTOL,
     ComplexEigenpairs,
     SchurForm,
+    _eigenpairs,
+    _residual,
     eigen_from_schur,
     lift_cyclic,
     real_schur,
     solve_linear,
+    sym_eigen,
 )
+from .reversal import _kolmogorov
 from .structure import ClassStructure
 
 TAXONOMY_EPSILON = 1e-8
@@ -72,6 +79,51 @@ class SpectralDecomposition:
 
     def sorted_values(self) -> np.ndarray:
         return self.pairs.values[list(self.order)]
+
+
+def _reversible_pairs(p: np.ndarray, structure: ClassStructure) -> ComplexEigenpairs | None:
+    """Eigenpairs of a reversible chain from the symmetric S = Pi^1/2 P
+    Pi^-1/2, or None when that route does not apply.
+
+    S_ij = sqrt(P_ij P_ji) needs no pi and is exactly symmetric, so
+    `sym_eigen` gives its real spectrum and orthonormal v; the right and
+    left eigenvectors of P are r = Pi^-1/2 v and l = Pi^1/2 v (Levin,
+    Peres & Wilmer, Markov Chains and Mixing Times, 2009, 12.1). Pi^1/2
+    comes from Kolmogorov's potential phi = ln pi, up to a constant per
+    class, which does not matter: the chain is block diagonal over them.
+    The route needs Kolmogorov's criterion to hold, every entry of Pi^1/2
+    / max Pi^1/2 in the normal range (so 1 / Pi^1/2 stays finite), and
+    the right and left residuals on P within DEFLATE_RTOL * ||P||_F, the
+    backward error real_schur accepts: a chain that passes the criterion
+    at CYCLE_RTOL, or has an entry below ENTRY_CLAMP off the pattern, is
+    only close to similar to S. The spectrum is simple unless two
+    eigenvalues lie within RANK_RTOL * ||P||_F, as in eigen_from_schur.
+    """
+    ok, _, phi = _kolmogorov(p)
+    if not ok:
+        return None
+    half = np.exp(0.5 * (phi - phi.max()))
+    if half.min() < np.finfo(float).tiny:
+        return None
+    values, v = sym_eigen(np.sqrt(p * p.T))
+    # QR gets v only to an absolute accuracy, which 1 / Pi^1/2 magnifies,
+    # and most of all on the unit eigenvalues: each class's v is Pi^1/2
+    # on the class, so those are taken from half instead
+    n, k = len(values), len(structure.classes)
+    v[:, n - k:] = 0.0
+    for j, members in enumerate(structure.classes):
+        members = list(members)
+        v[members, n - k + j] = half[members] / np.linalg.norm(half[members])
+    right, left = v / half[:, None], v * half[:, None]
+    right /= np.max(np.abs(right), axis=0)
+    left /= np.max(np.abs(left), axis=0)
+    scale = np.linalg.norm(p)
+    residual = max(_residual(p, right, values), _residual(p.T, left, values))
+    if not residual <= DEFLATE_RTOL * scale:
+        return None
+    simple = bool(np.all(np.diff(values) > RANK_RTOL * scale))
+    return _eigenpairs(values.astype(complex), list(range(n)), [1] * n, right, left,
+                       True, simple, residual)
 
 
 def _topological_classes(structure: ClassStructure) -> list[int]:
@@ -161,20 +213,23 @@ def _cyclic_pairs(p: np.ndarray, structure: ClassStructure) -> ComplexEigenpairs
 
 
 def decompose(chain: TransitionMatrix, structure: ClassStructure) -> SpectralDecomposition:
-    """Eigendecomposition read through the chain's class structure.
+    """Eigendecomposition read through the chain's structure, by the
+    first of three routes that applies.
 
+    A reversible chain takes `sym_eigen` of the symmetric matrix it is
+    similar to (`_reversible_pairs`): a real spectrum, diagonalizable.
     An irreducible chain of period d > 1 lifts the eigenpairs of its
     (n/d) x (n/d) cycle product (`_cyclic_pairs`, `numlin.lift_cyclic`).
-    Every other chain, and a periodic one that route refuses, takes one
-    real Schur form per communicating class (`_schur_by_class`) and
+    Every other chain, and one that both routes refuse, takes one real
+    Schur form per communicating class (`_schur_by_class`) and
     `eigen_from_schur` on the assembled form; an irreducible chain is one
     class, so that is `real_schur` of P itself.
 
     Asserts the spectral radius of a stochastic matrix never exceeds one
     (up to roundoff) and counts the multiplicity of the eigenvalue 1.
     """
-    pairs = None
-    if structure.irreducible and structure.chain_period:
+    pairs = _reversible_pairs(chain.p, structure)
+    if pairs is None and structure.irreducible and structure.chain_period:
         pairs = _cyclic_pairs(chain.p, structure)
     if pairs is None:
         pairs = eigen_from_schur(_schur_by_class(chain.p, structure))

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from chainkit import cli, errors, spectral
+from chainkit import cli, errors, line_chain, spectral
 from chainkit.cli import main, parse_graph_tsv
 
 from conftest import layered_chain, periodic_chain
@@ -362,7 +362,7 @@ class TestReports:
         assert sorted({t[0] for t in EVERY_SUBCOMMAND}) == sorted(cli.COMMANDS)
 
     def test_spectrum_report_analyses_once(self, chain_file, tmp_path, capsys, monkeypatch):
-        calls = {"real_schur": [], "classify": []}
+        calls = {"real_schur": [], "sym_eigen": [], "classify": []}
 
         def counted(name, func):
             def wrapper(*args, **kwargs):
@@ -370,23 +370,30 @@ class TestReports:
                 return func(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(spectral, "real_schur",
-                            counted("real_schur", spectral.real_schur))
+        for name in ("real_schur", "sym_eigen"):
+            monkeypatch.setattr(spectral, name, counted(name, getattr(spectral, name)))
         monkeypatch.setattr(cli, "classify", counted("classify", cli.classify))
         # an ergodic chain takes one Schur form of P, a 12-state chain of
         # period 3 one of its 4x4 cycle product, and a 3-class chain one
-        # per class, sources first
+        # per class, sources first; a line chain and a walk on an
+        # undirected graph are reversible and take sym_eigen instead
         periodic, layered = tmp_path / "periodic.json", tmp_path / "layered.json"
+        line, graph = tmp_path / "line.json", tmp_path / "graph.tsv"
         for path, chain in ((periodic, periodic_chain(np.random.default_rng(3), 3, 4)),
-                            (layered, layered_chain(np.random.default_rng(6), [3, 4, 5]))):
+                            (layered, layered_chain(np.random.default_rng(6), [3, 4, 5])),
+                            (line, line_chain(n=20, perturb=0.1, seed=1))):
             path.write_text(json.dumps({"states": list(chain.labels), "P": chain.p.tolist()}))
-        for path, n, schur in ((chain_file, 3, [(3, 3)]), (str(periodic), 12, [(4, 4)]),
-                               (str(layered), 12, [(3, 3), (4, 4), (5, 5)])):
-            calls["real_schur"].clear()
-            calls["classify"].clear()
+        graph.write_text("#undirected\na\tb\t3\nb\tc\t1\nc\ta\t2\nc\td\t5\nd\te\t1\n")
+        for path, n, schur, sym in ((chain_file, 3, [(3, 3)], []),
+                                    (str(periodic), 12, [(4, 4)], []),
+                                    (str(layered), 12, [(3, 3), (4, 4), (5, 5)], []),
+                                    (str(line), 20, [], [(20, 20)]),
+                                    (str(graph), 5, [], [(5, 5)])):
+            for seen in calls.values():
+                seen.clear()
             code, _, _ = run(capsys, "spectrum", path)
             assert code == 0
-            assert calls == {"real_schur": schur, "classify": [(n, n)]}
+            assert calls == {"real_schur": schur, "sym_eigen": sym, "classify": [(n, n)]}
 
     def test_floats_rounded_to_twelve_significant_digits(self, chain_file, capsys):
         _, out, _ = run(capsys, "stationary", chain_file)
@@ -809,6 +816,21 @@ TINY_ENTRY = json.dumps({"states": list("abcd"),
                                [0.3, 0.7, 0, 0], [0.6, 0.4, 0, 0]]}).encode()
 
 
+def birth_death_doc(n, p_right, one_way=False):
+    """A biased walk on a path of n states with reflecting ends. ln pi
+    spans (n - 1) ln(p / q): 877 at 400 states and p = 0.9, so P is far
+    from normal. one_way moves 0.01 of state 5's left step to a jump
+    5 -> 7, which has no reverse."""
+    chain = line_chain(n, p_right)
+    p = chain.p.copy()
+    if one_way:
+        p[5, 7], p[5, 4] = 0.01, p[5, 4] - 0.01
+    return json.dumps({"states": list(chain.labels), "P": p.tolist()}).encode()
+
+
+EXTREME_BIRTH_DEATH = birth_death_doc(400, 0.9)
+
+
 class TestExitCodeFuzz:
     @given(command=st.sampled_from(FUZZ_COMMANDS), data=FUZZ_INPUTS)
     @example(command=["stationary"], data=b"#directed\n")
@@ -819,6 +841,8 @@ class TestExitCodeFuzz:
     @example(command=["taxonomy", "--format", "csv"], data=SINGULAR_PRODUCT)
     @example(command=["spectrum"], data=TINY_ENTRY)
     @example(command=["taxonomy", "--format", "csv"], data=TINY_ENTRY)
+    @example(command=["spectrum"], data=EXTREME_BIRTH_DEATH)
+    @example(command=["taxonomy", "--format", "csv"], data=EXTREME_BIRTH_DEATH)
     def test_any_input_ends_in_a_contract_exit_code(self, command, data, tmp_path_factory):
         # every input ends in 0, 2 or 3, with no traceback and no warning
         f = tmp_path_factory.mktemp("fuzz") / "input"
@@ -832,6 +856,18 @@ class TestExitCodeFuzz:
         assert code in (0, 2, 3)
         assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
         assert (out.getvalue() == "") == (code != 0)
+
+
+def test_far_from_normal_chain_spectrum_has_no_overflow(tmp_path, capsys):
+    # not reversible, so it takes the Schur route, whose eigenvector
+    # back-substitution grows columns past 1e154 on this chain
+    f = tmp_path / "one_way.json"
+    f.write_bytes(birth_death_doc(400, 0.9, one_way=True))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "spectrum", str(f))
+    assert code == 0 and err == ""
+    assert len(json.loads(out)["result"]["eigenvalues"]) == 400
 
 
 class TestDemoCommand:

@@ -229,6 +229,41 @@ class TestSymEigen:
         w, v = sym_eigen(np.zeros((4, 4)))
         assert np.allclose(w, 0) and np.allclose(v, np.eye(4))
 
+    def test_hessenberg_leaves_tridiagonal_input(self):
+        a = symmetric_family("tridiagonal", 30, np.random.default_rng(22))
+        h, q = numlin._hessenberg(a)
+        assert np.array_equal(q, np.eye(30)) and np.array_equal(h, a)
+
+    @pytest.mark.parametrize("n", [2, 30, 90])
+    @pytest.mark.parametrize("family", ["random", "tridiagonal", "star", "diagonal"])
+    def test_accuracy(self, family, n):
+        # the star graph's tridiagonal form splits, so its QR runs on blocks
+        a = symmetric_family(family, n, np.random.default_rng(n))
+        w, v = sym_eigen(a)
+        scale = np.linalg.norm(a)
+        assert np.max(np.abs(v.T @ v - np.eye(n))) <= 1e-13
+        assert np.linalg.norm(a @ v - v * w) <= 1e-13 * scale
+        assert np.max(np.abs(w - np.linalg.eigh(a)[0])) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("family", ["random", "tridiagonal", "star"])
+    def test_waves_apply_rotations_in_order(self, family, monkeypatch):
+        a = symmetric_family(family, 40, np.random.default_rng(23))
+        seen = []
+
+        def recorded(vt, rotations):
+            seen.append((vt.copy(), list(rotations)))
+            return apply(vt, rotations)
+
+        apply = numlin._apply_rotations
+        monkeypatch.setattr(numlin, "_apply_rotations", recorded)
+        sym_eigen(a)
+        (vt, rotations), = seen
+        want = vt.copy()
+        for k, _, c, s in rotations:  # one rotation at a time, as QR made them
+            want[k:k + 2] = np.array(((c, s), (-s, c))) @ want[k:k + 2]
+        # each row meets the same 2x2 products in the same order
+        assert np.max(np.abs(apply(vt, rotations) - want)) <= 1e-15
+
 
 class TestRealSchur:
     def test_invariants_random(self):
@@ -357,6 +392,9 @@ def symmetric_family(name, n, rng):
         return _graph_laplacian(np.ones((n, n)) - np.eye(n))
     if name == "diagonal":
         return np.diag(rng.normal(size=n))
+    if name == "tridiagonal":
+        e = rng.normal(size=n - 1)
+        return np.diag(rng.normal(size=n)) + np.diag(e, 1) + np.diag(e, -1)
     if name == "graded":  # diagonal falls over eight decades
         d = 10.0 ** (-8.0 * np.arange(n) / (n - 1))
         e = 0.5 * np.sqrt(d[:-1] * d[1:])

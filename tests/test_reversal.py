@@ -208,8 +208,11 @@ class TestKolmogorov:
         # 1e-13 is roundoff, so a -> b has no reverse edge; 1e-6 is one
         tiny = build_chain("ab", [[0.5, 0.5], [1e-13, 1 - 1e-13]])
         small = build_chain("ab", [[0.5, 0.5], [1e-6, 1 - 1e-6]])
-        assert _kolmogorov(tiny.p) == (False, (0, 1))
-        assert _kolmogorov(small.p) == (True, None)
+        assert _kolmogorov(tiny.p) == (False, (0, 1), None)
+        ok, witness, phi = _kolmogorov(small.p)
+        assert (ok, witness) == (True, None)
+        # phi = ln pi up to a constant: pi_b / pi_a = p_ab / p_ba
+        assert phi[1] - phi[0] == pytest.approx(np.log(0.5 / 1e-6), rel=1e-15)
 
     def test_self_loops_are_ignored(self):
         c = build_chain("ab", [[0.9, 0.1], [0.5, 0.5]])

@@ -10,14 +10,20 @@ from chainkit import (
     decompose,
     errors,
     evolve,
+    line_chain,
     perron_report,
     spectral_evolve,
     stationary_basis,
     taxonomy,
 )
 from chainkit import spectral
-from chainkit.numlin import eigen_from_schur, real_schur
-from chainkit.spectral import SpectralDecomposition, _schur_by_class, _topological_classes
+from chainkit.numlin import eigen_from_schur, real_schur, sym_eigen
+from chainkit.spectral import (
+    SpectralDecomposition,
+    _reversible_pairs,
+    _schur_by_class,
+    _topological_classes,
+)
 
 from conftest import layered_chain, periodic_chain, random_recurrent_chain
 
@@ -194,29 +200,48 @@ def max_matched_distance(got, want):
 
 
 def eigen_residuals(p, pairs):
-    """Largest relative right and left eigenvector residuals on p."""
+    """Largest relative right and left eigenvector residuals on p, each
+    column first scaled by its largest magnitude (l^T r = 1 can leave a
+    left vector too long to square)."""
     r, l = pairs.right_complex(), pairs.left_complex()
+    r, l = r / np.max(np.abs(r), axis=0), l / np.max(np.abs(l), axis=0)
     lam = pairs.values
     right = np.linalg.norm(p @ r - r * lam, axis=0) / np.linalg.norm(r, axis=0)
     left = np.linalg.norm(p.T @ l - l * lam, axis=0) / np.linalg.norm(l, axis=0)
     return float(right.max()), float(left.max())
 
 
-def schur_calls(monkeypatch, chain):
-    """decompose(chain) with the orders of its real_schur calls recorded."""
-    orders = []
+def route_calls(monkeypatch, chain):
+    """decompose(chain) with the orders of its real_schur and sym_eigen
+    calls recorded."""
+    orders = {"real_schur": [], "sym_eigen": []}
 
-    def counted(a):
-        orders.append(np.asarray(a).shape[0])
-        return real_schur(a)
+    def counted(name, func):
+        def wrapper(a):
+            orders[name].append(np.asarray(a).shape[0])
+            return func(a)
+        return wrapper
 
-    monkeypatch.setattr(spectral, "real_schur", counted)
+    monkeypatch.setattr(spectral, "real_schur", counted("real_schur", real_schur))
+    monkeypatch.setattr(spectral, "sym_eigen", counted("sym_eigen", sym_eigen))
     return decompose(chain, classify(chain)), orders
 
 
+def schur_calls(monkeypatch, chain):
+    """decompose(chain) with the orders of its real_schur calls recorded."""
+    dec, orders = route_calls(monkeypatch, chain)
+    return dec, orders["real_schur"]
+
+
 # a 4-state chain of period 2 whose A_0 (and A_1) has rank 1: B is
-# singular, and 0 is a double eigenvalue of P with two eigenvectors
+# singular, and 0 is a double eigenvalue of P with two eigenvectors.
+# Its one cycle, a-c-b-d, has equal products both ways: it is reversible
 SINGULAR_PRODUCT = [[0, 0, 0.5, 0.5], [0, 0, 0.5, 0.5], [0.3, 0.7, 0, 0], [0.3, 0.7, 0, 0]]
+# the same defect without reversibility: period 3, each A_g of rank 1,
+# so 0 is a triple eigenvalue of P with three eigenvectors
+SINGULAR_PRODUCT_ONE_WAY = [[0, 0, 0.4, 0.6, 0, 0], [0, 0, 0.4, 0.6, 0, 0],
+                            [0, 0, 0, 0, 0.3, 0.7], [0, 0, 0, 0, 0.3, 0.7],
+                            [0.5, 0.5, 0, 0, 0, 0], [0.5, 0.5, 0, 0, 0, 0]]
 
 
 class TestCyclicRoute:
@@ -257,14 +282,17 @@ class TestCyclicRoute:
 
     @pytest.mark.parametrize("case", ["unequal_groups", "singular_product", "tiny_entry"])
     def test_falls_back_to_whole_matrix(self, case, monkeypatch):
-        if case == "unequal_groups":  # a -> {b, c} -> a: groups of 1 and 2
-            chain = build_chain("abc", [[0, 0.4, 0.6], [1, 0, 0], [1, 0, 0]])
-        elif case == "singular_product":  # A_0 has rank 1, so B = A_0 A_1 is singular
-            chain = build_chain("abcd", SINGULAR_PRODUCT)
+        # none of these is reversible, so the cyclic route comes first
+        if case == "unequal_groups":  # a -> b -> {c, d} -> a: groups of 1, 1 and 2
+            chain = build_chain("abcd", [[0, 1, 0, 0], [0, 0, 0.4, 0.6],
+                                         [1, 0, 0, 0], [1, 0, 0, 0]])
+        elif case == "singular_product":  # each A_g has rank 1, so B is singular
+            chain = build_chain("abcdef", SINGULAR_PRODUCT_ONE_WAY)
         else:  # one entry of 1e-13 outside the cyclic blocks: not a transition
             chain = periodic_chain(np.random.default_rng(5), 3, 3, tiny=1e-13)
         st = classify(chain)
         assert st.irreducible and st.chain_period > 1
+        assert _reversible_pairs(chain.p, st) is None
         dec, orders = schur_calls(monkeypatch, chain)
         assert orders[-1] == chain.n
         assert max_matched_distance(dec.values, np.linalg.eigvals(chain.p)) <= 1e-10
@@ -323,3 +351,100 @@ class TestClassRoute:
         dec, orders = schur_calls(monkeypatch, chain)
         assert orders == [7]
         assert max_matched_distance(dec.values, np.linalg.eigvals(chain.p)) <= 1e-10
+
+
+def symmetric_walk(rng, n):
+    """Walk on random symmetric weights with self-loops: reversible."""
+    w = rng.random((n, n)) * (rng.random((n, n)) < 0.5)
+    w = w + w.T + np.diag(rng.random(n))
+    w[np.arange(n - 1), np.arange(1, n)] += 0.1  # a path keeps it connected
+    w[np.arange(1, n), np.arange(n - 1)] += 0.1
+    return w / w.sum(axis=1, keepdims=True)
+
+
+@hs.composite
+def reversible_matrices(draw):
+    rng = np.random.default_rng(draw(hs.integers(0, 2**32 - 1)))
+    kind = draw(hs.sampled_from(["walk", "birth_death", "union", "identity"]))
+    if kind == "walk":
+        return symmetric_walk(rng, draw(hs.integers(2, 40)))
+    if kind == "birth_death":
+        return line_chain(draw(hs.integers(2, 120)), draw(hs.floats(0.5, 0.99))).p
+    if kind == "identity":
+        return np.eye(draw(hs.integers(1, 40)))
+    sizes = draw(hs.lists(hs.integers(1, 12), min_size=2, max_size=4))
+    p = np.zeros((sum(sizes), sum(sizes)))
+    ends = np.cumsum(sizes)
+    for a, b in zip(ends - sizes, ends):
+        p[a:b, a:b] = (symmetric_walk(rng, b - a) if b - a > 1 and rng.random() < 0.5
+                       else line_chain(b - a, 0.9).p if b - a > 1 else 1.0)
+    order = rng.permutation(len(p))
+    return p[np.ix_(order, order)]
+
+
+def symmetrized_values(p):
+    return np.linalg.eigvalsh(np.sqrt(p * p.T))
+
+
+class TestReversibleRoute:
+    """Reversible chains: sym_eigen of S = Pi^1/2 P Pi^-1/2."""
+
+    @given(reversible_matrices())
+    @settings(max_examples=80)
+    def test_matches_the_symmetrized_matrix(self, p):
+        pairs = _reversible_pairs(p, classify(build_chain([str(i) for i in range(len(p))], p)))
+        assert pairs is not None
+        assert np.all(pairs.values.imag == 0)
+        assert np.max(np.abs(np.sort(pairs.values.real) - symmetrized_values(p))) <= 1e-12
+        assert max(eigen_residuals(p, pairs)) <= 1e-10
+        assert pairs.diagonalizable
+
+    @pytest.mark.parametrize("n,p_right", [(60, 0.99), (120, 0.9), (400, 0.9)])
+    def test_biased_birth_death(self, n, p_right, monkeypatch):
+        # the Schur route called the first defective, put the second's
+        # eigenvalues 1.7e-10 off and overflowed on the third
+        chain = line_chain(n, p_right)
+        dec, orders = route_calls(monkeypatch, chain)
+        assert orders == {"real_schur": [], "sym_eigen": [n]}
+        assert dec.pairs.diagonalizable and dec.pairs.simple
+        got = np.sort(dec.values.real)
+        assert np.max(np.abs(got - symmetrized_values(chain.p))) <= 1e-12
+        assert max(eigen_residuals(chain.p, dec.pairs)) <= 1e-10
+
+    @pytest.mark.parametrize("case,symmetric", [
+        ("cycle_ratio", False),  # one cycle's products differ by 1e-6: not reversible
+        ("cycle_ratio_within_rtol", False),  # by 1e-10: passes CYCLE_RTOL, not the residuals
+        ("tiny_entry", True),  # 1e-13 off the pattern, below ENTRY_CLAMP
+    ])
+    def test_nearly_reversible(self, case, symmetric):
+        p = symmetric_walk(np.random.default_rng(4), 8)
+        if case == "cycle_ratio":
+            p[0, 1] *= 1 + 1e-6
+        elif case == "cycle_ratio_within_rtol":
+            p[0, 1] *= 1 + 1e-10
+        else:
+            zero = np.argwhere(p == 0)[0]
+            p[tuple(zero)] = 1e-13
+        p /= p.sum(axis=1, keepdims=True)
+        chain = build_chain([str(i) for i in range(8)], p)
+        assert (_reversible_pairs(p, classify(chain)) is not None) == symmetric
+        dec = decompose(chain, classify(chain))
+        assert max_matched_distance(dec.values, np.linalg.eigvals(p)) <= 1e-10
+        assert max(eigen_residuals(p, dec.pairs)) <= 1e-10
+
+    @pytest.mark.parametrize("case", ["unequal_groups", "singular_product"])
+    def test_periodic_reversible_chains_skip_the_cycle_product(self, case, monkeypatch):
+        rows = ([[0, 0.4, 0.6], [1, 0, 0], [1, 0, 0]] if case == "unequal_groups"
+                else SINGULAR_PRODUCT)
+        chain = build_chain("abcd"[:len(rows)], rows)
+        st = classify(chain)
+        assert st.irreducible and st.chain_period == 2
+        dec, orders = route_calls(monkeypatch, chain)
+        assert orders == {"real_schur": [], "sym_eigen": [chain.n]}
+        assert max_matched_distance(dec.values, np.linalg.eigvals(chain.p)) <= 1e-12
+        assert max(eigen_residuals(chain.p, dec.pairs)) <= 1e-12
+        assert dec.pairs.diagonalizable
+
+    def test_non_reversible_takes_no_symmetric_route(self, nonrev_chain, monkeypatch):
+        dec, orders = route_calls(monkeypatch, nonrev_chain)
+        assert orders == {"real_schur": [4], "sym_eigen": []}
