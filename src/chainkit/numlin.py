@@ -13,8 +13,9 @@ share skips every column already in Hessenberg form, so a tridiagonal
 input costs it nothing. Eigenpairs of general matrices are recovered
 from the Schur form by one blocked back-substitution over all
 eigenvector columns at once (on T for the right vectors, on its flipped
-transpose for the left), each column scaled by its largest entry, with
-the residual measured in Schur coordinates. A matrix counts as
+transpose for the left), each column rescaled before the next block
+row once it passes RESCALE_LIMIT and scaled by its largest entry at the
+end, with the residual measured in Schur coordinates. A matrix counts as
 diagonalizable when each eigenvalue cluster's geometric multiplicity,
 n - rank(T - lam I), reaches its size and the right eigenvectors form a
 full-rank basis. The eigenpairs of a d-cyclic matrix are lifted from
@@ -46,7 +47,7 @@ PIVOT_RTOL = 1e-13
 DEFLATE_RTOL = 1e-12
 TRIDIAG_RTOL = float(np.finfo(float).eps)
 RANK_RTOL = 1e-8
-GTH_RESCALE = 1e150  # stationary_gth rescales x once an entry passes this
+RESCALE_LIMIT = 1e150  # stationary_gth and _quasi_triangular_vectors rescale past this
 GTH_PANEL = 32  # states _gth_censor censors per deferred leading-block product
 
 
@@ -144,7 +145,7 @@ def stationary_gth(a) -> np.ndarray:
     x[0] = 1.0
     for k in range(1, m):
         x[k] = x[:k] @ a[:k, k]
-        if x[k] > GTH_RESCALE:  # keep x[:k+1] finite when pi spans > 1e308
+        if x[k] > RESCALE_LIMIT:  # keep x[:k+1] finite when pi spans > 1e308
             x[:k + 1] /= x[k]
     return x / x.sum()
 
@@ -480,7 +481,9 @@ def _quasi_triangular_vectors(t: np.ndarray, starts: list[int], sizes: list[int]
     t_ss - lam, a 2x2 one applies its explicit inverse to every column.
     Near-singular diagonal blocks are clamped (|den| < clamp -> clamp,
     |det| < clamp^2 -> clamp^2) so the solve always returns something;
-    callers detect defectiveness separately.
+    callers detect defectiveness separately. Before each block row, a
+    column whose largest entry has passed RESCALE_LIMIT is divided by it,
+    as xTREVC does, so a far from normal T cannot overflow the solve.
     """
     x = np.zeros((t.shape[0], len(starts)), dtype=complex)
     for k, (s, b) in enumerate(zip(starts, sizes)):
@@ -491,7 +494,14 @@ def _quasi_triangular_vectors(t: np.ndarray, starts: list[int], sizes: list[int]
         if max(abs(u[0]), abs(u[1])) < clamp:
             u = (lams[k] - t[s + 1, s + 1], t[s + 1, s])
         x[s:s + 2, k] = u
+    top = float(np.max(np.abs(x)))  # running max of |x|, to within sqrt(2)
     for r in range(len(starts) - 2, -1, -1):
+        if top > RESCALE_LIMIT:  # far from normal T: keep every column finite
+            big = np.max(np.abs(x), axis=0)
+            grown = big > RESCALE_LIMIT
+            x[:, grown] /= big[grown]
+            big[grown] = 1.0
+            top = float(big.max())
         s, b = starts[r], sizes[r]
         lam = lams[r + 1:]
         acc = -(t[s:s + b, s + b:] @ x[s + b:, r + 1:])
@@ -508,6 +518,7 @@ def _quasi_triangular_vectors(t: np.ndarray, starts: list[int], sizes: list[int]
             det[np.abs(det) < clamp * clamp] = clamp * clamp
             x[s, r + 1:] = (a22 * acc[0] - a12 * acc[1]) / det
             x[s + 1, r + 1:] = (a11 * acc[1] - a21 * acc[0]) / det
+        top = max(top, float(np.max(np.abs(x[s:s + b, r + 1:].view(float)))))
     return x
 
 

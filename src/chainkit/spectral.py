@@ -7,7 +7,8 @@ routes. A reversible chain is similar to the symmetric S = Pi^1/2 P
 Pi^-1/2, so its spectrum is real and its eigenvectors come from S's
 (Levin, Peres & Wilmer, Markov Chains and Mixing Times, 2009, 12.1).
 An irreducible chain of period d is block-cyclic, so its spectrum is
-the d-th roots of that of the cycle product, and a reducible chain is
+the e-th roots of that of the cycle product of its e cyclic blocks, for
+every divisor e of d, and a reducible chain is
 block upper triangular in a topological order of its classes (Seneta,
 Non-negative Matrices and Markov Chains, 2006, ch. 1)."""
 
@@ -182,34 +183,46 @@ def _schur_by_class(p: np.ndarray, structure: ClassStructure) -> SchurForm:
 
 
 def _cyclic_pairs(p: np.ndarray, structure: ClassStructure) -> ComplexEigenpairs | None:
-    """Eigenpairs of an irreducible chain of period d from its cycle
+    """Eigenpairs of an irreducible chain of period d from a cycle
     product, or None when that route does not apply.
 
-    In phase order P is block-cyclic: its only nonzero blocks are A_g =
-    P[G_g, G_{g+1 mod d}], so P^d is block diagonal and the spectrum of P
-    is the d-th roots of the eigenvalues of B = A_0 A_1 ... A_{d-1}. The
-    route needs d groups of n/d states, P exactly zero outside the A_g,
-    and every eigenvalue mu of B with |mu| > RANK_RTOL * ||B||_F. Last,
-    the lifted pairs must have residuals on P within DEFLATE_RTOL *
-    ||P||_F, the backward error real_schur accepts: B is formed
-    explicitly, so mu carries an absolute error near eps * ||B||, which
-    the d-th root magnifies by 1 / (d |lambda|^(d-1)).
+    A chain of period d is also e-cyclic for every divisor e of d, with
+    groups G_g = {phase = g mod e}: its only nonzero blocks are A_g =
+    P[G_g, G_{g+1 mod e}], so P^e is block diagonal and the spectrum of P
+    is the e-th roots of the eigenvalues of B_e = A_0 A_1 ... A_{e-1}.
+    The route needs d phase groups of n/d states: otherwise the block of
+    P between two consecutive phases of different sizes is not square, so
+    A_g is singular at every e, and so is B_e. Each divisor e > 1 is then
+    tried in turn, largest first (a cycle of n states lifts from a 1x1
+    product), and the first that passes wins. It needs P exactly zero
+    outside the A_g and every eigenvalue mu of B_e with |mu| > RANK_RTOL *
+    ||B_e||_F. Last, the lifted pairs must have residuals on P within
+    DEFLATE_RTOL * ||P||_F, the backward error real_schur accepts: B_e is
+    formed explicitly, so mu carries an absolute error near eps * ||B_e||,
+    which the e-th root magnifies by 1 / (e |lambda|^(e-1)). A smaller e
+    has a larger product to factor but magnifies less: a small lambda of
+    P is lambda^e in B_e.
     """
     d = structure.chain_period
     phase = np.array(structure.phase, dtype=np.intp)
     counts = np.bincount(phase, minlength=d)
     if counts.min() != counts.max():
         return None
-    if np.any(p[phase[None, :] != (phase[:, None] + 1) % d]):
-        return None
-    groups = [np.flatnonzero(phase == g) for g in range(d)]
-    blocks = [p[np.ix_(groups[g], groups[(g + 1) % d])] for g in range(d)]
-    b = reduce(np.matmul, blocks)
-    base = eigen_from_schur(real_schur(b))
-    if not np.all(np.abs(base.values) > RANK_RTOL * np.linalg.norm(b)):
-        return None
-    pairs = lift_cyclic(p, groups, blocks, base)
-    return pairs if pairs.residual <= DEFLATE_RTOL * np.linalg.norm(p) else None
+    scale = np.linalg.norm(p)
+    for e in (e for e in range(d, 1, -1) if d % e == 0):
+        group = phase % e
+        if np.any(p[group[None, :] != (group[:, None] + 1) % e]):
+            continue
+        groups = [np.flatnonzero(group == g) for g in range(e)]
+        blocks = [p[np.ix_(groups[g], groups[(g + 1) % e])] for g in range(e)]
+        b = reduce(np.matmul, blocks)
+        base = eigen_from_schur(real_schur(b))
+        if not np.all(np.abs(base.values) > RANK_RTOL * np.linalg.norm(b)):
+            continue
+        pairs = lift_cyclic(p, groups, blocks, base)
+        if pairs.residual <= DEFLATE_RTOL * scale:
+            return pairs
+    return None
 
 
 def decompose(chain: TransitionMatrix, structure: ClassStructure) -> SpectralDecomposition:
@@ -219,8 +232,9 @@ def decompose(chain: TransitionMatrix, structure: ClassStructure) -> SpectralDec
     A reversible chain takes `sym_eigen` of the symmetric matrix it is
     similar to (`_reversible_pairs`): a real spectrum, diagonalizable.
     An irreducible chain of period d > 1 lifts the eigenpairs of its
-    (n/d) x (n/d) cycle product (`_cyclic_pairs`, `numlin.lift_cyclic`).
-    Every other chain, and one that both routes refuse, takes one real
+    (n/e) x (n/e) cycle product for the largest divisor e > 1 of d whose
+    lift passes the gates (`_cyclic_pairs`, `numlin.lift_cyclic`). Every
+    other chain, and one that both routes refuse, takes one real
     Schur form per communicating class (`_schur_by_class`) and
     `eigen_from_schur` on the assembled form; an irreducible chain is one
     class, so that is `real_schur` of P itself.

@@ -374,18 +374,23 @@ class TestReports:
             monkeypatch.setattr(spectral, name, counted(name, getattr(spectral, name)))
         monkeypatch.setattr(cli, "classify", counted("classify", cli.classify))
         # an ergodic chain takes one Schur form of P, a 12-state chain of
-        # period 3 one of its 4x4 cycle product, and a 3-class chain one
-        # per class, sources first; a line chain and a walk on an
+        # period 3 one of its 4x4 cycle product, a 56-state chain of period
+        # 4 that of its 14x14 product, which fails the residual gate, then
+        # that of its 28x28 product at the divisor 2, and a 3-class chain
+        # one per class, sources first; a line chain and a walk on an
         # undirected graph are reversible and take sym_eigen instead
         periodic, layered = tmp_path / "periodic.json", tmp_path / "layered.json"
+        period_four = tmp_path / "period_four.json"
         line, graph = tmp_path / "line.json", tmp_path / "graph.tsv"
         for path, chain in ((periodic, periodic_chain(np.random.default_rng(3), 3, 4)),
+                            (period_four, periodic_chain(np.random.default_rng(1), 4, 14)),
                             (layered, layered_chain(np.random.default_rng(6), [3, 4, 5])),
                             (line, line_chain(n=20, perturb=0.1, seed=1))):
             path.write_text(json.dumps({"states": list(chain.labels), "P": chain.p.tolist()}))
         graph.write_text("#undirected\na\tb\t3\nb\tc\t1\nc\ta\t2\nc\td\t5\nd\te\t1\n")
         for path, n, schur, sym in ((chain_file, 3, [(3, 3)], []),
                                     (str(periodic), 12, [(4, 4)], []),
+                                    (str(period_four), 56, [(14, 14), (28, 28)], []),
                                     (str(layered), 12, [(3, 3), (4, 4), (5, 5)], []),
                                     (str(line), 20, [], [(20, 20)]),
                                     (str(graph), 5, [], [(5, 5)])):
@@ -829,6 +834,10 @@ def birth_death_doc(n, p_right, one_way=False):
 
 
 EXTREME_BIRTH_DEATH = birth_death_doc(400, 0.9)
+# 56 states of period 4, lifted from the cycle product at the divisor 2
+PERIOD_FOUR = json.dumps({"states": [str(i) for i in range(56)],
+                          "P": periodic_chain(np.random.default_rng(1), 4, 14).p.tolist()}
+                         ).encode()
 
 
 class TestExitCodeFuzz:
@@ -843,6 +852,8 @@ class TestExitCodeFuzz:
     @example(command=["taxonomy", "--format", "csv"], data=TINY_ENTRY)
     @example(command=["spectrum"], data=EXTREME_BIRTH_DEATH)
     @example(command=["taxonomy", "--format", "csv"], data=EXTREME_BIRTH_DEATH)
+    @example(command=["spectrum"], data=PERIOD_FOUR)
+    @example(command=["taxonomy", "--format", "csv"], data=PERIOD_FOUR)
     def test_any_input_ends_in_a_contract_exit_code(self, command, data, tmp_path_factory):
         # every input ends in 0, 2 or 3, with no traceback and no warning
         f = tmp_path_factory.mktemp("fuzz") / "input"

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from chainkit import SurferConfig, build_chain, errors, line_chain, numlin
 from chainkit.numlin import (
     GTH_PANEL,
-    GTH_RESCALE,
     RANK_RTOL,
+    RESCALE_LIMIT,
     _complex_rank,
     eigen_from_schur,
     real_schur,
@@ -142,7 +142,7 @@ def unblocked_gth(a):
     x[0] = 1.0
     for k in range(1, m):
         x[k] = x[:k] @ a[:k, k]
-        if x[k] > GTH_RESCALE:
+        if x[k] > RESCALE_LIMIT:
             x[:k + 1] /= x[k]
     return x / x.sum()
 
@@ -176,7 +176,7 @@ class TestBlockedGTH:
         assert np.max(np.abs(stationary_gth(a) / want - 1.0)) <= 1e-13
 
     def test_underflowing_birth_death_rescales_like_reference(self):
-        # pi spans 1e-381: back-substitution rescales past GTH_RESCALE
+        # pi spans 1e-381: back-substitution rescales past RESCALE_LIMIT
         a = line_chain(n=400, p_right=0.9).p
         want = unblocked_gth(a)
         got = stationary_gth(a)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -244,25 +246,79 @@ SINGULAR_PRODUCT_ONE_WAY = [[0, 0, 0.4, 0.6, 0, 0], [0, 0, 0.4, 0.6, 0, 0],
                             [0.5, 0.5, 0, 0, 0, 0], [0.5, 0.5, 0, 0, 0, 0]]
 
 
+def assert_matches_whole_matrix(chain, dec):
+    """dec against np.linalg.eigvals within 1e-10, its residuals on P within
+    1e-10, and its flags those of the whole-matrix Schur path."""
+    p = chain.p
+    assert max_matched_distance(dec.values, np.linalg.eigvals(p)) <= 1e-10
+    right, left = eigen_residuals(p, dec.pairs)
+    assert right <= 1e-10 and left <= 1e-10
+    whole = eigen_from_schur(real_schur(p))
+    assert dec.pairs.diagonalizable == whole.diagonalizable
+    assert dec.pairs.simple == whole.simple
+
+
 class TestCyclicRoute:
     """Irreducible chains of period d > 1: eigenpairs lifted from the
-    cycle product of the d cyclic blocks."""
+    cycle product of the e cyclic blocks, for the largest divisor e of d
+    that passes the gates."""
 
     @given(d=hs.integers(2, 6), m=hs.integers(1, 5), seed=hs.integers(0, 2**32 - 1))
     @settings(max_examples=150)
     def test_matches_whole_matrix(self, d, m, seed):
         chain = periodic_chain(np.random.default_rng(seed), d, m)
-        p = chain.p
         dec = decompose(chain, classify(chain))
-        values = dec.values
-        assert max_matched_distance(values, np.linalg.eigvals(p)) <= 1e-10
+        assert_matches_whole_matrix(chain, dec)
         # every d-th root of unity turns the spectrum into itself
+        values = dec.values
         assert max_matched_distance(values, values * np.exp(2j * np.pi / d)) <= 1e-12
-        right, left = eigen_residuals(p, dec.pairs)
-        assert right <= 1e-10 and left <= 1e-10
-        whole = eigen_from_schur(real_schur(p))
-        assert dec.pairs.diagonalizable == whole.diagonalizable
-        assert dec.pairs.simple == whole.simple
+
+    @given(d=hs.sampled_from([4, 6]), m=hs.integers(1, 14), seed=hs.integers(0, 2**32 - 1))
+    @settings(max_examples=50)
+    def test_composite_periods_match_whole_matrix(self, d, m, seed):
+        # up to 84 states, where B_d's smallest |mu| often sends the lift
+        # to a smaller divisor
+        chain = periodic_chain(np.random.default_rng(seed), d, m)
+        assert_matches_whole_matrix(chain, decompose(chain, classify(chain)))
+
+    def test_period_four_lifts_at_two(self, monkeypatch):
+        # shaped like the benchmark's 56-state family: B_4 has |mu| near
+        # 1e-8, whose 4th roots fail the residual gate, while the square
+        # roots of B_2's lambda^2 pass
+        chain = periodic_chain(np.random.default_rng(1), 4, 14)
+        dec, orders = schur_calls(monkeypatch, chain)
+        assert orders == [14, 28]
+        assert max_matched_distance(dec.values, np.linalg.eigvals(chain.p)) <= 1e-10
+        assert max(eigen_residuals(chain.p, dec.pairs)) <= 1e-10
+
+    def test_cycle_lifts_from_one_state(self, monkeypatch):
+        order = np.random.default_rng(2).permutation(12)
+        p = np.zeros((12, 12))
+        p[order, np.roll(order, -1)] = 1.0
+        dec, orders = schur_calls(monkeypatch, build_chain([str(i) for i in range(12)], p))
+        assert orders == [1]
+        roots = np.exp(2j * np.pi * np.arange(12) / 12)
+        assert max_matched_distance(dec.values, roots) <= 1e-12
+
+    def test_unequal_groups_lift_at_no_divisor(self, monkeypatch):
+        # groups of 1, 2, 2, 1 at d = 4 are 3 and 3 at e = 2, but the
+        # non-square blocks between phases (1x2, 2x1) make B_2 singular:
+        # rows b, c and rows d, e are equal, so 0 is a double eigenvalue
+        # of P with two eigenvectors. No cycle product is formed
+        p = np.zeros((6, 6))
+        p[0, [1, 2]] = [0.3, 0.7]
+        p[[1, 2], 3] = 0.6
+        p[[1, 2], 4] = 0.4
+        p[[3, 4], 5] = 1.0
+        p[5, 0] = 1.0
+        chain = build_chain("abcdef", p)
+        st = classify(chain)
+        assert st.chain_period == 4 and _reversible_pairs(p, st) is None
+        b = p[np.ix_([0, 3, 4], [1, 2, 5])] @ p[np.ix_([1, 2, 5], [0, 3, 4])]
+        assert np.linalg.matrix_rank(b) < 3
+        dec, orders = schur_calls(monkeypatch, chain)
+        assert orders == [6]
+        assert_matches_whole_matrix(chain, dec)
 
     def test_cycle_product_is_the_only_schur_form(self, monkeypatch):
         chain = periodic_chain(np.random.default_rng(3), 3, 4)
@@ -409,6 +465,19 @@ class TestReversibleRoute:
         assert dec.pairs.diagonalizable and dec.pairs.simple
         got = np.sort(dec.values.real)
         assert np.max(np.abs(got - symmetrized_values(chain.p))) <= 1e-12
+        assert max(eigen_residuals(chain.p, dec.pairs)) <= 1e-10
+
+    def test_steps_aside_past_the_double_range(self, monkeypatch):
+        # ln pi spans 1,464 here, so Pi^1/2 leaves the normal range and the
+        # Schur route takes the chain; its back-substitution on this far
+        # from normal T overflows unless it rescales its columns
+        chain = line_chain(160, 0.9999)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dec, orders = route_calls(monkeypatch, chain)
+        assert orders == {"real_schur": [160], "sym_eigen": []}
+        assert np.all(np.isfinite(dec.pairs.right)) and np.all(np.isfinite(dec.pairs.left))
+        assert np.all(np.isfinite(dec.left_row_sums))
         assert max(eigen_residuals(chain.p, dec.pairs)) <= 1e-10
 
     @pytest.mark.parametrize("case,symmetric", [
