@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain import TransitionMatrix, as_finite, as_labels, build_chain
-from .errors import DimensionMismatch, NegativeWeight, ZeroOutDegree
+from .errors import DimensionMismatch, NegativeWeight, ValidationError, ZeroOutDegree
 from .stationary import StationaryBasis, equal_weight
 from .structure import ClassStructure
 
@@ -111,7 +111,7 @@ def rw_set_representative(chain: TransitionMatrix, structure: ClassStructure,
     chain is reversible; non-recurrent chains contain neither kind.
     """
     if kind not in ("balanced", "undirected"):
-        raise ValueError(f"unknown representative kind {kind!r}")
+        raise ValidationError(f"unknown representative kind {kind!r}")
     if not structure.recurrent_chain:
         return None
     pi = equal_weight(basis)

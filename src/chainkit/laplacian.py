@@ -15,6 +15,7 @@ from .errors import (
     IncompleteBasis,
     NotPositiveStationary,
     NotUndirected,
+    ValidationError,
     ZeroDegree,
 )
 from .graph import WeightedDigraph
@@ -26,7 +27,6 @@ UNNORMALIZED = "unnormalized"
 DIRECTED = "directed"
 
 FORM_ATOL = 1e-10
-SYMMETRY_ATOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,7 @@ def build_laplacian(g: WeightedDigraph, variant: str) -> LaplacianMatrix:
     """Normalized I - D^{-1/2} W D^{-1/2} or unnormalized D - W, for
     undirected graphs. The two are related by D^{1/2} Lnorm D^{1/2} = L."""
     if variant not in (NORMALIZED, UNNORMALIZED):
-        raise ValueError(f"unknown Laplacian variant {variant!r}")
+        raise ValidationError(f"unknown Laplacian variant {variant!r}")
     if not g.is_undirected:
         raise NotUndirected("graph Laplacians require a symmetric weight matrix")
     d = g.out_degree

@@ -20,7 +20,8 @@ diagonalizable when each eigenvalue cluster's geometric multiplicity,
 n - rank(T - lam I), reaches its size and the right eigenvectors form a
 full-rank basis. The eigenpairs of a d-cyclic matrix are lifted from
 those of its cycle product, d times smaller; every eigenpair route ends
-in the same unit-phase, l^T r = 1 and pair-encoding step. Stationary
+in the same unit-phase and l^T r = 1 step, which expands one vector per
+diagonal block into one complex column per eigenvalue. Stationary
 vectors, PageRank and absorption share one subtraction-free
 Grassmann-Taksar-Heyman (GTH) state reduction in panels of GTH_PANEL,
 down to state 1 or down to the absorbing states. Every kernel rejects
@@ -427,10 +428,9 @@ class ComplexEigenpairs:
     """Eigenvalues and eigenvector sets of a real square matrix.
 
     values holds complex eigenvalues, conjugate pairs adjacent with the
-    positive-imaginary member first. right and left are real matrices in
-    pair encoding: a real eigenvalue owns one real column; a conjugate
-    pair owns two consecutive columns holding the real and imaginary
-    parts of the positive-imaginary eigenvector. Right vectors have unit
+    positive-imaginary member first. right and left are complex (n, n)
+    matrices with one column per eigenvalue: the second column of a
+    conjugate pair is the conjugate of the first. Right vectors have unit
     Euclidean norm. When the spectrum is simple, left vectors are
     rescaled so that left^T right = I column by column.
     """
@@ -445,28 +445,6 @@ class ComplexEigenpairs:
     @property
     def n(self) -> int:
         return len(self.values)
-
-    def right_complex(self) -> np.ndarray:
-        return _pairs_to_complex(self.values, self.right)
-
-    def left_complex(self) -> np.ndarray:
-        return _pairs_to_complex(self.values, self.left)
-
-
-def _pairs_to_complex(values: np.ndarray, enc: np.ndarray) -> np.ndarray:
-    n = len(values)
-    out = np.zeros((n, n), dtype=complex)
-    j = 0
-    while j < n:
-        if values[j].imag > 0:
-            v = enc[:, j] + 1j * enc[:, j + 1]
-            out[:, j] = v
-            out[:, j + 1] = np.conj(v)
-            j += 2
-        else:
-            out[:, j] = enc[:, j]
-            j += 1
-    return out
 
 
 def _quasi_triangular_vectors(t: np.ndarray, starts: list[int], sizes: list[int],
@@ -548,13 +526,14 @@ def _unit_phase(v: np.ndarray) -> np.ndarray:
     return v * (np.conj(pivot) / np.abs(pivot))
 
 
-def _pair_encoding(blocks: np.ndarray, starts: list[int], sizes: list[int]) -> np.ndarray:
-    """Real (n, n) pair encoding of one complex vector per diagonal block."""
-    enc = np.zeros((blocks.shape[0], blocks.shape[0]))
-    enc[:, starts] = blocks.real
+def _columns(blocks: np.ndarray, starts: list[int], sizes: list[int]) -> np.ndarray:
+    """One complex column per eigenvalue from one vector per diagonal
+    block: a 2x2 block's vector and then its conjugate."""
+    out = np.empty((blocks.shape[0], blocks.shape[0]), dtype=complex)
+    out[:, starts] = blocks
     pairs = [k for k, b in enumerate(sizes) if b == 2]
-    enc[:, [starts[k] + 1 for k in pairs]] = blocks[:, pairs].imag
-    return enc
+    out[:, [starts[k] + 1 for k in pairs]] = blocks[:, pairs].conj()
+    return out
 
 
 def _residual(a: np.ndarray, x: np.ndarray, lams: np.ndarray) -> float:
@@ -569,16 +548,16 @@ def _eigenpairs(values: np.ndarray, starts: list[int], sizes: list[int],
                 simple: bool, residual: float) -> ComplexEigenpairs:
     """The ComplexEigenpairs of one right and one left complex vector per
     diagonal block: each vector at unit norm and phase, the left ones
-    rescaled so that l^T r = 1 when the spectrum is simple, both pair
-    encoded."""
+    rescaled so that l^T r = 1 when the spectrum is simple, both
+    expanded to one column per eigenvalue."""
     right_blocks = _unit_phase(right_blocks)
     left_blocks = _unit_phase(left_blocks)
     if simple:
         d = np.sum(left_blocks * right_blocks, axis=0)
         nonzero = np.abs(d) > 0
         left_blocks[:, nonzero] /= d[nonzero]
-    return ComplexEigenpairs(values=values, right=_pair_encoding(right_blocks, starts, sizes),
-                             left=_pair_encoding(left_blocks, starts, sizes),
+    return ComplexEigenpairs(values=values, right=_columns(right_blocks, starts, sizes),
+                             left=_columns(left_blocks, starts, sizes),
                              diagonalizable=diagonalizable, simple=simple,
                              residual=residual)
 
@@ -601,9 +580,9 @@ def eigen_from_schur(schur: SchurForm) -> ComplexEigenpairs:
     t, q = schur.t, schur.q
     n = t.shape[0]
     if n == 0:
-        return ComplexEigenpairs(values=np.zeros(0, dtype=complex), right=np.zeros((0, 0)),
-                                 left=np.zeros((0, 0)), diagonalizable=True, simple=True,
-                                 residual=0.0)
+        empty = np.zeros((0, 0), dtype=complex)
+        return ComplexEigenpairs(values=np.zeros(0, dtype=complex), right=empty, left=empty,
+                                 diagonalizable=True, simple=True, residual=0.0)
     starts = schur.block_starts()
     sizes = list(schur.block_sizes)
     scale = np.linalg.norm(t)
@@ -647,11 +626,9 @@ def eigen_from_schur(schur: SchurForm) -> ComplexEigenpairs:
     # QR scatters a defective eigenvalue wider than the cluster tolerance,
     # so also demand a numerically full-rank basis of the unit
     # eigenvectors _eigenpairs returns
-    if diagonalizable and n > 1:
-        unit = _pairs_to_complex(values, _pair_encoding(_unit_phase(right), starts, sizes))
-        if _complex_rank(unit, RANK_RTOL) < n:
-            diagonalizable = False
-            simple = False
+    if diagonalizable and n > 1 and _complex_rank(
+            _columns(_unit_phase(right), starts, sizes), RANK_RTOL) < n:
+        diagonalizable = simple = False
     return _eigenpairs(values, starts, sizes, right, q @ z, diagonalizable, simple,
                        residual)
 
@@ -678,7 +655,7 @@ def lift_cyclic(a: np.ndarray, groups: list[np.ndarray], blocks: list[np.ndarray
     largest relative right or left eigenvector residual on a.
     """
     d, m = len(blocks), blocks[0].shape[0]
-    x, y = base.right_complex(), base.left_complex()
+    x, y = base.right, base.left
     # right[g] = A_g ... A_{d-1} x and left[g] = (A_0 ... A_{g-1})^T y
     right, left = np.empty((2, d, m, m), dtype=complex)
     right[0], left[0] = x, y

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import TransitionMatrix, build_chain, transitions
-from .errors import NotRecurrent
+from .errors import NotRecurrent, ValidationError
 from .stationary import StationaryBasis, equal_weight
 from .structure import ClassStructure
 
@@ -153,7 +153,7 @@ def reversibilize(chain: TransitionMatrix, basis: StationaryBasis,
     elif mode == "multiplicative":
         out = chain.p @ p_rev
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        raise ValidationError(f"unknown mode {mode!r}")
     return build_chain(chain.labels, out)
 
 

@@ -14,13 +14,12 @@ Non-negative Matrices and Markov Chains, 2006, ch. 1)."""
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
-from .chain import TransitionMatrix, validate_distribution
+from .chain import TransitionMatrix, require_count, validate_distribution
 from .errors import NotDiagonalizable, NumericError, SingularMatrix
 from .numlin import (
     DEFLATE_RTOL,
@@ -127,38 +126,18 @@ def _reversible_pairs(p: np.ndarray, structure: ClassStructure) -> ComplexEigenp
                        True, simple, residual)
 
 
-def _topological_classes(structure: ClassStructure) -> list[int]:
-    """Class ids in a topological order of the condensation, sources
-    first, ties to the smallest id (Kahn's algorithm on a heap)."""
-    k = len(structure.classes)
-    indegree = [0] * k
-    succ: list[list[int]] = [[] for _ in range(k)]
-    for a, b in structure.condensation_edges:
-        succ[a].append(b)
-        indegree[b] += 1
-    ready = [c for c in range(k) if indegree[c] == 0]
-    out = []
-    while ready:
-        c = heapq.heappop(ready)
-        out.append(c)
-        for b in succ[c]:
-            indegree[b] -= 1
-            if indegree[b] == 0:
-                heapq.heappush(ready, b)
-    return out
-
-
 def _schur_by_class(p: np.ndarray, structure: ClassStructure) -> SchurForm:
     """Real Schur form of P assembled from one Schur form per class.
 
-    In a topological order of the classes P is block upper triangular, so
-    Q = blockdiag(q_k) with its rows put back in state order, and T holds
-    each class's t_k on the diagonal, q_i^T P_ij q_j above it and exact
-    zeros below. A 1x1 class is its own Schur form. P is one block when
-    it is irreducible, or when some entry below the class blocks is
-    nonzero (at most ENTRY_CLAMP, so not a transition, but part of P).
+    In the topological order of the classes (`structure.topological`,
+    sources first) P is block upper triangular, so Q = blockdiag(q_k)
+    with its rows put back in state order, and T holds each class's t_k
+    on the diagonal, q_i^T P_ij q_j above it and exact zeros below. A 1x1
+    class is its own Schur form. P is one block when it is irreducible,
+    or when some entry below the class blocks is nonzero (at most
+    ENTRY_CLAMP, so not a transition, but part of P).
     """
-    order = _topological_classes(structure)
+    order = list(structure.topological)  # a tuple would index one axis per entry
     level = np.empty(len(order), dtype=np.intp)
     level[order] = np.arange(len(order))
     at = level[np.array(structure.class_of, dtype=np.intp)]
@@ -256,7 +235,7 @@ def decompose(chain: TransitionMatrix, structure: ClassStructure) -> SpectralDec
                                         -round12(values[j].real),
                                         round12(values[j].imag))))
     unit = int(np.sum(np.abs(values - 1.0) < TAXONOMY_EPSILON))
-    left_sums = pairs.left_complex().sum(axis=0)
+    left_sums = pairs.left.sum(axis=0)
     return SpectralDecomposition(pairs=pairs, order=order,
                                  unit_multiplicity=unit,
                                  left_row_sums=left_sums)
@@ -305,23 +284,26 @@ def spectral_evolve(decomp: SpectralDecomposition, mu, k: int) -> EigenEvolution
 
     Expands mu over the complex right eigenvectors, scales each
     coordinate by lambda^k, and reassembles through the dual (left)
-    basis, the inverse of the pair-encoded right vectors. A conjugate
-    pair's two dual rows take the real and imaginary parts of its
-    positive-imaginary member's scaled coordinate, so the sum is real.
+    basis, the inverse of a real basis: a conjugate pair's two columns
+    are replaced by the real and imaginary parts of its positive-imaginary
+    member's vector. The pair's two dual rows take the real and imaginary
+    parts of that member's scaled coordinate, so the sum is real.
     """
     if not decomp.pairs.diagonalizable:
         raise NotDiagonalizable("defective spectrum; fall back to direct evolution")
-    r_enc = decomp.pairs.right
-    n = r_enc.shape[0]
+    values, right = decomp.values, decomp.pairs.right
+    n = right.shape[0]
     mu = validate_distribution(mu, n)
+    require_count(k, "steps")
+    below = values.imag < 0  # the conjugate member of a pair
     try:
-        dual = solve_linear(r_enc, np.eye(n))
+        dual = solve_linear(np.where(below, -right.imag, right.real), np.eye(n))
     except SingularMatrix as exc:
         raise NotDiagonalizable("eigenbasis numerically singular") from exc
-    coordinates = mu @ decomp.pairs.right_complex()
-    scaled = coordinates * decomp.values ** k
-    scaled = np.where(decomp.values.imag < 0, -scaled.imag, scaled.real)
-    persistent_mask = np.abs(np.abs(decomp.values) - 1.0) < TAXONOMY_EPSILON
+    coordinates = mu @ right
+    scaled = coordinates * values ** k
+    scaled = np.where(below, -scaled.imag, scaled.real)
+    persistent_mask = np.abs(np.abs(values) - 1.0) < TAXONOMY_EPSILON
     persistent = (scaled * persistent_mask) @ dual
     transient = (scaled * ~persistent_mask) @ dual
     return EigenEvolution(coordinates=coordinates,

@@ -3,10 +3,11 @@ absorbing states, and the headline chain-level flags.
 
 Everything is read from the edge arrays (u, v) = nonzero(transitions(P)).
 `_condense` runs one iterative Tarjan scan (Tarjan, SIAM J. Comput.
-1972) over them, which gives the classes and each state's depth in the
-DFS forest; class_of, the condensation edges and the class periods
-(Denardo, Math. Oper. Res. 1977) are then numpy over the edges, so the
-pass is linear in the number of transitions.
+1972) over them, which gives the classes, in reverse topological order,
+and each state's depth in the DFS forest; class_of, the condensation
+edges and the class periods (Denardo, Math. Oper. Res. 1977) are then
+numpy over the edges, so the pass is linear in the number of
+transitions.
 """
 
 from __future__ import annotations
@@ -23,7 +24,9 @@ class ClassStructure:
     """Condensation-level summary of a transition matrix.
 
     classes: state indices per communicating class, each sorted, classes
-    ordered by smallest member. recurrent[c] marks closed classes.
+    ordered by smallest member. topological lists the class ids in a
+    topological order of the condensation, sources first: Tarjan's
+    finishing order, reversed. recurrent[c] marks closed classes.
     period[c] is the gcd cycle length within class c (1 when the class
     has no internal edge), and phase[i] is state i's cyclic phase in its
     class: every transition inside a class goes from phase g to phase
@@ -35,6 +38,7 @@ class ClassStructure:
 
     classes: tuple[tuple[int, ...], ...]
     condensation_edges: frozenset[tuple[int, int]]
+    topological: tuple[int, ...]
     recurrent: tuple[bool, ...]
     period: tuple[int, ...]
     class_of: tuple[int, ...]
@@ -101,9 +105,11 @@ def _tarjan(succ: list[int], start: list[int], n: int) -> tuple[list[int], list[
 
 
 def _condense(chain: TransitionMatrix):
-    """Classes, class_of, condensation edges, class periods and phases.
+    """Classes, class_of, condensation edges, class periods, phases and
+    the classes in topological order, sources first.
 
-    The states of a class form a subtree of the DFS forest, so the period
+    Tarjan finishes a class only after every class reachable from it, so
+    its finishing order, reversed, is topological. The states of a class form a subtree of the DFS forest, so the period
     of a class is the gcd, over its internal edges u->v, of the depth
     defects d(u) + 1 - d(v) (1 when it has none), and a state's phase is
     its depth mod its class's period.
@@ -133,20 +139,20 @@ def _condense(chain: TransitionMatrix):
     period[period == 0] = 1
     phase = depth % period[class_of]
     return (classes, tuple(class_of.tolist()), edges, tuple(period.tolist()),
-            tuple(phase.tolist()))
+            tuple(phase.tolist()), tuple(number[c] for c in range(k - 1, -1, -1)))
 
 
 def communicating_classes(chain: TransitionMatrix) -> tuple[
         tuple[tuple[int, ...], ...], frozenset[tuple[int, int]]]:
     """Communicating classes (strongly connected components of the
     chain's digraph) and the condensation edge set."""
-    classes, _, edges, _, _ = _condense(chain)
+    classes, _, edges = _condense(chain)[:3]
     return classes, edges
 
 
 def classify(chain: TransitionMatrix) -> ClassStructure:
     """Full structural classification of a chain."""
-    classes, class_of, edges, period, phase = _condense(chain)
+    classes, class_of, edges, period, phase, topological = _condense(chain)
     k = len(classes)
     outgoing = [False] * k
     for a, _ in edges:
@@ -170,6 +176,7 @@ def classify(chain: TransitionMatrix) -> ClassStructure:
     return ClassStructure(
         classes=classes,
         condensation_edges=edges,
+        topological=topological,
         recurrent=recurrent,
         period=period,
         class_of=class_of,

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from chainkit import cli, errors, line_chain, spectral
+from chainkit import build_chain, cli, errors, line_chain, spectral
 from chainkit.cli import main, parse_graph_tsv
 
 from conftest import layered_chain, periodic_chain
@@ -75,6 +75,29 @@ def inputs(chain_file, graph_file, tmp_path):
     f = tmp_path / "absorbing.json"
     f.write_text(json.dumps({"states": ["t", "a"], "P": [[0.5, 0.5], [0.0, 1.0]]}))
     return {"chain": chain_file, "graph": graph_file, "absorbing": str(f)}
+
+
+def route_chain(route):
+    """One chain per `decompose` route: a reversible line chain, three
+    classes with no edges between them, a layered reducible chain, a
+    chain of period 3 (the cyclic lift) and a dense chain (one Schur form
+    of the whole P)."""
+    rng = np.random.default_rng(15)
+    if route == "reversible":
+        return line_chain(n=12, perturb=0.1, seed=5)
+    if route == "classes":
+        p = np.zeros((12, 12))
+        for a, b in ((0, 3), (3, 7), (7, 12)):
+            p[a:b, a:b] = rng.random((b - a, b - a)) + 0.05
+        order = rng.permutation(12)
+        p = (p / p.sum(axis=1, keepdims=True))[np.ix_(order, order)]
+        return build_chain([str(i) for i in range(12)], p)
+    if route == "layered":
+        return layered_chain(rng, [2, 4, 3])
+    if route == "lift":
+        return periodic_chain(rng, 3, 5)
+    p = rng.random((8, 8)) + 0.05
+    return build_chain([str(i) for i in range(8)], p / p.sum(axis=1, keepdims=True))
 
 
 def run(capsys, *argv):
@@ -357,6 +380,33 @@ class TestReports:
         code, out, _ = run(capsys, *[arg.format(**inputs) for arg in template])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN_DIGESTS[case_id(template)]
+
+    # sha256 of the `spectrum` and `taxonomy --format csv` reports on one
+    # chain per `decompose` route
+    ROUTE_DIGESTS = {
+        "reversible": ("2b878a443c54451df1a23cda7da2c7f408679ba639aa005ce62487cc959c2f60",
+                      "7ae3c03133c81d985370b7a1552e99f60f339ab9066f5446b10ccbfaf0a64ad5"),
+        "classes": ("c54db8eb7209033bb0e7f69fa3ff6088f30ca1b818e59dabfe65a189bb178efe",
+                   "dc51fcb879736747004e675307408e94c029ce38da9041e421d45b6a42460638"),
+        "layered": ("1c0df6f8f700d8fb9e96a47b2b9954337e9b236b6bc4fb9a6359768d1c6d865a",
+                   "6c87364658507630ef03fc5ec472463691f14b4808ab16379d711d3019262721"),
+        "lift": ("e9bc03b848fb781f489b92f0cdcb69625ab798654125279002c4bf8f9c87b4eb",
+                "f22615191449a4da2f7a84a5ac886fc16d1fc0a4e9cd91783c4c5fcba0b0ff0a"),
+        "dense": ("21c64d104a3c5c61ae9faa5d1bc2719c1e30fa33ee06e4afd2b69d52465d02ab",
+                 "f70dbcacdb8e24942a5108896c1ee1a74e4013bda3019b2884ccd97e772866cb"),
+    }
+
+    @pytest.mark.parametrize("route", sorted(ROUTE_DIGESTS))
+    def test_route_reports_match_golden_digests(self, route, tmp_path, capsys):
+        chain = route_chain(route)
+        f = tmp_path / "chain.json"
+        f.write_text(json.dumps({"states": list(chain.labels), "P": chain.p.tolist()}))
+        digests = []
+        for argv in (["spectrum", str(f)], ["taxonomy", str(f), "--format", "csv"]):
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            digests.append(hashlib.sha256(out.encode()).hexdigest())
+        assert tuple(digests) == self.ROUTE_DIGESTS[route]
 
     def test_every_subcommand_is_covered(self):
         assert sorted({t[0] for t in EVERY_SUBCOMMAND}) == sorted(cli.COMMANDS)

@@ -13,7 +13,7 @@ from chainkit import (
     same_rw_set,
     stationary_basis,
 )
-from chainkit.errors import NegativeWeight, ZeroOutDegree
+from chainkit.errors import NegativeWeight, ValidationError, ZeroOutDegree
 from conftest import random_recurrent_chain
 
 W1 = np.array([[0.0, 0.0, 0.0, 1.5],
@@ -155,7 +155,7 @@ class TestRepresentative:
 
     def test_unknown_kind_rejected(self, rev_chain):
         s, b = self.walk_parts(rev_chain)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             rw_set_representative(rev_chain, s, b, "acyclic")
 
     def test_flow_member_for_random_recurrent_chains(self):

@@ -22,6 +22,7 @@ from chainkit.errors import (
     DimensionMismatch,
     IncompleteBasis,
     NotUndirected,
+    ValidationError,
     ZeroDegree,
 )
 from conftest import random_undirected_graph
@@ -63,7 +64,7 @@ class TestBuild:
         assert lap.m[2, 2] == 0.0
 
     def test_unknown_variant_rejected(self, triangle_graph):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             build_laplacian(triangle_graph, "combinatorial")
 
 

@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chainkit import SurferConfig, build_chain, errors, line_chain, numlin
+from chainkit import (
+    SurferConfig,
+    build_chain,
+    classify,
+    decompose,
+    errors,
+    line_chain,
+    numlin,
+)
 from chainkit.numlin import (
     GTH_PANEL,
     RANK_RTOL,
@@ -18,6 +26,8 @@ from chainkit.numlin import (
     sym_eigen,
 )
 from chainkit.surfer import pagerank_matrix
+
+from conftest import periodic_chain
 
 NONDIAG_COMPLEX = [[0, 0.4, 0.6, 0, 0],
                        [0, 0, 0, 0, 1],
@@ -313,8 +323,8 @@ class TestEigenFromSchur:
             ep = eigen_from_schur(real_schur(a))
             if not ep.simple:
                 continue
-            left = ep.left_complex()
-            right = ep.right_complex()
+            left = ep.left
+            right = ep.right
             scale = max(1.0, np.linalg.norm(a))
             assert np.allclose(np.diag(left.T @ right), 1.0, atol=1e-7)
             for j in range(n):
@@ -324,23 +334,33 @@ class TestEigenFromSchur:
                                    atol=1e-6 * scale)
 
     def test_pair_encoding_positive_imag_first(self):
-        ep = eigen_from_schur(real_schur(DIAG_COMPLEX))
-        seen_pair = False
-        j = 0
-        while j < len(ep.values):
-            lam = ep.values[j]
-            if lam.imag != 0:
-                assert lam.imag > 0
-                assert np.isclose(ep.values[j + 1], np.conj(lam))
-                seen_pair = True
-                j += 2
-            else:
-                j += 1
-        assert seen_pair
+        # one complex column per eigenvalue on every route: a conjugate
+        # pair is adjacent, positive imaginary part first, and its second
+        # columns are exactly the conjugates of its first
+        lift = periodic_chain(np.random.default_rng(3), 3, 5)
+        line = line_chain(n=12, perturb=0.1, seed=4)
+        for ep, has_pairs in ((eigen_from_schur(real_schur(DIAG_COMPLEX)), True),
+                              (decompose(lift, classify(lift)).pairs, True),
+                              (decompose(line, classify(line)).pairs, False)):
+            seen_pair = False
+            j = 0
+            while j < ep.n:
+                lam = ep.values[j]
+                if lam.imag != 0:
+                    assert lam.imag > 0 and ep.values[j + 1] == np.conj(lam)
+                    assert np.array_equal(ep.right[:, j + 1], ep.right[:, j].conj())
+                    assert np.array_equal(ep.left[:, j + 1], ep.left[:, j].conj())
+                    seen_pair = True
+                    j += 2
+                else:
+                    j += 1
+            assert seen_pair == has_pairs
+            assert ep.right.dtype == ep.left.dtype == complex
+            assert np.allclose(np.linalg.norm(ep.right, axis=0), 1.0, atol=1e-12)
 
     def test_unit_norm_right_vectors(self):
         ep = eigen_from_schur(real_schur(DIAG_REAL))
-        right = ep.right_complex()
+        right = ep.right
         assert np.allclose(np.linalg.norm(right, axis=0), 1.0, atol=1e-10)
 
     @pytest.mark.parametrize("matrix,diag,cplx", [
@@ -512,7 +532,7 @@ class TestDiagonalizabilityVerdicts:
         q = rotation(np.pi / 6)
         ep = eigen_from_schur(real_schur(q @ np.array([[2.0, 1.0], [corner, 2.0]]) @ q.T))
         assert not ep.diagonalizable and not ep.simple
-        assert _complex_rank(ep.right_complex(), RANK_RTOL) == 2
+        assert _complex_rank(ep.right, RANK_RTOL) == 2
 
     def test_rotated_jordan3_caught_by_basis_rank(self):
         # QR splits the triple eigenvalue by about 1e-5, far past the
@@ -553,7 +573,7 @@ class TestDiagonalizabilityVerdicts:
         ep = eigen_from_schur(real_schur(a))
         assert ep.diagonalizable
         assert ep.residual <= 1e-12 * max(1.0, np.linalg.norm(a))
-        right = ep.right_complex()
+        right = ep.right
         assert np.max(np.abs(a @ right - right * ep.values)) <= 1e-12 * max(1.0, np.linalg.norm(a))
 
 

@@ -248,6 +248,11 @@ class TestReversibilize:
         f = flow_matrix(out, pi)
         assert np.allclose(f, f.T, atol=1e-10)
 
+    def test_unknown_mode_rejected(self, nonrev_chain):
+        st, b = prep(nonrev_chain)
+        with pytest.raises(errors.ValidationError, match="unknown mode 'geometric'"):
+            reversibilize(nonrev_chain, b, "geometric")
+
 
 class TestKMatrix:
     def test_swap_chain(self, swap_chain):

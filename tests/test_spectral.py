@@ -24,7 +24,6 @@ from chainkit.spectral import (
     SpectralDecomposition,
     _reversible_pairs,
     _schur_by_class,
-    _topological_classes,
 )
 
 from conftest import layered_chain, periodic_chain, random_recurrent_chain
@@ -39,7 +38,7 @@ def decomp_of_matrix(m):
                                         values[j].imag)))
     unit = int(np.sum(np.abs(values - 1.0) < 1e-8))
     return SpectralDecomposition(pairs=pairs, order=order, unit_multiplicity=unit,
-                                 left_row_sums=pairs.left_complex().sum(axis=0))
+                                 left_row_sums=pairs.left.sum(axis=0))
 
 
 class TestDecompose:
@@ -88,7 +87,7 @@ class TestDecompose:
             dec = decompose(chain, classify(chain))
             for j, lam in enumerate(dec.values):
                 if abs(lam - 1.0) > 1e-8:
-                    l = dec.pairs.left_complex()[:, j]
+                    l = dec.pairs.left[:, j]
                     assert abs(dec.left_row_sums[j]) <= 1e-8 * np.linalg.norm(l)
 
 
@@ -177,6 +176,16 @@ class TestSpectralEvolve:
         with pytest.raises(errors.NotDiagonalizable):
             spectral_evolve(dec, np.full(3, 1 / 3), 4)
 
+    @pytest.mark.parametrize("p, mu", [
+        ([[1, 0], [1, 0]], [0, 1]),  # 0 ** -1 would be a NaN
+        ([[.5, .5, 0], [0, 0, 1], [1, 0, 0]], [1, 0, 0]),  # mu P^-1 is not a distribution
+    ], ids=["zero-eigenvalue", "invertible"])
+    def test_refuses_negative_steps(self, p, mu):
+        chain = build_chain("abc"[:len(p)], p)
+        dec = decompose(chain, classify(chain))
+        with pytest.raises(errors.BadCount, match="steps must be at least 0, got -1"):
+            spectral_evolve(dec, mu, -1)
+
     def test_random_chains_k64(self):
         rng = np.random.default_rng(57)
         done = 0
@@ -205,7 +214,7 @@ def eigen_residuals(p, pairs):
     """Largest relative right and left eigenvector residuals on p, each
     column first scaled by its largest magnitude (l^T r = 1 can leave a
     left vector too long to square)."""
-    r, l = pairs.right_complex(), pairs.left_complex()
+    r, l = pairs.right, pairs.left
     r, l = r / np.max(np.abs(r), axis=0), l / np.max(np.abs(l), axis=0)
     lam = pairs.values
     right = np.linalg.norm(p @ r - r * lam, axis=0) / np.linalg.norm(r, axis=0)
@@ -380,7 +389,7 @@ class TestClassRoute:
         assert np.linalg.norm(sf.q.T @ sf.q - np.eye(n)) <= 1e-13
         # exact zeros below the class blocks, in topological order
         level = np.repeat(np.arange(len(st.classes)),
-                          [len(st.classes[c]) for c in _topological_classes(st)])
+                          [len(st.classes[c]) for c in st.topological])
         assert np.all(sf.t[level[:, None] > level[None, :]] == 0.0)
         assert sum(sf.block_sizes) == n
         dec = decompose(chain, st)
@@ -396,7 +405,7 @@ class TestClassRoute:
     def test_topological_order_sources_first(self):
         chain = layered_chain(np.random.default_rng(7), [2, 3, 2, 4])
         st = classify(chain)
-        order = _topological_classes(st)
+        order = st.topological
         assert sorted(order) == list(range(len(st.classes)))
         rank = {c: i for i, c in enumerate(order)}
         assert all(rank[a] < rank[b] for a, b in st.condensation_edges)

@@ -339,7 +339,7 @@ class TestCondenseProperties:
     @given(digraph_chains())
     @settings(max_examples=150)
     def test_independent_oracles(self, chain):
-        classes, class_of, edges, period, phase = _condense(chain)
+        classes, class_of, edges, period, phase, topological = _condense(chain)
         a = transitions(chain.p)
         k, labels = connected_components(csr_matrix(a), directed=True, connection="strong")
         assert len(classes) == k
@@ -354,6 +354,10 @@ class TestCondenseProperties:
         assert all(phase[y] == (phase[x] + 1) % period[class_of[x]]
                    for x, y in zip(u.tolist(), v.tolist()) if class_of[x] == class_of[y])
         assert all(0 <= phase[s] < period[class_of[s]] for s in range(len(phase)))
+        # a permutation of the class ids along which every edge goes forward
+        assert sorted(topological) == list(range(k))
+        rank = {c: i for i, c in enumerate(topological)}
+        assert all(rank[x] < rank[y] for x, y in edges)
 
     def test_long_shuffled_cycle(self):
         # one class of period n, reached by the deepest DFS: n - 1 levels
@@ -361,7 +365,7 @@ class TestCondenseProperties:
         order = np.random.default_rng(3).permutation(n)
         p = np.zeros((n, n))
         p[order, np.roll(order, -1)] = 1.0
-        classes, class_of, edges, period, phase = _condense(
+        classes, class_of, edges, period, phase, _ = _condense(
             TransitionMatrix(tuple(map(str, range(n))), p))
         assert classes == (tuple(range(n)),) and period == (n,)
         assert class_of == (0,) * n and edges == frozenset()
