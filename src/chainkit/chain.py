@@ -183,7 +183,45 @@ def conditional_expectation(chain: TransitionMatrix, x, steps: int = 1) -> np.nd
 
 
 def _start(chain: TransitionMatrix, start) -> int:
-    return chain.index(start) if isinstance(start, str) else int(start)
+    """The state index of `start`: a label, or an index in range(n)."""
+    if isinstance(start, str):
+        return chain.index(start)
+    if isinstance(start, bool) or not isinstance(start, (int, np.integer)):
+        raise BadLabel(f"start {start!r} is not a state label or index")
+    if not 0 <= start < chain.n:
+        raise UnknownLabel(f"start index {start} is outside 0..{chain.n - 1}")
+    return int(start)
+
+
+def _run_table(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The inverse-CDF step rule of `sample` and `occupancy` as a table of
+    runs. A run is a maximal stretch of equal entries in a row's
+    cumulative sum: a state with positive mass and the states of zero
+    mass after it.
+
+    `vals[i, r]` is the cdf value of run r of row i, and `ends[i, r]` the
+    first state of run r. Both are one column wider than the most runs
+    in a row; `vals` is padded with +inf and `ends` with n - 1. When m
+    of row i's run values are at or below u, the cdf entries at or below
+    u are exactly those of the first m runs, so the next state
+    `min(bisect_right(cdf[i], u), n - 1)` is `ends[i, m]`: the same
+    comparisons with the same doubles, over a few runs instead of n
+    entries for a sparse row. A row's cdf never decreases, so its run
+    values increase and m is also the first column of `vals[i]` above u,
+    which the +inf pad guarantees.
+    """
+    n = p.shape[0]
+    cdf = np.cumsum(p, axis=1)
+    first = np.ones((n, n), dtype=bool)  # the first entry of each run
+    np.not_equal(cdf[:, 1:], cdf[:, :-1], out=first[:, 1:])
+    rows, cols = np.nonzero(first)
+    runs = np.cumsum(first, axis=1)
+    rank = runs[first] - 1
+    vals = np.full((n, runs[:, -1].max() + 1), np.inf)
+    vals[rows, rank] = cdf[first]
+    ends = np.full(vals.shape, n - 1)
+    ends[rows, rank] = cols
+    return vals, ends
 
 
 def sample(chain: TransitionMatrix, start, length: int, seed: int,
@@ -191,24 +229,31 @@ def sample(chain: TransitionMatrix, start, length: int, seed: int,
     """One trajectory of `length` transitions from `start`.
 
     The stream contract, shared with `occupancy`: trajectory t draws from
-    numpy's default generator seeded with seed + t, so distinct
-    trajectories use independent, reproducible streams; step k consumes
-    the k-th uniform u of that stream; the next state is the first index
-    whose entry in the current row's cumulative sum exceeds u, clipped to
-    n - 1. The stream is drawn SAMPLE_BLOCK uniforms at a time
-    (`rng.random(m)` gives the same values as m single draws) and the
-    path is walked in plain Python.
+    numpy's default generator seeded with seed + t, which must not be
+    negative, so distinct trajectories use independent, reproducible
+    streams; step k consumes the k-th uniform u of that stream; the next
+    state is the first index whose entry in the current row's cumulative
+    sum exceeds u, clipped to n - 1. The stream is drawn SAMPLE_BLOCK
+    uniforms at a time (`rng.random(m)` gives the same values as m
+    single draws) and the path is walked in plain Python, bisecting the
+    row's runs of equal cdf values (`_run_table`) instead of its n
+    entries: a row of a sparse chain has a few runs.
     """
     require_count(length, "length")
+    stream = int(seed) + int(trajectory)
+    require_count(stream, "seed + trajectory")
     i = _start(chain, start)
-    rng = np.random.default_rng(int(seed) + int(trajectory))
-    cdf = np.cumsum(chain.p, axis=1).tolist()
-    last = chain.n - 1
-    path = [chain.labels[i]]
+    rng = np.random.default_rng(stream)
+    vals, ends = _run_table(chain.p)
+    vals, ends = vals.tolist(), ends.tolist()
+    labels = chain.labels
+    path = [labels[i]]
+    visit = path.append
+    bisect = bisect_right
     for first in range(0, length, SAMPLE_BLOCK):
         for u in rng.random(min(SAMPLE_BLOCK, length - first)).tolist():
-            i = min(bisect_right(cdf[i], u), last)
-            path.append(chain.labels[i])
+            i = ends[i][bisect(vals[i], u)]
+            visit(labels[i])
     return path
 
 
@@ -219,29 +264,34 @@ def occupancy(chain: TransitionMatrix, start, length: int, seed: int,
     Returns a (length + 1, n) array whose row t is the fraction of
     trajectories sitting in each state at time t. Trajectory t follows
     exactly the path `sample(chain, start, length, seed, trajectory=t)`
-    walks (same streams, same inverse-CDF rule), but every trajectory of
-    a block steps at once: the next states are the counts of cdf entries
-    at or below each uniform, clipped to n - 1. A block is
-    SAMPLE_BLOCK // max(length, n) trajectories (at least one), so its
-    uniforms and gathered cdf rows stay within SAMPLE_BLOCK doubles, or
-    one trajectory's worth when that is larger.
+    walks (same streams, same run table), but every trajectory of a
+    block steps at once: the next states are read from `ends` at the
+    count of run values at or below each uniform. A block is
+    SAMPLE_BLOCK // max(length, width) trajectories (at least one),
+    width being that of the run table, so its uniforms, visited states
+    and gathered run rows stay within SAMPLE_BLOCK entries, or one
+    trajectory's worth when that is larger; the visits of a block are
+    counted with one bincount.
     """
     require_count(length, "length")
     require_count(trajectories, "trajectories", least=1)
+    seed = int(seed)
+    require_count(seed, "seed")
     n = chain.n
     i = _start(chain, start)
-    cdf = np.cumsum(chain.p, axis=1)
+    vals, ends = _run_table(chain.p)
     counts = np.zeros((length + 1, n))
     counts[0, i] = trajectories
-    block = max(1, SAMPLE_BLOCK // max(length, n))
+    block = max(1, SAMPLE_BLOCK // max(length, vals.shape[1]))
     for first in range(0, trajectories, block):
         size = min(block, trajectories - first)
-        u = np.empty((length, size))
+        u = np.empty((size, length))
         for k in range(size):
-            u[:, k] = np.random.default_rng(int(seed) + first + k).random(length)
+            np.random.default_rng(seed + first + k).random(out=u[k])
+        visits = np.empty((length, size), dtype=np.intp)  # flat indices into counts[1:]
         cur = np.full(size, i)
         for t in range(length):
-            cur = np.minimum(np.count_nonzero(cdf[cur] <= u[t, :, None], axis=1),
-                             n - 1)
-            counts[t + 1] += np.bincount(cur, minlength=n)
+            cur = ends[cur, (vals.take(cur, axis=0) <= u[:, t, None]).argmin(axis=1)]
+            np.add(cur, t * n, out=visits[t])
+        counts[1:] += np.bincount(visits.ravel(), minlength=length * n).reshape(length, n)
     return counts / trajectories

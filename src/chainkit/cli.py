@@ -10,9 +10,9 @@ Reports are JSON with sorted keys and floats fixed at 12 significant
 digits, so identical inputs and flags produce byte-identical output.
 `spectrum` and `taxonomy` take `--format csv` to emit rows (re, im, abs,
 label) for unit-circle plots instead; `simulate` and `demo-line-chain`
-take `--seed` (default: CHAINS_SEED, then 0). There is no row-sum
-tolerance flag. Exit codes: 0 success, 2 invalid input, 3 numeric
-failure.
+take a non-negative `--seed` (default: CHAINS_SEED, then 0). There is no
+row-sum tolerance flag. Exit codes: 0 success, 2 invalid input, 3
+numeric failure.
 """
 
 from __future__ import annotations
@@ -229,7 +229,9 @@ def _float_text(a: np.ndarray) -> str:
 
 def _report_text(obj) -> str:
     """json.dumps(_jsonable(obj), sort_keys=True, separators=(",", ":")),
-    with dicts walked here and float arrays written by _float_text."""
+    with dicts walked here, float arrays written by _float_text and a
+    list of strings (a path's labels) passed to json.dumps as it is:
+    _jsonable returns each string unchanged."""
     if isinstance(obj, dict):
         items = {str(k): v for k, v in obj.items()}
         return "{" + ",".join(f"{json.dumps(k)}:{_report_text(items[k])}"
@@ -237,6 +239,8 @@ def _report_text(obj) -> str:
     if (isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.ndim in (1, 2)
             and obj.size):
         return _float_text(obj)
+    if isinstance(obj, list) and set(map(type, obj)) <= {str}:
+        return json.dumps(obj, separators=(",", ":"))
     return json.dumps(_jsonable(obj), sort_keys=True, separators=(",", ":"))
 
 
@@ -540,13 +544,16 @@ def run_command(args: argparse.Namespace) -> str:
 def _seed(text: str) -> int:
     """The --seed value. Its default, "$CHAINS_SEED", is read when the
     arguments are parsed, so the one cached parser sees the environment
-    of each call; a malformed value is a usage error."""
+    of each call; a malformed or negative value is a usage error."""
     if text == "$CHAINS_SEED":
         text = os.environ.get("CHAINS_SEED", "0")
     try:
-        return int(text)
+        seed = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {seed}")
+    return seed
 
 
 @cache

@@ -3,7 +3,8 @@
 A length-n path with rightward probability p_right at every interior
 state and probability-conserving self-loops at the two ends. The
 perturbed variant jitters each state's bias by an independent uniform
-draw in [-perturb, perturb]; rows always still sum to one, so the
+draw in [-perturb, perturb] from numpy's default generator seeded with
+`seed`, which must not be negative; rows always still sum to one, so the
 all-ones vector remains the right eigenvector for eigenvalue 1.
 """
 
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .chain import TransitionMatrix, build_chain
+from .chain import TransitionMatrix, build_chain, require_count
 from .errors import ValidationError
 
 
@@ -21,6 +22,7 @@ def line_chain(n: int = 100, p_right: float = 0.52, perturb: float = 0.0,
         raise ValidationError("line chain needs at least two states")
     if not 0.0 < p_right < 1.0:
         raise ValidationError("p_right must be strictly between 0 and 1")
+    require_count(seed, "seed")
     right = np.full(n, p_right)
     if perturb > 0.0:
         rng = np.random.default_rng(seed)

@@ -1,6 +1,9 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chainkit import (
@@ -192,6 +195,53 @@ def _short_row_chain():
     return TransitionMatrix(labels=("x", "y", "z"), p=p)
 
 
+def _gapped_chain():
+    # built without validation: zero runs at the start, middle and end of
+    # row 0, a single-entry row, a dense row, a row whose cdf ends at
+    # 0.6, and a row of zeros but its last entry
+    p = np.array([[0.0, 0.0, 0.5, 0.0, 0.0, 0.5, 0.0, 0.0],
+                  [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0],
+                  [0.1, 0.2, 0.1, 0.1, 0.2, 0.1, 0.1, 0.1],
+                  [0.2, 0.0, 0.0, 0.3, 0.0, 0.1, 0.0, 0.0],
+                  [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
+                  [0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5],
+                  [0.0, 0.3, 0.0, 0.3, 0.0, 0.0, 0.4, 0.0],
+                  [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0]])
+    return TransitionMatrix(labels=tuple(f"g{i}" for i in range(8)), p=p)
+
+
+@st.composite
+def walk_rows(draw, n):
+    """One row of a chain on n states: sparse (zero runs anywhere), a
+    single entry, or dense; rescaled below one half the time, so its cdf
+    ends short of 1 and a draw past it clips to the last state."""
+    kind = draw(st.sampled_from(["sparse", "single", "dense"]))
+    row = np.zeros(n)
+    if kind == "single":
+        row[draw(st.integers(0, n - 1))] = 1.0
+    else:
+        row[:] = draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n))
+        if kind == "sparse":
+            row *= draw(st.lists(st.booleans(), min_size=n, max_size=n))
+            row[draw(st.integers(0, n - 1))] += 0.5
+        row /= row.sum()
+    if draw(st.booleans()):
+        row *= draw(st.floats(0.2, 0.999))
+    return row
+
+
+@st.composite
+def walk_cases(draw):
+    """(chain, start, length, seed, trajectories) with an unvalidated chain
+    of 1-7 states."""
+    n = draw(st.integers(1, 7))
+    p = np.array([draw(walk_rows(n)) for _ in range(n)])
+    chain = TransitionMatrix(labels=tuple(f"w{i}" for i in range(n)), p=p)
+    start = draw(st.one_of(st.integers(0, n - 1), st.sampled_from(chain.labels)))
+    return (chain, start, draw(st.integers(0, 40)), draw(st.integers(0, 2 ** 40)),
+            draw(st.integers(1, 6)))
+
+
 SAMPLING_CASES = [
     (_dense_chain, "d0"),
     (_dense_chain, 4),
@@ -242,6 +292,36 @@ class TestSamplingContract:
         for length in (63, 64, 65, 200):
             assert (sample(chain, "d1", length, 8)
                     == _sample_per_step(chain, "d1", length, 8))
+
+    @settings(max_examples=150, deadline=None)
+    @given(walk=walk_cases(), block=st.sampled_from([1, 5, 64, chain_module.SAMPLE_BLOCK]))
+    @example(walk=(_gapped_chain(), 0, 30, 4, 5), block=7)
+    @example(walk=(_gapped_chain(), 4, 1, 0, 3), block=1)
+    def test_run_table_matches_per_step_oracles(self, walk, block):
+        chain, start, length, seed, trajectories = walk
+        with mock.patch.object(chain_module, "SAMPLE_BLOCK", block):
+            for traj in range(trajectories):
+                assert (sample(chain, start, length, seed, trajectory=traj)
+                        == _sample_per_step(chain, start, length, seed, traj))
+            got = occupancy(chain, start, length, seed, trajectories)
+        assert np.array_equal(got, _occupancy_per_step(chain, start, length, seed,
+                                                       trajectories))
+
+    def test_ensemble_memory_stays_within_a_block(self, monkeypatch):
+        # with 4096-entry blocks, 20000 trajectories of 50 steps need no
+        # array as large as the (length + 1) x trajectories visit table,
+        # not even one byte per entry
+        monkeypatch.setattr(chain_module, "SAMPLE_BLOCK", 1 << 12)
+        chain = _dense_chain()
+        length, trajectories = 50, 20000
+        tracemalloc.start()
+        try:
+            occ = occupancy(chain, "d0", length, 3, trajectories)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert occ.shape == (length + 1, chain.n)
+        assert peak < (length + 1) * trajectories
 
 
 # evolve and conditional_expectation as they were first written, one
@@ -333,6 +413,45 @@ class TestCounts:
     def test_negative_count_is_validation_error(self, phd_chain, call):
         with pytest.raises(errors.ValidationError):
             call(phd_chain)
+
+    @pytest.mark.parametrize("call", [
+        lambda c: sample(c, "S", 5, seed=-1),
+        lambda c: sample(c, "S", 5, seed=2, trajectory=-3),
+        lambda c: occupancy(c, "S", 5, seed=-1, trajectories=3),
+        lambda c: line_chain(n=5, perturb=0.1, seed=-3),
+        lambda c: line_chain(n=5, seed=-3),
+    ], ids=["sample-seed", "sample-trajectory", "occupancy", "line_chain-perturbed",
+            "line_chain"])
+    def test_negative_seed_is_bad_count(self, phd_chain, call):
+        # numpy's generators refuse negative seeds with a bare ValueError
+        with pytest.raises(errors.BadCount):
+            call(phd_chain)
+
+    def test_seed_plus_trajectory_may_be_zero(self, phd_chain):
+        assert (sample(phd_chain, "S", 9, seed=-1, trajectory=1)
+                == sample(phd_chain, "S", 9, seed=0))
+
+
+class TestStart:
+    @pytest.mark.parametrize("start, error", [
+        (-1, errors.UnknownLabel), (4, errors.UnknownLabel), (5, errors.UnknownLabel),
+        (np.int64(-2), errors.UnknownLabel), ("Q", errors.UnknownLabel),
+        (1.7, errors.BadLabel), (1.0, errors.BadLabel), (True, errors.BadLabel),
+        (np.bool_(False), errors.BadLabel), (None, errors.BadLabel),
+    ])
+    def test_refused(self, phd_chain, start, error):
+        with pytest.raises(error):
+            sample(phd_chain, start, 3, seed=0)
+        with pytest.raises(error):
+            occupancy(phd_chain, start, 3, seed=0, trajectories=2)
+
+    @pytest.mark.parametrize("start", [0, 3, np.int64(2), np.uint8(1)])
+    def test_index_in_range(self, phd_chain, start):
+        path = sample(phd_chain, start, 4, seed=1)
+        assert path[0] == phd_chain.labels[int(start)]
+        assert path == sample(phd_chain, phd_chain.labels[int(start)], 4, seed=1)
+        occ = occupancy(phd_chain, start, 4, seed=1, trajectories=3)
+        assert occ[0, int(start)] == 1.0
 
 
 class TestNonFinite:

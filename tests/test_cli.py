@@ -582,6 +582,27 @@ class TestEvolutionAndSimulation:
         assert "argument --seed: invalid int value: 'abc'" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, env", [
+        (["simulate", "{chain}", "--start", "S", "--seed", "-1"], None),
+        (["simulate", "{chain}", "--start", "S", "--length", "3", "--trajectories", "4",
+          "--seed", "-2"], None),
+        (["simulate", "{chain}", "--start", "S"], "-4"),
+        (["demo-line-chain", "--seed", "-3", "--perturb", "0.1"], None),
+        # exit 0 while the seed went unread; every negative seed is refused now
+        (["demo-line-chain", "--seed", "-3"], None),
+        (["demo-line-chain", "--n", "6"], "-1"),
+    ], ids=["path", "ensemble", "env", "demo-perturbed", "demo", "demo-env"])
+    def test_negative_seed_is_a_usage_error(self, argv, env, chain_file, capsys,
+                                            monkeypatch):
+        if env is not None:
+            monkeypatch.setenv("CHAINS_SEED", env)
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(chain=chain_file) for a in argv])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == "" and err.startswith("usage:")
+        assert "argument --seed: seed must be non-negative" in err
+        assert "Traceback" not in err
+
     def test_seed_flag_overrides_chains_seed(self, chain_file, capsys, monkeypatch):
         monkeypatch.setenv("CHAINS_SEED", "abc")
         _, out, _ = run(capsys, "simulate", chain_file, "--start", "S", "--seed", "9")

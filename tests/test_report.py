@@ -95,3 +95,47 @@ class TestMakeReport:
         doc = cli.make_report("c", "d", result, {})
         assert doc == reference_report("c", "d", result, {})
         assert '"result":{"a":[["x",true,null]],"b":{"10":[0.0,1.0,2.0],"2":1.5}}' in doc
+
+
+# a path report's labels: one json.dumps for a list made only of str
+label_lists = st.one_of(
+    st.lists(st.text(max_size=5), max_size=30),
+    st.lists(st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é",
+                              "状態", "\U0001f600", "\ud800", "s1", ""]), max_size=12),
+)
+
+
+class TestLabelLists:
+    @given(labels=label_lists)
+    def test_matches_per_value_writer(self, labels):
+        result = {"path": labels, "seed": 3}
+        assert (cli.make_report("simulate", "d", result, {})
+                == reference_report("simulate", "d", result, {}))
+
+    def test_empty_list(self):
+        doc = cli.make_report("simulate", "d", {"path": []}, {})
+        assert doc == reference_report("simulate", "d", {"path": []}, {})
+        assert '"result":{"path":[]}' in doc
+
+    def test_escapes_and_non_ascii(self):
+        labels = ['a"b', "c\\d", "e\nf", "\x01", "é", "状態", "\U0001f600"]
+        doc = cli.make_report("simulate", "d", {"path": labels}, {})
+        assert doc == reference_report("simulate", "d", {"path": labels}, {})
+        assert ('"path":["a\\"b","c\\\\d","e\\nf","\\u0001","\\u00e9",'
+                '"\\u72b6\\u614b","\\ud83d\\ude00"]') in doc
+
+    @given(mixed=st.lists(st.one_of(st.text(max_size=3), floats, st.integers(-5, 5),
+                                    st.booleans(), floats.map(np.float64)),
+                          min_size=1, max_size=8))
+    def test_mixed_lists_take_the_per_value_path(self, mixed):
+        # a number in the list sends it through _jsonable, which rounds floats
+        with mock.patch.object(cli, "_jsonable", wraps=cli._jsonable) as walk:
+            text = cli._report_text(mixed)
+        assert text == json.dumps(cli._jsonable(mixed), sort_keys=True,
+                                  separators=(",", ":"))
+        assert walk.called == any(not isinstance(x, str) for x in mixed)
+
+    def test_str_list_skips_the_per_value_walk(self):
+        with mock.patch.object(cli, "_jsonable", wraps=cli._jsonable) as walk:
+            assert cli._report_text(["x", "y\u00e9"]) == '["x","y\\u00e9"]'
+        assert not walk.called
