@@ -61,7 +61,10 @@ def transitions(p: np.ndarray) -> np.ndarray:
     return p > ENTRY_CLAMP
 
 
-def require_count(value: int, what: str, least: int = 0) -> None:
+def require_count(value: int, what: str, least: float = 0) -> None:
+    """BadCount unless value is an int or numpy integer (not a bool) >= least."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise BadCount(f"{what} must be an integer, got {value!r}")
     if value < least:
         raise BadCount(f"{what} must be at least {least}, got {value}")
 
@@ -240,10 +243,11 @@ def sample(chain: TransitionMatrix, start, length: int, seed: int,
     entries: a row of a sparse chain has a few runs.
     """
     require_count(length, "length")
-    stream = int(seed) + int(trajectory)
-    require_count(stream, "seed + trajectory")
+    require_count(seed, "seed", least=-np.inf)  # only seed + trajectory must be >= 0
+    require_count(trajectory, "trajectory", least=-np.inf)
+    require_count(seed + trajectory, "seed + trajectory")
     i = _start(chain, start)
-    rng = np.random.default_rng(stream)
+    rng = np.random.default_rng(seed + trajectory)
     vals, ends = _run_table(chain.p)
     vals, ends = vals.tolist(), ends.tolist()
     labels = chain.labels
@@ -275,7 +279,6 @@ def occupancy(chain: TransitionMatrix, start, length: int, seed: int,
     """
     require_count(length, "length")
     require_count(trajectories, "trajectories", least=1)
-    seed = int(seed)
     require_count(seed, "seed")
     n = chain.n
     i = _start(chain, start)

@@ -38,7 +38,7 @@ class BadLabel(ValidationError):
 
 
 class BadCount(ValidationError):
-    """A length, step count, power or ensemble size out of range."""
+    """A length, step count, power, seed or ensemble size: not an integer, or out of range."""
 
 
 class NegativeWeight(ValidationError):

@@ -432,7 +432,8 @@ class ComplexEigenpairs:
     matrices with one column per eigenvalue: the second column of a
     conjugate pair is the conjugate of the first. Right vectors have unit
     Euclidean norm. When the spectrum is simple, left vectors are
-    rescaled so that left^T right = I column by column.
+    rescaled so that left^T right = I column by column; one whose rescale
+    would overflow (its unit l^T r underflows) keeps unit norm.
     """
 
     values: np.ndarray
@@ -548,14 +549,15 @@ def _eigenpairs(values: np.ndarray, starts: list[int], sizes: list[int],
                 simple: bool, residual: float) -> ComplexEigenpairs:
     """The ComplexEigenpairs of one right and one left complex vector per
     diagonal block: each vector at unit norm and phase, the left ones
-    rescaled so that l^T r = 1 when the spectrum is simple, both
-    expanded to one column per eigenvalue."""
+    rescaled so that l^T r = 1 when the spectrum is simple and l / l^T r
+    stays finite, both expanded to one column per eigenvalue."""
     right_blocks = _unit_phase(right_blocks)
     left_blocks = _unit_phase(left_blocks)
     if simple:
-        d = np.sum(left_blocks * right_blocks, axis=0)
-        nonzero = np.abs(d) > 0
-        left_blocks[:, nonzero] /= d[nonzero]
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            scaled = left_blocks / np.sum(left_blocks * right_blocks, axis=0)
+        finite = np.all(np.isfinite(scaled), axis=0)
+        left_blocks[:, finite] = scaled[:, finite]
     return ComplexEigenpairs(values=values, right=_columns(right_blocks, starts, sizes),
                              left=_columns(left_blocks, starts, sizes),
                              diagonalizable=diagonalizable, simple=simple,

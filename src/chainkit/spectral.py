@@ -4,13 +4,13 @@ spectrum behaves the way stochastic matrices must.
 
 `decompose` reads the spectrum through the chain's structure, by three
 routes. A reversible chain is similar to the symmetric S = Pi^1/2 P
-Pi^-1/2, so its spectrum is real and its eigenvectors come from S's
-(Levin, Peres & Wilmer, Markov Chains and Mixing Times, 2009, 12.1).
-An irreducible chain of period d is block-cyclic, so its spectrum is
-the e-th roots of that of the cycle product of its e cyclic blocks, for
-every divisor e of d, and a reducible chain is
-block upper triangular in a topological order of its classes (Seneta,
-Non-negative Matrices and Markov Chains, 2006, ch. 1)."""
+Pi^-1/2 at any range of pi, so its spectrum is real and its eigenvectors
+come from S's (Levin, Peres & Wilmer, Markov Chains and Mixing Times,
+2009, 12.1). An irreducible chain of period d is block-cyclic, so its
+spectrum is the e-th roots of that of the cycle product of its e cyclic
+blocks, for every divisor e of d, and a reducible chain is block upper
+triangular in a topological order of its classes (Seneta, Non-negative
+Matrices and Markov Chains, 2006, ch. 1)."""
 
 from __future__ import annotations
 
@@ -88,11 +88,11 @@ def _reversible_pairs(p: np.ndarray, structure: ClassStructure) -> ComplexEigenp
     S_ij = sqrt(P_ij P_ji) needs no pi and is exactly symmetric, so
     `sym_eigen` gives its real spectrum and orthonormal v; the right and
     left eigenvectors of P are r = Pi^-1/2 v and l = Pi^1/2 v (Levin,
-    Peres & Wilmer, Markov Chains and Mixing Times, 2009, 12.1). Pi^1/2
-    comes from Kolmogorov's potential phi = ln pi, up to a constant per
-    class, which does not matter: the chain is block diagonal over them.
-    The route needs Kolmogorov's criterion to hold, every entry of Pi^1/2
-    / max Pi^1/2 in the normal range (so 1 / Pi^1/2 stays finite), and
+    Peres & Wilmer, Markov Chains and Mixing Times, 2009, 12.1). Each
+    column is formed in log scale, log|v| -/+ phi/2 less its largest
+    entry, exponentiated with v's sign: phi = ln pi + a constant per class
+    is Kolmogorov's potential, and an entry past the double range
+    underflows to 0. The route needs Kolmogorov's criterion to hold and
     the right and left residuals on P within DEFLATE_RTOL * ||P||_F, the
     backward error real_schur accepts: a chain that passes the criterion
     at CYCLE_RTOL, or has an entry below ENTRY_CLAMP off the pattern, is
@@ -102,21 +102,21 @@ def _reversible_pairs(p: np.ndarray, structure: ClassStructure) -> ComplexEigenp
     ok, _, phi = _kolmogorov(p)
     if not ok:
         return None
-    half = np.exp(0.5 * (phi - phi.max()))
-    if half.min() < np.finfo(float).tiny:
-        return None
-    values, v = sym_eigen(np.sqrt(p * p.T))
-    # QR gets v only to an absolute accuracy, which 1 / Pi^1/2 magnifies,
-    # and most of all on the unit eigenvalues: each class's v is Pi^1/2
-    # on the class, so those are taken from half instead
+    # in class order S is block diagonal, so sym_eigen never mixes two
+    # classes: phi's constants cannot magnify a repeated eigenvalue's v
+    order = np.concatenate(structure.classes)
+    values, v = sym_eigen(np.sqrt(p * p.T)[np.ix_(order, order)])
+    v = v[np.argsort(order)]
+    # QR's absolute error in v, which the scaling magnifies, is worst on
+    # the unit pairs: those are r = 1 and l = pi on each class, from phi
     n, k = len(values), len(structure.classes)
     v[:, n - k:] = 0.0
+    log_v = np.log(np.abs(v), where=v != 0, out=np.full_like(v, -np.inf))
     for j, members in enumerate(structure.classes):
         members = list(members)
-        v[members, n - k + j] = half[members] / np.linalg.norm(half[members])
-    right, left = v / half[:, None], v * half[:, None]
-    right /= np.max(np.abs(right), axis=0)
-    left /= np.max(np.abs(left), axis=0)
+        v[members, n - k + j], log_v[members, n - k + j] = 1.0, 0.5 * phi[members]
+    right, left = (np.sign(v) * np.exp(x - x.max(axis=0))
+                   for x in (log_v - 0.5 * phi[:, None], log_v + 0.5 * phi[:, None]))
     scale = np.linalg.norm(p)
     residual = max(_residual(p, right, values), _residual(p.T, left, values))
     if not residual <= DEFLATE_RTOL * scale:

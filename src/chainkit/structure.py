@@ -109,10 +109,11 @@ def _condense(chain: TransitionMatrix):
     the classes in topological order, sources first.
 
     Tarjan finishes a class only after every class reachable from it, so
-    its finishing order, reversed, is topological. The states of a class form a subtree of the DFS forest, so the period
-    of a class is the gcd, over its internal edges u->v, of the depth
-    defects d(u) + 1 - d(v) (1 when it has none), and a state's phase is
-    its depth mod its class's period.
+    its finishing order, reversed, is topological. The states of a class
+    form a subtree of the DFS forest, so the period of a class is the
+    gcd, over its internal edges u->v, of the depth defects
+    d(u) + 1 - d(v) (1 when it has none), and a state's phase is its
+    depth mod its class's period.
     """
     n = chain.n
     u, v = np.nonzero(transitions(chain.p))  # row-major: u ascending

@@ -427,6 +427,36 @@ class TestCounts:
         with pytest.raises(errors.BadCount):
             call(phd_chain)
 
+    @pytest.mark.parametrize("call", [
+        lambda c: sample(c, "S", 2.5, seed=1),
+        lambda c: sample(c, "S", True, seed=0),
+        lambda c: sample(c, "S", 3, seed=1.7),
+        lambda c: sample(c, "S", 3, seed=True),
+        lambda c: sample(c, "S", 3, seed=1, trajectory=0.0),
+        lambda c: occupancy(c, "S", 2.5, seed=1, trajectories=3),
+        lambda c: occupancy(c, "S", 2, seed=1, trajectories=2.5),
+        lambda c: occupancy(c, "S", 2, seed=1.0, trajectories=2),
+        lambda c: evolve(c, point_mass(c, "S"), 2.5),
+        lambda c: conditional_expectation(c, np.ones(4), np.float64(2)),
+        lambda c: c.power(1.5),
+        lambda c: c.power(np.bool_(True)),
+        lambda c: line_chain(n=5, seed=1.5),
+    ], ids=["sample-length", "sample-bool-length", "sample-seed", "sample-bool-seed",
+            "sample-trajectory", "occupancy-length", "occupancy-trajectories",
+            "occupancy-seed", "evolve", "conditional_expectation", "power", "power-bool",
+            "line_chain-seed"])
+    def test_non_integer_count_is_bad_count(self, phd_chain, call):
+        # a float once raised a bare TypeError, and a bool or a float seed
+        # was taken as the integer it rounds to
+        with pytest.raises(errors.BadCount):
+            call(phd_chain)
+
+    def test_numpy_integers_are_counts(self, phd_chain):
+        assert (sample(phd_chain, "S", np.int64(9), seed=np.int32(2), trajectory=np.int64(1))
+                == sample(phd_chain, "S", 9, seed=3))
+        assert np.array_equal(occupancy(phd_chain, "S", np.int64(4), np.int64(1), np.int16(3)),
+                              occupancy(phd_chain, "S", 4, 1, 3))
+
     def test_seed_plus_trajectory_may_be_zero(self, phd_chain):
         assert (sample(phd_chain, "S", 9, seed=-1, trajectory=1)
                 == sample(phd_chain, "S", 9, seed=0))

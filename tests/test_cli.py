@@ -952,6 +952,21 @@ def test_far_from_normal_chain_spectrum_has_no_overflow(tmp_path, capsys):
     assert len(json.loads(out)["result"]["eigenvalues"]) == 400
 
 
+def test_reversible_chain_past_the_double_range_is_diagonalizable(tmp_path, capsys):
+    # ln pi spans 1,464, so Pi^1/2 leaves the double range; the reversible
+    # route forms the eigenvectors in log scale and still takes the chain
+    f = tmp_path / "steep.json"
+    f.write_bytes(birth_death_doc(160, 0.9999))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "spectrum", str(f))
+    assert code == 0 and err == ""
+    result = json.loads(out)["result"]
+    assert result["diagonalizable"] is True
+    assert result["perron"]["unit_multiplicity"] == 1
+    assert result["perron"]["unit_multiplicity_matches_recurrent_classes"] is True
+
+
 class TestDemoCommand:
     def test_line_chain_report(self, capsys):
         code, out, _ = run(capsys, "demo-line-chain", "--n", "12",

@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,7 @@ from chainkit.numlin import (
     RANK_RTOL,
     RESCALE_LIMIT,
     _complex_rank,
+    _eigenpairs,
     eigen_from_schur,
     real_schur,
     solve_linear,
@@ -497,6 +499,23 @@ def dense_matrix(n, rng):
 
 def rotation(theta):
     return np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+
+
+class TestEigenpairs:
+    def test_rescales_only_the_columns_that_stay_finite(self):
+        # column 1's unit vectors meet at l^T r = 1e-310, so l / (l^T r)
+        # would be 1e310; it keeps unit norm, column 0 is rescaled
+        right = np.array([[1.0, 1.0], [1.0, 1e-310]])
+        left = np.array([[1.0, 0.0], [-0.5, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pairs = _eigenpairs(np.array([1.0, 0.5], dtype=complex), [0, 1], [1, 1],
+                                right, left, True, True, 0.0)
+        assert np.all(np.isfinite(pairs.left))
+        d = np.sum(pairs.left * pairs.right, axis=0)
+        assert abs(d[0] - 1.0) <= 1e-15
+        assert np.linalg.norm(pairs.left[:, 1]) == pytest.approx(1.0, rel=1e-15)
+        assert abs(d[1]) < 1e-300
 
 
 class TestComplexRank:

@@ -19,7 +19,7 @@ from chainkit import (
     taxonomy,
 )
 from chainkit import spectral
-from chainkit.numlin import eigen_from_schur, real_schur, sym_eigen
+from chainkit.numlin import DEFLATE_RTOL, eigen_from_schur, real_schur, sym_eigen
 from chainkit.spectral import (
     SpectralDecomposition,
     _reversible_pairs,
@@ -434,7 +434,8 @@ def reversible_matrices(draw):
     if kind == "walk":
         return symmetric_walk(rng, draw(hs.integers(2, 40)))
     if kind == "birth_death":
-        return line_chain(draw(hs.integers(2, 120)), draw(hs.floats(0.5, 0.99))).p
+        # up to 0.9999 and 200 states, ln pi spans up to 1,833: past the double range
+        return line_chain(draw(hs.integers(2, 200)), draw(hs.floats(0.5, 0.9999))).p
     if kind == "identity":
         return np.eye(draw(hs.integers(1, 40)))
     sizes = draw(hs.lists(hs.integers(1, 12), min_size=2, max_size=4))
@@ -451,6 +452,20 @@ def symmetrized_values(p):
     return np.linalg.eigvalsh(np.sqrt(p * p.T))
 
 
+def assert_biorthogonal(pairs):
+    """Every left entry is finite and, when the spectrum is simple,
+    l^T r = 1 on every column whose rescale stays in the double range;
+    the others keep unit norm."""
+    r, l = pairs.right, pairs.left
+    assert np.all(np.isfinite(l))
+    if not pairs.simple:
+        return
+    d = np.sum(l * r, axis=0)
+    representable = np.abs(d) > np.max(np.abs(l), axis=0) / np.finfo(float).max
+    assert np.all(np.abs(d[representable] - 1.0) <= 1e-12)
+    assert np.allclose(np.linalg.norm(l[:, ~representable], axis=0), 1.0, rtol=1e-12)
+
+
 class TestReversibleRoute:
     """Reversible chains: sym_eigen of S = Pi^1/2 P Pi^-1/2."""
 
@@ -463,31 +478,54 @@ class TestReversibleRoute:
         assert np.max(np.abs(np.sort(pairs.values.real) - symmetrized_values(p))) <= 1e-12
         assert max(eigen_residuals(p, pairs)) <= 1e-10
         assert pairs.diagonalizable
+        assert_biorthogonal(pairs)
 
-    @pytest.mark.parametrize("n,p_right", [(60, 0.99), (120, 0.9), (400, 0.9)])
+    @pytest.mark.parametrize("n,p_right", [(60, 0.99), (120, 0.9), (400, 0.9), (400, 0.99),
+                                           (400, 0.999), (160, 0.9999)])
     def test_biased_birth_death(self, n, p_right, monkeypatch):
         # the Schur route called the first defective, put the second's
-        # eigenvalues 1.7e-10 off and overflowed on the third
+        # eigenvalues 1.7e-10 off and overflowed on the third; on the last
+        # three ln pi spans 1,464 to 2,756, past the double range, and it put
+        # the eigenvalues up to 5.8e-9 off and called them defective
         chain = line_chain(n, p_right)
-        dec, orders = route_calls(monkeypatch, chain)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dec, orders = route_calls(monkeypatch, chain)
         assert orders == {"real_schur": [], "sym_eigen": [n]}
         assert dec.pairs.diagonalizable and dec.pairs.simple
         got = np.sort(dec.values.real)
         assert np.max(np.abs(got - symmetrized_values(chain.p))) <= 1e-12
+        assert dec.pairs.residual <= DEFLATE_RTOL * np.linalg.norm(chain.p)
         assert max(eigen_residuals(chain.p, dec.pairs)) <= 1e-10
+        assert_biorthogonal(dec.pairs)
 
-    def test_steps_aside_past_the_double_range(self, monkeypatch):
-        # ln pi spans 1,464 here, so Pi^1/2 leaves the normal range and the
-        # Schur route takes the chain; its back-substitution on this far
-        # from normal T overflows unless it rescales its columns
+    def test_any_range_of_pi_takes_the_symmetric_route(self, monkeypatch):
+        # ln pi spans 1,464 here, so Pi^1/2 leaves the double range: the
+        # eigenvectors are formed in log scale and their far entries
+        # underflow to 0 instead of overflowing
         chain = line_chain(160, 0.9999)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             dec, orders = route_calls(monkeypatch, chain)
-        assert orders == {"real_schur": [160], "sym_eigen": []}
+        assert orders == {"real_schur": [], "sym_eigen": [160]}
+        assert dec.pairs.diagonalizable
         assert np.all(np.isfinite(dec.pairs.right)) and np.all(np.isfinite(dec.pairs.left))
         assert np.all(np.isfinite(dec.left_row_sums))
         assert max(eigen_residuals(chain.p, dec.pairs)) <= 1e-10
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_repeated_eigenvalue_across_classes(self, seed):
+        # lambda = 0 once in each 2-state class; in state order sym_eigen
+        # could mix the two, and ln pi on the 11-state class (a span of 22)
+        # magnified the mix, past the residual gate at seed 1
+        base = np.zeros((15, 15))
+        base[:11, :11] = line_chain(11, 0.9).p
+        base[11:13, 11:13] = base[13:, 13:] = [[0.1, 0.9], [0.1, 0.9]]
+        order = np.random.default_rng(seed).permutation(15)
+        p = base[np.ix_(order, order)]
+        pairs = _reversible_pairs(p, classify(build_chain([str(i) for i in range(15)], p)))
+        assert pairs is not None
+        assert max(eigen_residuals(p, pairs)) <= 1e-12
 
     @pytest.mark.parametrize("case,symmetric", [
         ("cycle_ratio", False),  # one cycle's products differ by 1e-6: not reversible
