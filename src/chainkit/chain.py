@@ -9,6 +9,7 @@ throughout: a distribution evolves as mu(t+k)^T = mu(t)^T P^k.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +29,14 @@ from .errors import (
 ROW_SUM_ATOL = 1e-9
 ENTRY_CLAMP = 1e-12  # |entry| at most this is roundoff: never a transition
 SAMPLE_BLOCK = 1 << 20  # uniforms drawn at once by sample and occupancy
+
+# numpy's SeedSequence pool and output hash constants, and PCG64's LCG
+# multiplier; NEP 19 keeps both streams fixed across numpy releases
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 
 
 def as_finite(values, what: str) -> np.ndarray:
@@ -115,7 +124,7 @@ def build_chain(labels, p) -> TransitionMatrix:
     bad = np.where(np.abs(sums - 1.0) > ROW_SUM_ATOL)[0]
     if bad.size:
         i = int(bad[0])
-        raise RowSumViolation(f"row {i} sums to {sums[i]:.12f}, expected 1")
+        raise RowSumViolation(f"row {i} sums to {sums[i]:.12g}, expected 1")
     p = p / sums[:, None]
     p.setflags(write=False)
     return TransitionMatrix(labels=labels, p=p)
@@ -132,7 +141,7 @@ def validate_distribution(mu, n: int | None = None) -> np.ndarray:
     mu = np.where(mu < 0, 0.0, mu)
     total = mu.sum()
     if abs(total - 1.0) > ROW_SUM_ATOL:
-        raise RowSumViolation(f"distribution mass {total:.12f}, expected 1")
+        raise RowSumViolation(f"distribution mass {total:.12g}, expected 1")
     return mu / total
 
 
@@ -227,6 +236,91 @@ def _run_table(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals, ends
 
 
+def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
+    """init, init * mult, ..., init * mult**count, mod 2**32."""
+    out = [init]
+    for _ in range(count):
+        out.append(out[-1] * mult & _MASK32)
+    return np.array(out, dtype=np.uint32)
+
+
+def _hashmix(x, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hash of x under consecutive constants: xor with
+    one, multiply by the next, fold the high half into the low."""
+    x = (x ^ consts[:-1]) * consts[1:]
+    return x ^ (x >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of a hashed word y into pool word x."""
+    r = x * _MIX_L - y * _MIX_R
+    return r ^ (r >> 16)
+
+
+def _seed_states(first: int, count: int) -> np.ndarray:
+    """`np.random.SeedSequence(s).generate_state(4, np.uint64)` for each
+    seed s in first .. first + count - 1, as a (count, 4) array; the
+    seeds must share their bits above the lowest 64.
+
+    numpy's pool hashing, run as uint32 array arithmetic over all seeds
+    at once. A seed's 32-bit words, least significant first, fill a pool
+    of four (a missing word hashes exactly like a zero one); each pool
+    word is hashed into the other three; words past the fourth are
+    hashed into all four; eight output words are hashed out of the pool
+    in turn, two to a uint64. The constants of each hash follow a fixed
+    sequence that does not depend on the seed.
+    """
+    high = []  # the seed's words past the second, shared by every seed
+    rest = first >> 64
+    while rest:
+        high.append(rest & _MASK32)
+        rest >>= 32
+    a = _hash_consts(_INIT_A, _MULT_A, 16 + 4 * max(0, len(high) - 2))
+    low = np.arange(count, dtype=np.uint64) + np.uint64(first & _MASK64)
+    pool = np.empty((count, 4), dtype=np.uint32)
+    pool[:, 0] = low  # truncated to the low word
+    pool[:, 1] = low >> 32
+    pool[:, 2:] = (high + [0, 0])[:2]
+    pool = _hashmix(pool, a[:5])
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        c = 4 + 3 * src
+        pool[:, dst] = _mix(pool[:, dst], _hashmix(pool[:, src, None], a[c:c + 4]))
+    for k, word in enumerate(high[2:]):
+        c = 16 + 4 * k
+        pool = _mix(pool, _hashmix(np.uint32(word), a[c:c + 5]))
+    out = _hashmix(pool[:, [0, 1, 2, 3, 0, 1, 2, 3]], _hash_consts(_INIT_B, _MULT_B, 8))
+    out = out.astype(np.uint64)
+    return out[:, 0::2] | out[:, 1::2] << 32
+
+
+def _streams(seed: int, count: int) -> Iterator[np.random.Generator]:
+    """The stream contract's one implementation: generators for the
+    streams seed, seed + 1, ..., seed + count - 1 in turn, each drawing
+    exactly what `np.random.default_rng(s)` draws.
+
+    The seeds are hashed together by `_seed_states`, at most 2**64 of
+    them at a time. With (a:b) = a 2**64 + b, a seed's words (w0, w1,
+    w2, w3) give PCG64 the increment inc = 2 (w2:w3) + 1 and the state
+    ((w0:w1) + inc) M + inc mod 2**128, which is set on one reused PCG64:
+    a yielded generator is reseeded when the next one is taken. Seeds
+    must not be negative.
+    """
+    bits = np.random.PCG64(0)
+    rng = np.random.Generator(bits)
+    seed = int(seed)  # numpy integers overflow the 128-bit arithmetic
+    end = seed + count
+    while seed < end:
+        size = min(end, ((seed >> 64) + 1) << 64) - seed
+        for w0, w1, w2, w3 in _seed_states(seed, size).tolist():
+            inc = (w2 << 65 | w3 << 1 | 1) & _MASK128
+            state = ((w0 << 64 | w1) + inc) * _PCG_MULT + inc & _MASK128
+            bits.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                          "state": {"state": state, "inc": inc}}
+            yield rng
+        seed += size
+
+
 def sample(chain: TransitionMatrix, start, length: int, seed: int,
            trajectory: int = 0) -> list[str]:
     """One trajectory of `length` transitions from `start`.
@@ -234,20 +328,21 @@ def sample(chain: TransitionMatrix, start, length: int, seed: int,
     The stream contract, shared with `occupancy`: trajectory t draws from
     numpy's default generator seeded with seed + t, which must not be
     negative, so distinct trajectories use independent, reproducible
-    streams; step k consumes the k-th uniform u of that stream; the next
-    state is the first index whose entry in the current row's cumulative
-    sum exceeds u, clipped to n - 1. The stream is drawn SAMPLE_BLOCK
-    uniforms at a time (`rng.random(m)` gives the same values as m
-    single draws) and the path is walked in plain Python, bisecting the
-    row's runs of equal cdf values (`_run_table`) instead of its n
-    entries: a row of a sparse chain has a few runs.
+    streams (both take them from `_streams`); step k consumes the k-th
+    uniform u of that stream; the next state is the first index whose
+    entry in the current row's cumulative sum exceeds u, clipped to
+    n - 1. The stream is drawn SAMPLE_BLOCK uniforms at a time
+    (`rng.random(m)` gives the same values as m single draws) and the
+    path is walked in plain Python, bisecting the row's runs of equal
+    cdf values (`_run_table`) instead of its n entries: a row of a
+    sparse chain has a few runs.
     """
     require_count(length, "length")
     require_count(seed, "seed", least=-np.inf)  # only seed + trajectory must be >= 0
     require_count(trajectory, "trajectory", least=-np.inf)
     require_count(seed + trajectory, "seed + trajectory")
     i = _start(chain, start)
-    rng = np.random.default_rng(seed + trajectory)
+    rng = next(_streams(seed + trajectory, 1))
     vals, ends = _run_table(chain.p)
     vals, ends = vals.tolist(), ends.tolist()
     labels = chain.labels
@@ -271,11 +366,12 @@ def occupancy(chain: TransitionMatrix, start, length: int, seed: int,
     walks (same streams, same run table), but every trajectory of a
     block steps at once: the next states are read from `ends` at the
     count of run values at or below each uniform. A block is
-    SAMPLE_BLOCK // max(length, width) trajectories (at least one),
-    width being that of the run table, so its uniforms, visited states
-    and gathered run rows stay within SAMPLE_BLOCK entries, or one
-    trajectory's worth when that is larger; the visits of a block are
-    counted with one bincount.
+    SAMPLE_BLOCK // max(length, width, 32) trajectories (at least one),
+    width being that of the run table, so its uniforms, visited states,
+    gathered run rows and seed states (a trajectory's, hashed once per
+    block by `_streams`, take about as much memory as 32 uniforms) stay
+    within SAMPLE_BLOCK entries, or one trajectory's worth when that is
+    larger; the visits of a block are counted with one bincount.
     """
     require_count(length, "length")
     require_count(trajectories, "trajectories", least=1)
@@ -285,12 +381,12 @@ def occupancy(chain: TransitionMatrix, start, length: int, seed: int,
     vals, ends = _run_table(chain.p)
     counts = np.zeros((length + 1, n))
     counts[0, i] = trajectories
-    block = max(1, SAMPLE_BLOCK // max(length, vals.shape[1]))
+    block = max(1, SAMPLE_BLOCK // max(length, vals.shape[1], 32))
     for first in range(0, trajectories, block):
         size = min(block, trajectories - first)
         u = np.empty((size, length))
-        for k in range(size):
-            np.random.default_rng(seed + first + k).random(out=u[k])
+        for row, rng in zip(u, _streams(seed + first, size)):
+            rng.random(out=row)
         visits = np.empty((length, size), dtype=np.intp)  # flat indices into counts[1:]
         cur = np.full(size, i)
         for t in range(length):

@@ -585,8 +585,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["json", "csv"], default="json")
 
     p = add("evolve", help="push a distribution forward k steps")
-    p.add_argument("--start", help="start state label (point mass)")
-    p.add_argument("--mu", help="comma-separated start distribution")
+    start = p.add_mutually_exclusive_group()
+    start.add_argument("--start", help="start state label (point mass)")
+    start.add_argument("--mu", help="comma-separated start distribution")
     p.add_argument("--steps", type=int, default=1)
 
     p = add("simulate", help="sample trajectories / ensemble occupancy")

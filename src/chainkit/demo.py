@@ -4,8 +4,11 @@ A length-n path with rightward probability p_right at every interior
 state and probability-conserving self-loops at the two ends. The
 perturbed variant jitters each state's bias by an independent uniform
 draw in [-perturb, perturb] from numpy's default generator seeded with
-`seed`, which must not be negative; rows always still sum to one, so the
-all-ones vector remains the right eigenvector for eigenvalue 1.
+`seed`, which must not be negative, and clips the jittered bias to
+[1e-3, 1 - 1e-3], so every move keeps probability at least 1e-3;
+`perturb` must be finite and not negative. Rows always still sum to
+one, so the all-ones vector remains the right eigenvector for
+eigenvalue 1.
 """
 
 from __future__ import annotations
@@ -22,11 +25,16 @@ def line_chain(n: int = 100, p_right: float = 0.52, perturb: float = 0.0,
         raise ValidationError("line chain needs at least two states")
     if not 0.0 < p_right < 1.0:
         raise ValidationError("p_right must be strictly between 0 and 1")
+    if not 0.0 <= perturb < np.inf:
+        raise ValidationError(f"perturb must be finite and not negative, got {perturb}")
     require_count(seed, "seed")
     right = np.full(n, p_right)
     if perturb > 0.0:
         rng = np.random.default_rng(seed)
-        right = right + rng.uniform(-perturb, perturb, size=n)
+        # uniform(-perturb, perturb) drawn at half width and doubled: the
+        # same doubles for a normal perturb (doubling is exact), where the
+        # width 2 * perturb that numpy forms overflows above 8.9e307
+        right = right + 2 * rng.uniform(-perturb / 2, perturb / 2, size=n)
         right = np.clip(right, 1e-3, 1.0 - 1e-3)
     p = np.zeros((n, n))
     for i in range(n):

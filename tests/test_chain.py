@@ -17,7 +17,7 @@ from chainkit import (
     point_mass,
     sample,
 )
-from chainkit.chain import TransitionMatrix, validate_distribution
+from chainkit.chain import TransitionMatrix, _streams, validate_distribution
 
 
 class TestBuildChain:
@@ -47,6 +47,18 @@ class TestBuildChain:
     def test_bad_labels(self, labels):
         with pytest.raises(errors.BadLabel):
             build_chain(labels, [[0.5, 0.5], [0.5, 0.5]])
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: build_chain("ab", [[1e308, 0.0], [0.5, 0.5]]),
+         "row 0 sums to 1e+308, expected 1"),
+        (lambda: validate_distribution([1e308, 0.0]), "distribution mass 1e+308, expected 1"),
+        (lambda: build_chain("ab", [[0.5, 0.4], [0.5, 0.5]]), "row 0 sums to 0.9, expected 1"),
+    ], ids=["row", "distribution", "short-row"])
+    def test_row_sum_message_has_twelve_digits(self, call, message):
+        # fixed-point printing wrote a 1e308 sum out in about 320 digits
+        with pytest.raises(errors.RowSumViolation) as exc:
+            call()
+        assert str(exc.value) == message
 
     def test_dimension_mismatch(self):
         with pytest.raises(errors.DimensionMismatch):
@@ -230,6 +242,16 @@ def walk_rows(draw, n):
     return row
 
 
+# seeds on both sides of the 32-bit word boundaries where SeedSequence
+# splits a seed (2**32 .. 2**224), and any seed up to 2**256, nine words:
+# words past the fourth take SeedSequence's extra mixing
+stream_seeds = st.one_of(
+    st.integers(0, 2 ** 256),
+    st.builds(lambda words, step: 2 ** (32 * words) + step,
+              st.integers(1, 7), st.integers(-9, 9)),
+)
+
+
 @st.composite
 def walk_cases(draw):
     """(chain, start, length, seed, trajectories) with an unvalidated chain
@@ -238,7 +260,7 @@ def walk_cases(draw):
     p = np.array([draw(walk_rows(n)) for _ in range(n)])
     chain = TransitionMatrix(labels=tuple(f"w{i}" for i in range(n)), p=p)
     start = draw(st.one_of(st.integers(0, n - 1), st.sampled_from(chain.labels)))
-    return (chain, start, draw(st.integers(0, 40)), draw(st.integers(0, 2 ** 40)),
+    return (chain, start, draw(st.integers(0, 40)), draw(stream_seeds),
             draw(st.integers(1, 6)))
 
 
@@ -280,7 +302,7 @@ class TestSamplingContract:
 
     def test_occupancy_across_trajectory_blocks(self, monkeypatch):
         # shrink the uniform buffer so 50 trajectories of 10 steps on 6
-        # states need nine blocks, the last one short
+        # states need 25 blocks of two
         monkeypatch.setattr(chain_module, "SAMPLE_BLOCK", 64)
         chain = _dense_chain()
         got = occupancy(chain, "d2", 10, 4, 50)
@@ -297,6 +319,10 @@ class TestSamplingContract:
     @given(walk=walk_cases(), block=st.sampled_from([1, 5, 64, chain_module.SAMPLE_BLOCK]))
     @example(walk=(_gapped_chain(), 0, 30, 4, 5), block=7)
     @example(walk=(_gapped_chain(), 4, 1, 0, 3), block=1)
+    # blocks of two trajectories, the second of which straddles 2**64;
+    # then a block that goes from four seed words to five
+    @example(walk=(_dense_chain(), "d1", 6, 2 ** 64 - 3, 6), block=64)
+    @example(walk=(_dense_chain(), "d1", 6, 2 ** 128 - 1, 3), block=1 << 20)
     def test_run_table_matches_per_step_oracles(self, walk, block):
         chain, start, length, seed, trajectories = walk
         with mock.patch.object(chain_module, "SAMPLE_BLOCK", block):
@@ -322,6 +348,19 @@ class TestSamplingContract:
             tracemalloc.stop()
         assert occ.shape == (length + 1, chain.n)
         assert peak < (length + 1) * trajectories
+
+
+class TestStreams:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=stream_seeds, count=st.integers(1, 12), length=st.integers(0, 5))
+    @example(seed=0, count=3, length=4)
+    @example(seed=2 ** 64 - 5, count=10, length=3)  # two runs of hashed seeds
+    @example(seed=2 ** 128 - 2, count=4, length=2)  # four words, then five
+    def test_rows_are_default_rng_streams(self, seed, count, length):
+        rows = [rng.random(length) for rng in _streams(seed, count)]
+        assert len(rows) == count
+        for t, row in enumerate(rows):
+            assert np.array_equal(row, np.random.default_rng(seed + t).random(length))
 
 
 # evolve and conditional_expectation as they were first written, one

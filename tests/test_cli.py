@@ -554,6 +554,14 @@ class TestEvolutionAndSimulation:
         code, _, err = run(capsys, "evolve", chain_file)
         assert code == 2
 
+    def test_evolve_start_and_mu_together_is_a_usage_error(self, chain_file, capsys):
+        # --mu went unread beside --start, so even a NaN one exited 0
+        with pytest.raises(SystemExit) as exc:
+            main(["evolve", chain_file, "--start", "S", "--mu", "nan,nan,nan"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == "" and err.startswith("usage:")
+        assert "argument --mu: not allowed with argument --start" in err
+
     def test_simulate_seed_flag_and_env(self, chain_file, capsys, monkeypatch):
         _, a, _ = run(capsys, "simulate", chain_file, "--start", "S",
                       "--length", "20", "--seed", "5")
@@ -983,6 +991,23 @@ class TestDemoCommand:
         code, out, err = run(capsys, "demo-line-chain", *flags)
         assert code == 2 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("perturb", ["inf", "nan", "-0.5"])
+    def test_bad_perturb_is_exit_two(self, perturb, capsys):
+        # inf raised numpy's OverflowError; NaN and a negative perturb left
+        # the chain silently unperturbed
+        code, out, err = run(capsys, "demo-line-chain", "--n", "6", "--perturb", perturb)
+        assert code == 2 and out == ""
+        assert err == f"error: perturb must be finite and not negative, got {float(perturb)}\n"
+
+    def test_huge_perturb_lands_on_the_clip(self, capsys):
+        # finite, but numpy's uniform(-1e308, 1e308) overflowed its width
+        code, out, _ = run(capsys, "demo-line-chain", "--n", "12", "--perturb", "1e308",
+                           "--seed", "3")
+        assert code == 0
+        p = np.array(json.loads(out)["result"]["chain"]["P"])
+        assert set(np.diag(p, 1)) == {0.001, 0.999}
+        assert np.max(np.abs(p.sum(axis=1) - 1.0)) < 1e-12
 
     def test_perturbed_chain_still_stochastic(self, capsys):
         code, out, _ = run(capsys, "demo-line-chain", "--n", "12",
