@@ -295,9 +295,9 @@ def _seed_states(first: int, count: int) -> np.ndarray:
 
 
 def _streams(seed: int, count: int) -> Iterator[np.random.Generator]:
-    """The stream contract's one implementation: generators for the
-    streams seed, seed + 1, ..., seed + count - 1 in turn, each drawing
-    exactly what `np.random.default_rng(s)` draws.
+    """The streams of an ensemble: generators for the streams seed,
+    seed + 1, ..., seed + count - 1 in turn, each drawing exactly what
+    `np.random.default_rng(s)` draws, without building one per seed.
 
     The seeds are hashed together by `_seed_states`, at most 2**64 of
     them at a time. With (a:b) = a 2**64 + b, a seed's words (w0, w1,
@@ -328,13 +328,13 @@ def sample(chain: TransitionMatrix, start, length: int, seed: int,
     The stream contract, shared with `occupancy`: trajectory t draws from
     numpy's default generator seeded with seed + t, which must not be
     negative, so distinct trajectories use independent, reproducible
-    streams (both take them from `_streams`); step k consumes the k-th
-    uniform u of that stream; the next state is the first index whose
-    entry in the current row's cumulative sum exceeds u, clipped to
-    n - 1. The stream is drawn SAMPLE_BLOCK uniforms at a time
-    (`rng.random(m)` gives the same values as m single draws) and the
-    path is walked in plain Python, bisecting the row's runs of equal
-    cdf values (`_run_table`) instead of its n entries: a row of a
+    streams (`occupancy` takes an ensemble's from `_streams`); step k
+    consumes the k-th uniform u of that stream; the next state is the
+    first index whose entry in the current row's cumulative sum exceeds
+    u, clipped to n - 1. The stream is drawn SAMPLE_BLOCK uniforms at a
+    time (`rng.random(m)` gives the same values as m single draws) and
+    the path is walked in plain Python, bisecting the row's runs of
+    equal cdf values (`_run_table`) instead of its n entries: a row of a
     sparse chain has a few runs.
     """
     require_count(length, "length")
@@ -342,7 +342,7 @@ def sample(chain: TransitionMatrix, start, length: int, seed: int,
     require_count(trajectory, "trajectory", least=-np.inf)
     require_count(seed + trajectory, "seed + trajectory")
     i = _start(chain, start)
-    rng = next(_streams(seed + trajectory, 1))
+    rng = np.random.default_rng(seed + trajectory)
     vals, ends = _run_table(chain.p)
     vals, ends = vals.tolist(), ends.tolist()
     labels = chain.labels
@@ -378,9 +378,11 @@ def occupancy(chain: TransitionMatrix, start, length: int, seed: int,
     require_count(seed, "seed")
     n = chain.n
     i = _start(chain, start)
-    vals, ends = _run_table(chain.p)
     counts = np.zeros((length + 1, n))
     counts[0, i] = trajectories
+    if not length:  # the point mass at the start: no stream is drawn from
+        return counts / trajectories
+    vals, ends = _run_table(chain.p)
     block = max(1, SAMPLE_BLOCK // max(length, vals.shape[1], 32))
     for first in range(0, trajectories, block):
         size = min(block, trajectories - first)

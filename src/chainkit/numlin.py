@@ -23,9 +23,10 @@ those of its cycle product, d times smaller; every eigenpair route ends
 in the same unit-phase and l^T r = 1 step, which expands one vector per
 diagonal block into one complex column per eigenvalue. Stationary
 vectors, PageRank and absorption share one subtraction-free
-Grassmann-Taksar-Heyman (GTH) state reduction in panels of GTH_PANEL,
-down to state 1 or down to the absorbing states. Every kernel rejects
-non-finite input with NumericError before it starts iterating.
+Grassmann-Taksar-Heyman (GTH) state reduction in left-looking panels
+of GTH_PANEL, down to state 1 or down to the absorbing states. Every
+kernel rejects non-finite input with NumericError before it starts
+iterating.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ DEFLATE_RTOL = 1e-12
 TRIDIAG_RTOL = float(np.finfo(float).eps)
 RANK_RTOL = 1e-8
 RESCALE_LIMIT = 1e150  # stationary_gth and _quasi_triangular_vectors rescale past this
-GTH_PANEL = 32  # states _gth_censor censors per deferred leading-block product
+GTH_PANEL = 32  # states per left-looking panel of _gth_censor: one leading-block product each
 
 
 def _require_finite(a: np.ndarray, what: str) -> None:
@@ -104,31 +105,29 @@ def _gth_censor(a: np.ndarray, stop: int) -> np.ndarray:
     Taksar & Heyman, Oper. Res. 33(5), 1985). Column k is left scaled to
     a[:k, k] / s_k, row k as it stood when state k was censored.
 
-    States go in panels [k0, k1) of GTH_PANEL from the last one down:
-    within a panel the rank-1 update reaches only the panel rows and the
-    panel columns of the leading rows, and the leading block a[:k0, :k0]
-    takes the whole panel's updates as one matrix product; the last
-    panel (fewer than 2 GTH_PANEL states) ends at stop. The diagonal is
-    never read and nothing is subtracted, so every entry has a small
-    relative error (O'Cinneide, Numer. Math. 65, 1993). Raises
-    SingularMatrix when some s_k is not positive: state k cannot reach
-    the states below it.
+    States go in left-looking panels [k0, k1) of GTH_PANEL from the last
+    one down, the last panel ending at stop: when state k's turn comes,
+    its row a[k, :k] and its column a[:k, k] take the updates of the
+    panel states k+1, ..., k1-1 as one matrix-vector product each, and
+    after the panel the leading block a[:k0, :k0] takes the whole
+    panel's updates as one matrix product. The diagonal is never read
+    and nothing is subtracted, so every entry has a small relative error
+    (O'Cinneide, Numer. Math. 65, 1993). Raises SingularMatrix when some
+    s_k is not positive: state k cannot reach the states below it.
     """
     m = a.shape[0]
     pivots = np.zeros(m - stop)
-    k1 = m
-    while k1 > stop:
-        k0 = k1 - GTH_PANEL if k1 - stop >= 2 * GTH_PANEL else stop
+    for k1 in range(m, stop, -GTH_PANEL):
+        k0 = max(k1 - GTH_PANEL, stop)
         for k in range(k1 - 1, k0 - 1, -1):
+            a[k, :k] += a[k, k + 1:k1] @ a[k + 1:k1, :k]
+            a[:k, k] += a[:k, k + 1:k1] @ a[k + 1:k1, k]
             s = pivots[k - stop] = a[k, :k].sum()
             if not s > 0:
                 raise SingularMatrix(f"state {k} cannot reach states 0..{k - 1}: "
                                      "matrix is reducible")
             a[:k, k] /= s
-            a[k0:k, :k] += a[k0:k, k, None] * a[k, :k]
-            a[:k0, k0:k] += a[:k0, k, None] * a[k, k0:k]
         a[:k0, :k0] += a[:k0, k0:k1] @ a[k0:k1, :k0]
-        k1 = k0
     return pivots
 
 

@@ -294,6 +294,13 @@ class TestSamplingContract:
         assert got.shape == want.shape
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("trajectories", [1, 2, 2000])
+    def test_zero_length_occupancy_draws_no_stream(self, monkeypatch, trajectories):
+        chain = _dense_chain()
+        want = _occupancy_per_step(chain, "d3", 0, 5, trajectories)
+        monkeypatch.setattr(chain_module, "_streams", None)  # calling it fails
+        assert np.array_equal(occupancy(chain, "d3", 0, 5, trajectories), want)
+
     def test_short_row_reaches_the_clip(self):
         chain = _short_row_chain()
         assert np.cumsum(chain.p, axis=1)[1, -1] < 1.0

@@ -138,18 +138,26 @@ class TestStationaryGTH:
             stationary_gth(a)
 
 
-def unblocked_gth(a):
+def unblocked_censor(a, stop):
     """GTH one censored state at a time, each by a full rank-1 update of
-    the leading block: the reference the panelled kernel reorders."""
+    the leading block: the reference the panelled kernel reorders.
+    Returns the censored copy of a and the pivots."""
     a = np.array(a, dtype=float)
     m = a.shape[0]
-    for k in range(m - 1, 0, -1):
-        s = a[k, :k].sum()
+    pivots = np.zeros(m - stop)
+    for k in range(m - 1, stop - 1, -1):
+        s = pivots[k - stop] = a[k, :k].sum()
         if not s > 0:
             raise errors.SingularMatrix(f"state {k} cannot reach states 0..{k - 1}: "
                                         "matrix is reducible")
         a[:k, k] /= s
         a[:k, :k] += np.outer(a[:k, k], a[k, :k])
+    return a, pivots
+
+
+def unblocked_gth(a):
+    a, _ = unblocked_censor(a, 1)
+    m = a.shape[0]
     x = np.zeros(m)
     x[0] = 1.0
     for k in range(1, m):
@@ -187,6 +195,33 @@ class TestBlockedGTH:
         assert np.all(want > 0)
         assert np.max(np.abs(stationary_gth(a) / want - 1.0)) <= 1e-13
 
+    @pytest.mark.parametrize("stop", [1, 3])
+    @pytest.mark.parametrize("family", ["dense", "sparse", "google"])
+    @pytest.mark.parametrize("m", PANEL_SIZES)
+    def test_censored_matrix_matches_unblocked_reference(self, family, m, stop):
+        # m - 1 states censored at either stop: the scaled columns above
+        # the diagonal and the censored rows below it, which
+        # fundamental_matrix reads, and the pivots
+        a = gth_family(family, m + stop - 1, np.random.default_rng(m))
+        want, want_pivots = unblocked_censor(a, stop)
+        got = a.copy()
+        pivots = numlin._gth_censor(got, stop)
+        off = ~np.eye(len(a), dtype=bool)
+        assert np.all(np.abs(got - want)[off] <= 1e-13 * want[off])
+        assert np.all(np.abs(pivots - want_pivots) <= 1e-13 * want_pivots)
+
+    @pytest.mark.parametrize("stop", [1, 3])
+    @pytest.mark.parametrize("family", ["dense", "sparse"])
+    @pytest.mark.parametrize("m", PANEL_SIZES)
+    def test_diagonal_is_never_read(self, family, m, stop):
+        a = gth_family(family, m + stop - 1, np.random.default_rng(m))
+        nan = a.copy()
+        np.fill_diagonal(nan, np.nan)
+        pivots = numlin._gth_censor(a, stop)
+        nan_pivots = numlin._gth_censor(nan, stop)
+        off = ~np.eye(len(a), dtype=bool)
+        assert np.array_equal(nan[off], a[off]) and np.array_equal(nan_pivots, pivots)
+
     def test_underflowing_birth_death_rescales_like_reference(self):
         # pi spans 1e-381: back-substitution rescales past RESCALE_LIMIT
         a = line_chain(n=400, p_right=0.9).p
@@ -200,9 +235,9 @@ class TestBlockedGTH:
         3 * GTH_PANEL,          # the first state censored
         2 * GTH_PANEL + 7,      # inside the first panel
         2 * GTH_PANEL + 1,      # the last state of the first panel
-        2 * GTH_PANEL,          # the first state after a deferred product
-        GTH_PANEL + 1,          # the last state of a deferred panel
-        GTH_PANEL,              # the first state of the plain panel
+        2 * GTH_PANEL,          # the first state of the second panel
+        GTH_PANEL + 1,          # the last state of the second panel
+        GTH_PANEL,              # the first state of the third panel
         1,                      # the last state censored
     ])
     def test_reducible_names_the_reference_state(self, state):

@@ -1,0 +1,72 @@
+"""tools/report_digests.py --compare on small hand-made dumps."""
+
+import hashlib
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "report_digests.py"
+spec = importlib.util.spec_from_file_location("report_digests", TOOL)
+report_digests = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(report_digests)
+
+
+def write_dump(path, stdouts, rc=0):
+    with path.open("w") as f:
+        for i, out in enumerate(stdouts):
+            f.write(json.dumps({"key": f"walks seed 1 #{i:02d} pagerank",
+                                "argv": ["pagerank", "<workdir>/in001.json"], "rc": rc,
+                                "stdout": out,
+                                "sha256": hashlib.sha256(out.encode()).hexdigest()}) + "\n")
+    return path
+
+
+BEFORE = ['{"pi":[0.25,0.75],"residual_l1":2.5e-16}', '{"label":"s12","x":-3.0}']
+
+
+class TestDeviation:
+    def test_numbers_only(self):
+        dev, scaled, where = report_digests.deviation('{"a":[1.5,200.0]}',
+                                                      '{"a":[1.5,200.002]}')
+        assert dev == pytest.approx(2e-3) and scaled == pytest.approx(1e-5)
+        assert where.endswith("200.0 -> 200.002")
+
+    def test_sign_and_exponent_are_part_of_the_number(self):
+        dev, scaled, _ = report_digests.deviation("[6.0e-17]", "[-7.8e-17]")
+        assert dev == pytest.approx(1.38e-16) and scaled == dev
+
+    @pytest.mark.parametrize("after", ['{"b":[1.5,200.0]}', '{"a":[1.5,200.0,1]}',
+                                       '{"a":[1.5,NaN]}'])
+    def test_other_text_is_not_a_deviation(self, after):
+        assert report_digests.deviation('{"a":[1.5,200.0]}', after) is None
+
+
+class TestCompare:
+    def test_identical_dumps(self, tmp_path, capsys):
+        a = write_dump(tmp_path / "a", BEFORE)
+        assert report_digests.compare(a, a) == 0
+        assert "2 reports, 2 byte-identical, 0 changed" in capsys.readouterr().out
+
+    def test_change_within_tolerance_is_listed(self, tmp_path, capsys):
+        a = write_dump(tmp_path / "a", BEFORE)
+        b = write_dump(tmp_path / "b", [BEFORE[0].replace("2.5e-16", "2.4e-16"), BEFORE[1]])
+        assert report_digests.compare(a, b) == 0
+        out = capsys.readouterr().out
+        assert "changed  walks seed 1 #00 pagerank" in out and "#01" not in out
+
+    @pytest.mark.parametrize("after", [
+        ['{"pi":[0.25,0.75000000001],"residual_l1":2.5e-16}', BEFORE[1]],  # past 1e-11
+        [BEFORE[0], '{"label":"t12","x":-3.0}'],                          # text
+        [BEFORE[0]],                                                        # a report missing
+    ])
+    def test_other_changes_fail(self, tmp_path, after):
+        a = write_dump(tmp_path / "a", BEFORE)
+        b = write_dump(tmp_path / "b", after)
+        assert report_digests.compare(a, b) == 1
+
+    def test_exit_code_change_fails(self, tmp_path):
+        a = write_dump(tmp_path / "a", BEFORE)
+        b = write_dump(tmp_path / "b", BEFORE, rc=3)
+        assert report_digests.compare(a, b) == 1
