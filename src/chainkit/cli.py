@@ -11,8 +11,11 @@ digits, so identical inputs and flags produce byte-identical output.
 `spectrum` and `taxonomy` take `--format csv` to emit rows (re, im, abs,
 label) for unit-circle plots instead; `simulate` and `demo-line-chain`
 take a non-negative `--seed` (default: CHAINS_SEED, then 0). There is no
-row-sum tolerance flag. Exit codes: 0 success, 2 invalid input, 3
-numeric failure.
+row-sum tolerance flag. A report's `tolerances` echo those its result
+depends on: `cluster` (numlin.RANK_RTOL, the eigenvalue-cluster rule) in
+`spectrum`, `taxonomy`, `embed`, `gft` and `demo-line-chain`, and
+`condition` and `deflate` beside it in `spectrum` and `taxonomy`. Exit
+codes: 0 success, 2 invalid input, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -50,16 +53,18 @@ from .laplacian import (
     gft,
     smooth_spectrum,
 )
-from .numlin import stationary_gth
+from .numlin import CONDITION_LIMIT, DEFLATE_RTOL, RANK_RTOL, stationary_gth
 from .reversal import DB_ATOL, k_matrix, reversibility, reversibilize, time_reverse
-from .spectral import (TAXONOMY_EPSILON, SpectralDecomposition, decompose, perron_report,
-                       round12, taxonomy)
+from .spectral import TAXONOMY_EPSILON, SpectralDecomposition, decompose, perron_report, taxonomy
 from .stationary import STATIONARITY_ATOL, StationaryBasis, equal_weight, stationary_basis
 from .structure import ClassStructure, classify
 from .surfer import SurferConfig, pagerank_matrix
 
 # the row-sum tolerance build_chain applies, echoed by the reports
 ROW_SUM = {"row_sum": ROW_SUM_ATOL}
+# the eigenvalue-cluster tolerance of numlin.clusters, echoed by every
+# report whose vectors or verdicts it shapes
+CLUSTER = {"cluster": RANK_RTOL}
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +175,13 @@ def parse_input(path: str) -> tuple[TransitionMatrix | WeightedDigraph, str]:
 
 # float ndarray entries formatted per step; bounds make_report's temporaries
 FLOAT_BLOCK = 1 << 14
+
+
+def round12(x: float) -> float:
+    """x at the 12 significant digits reports print (and -0.0 as 0.0)."""
+    if x == 0:
+        return 0.0
+    return float(f"{x:.12g}")
 
 
 def _jsonable(obj):
@@ -370,7 +382,8 @@ def _spectrum(args, a: Analysis):
     result = {"eigenvalues": rows,
               "diagonalizable": dec.pairs.diagonalizable,
               "perron": perron_report(dec, recurrent_classes=n_rec)}
-    return result, {"epsilon": TAXONOMY_EPSILON}
+    return result, {"epsilon": TAXONOMY_EPSILON, "condition": CONDITION_LIMIT,
+                    "deflate": DEFLATE_RTOL, **CLUSTER}
 
 
 def _evolve(args, a: Analysis):
@@ -435,7 +448,7 @@ def _laplacian(args, a: Analysis):
 
 def _embed(args, a: Analysis):
     spec = smooth_spectrum(a.smoothing_laplacian(), args.k)
-    return {"values": spec.values, "coordinates": spec.right_transformed}, ROW_SUM
+    return {"values": spec.values, "coordinates": spec.right_transformed}, ROW_SUM | CLUSTER
 
 
 def _gft(args, a: Analysis):
@@ -443,7 +456,7 @@ def _gft(args, a: Analysis):
         raise errors.ValidationError("gft needs --signal v1,v2,...")
     spec = smooth_spectrum(a.smoothing_laplacian())
     coeffs = gft(spec, _parse_vector(args.signal))
-    return {"coefficients": coeffs, "values": spec.values}, ROW_SUM
+    return {"coefficients": coeffs, "values": spec.values}, ROW_SUM | CLUSTER
 
 
 def _pagerank(args, a: Analysis):
@@ -505,7 +518,7 @@ def _demo_line_chain(args, _):
         "lambda0_right_transformed": rt0,
         "walk_eigen_residuals_head": p_residuals,
     }
-    return result, ROW_SUM
+    return result, ROW_SUM | CLUSTER
 
 
 COMMANDS = {

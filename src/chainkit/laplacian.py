@@ -19,7 +19,7 @@ from .errors import (
     ZeroDegree,
 )
 from .graph import WeightedDigraph
-from .numlin import sym_eigen
+from .numlin import RANK_RTOL, clusters, sym_eigen
 from .stationary import StationaryBasis, equal_weight
 
 NORMALIZED = "normalized"
@@ -37,14 +37,15 @@ class LaplacianMatrix:
     probabilities (directed variant); weights holds the edge weights
     (graph variants) or the probability flow Pi P (directed variant).
     Both feed the edge-sum evaluation of the quadratic form and the
-    left/right coordinate transforms.
+    left/right coordinate transforms. labels name the vertices (states),
+    whose sorted order fixes smooth_spectrum's bases.
     """
 
     variant: str
     m: np.ndarray = field(repr=False)
     scale: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
-    source: WeightedDigraph | None = None
+    labels: tuple[str, ...]
     pi_used: np.ndarray | None = None
 
     @property
@@ -69,7 +70,7 @@ def build_laplacian(g: WeightedDigraph, variant: str) -> LaplacianMatrix:
         m = np.diag(d) - g.w
     m = 0.5 * (m + m.T)
     return LaplacianMatrix(variant=variant, m=m, scale=d, weights=np.asarray(g.w),
-                           source=g)
+                           labels=g.labels)
 
 
 def directed_laplacian(chain: TransitionMatrix,
@@ -89,7 +90,7 @@ def directed_laplacian(chain: TransitionMatrix,
     m = 0.5 * (m + m.T)
     flow = pi[:, None] * chain.p
     return LaplacianMatrix(variant=DIRECTED, m=m, scale=pi, weights=flow,
-                           pi_used=pi)
+                           labels=chain.labels, pi_used=pi)
 
 
 def quadratic_form(lap: LaplacianMatrix, x) -> float:
@@ -133,18 +134,50 @@ class LaplacianSpectrum:
     full: bool
 
 
+def _label_basis(v: np.ndarray, by_label: np.ndarray) -> np.ndarray:
+    """The orthonormal basis of the span of v's orthonormal columns that
+    pivoted Gram-Schmidt gives on the columns of the projector V V^T: the
+    largest remaining column first, near-ties (within RANK_RTOL of the
+    largest norm) taken in the order by_label lists the rows in.
+
+    Column i of V V^T is V times row i of V, so the pivoting runs on the
+    rows of V, and the basis depends only on the span and by_label. A
+    single column comes back with its largest entry positive.
+    """
+    m = v.shape[1]
+    rest = v.copy()
+    q = np.empty((m, m))
+    for j in range(m):
+        norms = np.linalg.norm(rest, axis=1)
+        i = by_label[int(np.argmax(norms[by_label] >= norms.max() - RANK_RTOL))]
+        q[:, j] = rest[i] / norms[i]
+        if j < m - 1:
+            rest -= np.outer(rest @ q[:, j], q[:, j])
+    return v @ q
+
+
 def smooth_spectrum(lap: LaplacianMatrix, k: int | None = None) -> LaplacianSpectrum:
+    """The k smallest eigenpairs of the Laplacian, by ascending value.
+
+    `sym_eigen` fixes a vector only up to sign, and the vectors of a
+    repeated eigenvalue only up to a rotation of their span. So every
+    cluster of values (`numlin.clusters` at ||L||_F) that reaches into
+    the first k takes the basis `_label_basis` builds from its span and
+    the sorted vertex labels: listing the vertices in another order
+    permutes the rows and nothing else. A simple eigenvalue's vector gets
+    its largest entry positive, the first by label among near-ties.
+    """
     n = lap.n
     if k is None:
         k = n
     if not 1 <= k <= n:
         raise DimensionMismatch(f"k={k} outside 1..{n}")
     values, vectors = sym_eigen(lap.m)
-    # deterministic sign: largest-magnitude entry positive
-    for j in range(n):
-        i = int(np.argmax(np.abs(vectors[:, j])))
-        if vectors[i, j] < 0:
-            vectors[:, j] = -vectors[:, j]
+    by_label = np.array(sorted(range(n), key=lap.labels.__getitem__))
+    size = np.bincount(clusters(values, np.linalg.norm(lap.m)), minlength=n)
+    for first in np.flatnonzero(size[:k]).tolist():
+        run = slice(first, first + size[first])  # values ascend: a cluster is a run
+        vectors[:, run] = _label_basis(vectors[:, run], by_label)
     values = values[:k]
     vectors = vectors[:, :k]
     root = np.sqrt(lap.scale)

@@ -13,20 +13,21 @@ share skips every column already in Hessenberg form, so a tridiagonal
 input costs it nothing. Eigenpairs of general matrices are recovered
 from the Schur form by one blocked back-substitution over all
 eigenvector columns at once (on T for the right vectors, on its flipped
-transpose for the left), each column rescaled before the next block
-row once it passes RESCALE_LIMIT and scaled by its largest entry at the
-end, with the residual measured in Schur coordinates. A matrix counts as
-diagonalizable when each eigenvalue cluster's geometric multiplicity,
-n - rank(T - lam I), reaches its size and the right eigenvectors form a
-full-rank basis. The eigenpairs of a d-cyclic matrix are lifted from
-those of its cycle product, d times smaller; every eigenpair route ends
-in the same unit-phase and l^T r = 1 step, which expands one vector per
-diagonal block into one complex column per eigenvalue. Stationary
+transpose for the left), each column rescaled before the next block row
+once it passes RESCALE_LIMIT and scaled by its largest entry at the end,
+with the residual measured in Schur coordinates. One rule decides that
+two eigenvalues are the same: `clusters`, single linkage at RANK_RTOL
+times the Frobenius norm of their matrix. A matrix counts as
+diagonalizable when each cluster's geometric multiplicity,
+n - rank(T - lam I), reaches its size and no eigenvalue's condition
+number 1/s_j passes CONDITION_LIMIT. The eigenpairs of a d-cyclic matrix are lifted
+from those of its cycle product, d times smaller; every eigenpair route
+ends in the same unit-phase and l^T r = 1 step, which expands one vector
+per diagonal block into one complex column per eigenvalue. Stationary
 vectors, PageRank and absorption share one subtraction-free
-Grassmann-Taksar-Heyman (GTH) state reduction in left-looking panels
-of GTH_PANEL, down to state 1 or down to the absorbing states. Every
-kernel rejects non-finite input with NumericError before it starts
-iterating.
+Grassmann-Taksar-Heyman (GTH) state reduction in left-looking panels of
+GTH_PANEL, down to state 1 or down to the absorbing states. Every kernel
+rejects non-finite input with NumericError before it starts iterating.
 """
 
 from __future__ import annotations
@@ -48,7 +49,8 @@ from .errors import (
 PIVOT_RTOL = 1e-13
 DEFLATE_RTOL = 1e-12
 TRIDIAG_RTOL = float(np.finfo(float).eps)
-RANK_RTOL = 1e-8
+RANK_RTOL = 1e-8  # clusters: values this close, relative to ||matrix||_F, are one
+CONDITION_LIMIT = 1e4  # eigen_from_schur: 1/s_j past this is near-defective
 RESCALE_LIMIT = 1e150  # stationary_gth and _quasi_triangular_vectors rescale past this
 GTH_PANEL = 32  # states per left-looking panel of _gth_censor: one leading-block product each
 
@@ -500,6 +502,39 @@ def _quasi_triangular_vectors(t: np.ndarray, starts: list[int], sizes: list[int]
     return x
 
 
+def clusters(values, scale: float) -> np.ndarray:
+    """Single-linkage clusters of values: two values are the same when a
+    chain of values joins them, each within RANK_RTOL * scale of the next,
+    scale being the Frobenius norm of the matrix they come from. Returns,
+    for each value, the index of its cluster's first member.
+
+    On real values the clusters are intervals, split where two sorted
+    neighbours lie more than the tolerance apart.
+    """
+    values = np.asarray(values)
+    n = len(values)
+    close = np.abs(values[:, None] - values[None, :]) <= RANK_RTOL * scale
+    ids = np.arange(n)
+    while True:  # each member takes its neighbours' least id, then jumps
+        new = np.where(close, ids, n).min(axis=1, initial=n)
+        new = new[new]
+        if np.array_equal(new, ids):
+            return ids
+        ids = new
+
+
+def _condition(right: np.ndarray, left: np.ndarray) -> np.ndarray:
+    """1/s_j per column, s_j = |l_j^T r_j| / (||l_j|| ||r_j||): how far an
+    eigenvalue moves per unit perturbation of the matrix (Wilkinson, The
+    Algebraic Eigenvalue Problem, 1965, ch. 2; LAPACK xTRSNA). l is a
+    left vector as ComplexEigenpairs holds it, l^T A = lambda l^T, so
+    the pairing is l^T r: l^H r would pair lambda's right vector with the
+    left vector of conj(lambda), near 0 for a complex lambda."""
+    with np.errstate(divide="ignore"):
+        return (np.linalg.norm(left, axis=0) * np.linalg.norm(right, axis=0)
+                / np.abs(np.sum(left * right, axis=0)))
+
+
 def _complex_rank(m: np.ndarray, threshold: float) -> int:
     """Rank by Gaussian elimination with partial pivoting: the number of
     pivots above threshold. A column without one uses up no row."""
@@ -574,9 +609,14 @@ def eigen_from_schur(schur: SchurForm) -> ComplexEigenpairs:
     coordinates and equals that of A.
 
     A is diagonalizable when two tests pass. First, every cluster of
-    eigenvalues within RANK_RTOL * ||T|| of one another has geometric
-    multiplicity n - rank(T - lam I) at least its size. Second, the right
-    eigenvectors form a numerically full-rank basis.
+    eigenvalues (`clusters` at ||T||_F) has geometric multiplicity
+    n - rank(T - lam I) at least its size, a pivot at or below
+    RANK_RTOL * ||T||_F counting as zero. Second, no eigenvalue's
+    condition number 1/s_j (`_condition` on y and z) passes
+    CONDITION_LIMIT: QR scatters a defective eigenvalue wider than the
+    cluster tolerance, and its computed right and left vectors are then
+    all but orthogonal. When either fails, A is neither diagonalizable
+    nor simple.
     """
     t, q = schur.t, schur.q
     n = t.shape[0]
@@ -615,22 +655,14 @@ def eigen_from_schur(schur: SchurForm) -> ComplexEigenpairs:
     z /= np.max(np.abs(z), axis=0)
     residual = _residual(t, y, lams)
 
-    close = np.abs(values[:, None] - values[None, :]) <= RANK_RTOL * scale
-    alg = close.sum(axis=1)
-    simple = bool(np.all(alg == 1))
-    # one rank test per cluster, at its first member
-    firsts = np.flatnonzero((np.argmax(close, axis=1) == np.arange(n)) & (alg > 1))
-    diagonalizable = all(
-        n - _complex_rank(t - values[i] * np.eye(n), RANK_RTOL * scale) >= alg[i]
-        for i in firsts)
-    right = q @ y
-    # QR scatters a defective eigenvalue wider than the cluster tolerance,
-    # so also demand a numerically full-rank basis of the unit
-    # eigenvectors _eigenpairs returns
-    if diagonalizable and n > 1 and _complex_rank(
-            _columns(_unit_phase(right), starts, sizes), RANK_RTOL) < n:
+    size = np.bincount(clusters(values, scale), minlength=n)
+    simple = bool(np.all(size <= 1))
+    diagonalizable = all(  # one rank test per cluster, at its first member
+        n - _complex_rank(t - values[i] * np.eye(n), RANK_RTOL * scale) >= size[i]
+        for i in np.flatnonzero(size > 1))
+    if not np.all(_condition(y, z) <= CONDITION_LIMIT):
         diagonalizable = simple = False
-    return _eigenpairs(values, starts, sizes, right, q @ z, diagonalizable, simple,
+    return _eigenpairs(values, starts, sizes, q @ y, q @ z, diagonalizable, simple,
                        residual)
 
 

@@ -23,11 +23,11 @@ from .chain import TransitionMatrix, require_count, validate_distribution
 from .errors import NotDiagonalizable, NumericError, SingularMatrix
 from .numlin import (
     DEFLATE_RTOL,
-    RANK_RTOL,
     ComplexEigenpairs,
     SchurForm,
     _eigenpairs,
     _residual,
+    clusters,
     eigen_from_schur,
     lift_cyclic,
     real_schur,
@@ -48,21 +48,16 @@ TRANSIENT_OSCILLATION = "transient_oscillation"
 TRANSIENT_CYCLE = "transient_cycle"
 
 
-def round12(x: float) -> float:
-    """x at the 12 significant digits reports print (and -0.0 as 0.0)."""
-    if x == 0:
-        return 0.0
-    return float(f"{x:.12g}")
-
-
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigenpairs of a chain plus a deterministic sorted view.
 
     order permutes values into descending |lambda|, ties broken by
-    descending real part then ascending imaginary part, all compared at
-    the 12 significant digits reports print: on a cycle every |lambda|
-    is 1 up to roundoff, and last-ulp noise must not set the row order.
+    descending real part then ascending imaginary part (`_order`). Moduli
+    and real parts are compared as clusters, `numlin.clusters` at ||P||_F:
+    two in one cluster tie. On a cycle every |lambda| is 1 up to
+    roundoff, and neither last-ulp noise nor a boundary of the 12 digits
+    reports print may set the row order.
     left_row_sums reports sum(l) per eigenvector; for irreducible chains
     every non-unit eigenvalue's left vector sums to zero, for
     non-recurrent chains the sums are informational only.
@@ -81,6 +76,18 @@ class SpectralDecomposition:
         return self.pairs.values[list(self.order)]
 
 
+def _order(values: np.ndarray, scale: float) -> tuple[int, ...]:
+    """SpectralDecomposition.order of values from a matrix of Frobenius
+    norm scale: modulus clusters by descending modulus, then within one
+    the real-part clusters by descending real part, then ascending
+    imaginary part. Clusters of real numbers are intervals, so any member
+    stands for its cluster."""
+    modulus = np.abs(values)
+    return tuple(np.lexsort((values.imag,
+                             -values.real[clusters(values.real, scale)],
+                             -modulus[clusters(modulus, scale)])).tolist())
+
+
 def _reversible_pairs(p: np.ndarray, structure: ClassStructure) -> ComplexEigenpairs | None:
     """Eigenpairs of a reversible chain from the symmetric S = Pi^1/2 P
     Pi^-1/2, or None when that route does not apply.
@@ -97,7 +104,8 @@ def _reversible_pairs(p: np.ndarray, structure: ClassStructure) -> ComplexEigenp
     backward error real_schur accepts: a chain that passes the criterion
     at CYCLE_RTOL, or has an entry below ENTRY_CLAMP off the pattern, is
     only close to similar to S. The spectrum is simple unless two
-    eigenvalues lie within RANK_RTOL * ||P||_F, as in eigen_from_schur.
+    eigenvalues are one `numlin.clusters` cluster at ||P||_F, as in
+    eigen_from_schur.
     """
     ok, _, phi = _kolmogorov(p)
     if not ok:
@@ -121,7 +129,7 @@ def _reversible_pairs(p: np.ndarray, structure: ClassStructure) -> ComplexEigenp
     residual = max(_residual(p, right, values), _residual(p.T, left, values))
     if not residual <= DEFLATE_RTOL * scale:
         return None
-    simple = bool(np.all(np.diff(values) > RANK_RTOL * scale))
+    simple = bool(np.all(clusters(values, scale) == np.arange(n)))
     return _eigenpairs(values.astype(complex), list(range(n)), [1] * n, right, left,
                        True, simple, residual)
 
@@ -167,20 +175,21 @@ def _cyclic_pairs(p: np.ndarray, structure: ClassStructure) -> ComplexEigenpairs
 
     A chain of period d is also e-cyclic for every divisor e of d, with
     groups G_g = {phase = g mod e}: its only nonzero blocks are A_g =
-    P[G_g, G_{g+1 mod e}], so P^e is block diagonal and the spectrum of P
-    is the e-th roots of the eigenvalues of B_e = A_0 A_1 ... A_{e-1}.
+    P[G_g, G_{g+1 mod e}], so P^e is block diagonal and the spectrum of
+    P is the e-th roots of the eigenvalues of B_e = A_0 A_1 ... A_{e-1}.
     The route needs d phase groups of n/d states: otherwise the block of
-    P between two consecutive phases of different sizes is not square, so
-    A_g is singular at every e, and so is B_e. Each divisor e > 1 is then
-    tried in turn, largest first (a cycle of n states lifts from a 1x1
-    product), and the first that passes wins. It needs P exactly zero
-    outside the A_g and every eigenvalue mu of B_e with |mu| > RANK_RTOL *
-    ||B_e||_F. Last, the lifted pairs must have residuals on P within
-    DEFLATE_RTOL * ||P||_F, the backward error real_schur accepts: B_e is
-    formed explicitly, so mu carries an absolute error near eps * ||B_e||,
-    which the e-th root magnifies by 1 / (e |lambda|^(e-1)). A smaller e
-    has a larger product to factor but magnifies less: a small lambda of
-    P is lambda^e in B_e.
+    P between two consecutive phases of different sizes is not square,
+    so A_g is singular at every e, and so is B_e. Each divisor e > 1 is
+    then tried in turn, largest first (a cycle of n states lifts from a
+    1x1 product), and the first that passes wins. It needs P exactly
+    zero outside the A_g and B_e nonsingular: no eigenvalue mu of B_e is
+    one `numlin.clusters` cluster with 0 at ||B_e||_F. Last, the lifted
+    pairs must have residuals on P within DEFLATE_RTOL * ||P||_F, the
+    backward error real_schur accepts: B_e is formed explicitly, so mu
+    carries an absolute error near eps * ||B_e||, which the e-th root
+    magnifies by 1 / (e |lambda|^(e-1)). A smaller e has a larger
+    product to factor but magnifies less: a small lambda of P is
+    lambda^e in B_e.
     """
     d = structure.chain_period
     phase = np.array(structure.phase, dtype=np.intp)
@@ -196,7 +205,7 @@ def _cyclic_pairs(p: np.ndarray, structure: ClassStructure) -> ComplexEigenpairs
         blocks = [p[np.ix_(groups[g], groups[(g + 1) % e])] for g in range(e)]
         b = reduce(np.matmul, blocks)
         base = eigen_from_schur(real_schur(b))
-        if not np.all(np.abs(base.values) > RANK_RTOL * np.linalg.norm(b)):
+        if clusters(np.append(base.values, 0.0), np.linalg.norm(b))[-1] != len(base.values):
             continue
         pairs = lift_cyclic(p, groups, blocks, base)
         if pairs.residual <= DEFLATE_RTOL * scale:
@@ -230,13 +239,9 @@ def decompose(chain: TransitionMatrix, structure: ClassStructure) -> SpectralDec
     radius = float(np.max(np.abs(values))) if len(values) else 0.0
     if radius > 1.0 + SPECTRAL_RADIUS_SLACK:
         raise NumericError(f"stochastic spectral radius {radius} exceeds 1")
-    order = tuple(sorted(range(len(values)),
-                         key=lambda j: (-round12(abs(values[j])),
-                                        -round12(values[j].real),
-                                        round12(values[j].imag))))
     unit = int(np.sum(np.abs(values - 1.0) < TAXONOMY_EPSILON))
     left_sums = pairs.left.sum(axis=0)
-    return SpectralDecomposition(pairs=pairs, order=order,
+    return SpectralDecomposition(pairs=pairs, order=_order(values, np.linalg.norm(chain.p)),
                                  unit_multiplicity=unit,
                                  left_row_sums=left_sums)
 

@@ -352,12 +352,15 @@ class TestReports:
         assert first == second
 
     # sha256 of each EVERY_SUBCOMMAND case's stdout, as the per-value
-    # writer printed it before make_report formatted float arrays in bulk
+    # writer printed it before make_report formatted float arrays in bulk;
+    # spectrum, embed, gft and demo-line-chain since their tolerances
+    # echo the cluster tolerance (and spectrum the condition and deflation
+    # bounds): without those keys each text hashes as before
     GOLDEN_DIGESTS = {
         "validate": "acee70ef984d86b6808a5a98b50705a1a5a5b70158dc2a5df66a75b1f9e49d3f",
         "classify": "7971dbd7ce35d36a4ef63ce65964ae9a6b7ff44a103fd4fd9af371c570e8cc25",
         "stationary": "93441cdf0e6f7e78a4c2d14b9b477f59040cec0a18046ce98edd4cf22773008b",
-        "spectrum": "33e1a31abefeb648464b8db074f2ec210dba7809bf9752d8044a8c92d4230857",
+        "spectrum": "d2730c127c32c9d1208dbc353dd59cded37f38685f3b6523947ddd1a7dbac99d",
         "taxonomy": "07901dd2d56ae36c1d8eca84eb95527e211e7a2f32406cefd1f1490f9e98d72f",
         "evolve": "186eae0735b929bb9918261f8fdfb2022c33af34962e1ffaeddde383a993958a",
         "simulate": "ff924d565db97a0911496a17f2b6cabe916e897802cfa32223dc06f286c4101b",
@@ -367,12 +370,12 @@ class TestReports:
         "reversibilize": "0e5d8036eca86657e9193ec4e869737e45afc0216555fa90696cb2ce8766f554",
         "kmatrix": "a571f26d78cbd8c23f5c0dfb2378301492403b5451c3e30f20d87240504daf52",
         "laplacian": "2b353bec0d26b0ce7f252d3bc100c1eaab018145b3dd50377052c45ae6dd54b1",
-        "embed": "f302439161c0a08884090205b46bf39308e4ca6160eaf6ebe83f3cf5bfd82071",
-        "gft": "94ce405c989e4c62814745a4a7727e2d9b0b71ded9ee92ce8eafefb263aeda1e",
+        "embed": "1323a345c46fa908cb92e6020dadc4601bf3c6bc96401754375e3671cb874cee",
+        "gft": "341e006af5823bcc441f1ff76692df72ee2da52c498a2bc7e294b6bc5864068b",
         "pagerank": "31bd86897dee26f028d59d6f94817e5bd29ab0883893e7db3833e8348b37b0b6",
         "absorb": "3599f491bf24bb6082248360bbcfbfd1cba8e200f5baec06e6905d7e092b7b2c",
         "rwset": "4a6701ef2d431c0be0fcc1874a72cf77a6ea899750398ce4ae6f4bd5a5c85360",
-        "demo-line-chain": "91ef0aafed8de87230aa8a34d68dfd57751bcdaf4ac82214bfa2327be99ccbb2",
+        "demo-line-chain": "e98c25047f5da427d1aef86c2260a4ce67985474e1fe4522e4cbf71ed76ccd92",
     }
 
     @pytest.mark.parametrize("template", EVERY_SUBCOMMAND, ids=case_id)
@@ -382,17 +385,18 @@ class TestReports:
         assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN_DIGESTS[case_id(template)]
 
     # sha256 of the `spectrum` and `taxonomy --format csv` reports on one
-    # chain per `decompose` route
+    # chain per `decompose` route (spectrum's with its echoed cluster,
+    # condition and deflation tolerances)
     ROUTE_DIGESTS = {
-        "reversible": ("2b878a443c54451df1a23cda7da2c7f408679ba639aa005ce62487cc959c2f60",
+        "reversible": ("2bcaeef0e2704f39845c8be701cde54636c67d09d2c28788232ed9eb5c4c3ece",
                       "7ae3c03133c81d985370b7a1552e99f60f339ab9066f5446b10ccbfaf0a64ad5"),
-        "classes": ("c54db8eb7209033bb0e7f69fa3ff6088f30ca1b818e59dabfe65a189bb178efe",
+        "classes": ("98c5981fef301c1483a1dbc286c1c51f57a6414afee3c867e968a5b1eb7fceab",
                    "dc51fcb879736747004e675307408e94c029ce38da9041e421d45b6a42460638"),
-        "layered": ("1c0df6f8f700d8fb9e96a47b2b9954337e9b236b6bc4fb9a6359768d1c6d865a",
+        "layered": ("7c604b3c15979b2c46dcd52a40f5995b81e83b33c3805972718e2d53905da792",
                    "6c87364658507630ef03fc5ec472463691f14b4808ab16379d711d3019262721"),
-        "lift": ("e9bc03b848fb781f489b92f0cdcb69625ab798654125279002c4bf8f9c87b4eb",
+        "lift": ("bc78c9b77a9fe1afb0a3e656cd2981920dd1019779f9a5442ef00bdac980da36",
                 "f22615191449a4da2f7a84a5ac886fc16d1fc0a4e9cd91783c4c5fcba0b0ff0a"),
-        "dense": ("21c64d104a3c5c61ae9faa5d1bc2719c1e30fa33ee06e4afd2b69d52465d02ab",
+        "dense": ("94e181561f45b8f9928aaca981b5f07a5b33760884bcc10689ee7d4925ea6d8a",
                  "f70dbcacdb8e24942a5108896c1ee1a74e4013bda3019b2884ccd97e772866cb"),
     }
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from chainkit import (
+    build_chain,
     build_graph,
     build_laplacian,
     classify,
@@ -157,6 +158,96 @@ class TestSpectrum:
         for _ in range(20):
             y, _ = np.linalg.qr(rng.standard_normal((g.n, k)))
             assert np.trace(y.T @ lap.m @ y) >= best - 1e-10
+
+
+def star(n=12):
+    return [(0, j) for j in range(1, n)]
+
+
+def complete(n=6):
+    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+def ring(n=9):
+    return [(i, (i + 1) % n) for i in range(n)]
+
+
+def disjoint(a, b):
+    m = 1 + max(max(e) for e in a)
+    return a + [(i + m, j + m) for i, j in b]
+
+
+SYMMETRIC_GRAPHS = {"star12": star(), "K6": complete(), "cycle9": ring(),
+                    "star12+K6": disjoint(star(), complete()),
+                    "K6+cycle9": disjoint(complete(), ring()),
+                    "cycle9+cycle9": disjoint(ring(), ring())}
+
+
+def edge_weights(edges):
+    n = 1 + max(max(e) for e in edges)
+    w = np.zeros((n, n))
+    for i, j in edges:
+        w[i, j] = w[j, i] = 1.0
+    return w
+
+
+class TestLabelBases:
+    """Repeated Laplacian eigenvalues take a basis fixed by their
+    eigenspace and the sorted vertex labels, so listing the vertices in
+    another order permutes the embed rows and leaves the gft
+    coefficients as they are."""
+
+    @pytest.mark.parametrize("name", sorted(SYMMETRIC_GRAPHS))
+    def test_vertex_order_permutes_embed_rows_and_keeps_gft(self, name):
+        w = edge_weights(SYMMETRIC_GRAPHS[name])
+        n = len(w)
+        labels = [f"v{i}" for i in range(n)]
+        signal = np.arange(n) % 5 - 2.0
+
+        def spectra(perm):
+            g = build_graph([labels[i] for i in perm], w[np.ix_(perm, perm)])
+            lap = build_laplacian(g, "normalized")
+            back = np.argsort(perm)
+            return (smooth_spectrum(lap, k=4).right_transformed[back],
+                    gft(smooth_spectrum(lap), signal[perm]))
+
+        embed, coeffs = spectra(np.arange(n))
+        for seed in range(6):
+            other = spectra(np.random.default_rng(seed).permutation(n))
+            assert np.max(np.abs(other[0] - embed)) <= 1e-12
+            assert np.max(np.abs(other[1] - coeffs)) <= 1e-12
+
+    def test_directed_laplacian_uses_the_chain_labels(self):
+        # a directed 8-cycle: I - (C + C^T)/2 has six double eigenvalues
+        n = 8
+        labels = [f"s{i}" for i in range(n)]
+        cycle = np.roll(np.eye(n), 1, axis=1)
+
+        def vectors(perm):
+            chain = build_chain([labels[i] for i in perm], cycle[np.ix_(perm, perm)])
+            lap = directed_laplacian(chain, graph_parts(chain)[1])
+            return smooth_spectrum(lap).vectors[np.argsort(perm)]
+
+        want = vectors(np.arange(n))
+        assert np.max(np.abs(want.T @ want - np.eye(n))) <= 1e-12
+        for seed in range(4):
+            got = vectors(np.random.default_rng(seed).permutation(n))
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_star_leaves_in_label_order(self):
+        # the leaves' eigenspace at 1 is every leaf vector summing to 0:
+        # its first basis vector pivots on the leaf whose label sorts first
+        w = edge_weights(star(5))
+        spec = smooth_spectrum(build_laplacian(build_graph(list("cedba"), w), "normalized"))
+        first = spec.vectors[:, 1]
+        assert np.argmax(first) == 4 and first[4] == pytest.approx(np.sqrt(0.75))
+
+    def test_simple_values_keep_the_largest_entry_positive(self):
+        rng = np.random.default_rng(3)
+        g, _ = random_undirected_graph(rng, n_max=12, max_components=1)
+        spec = smooth_spectrum(build_laplacian(g, "normalized"))
+        v = spec.vectors
+        assert np.all(v[np.argmax(np.abs(v), axis=0), np.arange(g.n)] > 0)
 
 
 class TestDirected:

@@ -16,11 +16,14 @@ from chainkit import (
     numlin,
 )
 from chainkit.numlin import (
+    CONDITION_LIMIT,
     GTH_PANEL,
     RANK_RTOL,
     RESCALE_LIMIT,
     _complex_rank,
+    _condition,
     _eigenpairs,
+    clusters,
     eigen_from_schur,
     real_schur,
     solve_linear,
@@ -574,30 +577,76 @@ class TestComplexRank:
             assert _complex_rank(m, 1e-9) == np.linalg.matrix_rank(m, tol=1e-9)
 
 
+class TestClusters:
+    def test_single_linkage_chains_through_members(self):
+        # 0 and 1.5e-8 are more than 1e-8 apart, but 0.8e-8 links them
+        assert clusters(np.array([0.0, 1.5e-8, 5.0, 0.8e-8]), 1.0).tolist() == [0, 0, 2, 0]
+
+    def test_tolerance_scales_with_the_matrix_norm(self):
+        values = np.array([1.0, 1.0 + 5e-8])
+        assert clusters(values, 1.0).tolist() == [0, 1]
+        assert clusters(values, 10.0).tolist() == [0, 0]
+
+    def test_complex_values_link_by_distance(self):
+        values = np.array([1j, 1 + 0j, 1 + 0.6e-8j, -1j, 1 - 0.6e-8j])
+        assert clusters(values, 1.0).tolist() == [0, 1, 1, 3, 1]
+
+    def test_empty(self):
+        assert clusters(np.zeros(0), 1.0).tolist() == []
+
+    @given(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=30),
+           st.floats(1e-3, 1e8))
+    def test_real_clusters_are_the_consecutive_gap_rule(self, xs, scale):
+        values = np.sort(np.array(xs))
+        starts = np.concatenate(([True], np.diff(values) > RANK_RTOL * scale))
+        want = np.flatnonzero(starts)[np.cumsum(starts) - 1]
+        assert np.array_equal(clusters(values, scale), want)
+
+
+def jordan2(lam, corner, seed):
+    """Q [[lam, 1], [corner, lam]] Q^T, Q from the QR of a seeded normal
+    2 x 2: a rotated Jordan block, defective for corner 0 and 1e-16 alike."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((2, 2)))
+    return q @ np.array([[lam, 1.0], [corner, lam]]) @ q.T
+
+
 class TestDiagonalizabilityVerdicts:
     """Each half of the rule: a cluster's geometric multiplicity
-    n - rank(T - lam I) must reach its size, and the right eigenvectors
-    must form a full-rank basis."""
+    n - rank(T - lam I) must reach its size, and no eigenvalue's condition
+    number 1/s_j may pass CONDITION_LIMIT."""
 
     @pytest.mark.parametrize("corner", [0.0, 1e-16])
     def test_rotated_jordan2_caught_by_cluster_rank(self, corner):
-        # QR splits the double eigenvalue by about 1e-8: a cluster, but
-        # the two computed eigenvectors are still numerically independent
+        # QR splits the double eigenvalue by about 1e-8: one cluster, whose
+        # rank test fails; its two nearly parallel eigenvectors also put
+        # 1/s_j far past the bound
         q = rotation(np.pi / 6)
-        ep = eigen_from_schur(real_schur(q @ np.array([[2.0, 1.0], [corner, 2.0]]) @ q.T))
+        sf = real_schur(q @ np.array([[2.0, 1.0], [corner, 2.0]]) @ q.T)
+        ep = eigen_from_schur(sf)
         assert not ep.diagonalizable and not ep.simple
-        assert _complex_rank(ep.right, RANK_RTOL) == 2
+        scale = np.linalg.norm(sf.t)
+        assert clusters(ep.values, scale).tolist() == [0, 0]
+        assert _complex_rank(sf.t - ep.values[0] * np.eye(2), RANK_RTOL * scale) == 1
+        assert np.min(_condition(ep.right, ep.left)) > CONDITION_LIMIT
 
-    def test_rotated_jordan3_caught_by_basis_rank(self):
+    def test_rotated_jordan3_caught_by_condition_number(self):
         # QR splits the triple eigenvalue by about 1e-5, far past the
-        # cluster tolerance, so only the eigenvector basis shows it
+        # cluster tolerance, so only the condition numbers show it
         q, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(3, 3)))
         a = q @ np.array([[2.0, 1, 0], [0, 2, 1], [0, 0, 2]]) @ q.T
         sf = real_schur(a)
         ep = eigen_from_schur(sf)
-        gaps = np.abs(ep.values[:, None] - ep.values[None, :]) + np.eye(3)
-        assert np.min(gaps) > RANK_RTOL * np.linalg.norm(sf.t)
+        assert clusters(ep.values, np.linalg.norm(sf.t)).tolist() == [0, 1, 2]
+        assert np.max(_condition(ep.right, ep.left)) > CONDITION_LIMIT
         assert not ep.diagonalizable and not ep.simple
+
+    @pytest.mark.parametrize("lam", [1.0, 2.0])
+    @pytest.mark.parametrize("corner", [0.0, 1e-16])
+    def test_rotated_jordan2_gallery(self, lam, corner):
+        # a full-rank basis test let 35-72 of each 100 through
+        for seed in range(100):
+            ep = eigen_from_schur(real_schur(jordan2(lam, corner, seed)))
+            assert not ep.diagonalizable and not ep.simple, seed
 
     def test_unrotated_jordan3_not_diagonalizable(self):
         j = np.array([[2.0, 1, 0], [0, 2, 1], [0, 0, 2]])

@@ -70,3 +70,35 @@ class TestCompare:
         a = write_dump(tmp_path / "a", BEFORE)
         b = write_dump(tmp_path / "b", BEFORE, rc=3)
         assert report_digests.compare(a, b) == 1
+
+
+class TestWhere:
+    def test_json_key_path_of_a_changed_label(self):
+        a = '{"result":{"rows":[{"abs":1.0,"label":"a"},{"abs":0.5,"label":"b"}]}}'
+        b = '{"result":{"rows":[{"abs":1.5,"label":"a"},{"abs":0.5,"label":"c"}]}}'
+        assert report_digests.where(a, b) == '.result.rows[1].label: "b" -> "c"'
+
+    def test_json_added_key_and_length(self):
+        assert (report_digests.where('{"t":{"e":1}}', '{"t":{"c":2,"e":1}}')
+                == ".t.c: only in the second dump")
+        assert report_digests.where('{"v":[1,2]}', '{"v":[1,2,3]}') == ".v: length 2 -> 3"
+
+    def test_text_around_the_first_difference(self):
+        a = "re,im,abs,label\n1.0,0.0,1.0,persistent_structure\n"
+        b = "re,im,abs,label\n1.0,0.0,1.0,transient_structure\n"
+        assert report_digests.where(a, b) == (
+            "text ',im,abs,label\\n#,#,#,persistent_structure' -> "
+            "',im,abs,label\\n#,#,#,transient_structure\\n'")
+
+    def test_compare_prints_where(self, tmp_path, capsys):
+        a = write_dump(tmp_path / "a", BEFORE)
+        b = write_dump(tmp_path / "b", [BEFORE[0], '{"label":"t12","x":-3.0}'])
+        assert report_digests.compare(a, b) == 1
+        out = capsys.readouterr().out
+        assert '#01 pagerank: differs in more than its numbers, first at .label: "s12" -> "t12"' in out
+
+    def test_compare_prints_exit_codes(self, tmp_path, capsys):
+        a = write_dump(tmp_path / "a", BEFORE)
+        b = write_dump(tmp_path / "b", BEFORE, rc=3)
+        assert report_digests.compare(a, b) == 1
+        assert "#00 pagerank: exit code 0 -> 3" in capsys.readouterr().out

@@ -33,11 +33,9 @@ def decomp_of_matrix(m):
     """Taxonomy test helper: wrap an arbitrary square matrix."""
     pairs = eigen_from_schur(real_schur(m))
     values = pairs.values
-    order = tuple(sorted(range(len(values)),
-                         key=lambda j: (-abs(values[j]), -values[j].real,
-                                        values[j].imag)))
     unit = int(np.sum(np.abs(values - 1.0) < 1e-8))
-    return SpectralDecomposition(pairs=pairs, order=order, unit_multiplicity=unit,
+    return SpectralDecomposition(pairs=pairs, order=spectral._order(values, np.linalg.norm(m)),
+                                 unit_multiplicity=unit,
                                  left_row_sums=pairs.left.sum(axis=0))
 
 
@@ -89,6 +87,44 @@ class TestDecompose:
                 if abs(lam - 1.0) > 1e-8:
                     l = dec.pairs.left[:, j]
                     assert abs(dec.left_row_sums[j]) <= 1e-8 * np.linalg.norm(l)
+
+
+def spectrum_rows(chain):
+    """(eigenvalue, taxonomy label) in the row order `spectrum` prints."""
+    dec = decompose(chain, classify(chain))
+    labels = taxonomy(dec)
+    return [(dec.values[j], labels[j]) for j in dec.order]
+
+
+class TestRowOrder:
+    @given(hs.integers(0, 2**32 - 1), hs.integers(2, 12), hs.integers(1, 12))
+    def test_state_permutation_keeps_rows(self, seed, n, classes):
+        # dense when there is one class, else that many closed dense classes
+        rng = np.random.default_rng(seed)
+        cls = rng.permutation(np.arange(n) % min(classes, n))
+        p = (cls[:, None] == cls[None, :]) * (rng.random((n, n)) ** 2 + 1e-3)
+        p /= p.sum(axis=1, keepdims=True)
+        labels = [f"s{i}" for i in range(n)]
+        perm = rng.permutation(n)
+        rows = spectrum_rows(build_chain(labels, p))
+        moved = spectrum_rows(build_chain([labels[i] for i in perm], p[np.ix_(perm, perm)]))
+        assert [label for _, label in moved] == [label for _, label in rows]
+        assert max(abs(a - b) for (a, _), (b, _) in zip(moved, rows)) <= 1e-11
+
+    def test_twelve_digit_boundary_does_not_set_the_order(self):
+        # lo and hi are adjacent doubles that print as 0.7 and
+        # 0.700000000001 at 12 digits; a real value and a conjugate pair
+        # at those moduli sort the same way whichever sits above
+        lo = 0.7000000000005
+        while f"{lo:.12g}" != "0.7":
+            lo = np.nextafter(lo, 0.0)
+        while f"{np.nextafter(lo, 1.0):.12g}" == "0.7":
+            lo = np.nextafter(lo, 1.0)
+        hi = np.nextafter(lo, 1.0)
+        assert f"{hi:.12g}" == "0.700000000001"
+        for real, pair in ((lo, hi), (hi, lo)):
+            values = np.array([1.0, -real, pair * 1j, -pair * 1j])
+            assert spectral._order(values, 2.0) == (0, 3, 2, 1)
 
 
 class TestTaxonomy:

@@ -13,7 +13,9 @@ shows exactly which reports a change moved.
 
 --compare lists each report whose digest changed, with its largest
 numeric deviation |y - x| and that deviation over max(1, |x|), x being
-the number in the first dump. It exits 1 when the dumps hold different
+the number in the first dump. A report that differs in more than its
+numbers is listed with where it first does: the key path and the two
+values for a JSON report, the text around it for another. It exits 1 when the dumps hold different
 requests, or when a changed report differs in anything but its numbers
 or by more than TOLERANCE * max(1, |x|) in one of them; 0 otherwise.
 """
@@ -90,6 +92,48 @@ def deviation(a: str, b: str) -> tuple[float, float, str] | None:
     return dev, scaled, where
 
 
+def _first_difference(x, y, path: str) -> str | None:
+    """The key path of the first place two parsed JSON documents differ in
+    anything but the value of a number, with what each holds there; None
+    when they differ nowhere else."""
+    if isinstance(x, dict) and isinstance(y, dict):
+        for k in sorted(x.keys() | y.keys()):
+            if k not in x or k not in y:
+                return f"{path}.{k}: only in the {'second' if k in y else 'first'} dump"
+            found = _first_difference(x[k], y[k], f"{path}.{k}")
+            if found:
+                return found
+        return None
+    if isinstance(x, list) and isinstance(y, list):
+        if len(x) != len(y):
+            return f"{path}: length {len(x)} -> {len(y)}"
+        for i, (u, v) in enumerate(zip(x, y)):
+            found = _first_difference(u, v, f"{path}[{i}]")
+            if found:
+                return found
+        return None
+    if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (x, y)):
+        return None
+    if type(x) is type(y) and x == y:
+        return None
+    return f"{path or '.'}: {json.dumps(x)[:60]} -> {json.dumps(y)[:60]}"
+
+
+def where(a: str, b: str) -> str:
+    """Where two report texts first differ in more than their numbers: a
+    JSON key path, or, for text that is not JSON, about 20 characters
+    either side of the first difference, each number shown as #."""
+    try:
+        found = _first_difference(json.loads(a), json.loads(b), "")
+    except ValueError:
+        found = None
+    if found:
+        return found
+    ma, mb = NUMBER.sub("#", a), NUMBER.sub("#", b)
+    i = next((k for k, (u, v) in enumerate(zip(ma, mb)) if u != v), min(len(ma), len(mb)))
+    return f"text {ma[max(0, i - 20):i + 20]!r} -> {mb[max(0, i - 20):i + 20]!r}"
+
+
 def compare(before: Path, after: Path) -> int:
     """Print each changed report and a summary; the exit status above."""
     total = changed = 0
@@ -105,10 +149,15 @@ def compare(before: Path, after: Path) -> int:
             if ra["sha256"] == rb["sha256"] and ra["rc"] == rb["rc"]:
                 continue
             changed += 1
-            dev = deviation(ra["stdout"], rb["stdout"]) if ra["rc"] == rb["rc"] else None
+            if ra["rc"] != rb["rc"]:
+                ok = False
+                print(f"changed  {ra['key']}: exit code {ra['rc']} -> {rb['rc']}")
+                continue
+            dev = deviation(ra["stdout"], rb["stdout"])
             if dev is None:
                 ok = False
-                print(f"changed  {ra['key']}: differs in more than its numbers")
+                print(f"changed  {ra['key']}: differs in more than its numbers, first at "
+                      f"{where(ra['stdout'], rb['stdout'])}")
                 continue
             worst = max(worst, dev[1])
             ok = ok and dev[1] <= TOLERANCE
