@@ -18,16 +18,16 @@ once it passes RESCALE_LIMIT and scaled by its largest entry at the end,
 with the residual measured in Schur coordinates. One rule decides that
 two eigenvalues are the same: `clusters`, single linkage at RANK_RTOL
 times the Frobenius norm of their matrix. A matrix counts as
-diagonalizable when each cluster's geometric multiplicity,
-n - rank(T - lam I), reaches its size and no eigenvalue's condition
-number 1/s_j passes CONDITION_LIMIT. The eigenpairs of a d-cyclic matrix are lifted
-from those of its cycle product, d times smaller; every eigenpair route
-ends in the same unit-phase and l^T r = 1 step, which expands one vector
-per diagonal block into one complex column per eigenvalue. Stationary
-vectors, PageRank and absorption share one subtraction-free
-Grassmann-Taksar-Heyman (GTH) state reduction in left-looking panels of
-GTH_PANEL, down to state 1 or down to the absorbing states. Every kernel
-rejects non-finite input with NumericError before it starts iterating.
+diagonalizable when no eigenvalue's condition number 1/s_j passes
+CONDITION_LIMIT. The eigenpairs of a d-cyclic matrix are lifted from
+those of its cycle product, d times smaller; every eigenpair route ends
+in the same step, which makes left^T right = I on a diagonalizable
+spectrum and expands one vector per diagonal block into one complex
+column per eigenvalue. Stationary vectors, PageRank and absorption
+share one subtraction-free Grassmann-Taksar-Heyman (GTH) state reduction
+in left-looking panels of GTH_PANEL, down to state 1 or down to the
+absorbing states. Every kernel rejects non-finite input with
+NumericError before it starts iterating.
 """
 
 from __future__ import annotations
@@ -432,9 +432,9 @@ class ComplexEigenpairs:
     positive-imaginary member first. right and left are complex (n, n)
     matrices with one column per eigenvalue: the second column of a
     conjugate pair is the conjugate of the first. Right vectors have unit
-    Euclidean norm. When the spectrum is simple, left vectors are
-    rescaled so that left^T right = I column by column; one whose rescale
-    would overflow (its unit l^T r underflows) keeps unit norm.
+    Euclidean norm. When the spectrum is diagonalizable, left^T right = I,
+    except that a left vector whose rescale to l^T r = 1 would overflow
+    (its unit l^T r underflows) keeps unit norm.
     """
 
     values: np.ndarray
@@ -530,27 +530,9 @@ def _condition(right: np.ndarray, left: np.ndarray) -> np.ndarray:
     left vector as ComplexEigenpairs holds it, l^T A = lambda l^T, so
     the pairing is l^T r: l^H r would pair lambda's right vector with the
     left vector of conj(lambda), near 0 for a complex lambda."""
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         return (np.linalg.norm(left, axis=0) * np.linalg.norm(right, axis=0)
                 / np.abs(np.sum(left * right, axis=0)))
-
-
-def _complex_rank(m: np.ndarray, threshold: float) -> int:
-    """Rank by Gaussian elimination with partial pivoting: the number of
-    pivots above threshold. A column without one uses up no row."""
-    a = m.astype(complex, copy=True)
-    rank = 0
-    for k in range(a.shape[1]):
-        if rank == a.shape[0]:
-            break
-        p = rank + int(np.argmax(np.abs(a[rank:, k])))
-        if np.abs(a[p, k]) <= threshold:
-            continue
-        if p != rank:
-            a[[rank, p]] = a[[p, rank]]
-        a[rank + 1:, k:] -= np.outer(a[rank + 1:, k] / a[rank, k], a[rank, k:])
-        rank += 1
-    return rank
 
 
 def _unit_phase(v: np.ndarray) -> np.ndarray:
@@ -578,16 +560,39 @@ def _residual(a: np.ndarray, x: np.ndarray, lams: np.ndarray) -> float:
                         / np.linalg.norm(x, axis=0)))
 
 
+def _biorthogonalize(right: np.ndarray, left: np.ndarray) -> None:
+    """Two-sided oblique Gram-Schmidt, in place: each r_j loses its part
+    along the earlier r_i as the l_i see it, and each l_j along the
+    earlier l_i as the r_i see it, so l_i^T r_j = 0 for i != j with no
+    solve. A part whose pivot l_i^T r_i underflows is kept."""
+    pivots = np.empty(right.shape[1], dtype=right.dtype)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for j in range(right.shape[1]):
+            r, l = right[:, :j], left[:, :j]
+            for v, basis, dual in ((right, r, l), (left, l, r)):
+                c = (dual.T @ v[:, j]) / pivots[:j]
+                v[:, j] -= basis @ np.where(np.isfinite(c), c, 0.0)
+            pivots[j] = left[:, j] @ right[:, j]
+
+
 def _eigenpairs(values: np.ndarray, starts: list[int], sizes: list[int],
-                right_blocks: np.ndarray, left_blocks: np.ndarray, diagonalizable: bool,
-                simple: bool, residual: float) -> ComplexEigenpairs:
+                right_blocks: np.ndarray, left_blocks: np.ndarray, ids: np.ndarray,
+                diagonalizable: bool, residual: float) -> ComplexEigenpairs:
     """The ComplexEigenpairs of one right and one left complex vector per
-    diagonal block: each vector at unit norm and phase, the left ones
-    rescaled so that l^T r = 1 when the spectrum is simple and l / l^T r
-    stays finite, both expanded to one column per eigenvalue."""
+    diagonal block, both at unit norm and phase and expanded to one column
+    per eigenvalue. ids are the values' `clusters`. On a diagonalizable
+    spectrum each repeated cluster's blocks are made biorthogonal and each
+    left vector is rescaled to l^T r = 1 where l / l^T r stays finite."""
+    simple = diagonalizable and bool(np.all(ids == np.arange(len(ids))))
     right_blocks = _unit_phase(right_blocks)
     left_blocks = _unit_phase(left_blocks)
-    if simple:
+    if diagonalizable:
+        block_ids = ids[starts]
+        for c in np.flatnonzero(np.bincount(block_ids) > 1):
+            cols = np.flatnonzero(block_ids == c)
+            r, l = right_blocks[:, cols], left_blocks[:, cols]
+            _biorthogonalize(r, l)
+            right_blocks[:, cols], left_blocks[:, cols] = _unit_phase(r), _unit_phase(l)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             scaled = left_blocks / np.sum(left_blocks * right_blocks, axis=0)
         finite = np.all(np.isfinite(scaled), axis=0)
@@ -608,15 +613,13 @@ def eigen_from_schur(schur: SchurForm) -> ComplexEigenpairs:
     max_j ||T y_j - lam_j y_j|| / ||y_j|| is measured in Schur
     coordinates and equals that of A.
 
-    A is diagonalizable when two tests pass. First, every cluster of
-    eigenvalues (`clusters` at ||T||_F) has geometric multiplicity
-    n - rank(T - lam I) at least its size, a pivot at or below
-    RANK_RTOL * ||T||_F counting as zero. Second, no eigenvalue's
-    condition number 1/s_j (`_condition` on y and z) passes
-    CONDITION_LIMIT: QR scatters a defective eigenvalue wider than the
-    cluster tolerance, and its computed right and left vectors are then
-    all but orthogonal. When either fails, A is neither diagonalizable
-    nor simple.
+    A is diagonalizable when no eigenvalue's condition number 1/s_j
+    (`_condition` on y and z) passes CONDITION_LIMIT: a defective
+    eigenvalue's computed right and left vectors are all but orthogonal,
+    whether QR leaves its copies in one cluster or not. A is simple when
+    it is diagonalizable and no cluster (`clusters` at ||T||_F) repeats.
+    z^T y is upper triangular with a nonzero diagonal, so
+    `_biorthogonalize` never meets a zero pivot.
     """
     t, q = schur.t, schur.q
     n = t.shape[0]
@@ -655,15 +658,9 @@ def eigen_from_schur(schur: SchurForm) -> ComplexEigenpairs:
     z /= np.max(np.abs(z), axis=0)
     residual = _residual(t, y, lams)
 
-    size = np.bincount(clusters(values, scale), minlength=n)
-    simple = bool(np.all(size <= 1))
-    diagonalizable = all(  # one rank test per cluster, at its first member
-        n - _complex_rank(t - values[i] * np.eye(n), RANK_RTOL * scale) >= size[i]
-        for i in np.flatnonzero(size > 1))
-    if not np.all(_condition(y, z) <= CONDITION_LIMIT):
-        diagonalizable = simple = False
-    return _eigenpairs(values, starts, sizes, q @ y, q @ z, diagonalizable, simple,
-                       residual)
+    diagonalizable = bool(np.all(_condition(y, z) <= CONDITION_LIMIT))
+    return _eigenpairs(values, starts, sizes, q @ y, q @ z, clusters(values, scale),
+                       diagonalizable, residual)
 
 
 def lift_cyclic(a: np.ndarray, groups: list[np.ndarray], blocks: list[np.ndarray],
@@ -684,8 +681,9 @@ def lift_cyclic(a: np.ndarray, groups: list[np.ndarray], blocks: list[np.ndarray
     from k as well, so integer arithmetic on k sorts the lifted values
     into real ones and conjugate pairs; no rounded imaginary part is
     read. A conjugate pair of B is lifted from its positive-imaginary
-    member. diagonalizable and simple are B's; the residual is the
-    largest relative right or left eigenvector residual on a.
+    member. diagonalizable is B's and simple follows from the lifted
+    values' `clusters` at ||a||_F; the residual is the largest relative
+    right or left eigenvector residual on a.
     """
     d, m = len(blocks), blocks[0].shape[0]
     x, y = base.right, base.left
@@ -750,4 +748,4 @@ def lift_cyclic(a: np.ndarray, groups: list[np.ndarray], blocks: list[np.ndarray
     values[pairs] = lams[~real].conj()
     residual = max(_residual(a, right_blocks, lams), _residual(a.T, left_blocks, lams))
     return _eigenpairs(values, starts, sizes, right_blocks, left_blocks,
-                       base.diagonalizable, base.simple, residual)
+                       clusters(values, np.linalg.norm(a)), base.diagonalizable, residual)

@@ -20,18 +20,19 @@ from functools import reduce
 import numpy as np
 
 from .chain import TransitionMatrix, require_count, validate_distribution
-from .errors import NotDiagonalizable, NumericError, SingularMatrix
+from .errors import NotDiagonalizable, NumericError
 from .numlin import (
+    CONDITION_LIMIT,
     DEFLATE_RTOL,
     ComplexEigenpairs,
     SchurForm,
+    _condition,
     _eigenpairs,
     _residual,
     clusters,
     eigen_from_schur,
     lift_cyclic,
     real_schur,
-    solve_linear,
     sym_eigen,
 )
 from .reversal import _kolmogorov
@@ -129,9 +130,8 @@ def _reversible_pairs(p: np.ndarray, structure: ClassStructure) -> ComplexEigenp
     residual = max(_residual(p, right, values), _residual(p.T, left, values))
     if not residual <= DEFLATE_RTOL * scale:
         return None
-    simple = bool(np.all(clusters(values, scale) == np.arange(n)))
     return _eigenpairs(values.astype(complex), list(range(n)), [1] * n, right, left,
-                       True, simple, residual)
+                       clusters(values, scale), True, residual)
 
 
 def _schur_by_class(p: np.ndarray, structure: ClassStructure) -> SchurForm:
@@ -287,30 +287,25 @@ class EigenEvolution:
 def spectral_evolve(decomp: SpectralDecomposition, mu, k: int) -> EigenEvolution:
     """Evolve mu for k steps entirely in the eigenbasis.
 
-    Expands mu over the complex right eigenvectors, scales each
-    coordinate by lambda^k, and reassembles through the dual (left)
-    basis, the inverse of a real basis: a conjugate pair's two columns
-    are replaced by the real and imaginary parts of its positive-imaginary
-    member's vector. The pair's two dual rows take the real and imaginary
-    parts of that member's scaled coordinate, so the sum is real.
+    mu^T P^k = sum_w (mu^T r_w) lambda_w^k l_w^T, the left vectors being
+    the dual basis of the right ones (left^T right = I); a conjugate
+    pair's two terms are conjugate, so the sum is the real part. Refuses
+    a defective spectrum, and a basis with some 1/s_w past CONDITION_LIMIT
+    (a reversible chain whose pi spans dozens of decades), whose dual
+    would magnify rounding past any useful accuracy.
     """
     if not decomp.pairs.diagonalizable:
         raise NotDiagonalizable("defective spectrum; fall back to direct evolution")
-    values, right = decomp.values, decomp.pairs.right
-    n = right.shape[0]
-    mu = validate_distribution(mu, n)
+    values, right, left = decomp.values, decomp.pairs.right, decomp.pairs.left
+    mu = validate_distribution(mu, right.shape[0])
     require_count(k, "steps")
-    below = values.imag < 0  # the conjugate member of a pair
-    try:
-        dual = solve_linear(np.where(below, -right.imag, right.real), np.eye(n))
-    except SingularMatrix as exc:
-        raise NotDiagonalizable("eigenbasis numerically singular") from exc
+    if np.max(_condition(right, left), initial=0.0) > CONDITION_LIMIT:
+        raise NotDiagonalizable("eigenbasis numerically singular")
     coordinates = mu @ right
     scaled = coordinates * values ** k
-    scaled = np.where(below, -scaled.imag, scaled.real)
     persistent_mask = np.abs(np.abs(values) - 1.0) < TAXONOMY_EPSILON
-    persistent = (scaled * persistent_mask) @ dual
-    transient = (scaled * ~persistent_mask) @ dual
+    persistent = ((scaled * persistent_mask) @ left.T).real
+    transient = ((scaled * ~persistent_mask) @ left.T).real
     return EigenEvolution(coordinates=coordinates,
                           persistent_part=persistent,
                           transient_part=transient,

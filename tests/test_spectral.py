@@ -212,6 +212,34 @@ class TestSpectralEvolve:
         with pytest.raises(errors.NotDiagonalizable):
             spectral_evolve(dec, np.full(3, 1 / 3), 4)
 
+    @pytest.mark.parametrize("order", [[0, 1, 2, 3], [3, 2, 1, 0], [2, 0, 3, 1]])
+    def test_repeated_cluster_off_the_structure(self, order):
+        # a transient state feeds a two-state transient class with equal
+        # weights, so 0.1 is a double eigenvalue (state a's self-loop and
+        # the class's second value) that the class structure does not
+        # explain; the spectrum is still diagonalizable
+        p = np.array([[.1, .2, .2, .5], [0, .3, .2, .5], [0, .2, .3, .5], [0, 0, 0, 1]])
+        chain = build_chain(["abcd"[i] for i in order], p[np.ix_(order, order)])
+        dec = decompose(chain, classify(chain))
+        assert dec.pairs.diagonalizable and not dec.pairs.simple
+        left, right = dec.pairs.left, dec.pairs.right
+        assert np.max(np.abs(left.T @ right - np.eye(4))) <= 1e-12
+        mu = np.full(4, 0.25)
+        for k in (1, 7, 64):
+            got = spectral_evolve(dec, mu, k).evolved
+            assert np.max(np.abs(got - evolve(chain, mu, k))) <= 1e-8
+
+    @pytest.mark.parametrize("n, p_right", [(60, 0.99), (400, 0.9), (160, 0.9999)])
+    def test_refuses_ill_conditioned_basis(self, n, p_right):
+        # diagonalizable (reversible), but pi spans over 100 decades, so
+        # some 1/s_w passes CONDITION_LIMIT and the dual would magnify
+        # rounding without bound
+        chain = line_chain(n, p_right)
+        dec = decompose(chain, classify(chain))
+        assert dec.pairs.diagonalizable
+        with pytest.raises(errors.NotDiagonalizable, match="numerically singular"):
+            spectral_evolve(dec, np.full(n, 1 / n), 3)
+
     @pytest.mark.parametrize("p, mu", [
         ([[1, 0], [1, 0]], [0, 1]),  # 0 ** -1 would be a NaN
         ([[.5, .5, 0], [0, 0, 1], [1, 0, 0]], [1, 0, 0]),  # mu P^-1 is not a distribution
@@ -489,17 +517,22 @@ def symmetrized_values(p):
 
 
 def assert_biorthogonal(pairs):
-    """Every left entry is finite and, when the spectrum is simple,
-    l^T r = 1 on every column whose rescale stays in the double range;
-    the others keep unit norm."""
+    """Every left entry is finite and, when the spectrum is diagonalizable,
+    left^T right = I: l^T r = 1 on every column whose rescale stays in the
+    double range, the others keeping unit norm, and l_i^T r_j = 0 for
+    i != j up to roundoff in ||l_i|| ||r_j||."""
     r, l = pairs.right, pairs.left
     assert np.all(np.isfinite(l))
-    if not pairs.simple:
+    if not pairs.diagonalizable:
         return
     d = np.sum(l * r, axis=0)
     representable = np.abs(d) > np.max(np.abs(l), axis=0) / np.finfo(float).max
     assert np.all(np.abs(d[representable] - 1.0) <= 1e-12)
     assert np.allclose(np.linalg.norm(l[:, ~representable], axis=0), 1.0, rtol=1e-12)
+    l = l / np.max(np.abs(l), axis=0)  # a rescaled l can be too long to square
+    cross = np.abs(l.T @ r) / np.outer(np.linalg.norm(l, axis=0), np.linalg.norm(r, axis=0))
+    np.fill_diagonal(cross, 0.0)
+    assert np.max(cross, initial=0.0) <= 1e-12
 
 
 class TestReversibleRoute:
