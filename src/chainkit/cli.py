@@ -428,7 +428,7 @@ def _kmatrix(args, a: Analysis):
     kern = k_matrix(a.chain, a.basis)
     rep = reversibility(a.chain, a.structure, a.basis)
     result = {"k": kern.k,
-              "symmetric": bool(np.max(np.abs(kern.k - kern.k.T)) <= 1e-10),
+              "symmetric": rep.reversible,
               "reversible": rep.reversible,
               "semi_reversible": rep.semi_reversible,
               "db_residual": rep.db_residual,
@@ -649,8 +649,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         payload = run_command(args)
-    except (errors.ValidationError, errors.NotRecurrent, errors.NotAbsorbing,
-            FileNotFoundError, IsADirectoryError) as exc:
+    except (errors.ValidationError, errors.NotRecurrent, errors.NotAbsorbing, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except errors.NumericError as exc:

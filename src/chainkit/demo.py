@@ -36,16 +36,8 @@ def line_chain(n: int = 100, p_right: float = 0.52, perturb: float = 0.0,
         # width 2 * perturb that numpy forms overflows above 8.9e307
         right = right + 2 * rng.uniform(-perturb / 2, perturb / 2, size=n)
         right = np.clip(right, 1e-3, 1.0 - 1e-3)
-    p = np.zeros((n, n))
-    for i in range(n):
-        if i == 0:
-            p[i, i] = 1.0 - right[i]  # left move reflects into a self-loop
-            p[i, i + 1] = right[i]
-        elif i == n - 1:
-            p[i, i - 1] = 1.0 - right[i]
-            p[i, i] = right[i]  # right move reflects into a self-loop
-        else:
-            p[i, i - 1] = 1.0 - right[i]
-            p[i, i + 1] = right[i]
+    p = np.diag(right[:-1], 1) + np.diag(1.0 - right[1:], -1)
+    p[0, 0] = 1.0 - right[0]  # left move reflects into a self-loop
+    p[-1, -1] = right[-1]  # right move reflects into a self-loop
     labels = [f"s{i + 1}" for i in range(n)]
     return build_chain(labels, p)

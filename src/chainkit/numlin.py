@@ -20,12 +20,14 @@ two eigenvalues are the same: `clusters`, single linkage at RANK_RTOL
 times the Frobenius norm of their matrix. A matrix counts as
 diagonalizable when no eigenvalue's condition number 1/s_j passes
 CONDITION_LIMIT. The eigenpairs of a d-cyclic matrix are lifted from
-those of its cycle product, d times smaller; every eigenpair route ends
-in the same step, which makes left^T right = I on a diagonalizable
-spectrum and expands one vector per diagonal block into one complex
-column per eigenvalue. Stationary vectors, PageRank and absorption
-share one subtraction-free Grassmann-Taksar-Heyman (GTH) state reduction
-in left-looking panels of GTH_PANEL, down to state 1 or down to the
+those of its cycle product, d times smaller. Every eigenpair route ends
+in `_eigenpairs`, handing it one eigenvalue and one right and left
+vector per diagonal block; it alone expands them into one value and one
+complex column per eigenvalue, conjugating a pair's second member,
+clusters the values and makes left^T right = I on a diagonalizable
+spectrum. Stationary vectors, PageRank and absorption share one
+subtraction-free Grassmann-Taksar-Heyman (GTH) state reduction in
+left-looking panels of GTH_PANEL, down to state 1 or down to the
 absorbing states. Every kernel rejects non-finite input with
 NumericError before it starts iterating.
 """
@@ -178,10 +180,7 @@ def sym_eigen(a) -> tuple[np.ndarray, np.ndarray]:
     scale = np.linalg.norm(a)
     if scale > 0 and np.max(np.abs(a - a.T)) > 1e-10 * scale:
         raise NotSymmetric("matrix is not symmetric within tolerance")
-    m = 0.5 * (a + a.T)
-    if scale == 0 or n == 1:
-        return np.diag(m).copy(), np.eye(n)
-    t, q = _hessenberg(m)
+    t, q = _hessenberg(0.5 * (a + a.T))
     d = np.diag(t).tolist()
     e = np.diag(t, -1).tolist()
     rotations = []  # (k, sweep, c, s) of every Givens rotation, in order
@@ -261,13 +260,6 @@ class SchurForm:
     q: np.ndarray
     t: np.ndarray
     block_sizes: tuple[int, ...]
-
-    def block_starts(self) -> list[int]:
-        starts, s = [], 0
-        for b in self.block_sizes:
-            starts.append(s)
-            s += b
-        return starts
 
 
 def _hessenberg(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -382,8 +374,6 @@ def real_schur(a) -> SchurForm:
     """
     a = _as_square(a)
     n = a.shape[0]
-    if n == 0:
-        return SchurForm(np.eye(0), np.zeros((0, 0)), ())
     hq = np.vstack(_hessenberg(a))
     flat = hq[:n].reshape(-1)  # views of H's diagonal and subdiagonal
     diag, sub = flat[::n + 1], flat[n::n + 1]
@@ -428,28 +418,25 @@ def real_schur(a) -> SchurForm:
 class ComplexEigenpairs:
     """Eigenvalues and eigenvector sets of a real square matrix.
 
-    values holds complex eigenvalues, conjugate pairs adjacent with the
-    positive-imaginary member first. right and left are complex (n, n)
-    matrices with one column per eigenvalue: the second column of a
-    conjugate pair is the conjugate of the first. Right vectors have unit
-    Euclidean norm. When the spectrum is diagonalizable, left^T right = I,
-    except that a left vector whose rescale to l^T r = 1 would overflow
-    (its unit l^T r underflows) keeps unit norm.
+    values holds the n complex eigenvalues, conjugate pairs adjacent with
+    the positive-imaginary member first; the spectrum is simple when it is
+    diagonalizable and no `clusters` cluster of values repeats. right and
+    left are complex (n, n) matrices with one column per eigenvalue: the
+    second column of a conjugate pair is the conjugate of the first. Right
+    vectors have unit Euclidean norm. When the spectrum is
+    diagonalizable, left^T right = I, except that a left vector whose
+    rescale to l^T r = 1 would overflow (its unit l^T r underflows) keeps
+    unit norm.
     """
 
     values: np.ndarray
     right: np.ndarray
     left: np.ndarray
     diagonalizable: bool
-    simple: bool
     residual: float
 
-    @property
-    def n(self) -> int:
-        return len(self.values)
 
-
-def _quasi_triangular_vectors(t: np.ndarray, starts: list[int], sizes: list[int],
+def _quasi_triangular_vectors(t: np.ndarray, starts: np.ndarray, sizes: np.ndarray,
                               lams: np.ndarray, clamp: float) -> np.ndarray:
     """One eigenvector of the upper quasi-triangular T per diagonal block,
     as the columns of a complex (n, blocks) array.
@@ -543,16 +530,6 @@ def _unit_phase(v: np.ndarray) -> np.ndarray:
     return v * (np.conj(pivot) / np.abs(pivot))
 
 
-def _columns(blocks: np.ndarray, starts: list[int], sizes: list[int]) -> np.ndarray:
-    """One complex column per eigenvalue from one vector per diagonal
-    block: a 2x2 block's vector and then its conjugate."""
-    out = np.empty((blocks.shape[0], blocks.shape[0]), dtype=complex)
-    out[:, starts] = blocks
-    pairs = [k for k, b in enumerate(sizes) if b == 2]
-    out[:, [starts[k] + 1 for k in pairs]] = blocks[:, pairs].conj()
-    return out
-
-
 def _residual(a: np.ndarray, x: np.ndarray, lams: np.ndarray) -> float:
     """Largest relative eigenvector residual max_j ||a x_j - lam_j x_j|| /
     ||x_j|| over the columns of x."""
@@ -575,19 +552,31 @@ def _biorthogonalize(right: np.ndarray, left: np.ndarray) -> None:
             pivots[j] = left[:, j] @ right[:, j]
 
 
-def _eigenpairs(values: np.ndarray, starts: list[int], sizes: list[int],
-                right_blocks: np.ndarray, left_blocks: np.ndarray, ids: np.ndarray,
-                diagonalizable: bool, residual: float) -> ComplexEigenpairs:
-    """The ComplexEigenpairs of one right and one left complex vector per
-    diagonal block, both at unit norm and phase and expanded to one column
-    per eigenvalue. ids are the values' `clusters`. On a diagonalizable
-    spectrum each repeated cluster's blocks are made biorthogonal and each
-    left vector is rescaled to l^T r = 1 where l / l^T r stays finite."""
-    simple = diagonalizable and bool(np.all(ids == np.arange(len(ids))))
+def _eigenpairs(lams: np.ndarray, sizes, right_blocks: np.ndarray, left_blocks: np.ndarray,
+                scale: float, diagonalizable: bool, residual: float) -> ComplexEigenpairs:
+    """The ComplexEigenpairs of one eigenvalue lam and one right and one
+    left vector per diagonal block, of size 1 for a real lam and 2 for a
+    conjugate pair, lam being its positive-imaginary member. The vectors
+    go to unit norm and phase, and each block expands to one value and
+    one complex column per eigenvalue, a pair's second being the
+    conjugate of its first. On a diagonalizable spectrum the blocks of
+    each repeated cluster (`clusters` of the values at scale, the
+    matrix's Frobenius norm) are made biorthogonal and each left vector
+    is rescaled to l^T r = 1 where l / l^T r stays finite."""
+    sizes = np.asarray(sizes)
+    ends = np.cumsum(sizes)
+    second = ends[sizes == 2] - 1
+
+    def expand(x: np.ndarray) -> np.ndarray:
+        x = np.repeat(np.asarray(x, dtype=complex), sizes, axis=-1)
+        x[..., second] = x[..., second].conj()
+        return x
+
+    values = expand(lams)
     right_blocks = _unit_phase(right_blocks)
     left_blocks = _unit_phase(left_blocks)
     if diagonalizable:
-        block_ids = ids[starts]
+        block_ids = clusters(values, scale)[ends - sizes]
         for c in np.flatnonzero(np.bincount(block_ids) > 1):
             cols = np.flatnonzero(block_ids == c)
             r, l = right_blocks[:, cols], left_blocks[:, cols]
@@ -597,10 +586,8 @@ def _eigenpairs(values: np.ndarray, starts: list[int], sizes: list[int],
             scaled = left_blocks / np.sum(left_blocks * right_blocks, axis=0)
         finite = np.all(np.isfinite(scaled), axis=0)
         left_blocks[:, finite] = scaled[:, finite]
-    return ComplexEigenpairs(values=values, right=_columns(right_blocks, starts, sizes),
-                             left=_columns(left_blocks, starts, sizes),
-                             diagonalizable=diagonalizable, simple=simple,
-                             residual=residual)
+    return ComplexEigenpairs(values=values, right=expand(right_blocks), left=expand(left_blocks),
+                             diagonalizable=diagonalizable, residual=residual)
 
 
 def eigen_from_schur(schur: SchurForm) -> ComplexEigenpairs:
@@ -616,42 +603,35 @@ def eigen_from_schur(schur: SchurForm) -> ComplexEigenpairs:
     A is diagonalizable when no eigenvalue's condition number 1/s_j
     (`_condition` on y and z) passes CONDITION_LIMIT: a defective
     eigenvalue's computed right and left vectors are all but orthogonal,
-    whether QR leaves its copies in one cluster or not. A is simple when
-    it is diagonalizable and no cluster (`clusters` at ||T||_F) repeats.
-    z^T y is upper triangular with a nonzero diagonal, so
-    `_biorthogonalize` never meets a zero pivot.
+    whether QR leaves its copies in one cluster or not. Each block gives
+    `_eigenpairs` one value lam at ||T||_F, a 2x2 block the member of
+    its pair with positive imaginary part. z^T y is upper triangular with
+    a nonzero diagonal, so `_biorthogonalize` never meets a zero pivot.
     """
     t, q = schur.t, schur.q
     n = t.shape[0]
     if n == 0:
         empty = np.zeros((0, 0), dtype=complex)
         return ComplexEigenpairs(values=np.zeros(0, dtype=complex), right=empty, left=empty,
-                                 diagonalizable=True, simple=True, residual=0.0)
-    starts = schur.block_starts()
-    sizes = list(schur.block_sizes)
+                                 diagonalizable=True, residual=0.0)
+    sizes = np.array(schur.block_sizes)
+    starts = np.cumsum(sizes) - sizes
     scale = np.linalg.norm(t)
     if scale == 0:
         scale = 1.0
     clamp = 1e-13 * scale
 
-    values = np.zeros(n, dtype=complex)
-    for s, b in zip(starts, sizes):
-        if b == 1:
-            values[s] = t[s, s]
-        else:
-            mid = 0.5 * (t[s, s] + t[s + 1, s + 1])
-            disc = 0.25 * (t[s, s] - t[s + 1, s + 1]) ** 2 + t[s, s + 1] * t[s + 1, s]
-            im = np.sqrt(max(-disc, 0.0))
-            values[s] = mid + 1j * im
-            values[s + 1] = mid - 1j * im
-
-    lams = values[starts]
+    lams = t[starts, starts].astype(complex)
+    pair = sizes == 2
+    s = starts[pair]
+    a, b, c, d = t[s, s], t[s, s + 1], t[s + 1, s], t[s + 1, s + 1]
+    disc = 0.25 * (a - d) ** 2 + b * c
+    lams[pair] = 0.5 * (a + d) + 1j * np.sqrt(np.maximum(-disc, 0.0))
     y = _quasi_triangular_vectors(t, starts, sizes, lams, clamp)
     # a left eigenvector of T is a right eigenvector of the flipped
     # transpose J T^T J, upper quasi-triangular with its blocks reversed
-    z = _quasi_triangular_vectors(
-        t.T[::-1, ::-1].copy(), [n - s - b for s, b in zip(starts[::-1], sizes[::-1])],
-        sizes[::-1], lams[::-1], clamp)[::-1, ::-1]
+    z = _quasi_triangular_vectors(t.T[::-1, ::-1].copy(), (n - starts - sizes)[::-1],
+                                  sizes[::-1], lams[::-1], clamp)[::-1, ::-1]
     # on a far from normal T the back-substitution grows a column past
     # 1e154, whose squared norm overflows: scale each by its largest entry
     y /= np.max(np.abs(y), axis=0)
@@ -659,8 +639,7 @@ def eigen_from_schur(schur: SchurForm) -> ComplexEigenpairs:
     residual = _residual(t, y, lams)
 
     diagonalizable = bool(np.all(_condition(y, z) <= CONDITION_LIMIT))
-    return _eigenpairs(values, starts, sizes, q @ y, q @ z, clusters(values, scale),
-                       diagonalizable, residual)
+    return _eigenpairs(lams, sizes, q @ y, q @ z, scale, diagonalizable, residual)
 
 
 def lift_cyclic(a: np.ndarray, groups: list[np.ndarray], blocks: list[np.ndarray],
@@ -681,8 +660,8 @@ def lift_cyclic(a: np.ndarray, groups: list[np.ndarray], blocks: list[np.ndarray
     from k as well, so integer arithmetic on k sorts the lifted values
     into real ones and conjugate pairs; no rounded imaginary part is
     read. A conjugate pair of B is lifted from its positive-imaginary
-    member. diagonalizable is B's and simple follows from the lifted
-    values' `clusters` at ||a||_F; the residual is the largest relative
+    member, and `_eigenpairs` expands each pair from that member at
+    ||a||_F. diagonalizable is B's; the residual is the largest relative
     right or left eigenvector residual on a.
     """
     d, m = len(blocks), blocks[0].shape[0]
@@ -740,12 +719,6 @@ def lift_cyclic(a: np.ndarray, groups: list[np.ndarray], blocks: list[np.ndarray
     right_blocks[:, flip] = right_blocks[:, flip].conj()
     left_blocks[:, flip] = left_blocks[:, flip].conj()
 
-    sizes = [1 if r else 2 for r in real]
-    starts = np.concatenate(([0], np.cumsum(sizes)[:-1])).tolist()
-    values = np.zeros(n, dtype=complex)
-    values[starts] = lams
-    pairs = [s + 1 for s, b in zip(starts, sizes) if b == 2]
-    values[pairs] = lams[~real].conj()
     residual = max(_residual(a, right_blocks, lams), _residual(a.T, left_blocks, lams))
-    return _eigenpairs(values, starts, sizes, right_blocks, left_blocks,
-                       clusters(values, np.linalg.norm(a)), base.diagonalizable, residual)
+    return _eigenpairs(lams, np.where(real, 1, 2), right_blocks, left_blocks,
+                       np.linalg.norm(a), base.diagonalizable, residual)

@@ -59,15 +59,11 @@ class SpectralDecomposition:
     two in one cluster tie. On a cycle every |lambda| is 1 up to
     roundoff, and neither last-ulp noise nor a boundary of the 12 digits
     reports print may set the row order.
-    left_row_sums reports sum(l) per eigenvector; for irreducible chains
-    every non-unit eigenvalue's left vector sums to zero, for
-    non-recurrent chains the sums are informational only.
     """
 
     pairs: ComplexEigenpairs
     order: tuple[int, ...]
     unit_multiplicity: int
-    left_row_sums: np.ndarray
 
     @property
     def values(self) -> np.ndarray:
@@ -104,9 +100,8 @@ def _reversible_pairs(p: np.ndarray, structure: ClassStructure) -> ComplexEigenp
     the right and left residuals on P within DEFLATE_RTOL * ||P||_F, the
     backward error real_schur accepts: a chain that passes the criterion
     at CYCLE_RTOL, or has an entry below ENTRY_CLAMP off the pattern, is
-    only close to similar to S. The spectrum is simple unless two
-    eigenvalues are one `numlin.clusters` cluster at ||P||_F, as in
-    eigen_from_schur.
+    only close to similar to S. Each eigenvalue goes to
+    `numlin._eigenpairs` as a 1x1 block, at ||P||_F.
     """
     ok, _, phi = _kolmogorov(p)
     if not ok:
@@ -130,8 +125,7 @@ def _reversible_pairs(p: np.ndarray, structure: ClassStructure) -> ComplexEigenp
     residual = max(_residual(p, right, values), _residual(p.T, left, values))
     if not residual <= DEFLATE_RTOL * scale:
         return None
-    return _eigenpairs(values.astype(complex), list(range(n)), [1] * n, right, left,
-                       clusters(values, scale), True, residual)
+    return _eigenpairs(values, np.ones(n, dtype=int), right, left, scale, True, residual)
 
 
 def _schur_by_class(p: np.ndarray, structure: ClassStructure) -> SchurForm:
@@ -240,10 +234,8 @@ def decompose(chain: TransitionMatrix, structure: ClassStructure) -> SpectralDec
     if radius > 1.0 + SPECTRAL_RADIUS_SLACK:
         raise NumericError(f"stochastic spectral radius {radius} exceeds 1")
     unit = int(np.sum(np.abs(values - 1.0) < TAXONOMY_EPSILON))
-    left_sums = pairs.left.sum(axis=0)
     return SpectralDecomposition(pairs=pairs, order=_order(values, np.linalg.norm(chain.p)),
-                                 unit_multiplicity=unit,
-                                 left_row_sums=left_sums)
+                                 unit_multiplicity=unit)
 
 
 def taxonomy(decomp: SpectralDecomposition) -> list[str]:

@@ -128,6 +128,16 @@ class TestParsing:
         code, _, _ = run(capsys, "validate", "/nonexistent/chain.json")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [["validate", "{long}"],
+                                      ["rwset", "{graph}", "--other", "{long}"]],
+                             ids=["validate", "rwset-other"])
+    def test_unopenable_path_is_exit_two(self, argv, graph_file, capsys):
+        # a 5000-byte file name cannot be opened: OSError, not FileNotFoundError
+        argv = [a.format(long="a" * 5000, graph=graph_file) for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
     @pytest.mark.parametrize("argv, data", [
         (["classify"], b"\xff\xfe\x00garbage"),
         (["validate"], b"#directed\na\tb\t1\nb\t\xff\t1\n"),
@@ -682,8 +692,22 @@ class TestTransformCommands:
     def test_kmatrix_reports_symmetry_verdict(self, chain_file, capsys):
         _, out, _ = run(capsys, "kmatrix", chain_file)
         r = json.loads(out)["result"]
-        k = np.array(r["k"])
-        assert r["symmetric"] == bool(np.max(np.abs(k - k.T)) <= 1e-10)
+        assert r["symmetric"] == r["reversible"]
+
+    def test_kmatrix_flags_agree_on_a_nudged_chain(self, tmp_path, capsys):
+        # a 2e-8 circulation on states 0, 1, 2 of a symmetric walk: its
+        # detailed-balance residual, 4e-10, passes DB_ATOL, while K is
+        # 2e-8 off symmetric entrywise; the two flags must still agree
+        p = line_chain(50, 0.5).p.copy()
+        for i, j, k in ((0, 1, 0), (1, 2, 0), (2, 0, 1)):
+            p[i, j] += 2e-8
+            p[i, k] -= 2e-8
+        f = tmp_path / "nudged.json"
+        f.write_text(json.dumps({"states": [f"s{i}" for i in range(50)], "P": p.tolist()}))
+        code, out, _ = run(capsys, "kmatrix", str(f))
+        r = json.loads(out)["result"]
+        assert code == 0 and r["db_residual"] == pytest.approx(4e-10, rel=1e-6)
+        assert r["symmetric"] and r["reversible"]
 
     def test_laplacian_on_graph_and_chain(self, graph_file, chain_file, capsys):
         _, out, _ = run(capsys, "laplacian", graph_file,

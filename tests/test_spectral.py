@@ -18,8 +18,8 @@ from chainkit import (
     stationary_basis,
     taxonomy,
 )
-from chainkit import spectral
-from chainkit.numlin import DEFLATE_RTOL, eigen_from_schur, real_schur, sym_eigen
+from chainkit import numlin, spectral
+from chainkit.numlin import DEFLATE_RTOL, clusters, eigen_from_schur, real_schur, sym_eigen
 from chainkit.spectral import (
     SpectralDecomposition,
     _reversible_pairs,
@@ -35,8 +35,7 @@ def decomp_of_matrix(m):
     values = pairs.values
     unit = int(np.sum(np.abs(values - 1.0) < 1e-8))
     return SpectralDecomposition(pairs=pairs, order=spectral._order(values, np.linalg.norm(m)),
-                                 unit_multiplicity=unit,
-                                 left_row_sums=pairs.left.sum(axis=0))
+                                 unit_multiplicity=unit)
 
 
 class TestDecompose:
@@ -86,7 +85,7 @@ class TestDecompose:
             for j, lam in enumerate(dec.values):
                 if abs(lam - 1.0) > 1e-8:
                     l = dec.pairs.left[:, j]
-                    assert abs(dec.left_row_sums[j]) <= 1e-8 * np.linalg.norm(l)
+                    assert abs(l.sum()) <= 1e-8 * np.linalg.norm(l)
 
 
 def spectrum_rows(chain):
@@ -221,7 +220,9 @@ class TestSpectralEvolve:
         p = np.array([[.1, .2, .2, .5], [0, .3, .2, .5], [0, .2, .3, .5], [0, 0, 0, 1]])
         chain = build_chain(["abcd"[i] for i in order], p[np.ix_(order, order)])
         dec = decompose(chain, classify(chain))
-        assert dec.pairs.diagonalizable and not dec.pairs.simple
+        assert dec.pairs.diagonalizable
+        # 1, 0.5 and the double 0.1
+        assert np.unique(clusters(dec.values, np.linalg.norm(chain.p))).size == 3
         left, right = dec.pairs.left, dec.pairs.right
         assert np.max(np.abs(left.T @ right - np.eye(4))) <= 1e-12
         mu = np.full(4, 0.25)
@@ -328,7 +329,47 @@ def assert_matches_whole_matrix(chain, dec):
     assert right <= 1e-10 and left <= 1e-10
     whole = eigen_from_schur(real_schur(p))
     assert dec.pairs.diagonalizable == whole.diagonalizable
-    assert dec.pairs.simple == whole.simple
+    if whole.diagonalizable:  # then a cluster repeats on both or on neither
+        scale = np.linalg.norm(p)
+        repeats = [np.unique(clusters(x.values, scale)).size < len(p) for x in (dec, whole)]
+        assert repeats[0] == repeats[1]
+
+
+class TestEigenpairRecord:
+    """Every route hands numlin._eigenpairs one value and one right/left
+    vector pair per diagonal block, and it alone expands them."""
+
+    @pytest.mark.parametrize("chain,orders", [
+        (line_chain(n=12, perturb=0.1, seed=4), {"real_schur": [], "sym_eigen": [12]}),
+        (periodic_chain(np.random.default_rng(3), 3, 5), {"real_schur": [5], "sym_eigen": []}),
+        (layered_chain(np.random.default_rng(6), [3, 4, 5]),
+         {"real_schur": [3, 4, 5], "sym_eigen": []}),
+    ], ids=["reversible", "cyclic", "schur_by_class"])
+    def test_one_value_and_vector_pair_per_block(self, chain, orders, monkeypatch):
+        calls = []
+        eigenpairs = numlin._eigenpairs
+
+        def recorded(lams, sizes, *args):
+            pairs = eigenpairs(lams, sizes, *args)
+            calls.append((np.asarray(lams), np.asarray(sizes), pairs))
+            return pairs
+
+        monkeypatch.setattr(numlin, "_eigenpairs", recorded)
+        monkeypatch.setattr(spectral, "_eigenpairs", recorded)
+        dec, seen = route_calls(monkeypatch, chain)
+        assert seen == orders
+        assert calls[-1][2] is dec.pairs
+        for lams, sizes, pairs in calls:
+            n = int(sizes.sum())
+            assert pairs.right.shape == pairs.left.shape == (n, n)
+            assert pairs.right.dtype == pairs.left.dtype == complex
+            assert np.all(lams[sizes == 2].imag > 0)
+            second = np.cumsum(sizes)[sizes == 2] - 1
+            want = np.repeat(lams.astype(complex), sizes)
+            want[second] = want[second].conj()
+            assert np.array_equal(pairs.values, want)
+            for x in (pairs.right, pairs.left):
+                assert np.array_equal(x[:, second], x[:, second - 1].conj())
 
 
 class TestCyclicRoute:
@@ -561,7 +602,8 @@ class TestReversibleRoute:
             warnings.simplefilter("error")
             dec, orders = route_calls(monkeypatch, chain)
         assert orders == {"real_schur": [], "sym_eigen": [n]}
-        assert dec.pairs.diagonalizable and dec.pairs.simple
+        assert dec.pairs.diagonalizable
+        assert np.unique(clusters(dec.values, np.linalg.norm(chain.p))).size == n
         got = np.sort(dec.values.real)
         assert np.max(np.abs(got - symmetrized_values(chain.p))) <= 1e-12
         assert dec.pairs.residual <= DEFLATE_RTOL * np.linalg.norm(chain.p)
@@ -579,7 +621,7 @@ class TestReversibleRoute:
         assert orders == {"real_schur": [], "sym_eigen": [160]}
         assert dec.pairs.diagonalizable
         assert np.all(np.isfinite(dec.pairs.right)) and np.all(np.isfinite(dec.pairs.left))
-        assert np.all(np.isfinite(dec.left_row_sums))
+        assert np.all(np.isfinite(dec.pairs.left.sum(axis=0)))
         assert max(eigen_residuals(chain.p, dec.pairs)) <= 1e-10
 
     @pytest.mark.parametrize("seed", range(10))
