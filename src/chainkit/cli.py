@@ -428,7 +428,7 @@ def _kmatrix(args, a: Analysis):
     kern = k_matrix(a.chain, a.basis)
     rep = reversibility(a.chain, a.structure, a.basis)
     result = {"k": kern.k,
-              "symmetric": rep.reversible,
+              "symmetric": bool(np.max(np.abs(kern.k - kern.k.T)) <= 1e-10),
               "reversible": rep.reversible,
               "semi_reversible": rep.semi_reversible,
               "db_residual": rep.db_residual,
