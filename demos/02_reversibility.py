@@ -17,10 +17,10 @@ from chainkit import (
 )
 
 
-def report(name, chain, kolmogorov=False):
+def report(name, chain):
     structure = classify(chain)
     basis = stationary_basis(chain, structure)
-    rep = reversibility(chain, structure, basis, kolmogorov=kolmogorov)
+    rep = reversibility(chain, structure, basis)
     print(f"{name}: recurrent={rep.recurrent} reversible={rep.reversible} "
           f"semi_reversible={rep.semi_reversible} residual={rep.db_residual:.2e}")
     if rep.witness is not None:
@@ -41,7 +41,7 @@ circulating = build_chain("1234", [[0, 0.3, 0.3, 0.4],
                                    [0.75, 0, 0, 0.25],
                                    [0.5, 0, 0, 0.5],
                                    [0.75, 0.125, 0.125, 0]])
-report("circulating", circulating, kolmogorov=True)
+report("circulating", circulating)
 
 semi = build_chain("1234", [[0, 0.75, 0, 0.25],
                             [0.25, 0, 0, 0.75],

@@ -13,9 +13,12 @@ label) for unit-circle plots instead; `simulate` and `demo-line-chain`
 take a non-negative `--seed` (default: CHAINS_SEED, then 0). There is no
 row-sum tolerance flag. A report's `tolerances` echo those its result
 depends on: `cluster` (numlin.RANK_RTOL, the eigenvalue-cluster rule) in
-`spectrum`, `taxonomy`, `embed`, `gft` and `demo-line-chain`, and
-`condition` and `deflate` beside it in `spectrum` and `taxonomy`. Exit
-codes: 0 success, 2 invalid input, 3 numeric failure.
+`spectrum`, `taxonomy`, `embed`, `gft` and `demo-line-chain`;
+`epsilon` (spectral.TAXONOMY_EPSILON, the taxonomy's boundary rule),
+`condition` and `deflate` beside it in `spectrum` and `taxonomy`; and
+`cycle` (reversal.CYCLE_RTOL, the bound of Kolmogorov's cycle criterion
+that decides reversibility) in `kmatrix`. Exit codes: 0 success, 2
+invalid input, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from .laplacian import (
     smooth_spectrum,
 )
 from .numlin import CONDITION_LIMIT, DEFLATE_RTOL, RANK_RTOL, stationary_gth
-from .reversal import DB_ATOL, k_matrix, reversibility, reversibilize, time_reverse
+from .reversal import CYCLE_RTOL, k_matrix, reversibility, reversibilize, time_reverse
 from .spectral import TAXONOMY_EPSILON, SpectralDecomposition, decompose, perron_report, taxonomy
 from .stationary import STATIONARITY_ATOL, StationaryBasis, equal_weight, stationary_basis
 from .structure import ClassStructure, classify
@@ -433,7 +436,7 @@ def _kmatrix(args, a: Analysis):
               "semi_reversible": rep.semi_reversible,
               "db_residual": rep.db_residual,
               "witness": rep.witness}
-    return result, {"db": DB_ATOL}
+    return result, {"cycle": CYCLE_RTOL}
 
 
 def _laplacian(args, a: Analysis):

@@ -12,7 +12,6 @@ from .errors import NotRecurrent, ValidationError
 from .stationary import StationaryBasis, equal_weight
 from .structure import ClassStructure
 
-DB_ATOL = 1e-9
 CYCLE_RTOL = 1e-9  # bound on |ln(fwd/rev)| of a fundamental cycle
 
 
@@ -21,8 +20,8 @@ class ReversibilityReport:
     recurrent: bool
     reversible: bool
     semi_reversible: bool
-    db_residual: float
-    witness: tuple[int, ...] | None  # violating cycle, or (i, j) entry pair
+    db_residual: float  # max |pi_i P_ij - pi_j P_ji|, measured, not a verdict
+    witness: tuple[int, ...] | None  # violating cycle, or (i, j) edge without (j, i)
 
 
 @dataclass(frozen=True)
@@ -48,11 +47,9 @@ def time_reverse(chain: TransitionMatrix, basis: StationaryBasis) -> TransitionM
     return build_chain(chain.labels, p_rev)
 
 
-def _db_residual(p: np.ndarray, pi: np.ndarray) -> tuple[float, tuple[int, int]]:
+def _db_residual(p: np.ndarray, pi: np.ndarray) -> float:
     flow = pi[:, None] * p
-    gap = np.abs(flow - flow.T)
-    i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)
-    return float(gap[i, j]), (int(i), int(j))
+    return float(np.max(np.abs(flow - flow.T)))
 
 
 def _kolmogorov(p: np.ndarray) -> tuple[bool, tuple[int, ...] | None, np.ndarray | None]:
@@ -79,20 +76,24 @@ def _kolmogorov(p: np.ndarray) -> tuple[bool, tuple[int, ...] | None, np.ndarray
     n = p.shape[0]
     log_ratio = np.zeros_like(p)
     log_ratio[edge] = np.log(p[edge]) - np.log(p.T[edge])
-    succ = [np.flatnonzero(row).tolist() for row in edge]
     parent = [-1] * n
     depth = [-1] * n
     phi = np.zeros(n)
+    unseen = n
     for root in range(n):
         if depth[root] >= 0:
             continue
         depth[root] = 0
+        unseen -= 1
         queue = [root]
         for u in queue:  # grows while it is walked: a BFS
-            for v in succ[u]:
+            if not unseen:  # every state found: no further row adds a tree edge
+                break
+            for v in np.flatnonzero(edge[u]).tolist():
                 if depth[v] < 0:
                     depth[v], parent[v] = depth[u] + 1, u
                     phi[v] = phi[u] + log_ratio[u, v]
+                    unseen -= 1
                     queue.append(v)
     gap = phi[:, None] + log_ratio - phi[None, :]
     failing = np.argwhere(np.triu(edge) & (np.abs(gap) > CYCLE_RTOL))
@@ -112,32 +113,23 @@ def _kolmogorov(p: np.ndarray) -> tuple[bool, tuple[int, ...] | None, np.ndarray
 
 
 def reversibility(chain: TransitionMatrix, structure: ClassStructure,
-                  basis: StationaryBasis, kolmogorov: bool = False) -> ReversibilityReport:
-    """Detailed-balance test by default; Kolmogorov cycle mode on request.
-
-    Recurrent chains: one strictly positive stationary pi suffices.
-    Non-recurrent chains are never reversible; semi-reversibility re-tests
-    after deleting the transient states (the recurrent classes are closed,
-    so the restriction is stochastic). With the combined pi the transient
-    rows and columns of the flow gap vanish identically, so one residual
-    serves both cases.
+                  basis: StationaryBasis) -> ReversibilityReport:
+    """Kolmogorov's cycle criterion (`_kolmogorov`) on P restricted to the
+    states of the closed classes, a stochastic matrix because the classes
+    are closed: that verdict is semi-reversibility. The chain is
+    reversible iff it is also recurrent, and then a failing criterion's
+    pair or fundamental cycle is the witness, in state indices.
+    db_residual, the largest gap |pi_i P_ij - pi_j P_ji| under the
+    equal-weight pi (transient rows and columns vanish), is reported as a
+    measurement; no threshold is applied to it.
     """
-    pi = equal_weight(basis)
-    residual, pair = _db_residual(chain.p, pi)
     recurrent = structure.recurrent_chain
-    semi = residual <= DB_ATOL
-    reversible = recurrent and semi
-    witness: tuple[int, ...] | None = None
-    if recurrent and not reversible:
-        witness = pair
-    if kolmogorov and recurrent:
-        ok, cyc_witness, _ = _kolmogorov(chain.p)
-        reversible = ok
-        semi = ok
-        witness = None if ok else cyc_witness
-    return ReversibilityReport(recurrent=recurrent, reversible=reversible,
-                               semi_reversible=semi, db_residual=residual,
-                               witness=witness)
+    closed = np.flatnonzero(np.array(structure.recurrent)[list(structure.class_of)])
+    semi, witness, _ = _kolmogorov(chain.p[np.ix_(closed, closed)])
+    return ReversibilityReport(recurrent=recurrent, reversible=recurrent and semi,
+                               semi_reversible=semi,
+                               db_residual=_db_residual(chain.p, equal_weight(basis)),
+                               witness=witness if recurrent else None)
 
 
 def reversibilize(chain: TransitionMatrix, basis: StationaryBasis,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from chainkit import build_chain, build_graph
+from chainkit import build_chain, build_graph, line_chain
 
 # property tests draw the same examples on every run and store none
 settings.register_profile("derandomize", derandomize=True, database=None,
@@ -207,4 +207,16 @@ def layered_chain(rng, sizes, tiny=0.0):
     p /= p.sum(axis=1, keepdims=True)
     order = rng.permutation(n)
     p = p[np.ix_(order, order)]
+    return build_chain([str(i) for i in range(n)], p)
+
+
+def circulating_line_chain(n, p_right, eps):
+    """`line_chain(n, p_right)` with eps carried around 0 -> 1 -> 2 -> 0:
+    eps added to p[0, 1], p[1, 2] and p[2, 0] and taken from p[0, 0],
+    p[1, 0] and p[2, 1]. Every row still sums to one, and p[2, 0] has no
+    reverse edge (p[0, 2] = 0), so the chain is not reversible for any
+    eps above chain.ENTRY_CLAMP."""
+    p = line_chain(n, p_right).p.copy()
+    p[[0, 1, 2], [1, 2, 0]] += eps
+    p[[0, 1, 2], [0, 0, 1]] -= eps
     return build_chain([str(i) for i in range(n)], p)

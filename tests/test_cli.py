@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from chainkit import build_chain, cli, errors, line_chain, spectral
 from chainkit.cli import main, parse_graph_tsv
 
-from conftest import layered_chain, periodic_chain
+from conftest import circulating_line_chain, layered_chain, periodic_chain
 
 CHAIN_DOC = {
     "states": ["S", "C", "B"],
@@ -365,7 +365,10 @@ class TestReports:
     # writer printed it before make_report formatted float arrays in bulk;
     # spectrum, embed, gft and demo-line-chain since their tolerances
     # echo the cluster tolerance (and spectrum the condition and deflation
-    # bounds): without those keys each text hashes as before
+    # bounds): without those keys each text hashes as before; kmatrix
+    # since Kolmogorov's cycle criterion decides reversibility (its
+    # `cycle` tolerance and witness cycle [0, 1, 2] replace `db` and the
+    # flow-gap pair)
     GOLDEN_DIGESTS = {
         "validate": "acee70ef984d86b6808a5a98b50705a1a5a5b70158dc2a5df66a75b1f9e49d3f",
         "classify": "7971dbd7ce35d36a4ef63ce65964ae9a6b7ff44a103fd4fd9af371c570e8cc25",
@@ -378,7 +381,7 @@ class TestReports:
             "3f75d8d53230002bc9cb11d05887621767721b1d32d82738b8bb013fbc6b8d0f",
         "reverse": "11fe4af16c85a91df677168cddd4eee844bb08c4bbbfb3ad47603f53cc136d6b",
         "reversibilize": "0e5d8036eca86657e9193ec4e869737e45afc0216555fa90696cb2ce8766f554",
-        "kmatrix": "a571f26d78cbd8c23f5c0dfb2378301492403b5451c3e30f20d87240504daf52",
+        "kmatrix": "cf20ec909a6db524f3cc35306d4ae375b73877040c658cd023272a0be0765a9e",
         "laplacian": "2b353bec0d26b0ce7f252d3bc100c1eaab018145b3dd50377052c45ae6dd54b1",
         "embed": "1323a345c46fa908cb92e6020dadc4601bf3c6bc96401754375e3671cb874cee",
         "gft": "341e006af5823bcc441f1ff76692df72ee2da52c498a2bc7e294b6bc5864068b",
@@ -694,6 +697,18 @@ class TestTransformCommands:
         r = json.loads(out)["result"]
         k = np.array(r["k"])
         assert r["symmetric"] == bool(np.max(np.abs(k - k.T)) <= 1e-10)
+
+    def test_kmatrix_flags_agree_on_a_small_circulation(self, tmp_path, capsys):
+        # flows differ by at most 4e-10 here, but p[2, 0] = 2e-8 has no
+        # reverse edge: the chain is not reversible, and reverse moves P
+        chain = circulating_line_chain(50, 0.5, 2e-8)
+        f = tmp_path / "circulating.json"
+        f.write_text(json.dumps({"states": list(chain.labels), "P": chain.p.tolist()}))
+        code, out, _ = run(capsys, "kmatrix", str(f))
+        assert code == 0
+        r = json.loads(out)["result"]
+        assert not r["reversible"] and not r["semi_reversible"] and not r["symmetric"]
+        assert r["witness"] == [2, 0]
 
     def test_laplacian_on_graph_and_chain(self, graph_file, chain_file, capsys):
         _, out, _ = run(capsys, "laplacian", graph_file,

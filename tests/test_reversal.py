@@ -2,6 +2,8 @@ from itertools import combinations, permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from chainkit import (
     build_chain,
@@ -19,7 +21,7 @@ from chainkit import (
 from chainkit.chain import ENTRY_CLAMP
 from chainkit.reversal import CYCLE_RTOL, _kolmogorov
 
-from conftest import random_recurrent_chain
+from conftest import circulating_line_chain, random_recurrent_chain
 
 
 def prep(chain):
@@ -77,7 +79,7 @@ class TestReversibility:
 
     def test_nonreversible_with_cycle_witness(self, nonrev_chain):
         st, b = prep(nonrev_chain)
-        rep = reversibility(nonrev_chain, st, b, kolmogorov=True)
+        rep = reversibility(nonrev_chain, st, b)
         assert rep.recurrent and not rep.reversible
         cyc = rep.witness
         assert cyc is not None and len(cyc) >= 3
@@ -171,15 +173,16 @@ class TestKolmogorov:
         for _ in range(3):
             chain = walk(make(rng, n))
             st, b = prep(chain)
-            rep_db = reversibility(chain, st, b)
-            rep_kol = reversibility(chain, st, b, kolmogorov=True)
+            rep = reversibility(chain, st, b)
             k = k_matrix(chain, b).k
             k_sym = bool(np.max(np.abs(k - k.T)) <= 1e-9)
-            assert rep_db.reversible == rep_kol.reversible == k_sym == reversible
+            f = flow_matrix(chain, equal_weight(b))
+            f_sym = bool(np.max(np.abs(f - f.T)) <= 1e-9)
+            assert rep.reversible == k_sym == f_sym == reversible
             if reversible:
-                assert rep_kol.witness is None
+                assert rep.witness is None
             else:
-                assert_valid_witness(chain.p, rep_kol.witness)
+                assert_valid_witness(chain.p, rep.witness)
 
     def test_matches_brute_force_cycles(self):
         rng = np.random.default_rng(3)
@@ -194,14 +197,14 @@ class TestKolmogorov:
                 w = w + w.T  # a symmetric flow: reversible
             chain = walk(w * pattern)
             st, b = prep(chain)
-            rep = reversibility(chain, st, b, kolmogorov=True)
+            rep = reversibility(chain, st, b)
             assert rep.reversible == brute_force_kolmogorov(chain.p)
             if not rep.reversible:
                 assert_valid_witness(chain.p, rep.witness)
 
     def test_asymmetric_pattern_witness_is_the_pair(self, cycle3_chain):
         st, b = prep(cycle3_chain)
-        rep = reversibility(cycle3_chain, st, b, kolmogorov=True)
+        rep = reversibility(cycle3_chain, st, b)
         assert not rep.reversible and rep.witness == (0, 1)
 
     def test_entry_below_clamp_is_no_reverse_edge(self):
@@ -217,7 +220,7 @@ class TestKolmogorov:
     def test_self_loops_are_ignored(self):
         c = build_chain("ab", [[0.9, 0.1], [0.5, 0.5]])
         st, b = prep(c)
-        assert reversibility(c, st, b, kolmogorov=True).reversible
+        assert reversibility(c, st, b).reversible
 
 
 class TestReversibilize:
@@ -309,10 +312,28 @@ class TestVerdictAgreement:
         for _ in range(150):
             chain = random_recurrent_chain(rng)
             st, b = prep(chain)
-            rep_db = reversibility(chain, st, b)
-            rep_kol = reversibility(chain, st, b, kolmogorov=True)
+            rep = reversibility(chain, st, b)
             k = k_matrix(chain, b).k
             f = flow_matrix(chain, equal_weight(b))
             k_sym = np.max(np.abs(k - k.T)) <= 1e-9
             f_sym = np.max(np.abs(f - f.T)) <= 1e-9
-            assert rep_db.reversible == rep_kol.reversible == k_sym == f_sym
+            assert rep.reversible == k_sym == f_sym
+
+
+INVARIANT_FAMILIES = {
+    "symmetric-walk": lambda rng, n: walk(symmetric_flow(rng, n)),
+    "positive": lambda rng, n: walk(rng.random((n, n)) + 0.01),
+    "line-circulation": lambda rng, n: circulating_line_chain(
+        n, rng.uniform(0.3, 0.7), 10 ** rng.uniform(-10, -6)),
+}
+
+
+class TestReverseInvariant:
+    @given(family=hs.sampled_from(sorted(INVARIANT_FAMILIES)), n=hs.integers(3, 40),
+           seed=hs.integers(0, 2**32 - 1))
+    @settings(max_examples=150)
+    def test_reversible_iff_reverse_returns_p(self, family, n, seed):
+        chain = INVARIANT_FAMILIES[family](np.random.default_rng(seed), n)
+        st, b = prep(chain)
+        gap = np.max(np.abs(time_reverse(chain, b).p - chain.p))
+        assert reversibility(chain, st, b).reversible == (gap <= 1e-12)
