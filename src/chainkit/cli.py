@@ -652,7 +652,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         payload = run_command(args)
-    except (errors.ValidationError, errors.NotRecurrent, errors.NotAbsorbing, OSError) as exc:
+    except (errors.ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except errors.NumericError as exc:

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package: every ChainkitError is
+a ValidationError (the CLI exits 2) or a NumericError (exit 3)."""
 
 
 class ChainkitError(Exception):
@@ -81,10 +82,6 @@ class BadAlpha(ValidationError):
     pass
 
 
-class NotPositiveStationary(ValidationError):
-    pass
-
-
 class IncompleteBasis(ValidationError):
     pass
 
@@ -100,9 +97,9 @@ class ParseError(ValidationError):
         self.reason = reason
 
 
-class NotRecurrent(ChainkitError):
+class NotRecurrent(ValidationError):
     """Operation requires a chain whose states are all recurrent."""
 
 
-class NotAbsorbing(ChainkitError):
+class NotAbsorbing(ValidationError):
     """Operation requires an absorbing chain."""

@@ -13,16 +13,21 @@ import numpy as np
 
 from .chain import TransitionMatrix, as_finite, as_labels, build_chain
 from .errors import DimensionMismatch, NegativeWeight, ValidationError, ZeroOutDegree
-from .stationary import StationaryBasis, equal_weight
+from .reversal import reversibility
+from .stationary import StationaryBasis, _positive_pi
 from .structure import ClassStructure
 
-UNDIRECTED_ATOL = 1e-12
-BALANCED_ATOL = 1e-10
+UNDIRECTED_RTOL = 1e-12
+BALANCED_RTOL = 1e-10
 SCALING_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
 class WeightedDigraph:
+    """Weights w[i, j] >= 0 on edges i -> j. The flags are relative to the
+    largest weight (undirected) or degree (balanced), so they do not
+    depend on the weight units, as the random walk does not."""
+
     labels: tuple[str, ...]
     w: np.ndarray = field(repr=False)
 
@@ -44,12 +49,14 @@ class WeightedDigraph:
 
     @property
     def is_undirected(self) -> bool:
-        return bool(np.max(np.abs(self.w - self.w.T), initial=0.0) <= UNDIRECTED_ATOL)
+        return bool(np.max(np.abs(self.w - self.w.T), initial=0.0)
+                    <= UNDIRECTED_RTOL * np.max(self.w, initial=0.0))
 
     @property
     def is_balanced(self) -> bool:
-        return bool(np.max(np.abs(self.out_degree - self.in_degree),
-                           initial=0.0) <= BALANCED_ATOL)
+        out, into = self.out_degree, self.in_degree
+        return bool(np.max(np.abs(out - into), initial=0.0)
+                    <= BALANCED_RTOL * np.max(np.maximum(out, into), initial=0.0))
 
 
 def build_graph(labels, w) -> WeightedDigraph:
@@ -104,18 +111,18 @@ def same_rw_set(w1, w2) -> np.ndarray | None:
 def rw_set_representative(chain: TransitionMatrix, structure: ClassStructure,
                           basis: StationaryBasis,
                           kind: str) -> WeightedDigraph | None:
-    """Canonical member of the chain's random-walk set.
-
-    Recurrent chains always contain the balanced graph Pi P (the flow
-    matrix, volume one). That member is undirected exactly when the
-    chain is reversible; non-recurrent chains contain neither kind.
-    """
+    """Canonical member of the chain's random-walk set, None if it has no
+    member of that kind. A recurrent chain's set holds the flow Pi P (pi
+    from `_positive_pi`: underflow raises NotRecurrent), and the symmetrized
+    flow, an undirected member, exactly when `reversibility` finds the
+    chain reversible. Non-recurrent chains hold neither kind."""
     if kind not in ("balanced", "undirected"):
         raise ValidationError(f"unknown representative kind {kind!r}")
     if not structure.recurrent_chain:
         return None
-    pi = equal_weight(basis)
-    w = pi[:, None] * chain.p
-    if kind == "undirected" and np.max(np.abs(w - w.T)) > UNDIRECTED_ATOL:
-        return None
+    w = _positive_pi(basis, "random-walk-set member")[:, None] * chain.p
+    if kind == "undirected":
+        if not reversibility(chain, structure, basis).reversible:
+            return None
+        w = 0.5 * (w + w.T)
     return build_graph(chain.labels, w)

@@ -13,14 +13,14 @@ from .errors import (
     DimensionMismatch,
     FormulaMismatch,
     IncompleteBasis,
-    NotPositiveStationary,
     NotUndirected,
     ValidationError,
     ZeroDegree,
 )
 from .graph import WeightedDigraph
 from .numlin import RANK_RTOL, clusters, sym_eigen
-from .stationary import StationaryBasis, equal_weight
+from .reversal import k_matrix
+from .stationary import StationaryBasis, _positive_pi
 
 NORMALIZED = "normalized"
 UNNORMALIZED = "unnormalized"
@@ -75,19 +75,13 @@ def build_laplacian(g: WeightedDigraph, variant: str) -> LaplacianMatrix:
 
 def directed_laplacian(chain: TransitionMatrix,
                        basis: StationaryBasis) -> LaplacianMatrix:
-    """I - (Pi^{1/2} P Pi^{-1/2} + Pi^{-1/2} P^T Pi^{1/2})/2, the
-    symmetrized Laplacian of a chain with strictly positive stationary
-    distribution; reduces to the normalized Laplacian when the chain is
-    reversible."""
-    pi = equal_weight(basis)
-    if np.any(pi <= 0):
-        raise NotPositiveStationary(
-            "directed Laplacian needs a strictly positive stationary vector; "
-            "ergodify first (teleporting walk) if needed")
-    root = np.sqrt(pi)
-    s = chain.p * root[:, None] / root[None, :]
-    m = np.eye(chain.n) - 0.5 * (s + s.T)
-    m = 0.5 * (m + m.T)
+    """I - (K + K^T)/2 with K from `k_matrix`: the symmetrized Laplacian of
+    a chain whose equal-weight pi is positive (`_positive_pi` raises
+    NotRecurrent otherwise); the normalized Laplacian of the undirected
+    member when the chain is reversible."""
+    pi = _positive_pi(basis, "directed Laplacian")
+    k = k_matrix(chain, basis).k
+    m = np.eye(chain.n) - 0.5 * (k + k.T)
     flow = pi[:, None] * chain.p
     return LaplacianMatrix(variant=DIRECTED, m=m, scale=pi, weights=flow,
                            labels=chain.labels, pi_used=pi)

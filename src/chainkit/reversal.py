@@ -8,8 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import TransitionMatrix, build_chain, transitions
-from .errors import NotRecurrent, ValidationError
-from .stationary import StationaryBasis, equal_weight
+from .errors import ValidationError
+from .stationary import StationaryBasis, _positive_pi, equal_weight
 from .structure import ClassStructure
 
 CYCLE_RTOL = 1e-9  # bound on |ln(fwd/rev)| of a fundamental cycle
@@ -29,22 +29,15 @@ class SymmetrizedKernel:
     k: np.ndarray
 
 
-def _positive_pi(basis: StationaryBasis, what: str) -> np.ndarray:
-    """The equal-weight stationary pi, refused unless every entry is
-    positive: a transient state has pi = 0, and so does a recurrent one
-    whose probability underflows."""
-    pi = equal_weight(basis)
-    if np.any(pi <= 0):
-        raise NotRecurrent(f"{what} requires strictly positive pi")
-    return pi
+def _p_rev(chain: TransitionMatrix, basis: StationaryBasis, what: str) -> np.ndarray:
+    """P_rev = Pi^-1 P^T Pi under the equal-weight pi (`_positive_pi`)."""
+    pi = _positive_pi(basis, what)
+    return chain.p.T * pi[None, :] / pi[:, None]
 
 
 def time_reverse(chain: TransitionMatrix, basis: StationaryBasis) -> TransitionMatrix:
-    """Transition matrix of the time-reversed chain, P_rev = Pi^-1 P^T Pi,
-    with pi the equal-weight combination of the class distributions."""
-    pi = _positive_pi(basis, "time reversal")
-    p_rev = chain.p.T * pi[None, :] / pi[:, None]
-    return build_chain(chain.labels, p_rev)
+    """Transition matrix of the time-reversed chain, P_rev = Pi^-1 P^T Pi."""
+    return build_chain(chain.labels, _p_rev(chain, basis, "time reversal"))
 
 
 def _db_residual(p: np.ndarray, pi: np.ndarray) -> float:
@@ -138,8 +131,7 @@ def reversibilize(chain: TransitionMatrix, basis: StationaryBasis,
 
     Both preserve the stationary distributions and have symmetric flow.
     """
-    pi = _positive_pi(basis, "reversibilization")
-    p_rev = chain.p.T * pi[None, :] / pi[:, None]
+    p_rev = _p_rev(chain, basis, "reversibilization")
     if mode == "additive":
         out = 0.5 * (chain.p + p_rev)
     elif mode == "multiplicative":

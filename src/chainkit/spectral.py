@@ -304,21 +304,18 @@ def spectral_evolve(decomp: SpectralDecomposition, mu, k: int) -> EigenEvolution
                           evolved=persistent + transient)
 
 
-def perron_report(decomp: SpectralDecomposition,
-                  recurrent_classes: int | None = None) -> dict:
+def perron_report(decomp: SpectralDecomposition, recurrent_classes: int) -> dict:
     """Conformance summary for a stochastic spectrum: radius bound, the
     multiplicity of 1 against the recurrent-class count, and the second
     modulus |lambda_2|."""
     vals = decomp.sorted_values()
     radius = float(np.max(np.abs(vals))) if len(vals) else 0.0
-    report = {
+    return {
         "spectral_radius": radius,
         "radius_ok": radius <= 1.0 + SPECTRAL_RADIUS_SLACK,
         "unit_multiplicity": decomp.unit_multiplicity,
+        "unit_multiplicity_matches_recurrent_classes":
+            decomp.unit_multiplicity == recurrent_classes,
         "second_modulus": float(np.abs(vals[decomp.unit_multiplicity]))
         if len(vals) > decomp.unit_multiplicity else None,
     }
-    if recurrent_classes is not None:
-        report["unit_multiplicity_matches_recurrent_classes"] = (
-            decomp.unit_multiplicity == recurrent_classes)
-    return report

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ROW_SUM_ATOL, TransitionMatrix
-from .errors import DimensionMismatch, NumericError, ValidationError
+from .errors import DimensionMismatch, NotRecurrent, NumericError, ValidationError
 from .numlin import stationary_gth
 from .structure import ClassStructure
 
@@ -65,6 +65,16 @@ def combine(basis: StationaryBasis, alphas) -> np.ndarray:
 def equal_weight(basis: StationaryBasis) -> np.ndarray:
     k = len(basis.class_ids)
     return combine(basis, np.full(k, 1.0 / k))
+
+
+def _positive_pi(basis: StationaryBasis, what: str) -> np.ndarray:
+    """The equal-weight stationary pi, the one gate on pi of every
+    Pi-weighted view: NotRecurrent unless every entry is positive (a
+    transient state, or a recurrent one whose probability underflows)."""
+    pi = equal_weight(basis)
+    if np.any(pi <= 0):
+        raise NotRecurrent(f"{what} requires strictly positive pi")
+    return pi
 
 
 def is_stationary(chain: TransitionMatrix, pi) -> bool:

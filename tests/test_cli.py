@@ -784,8 +784,9 @@ class TestExitCodes:
         assert code == 2
 
     @pytest.mark.parametrize("argv", [["reverse"], ["kmatrix"],
-                                      ["reversibilize", "--mode", "additive"]],
-                             ids=["reverse", "kmatrix", "reversibilize"])
+                                      ["reversibilize", "--mode", "additive"],
+                                      ["laplacian", "--variant", "directed"]],
+                             ids=["reverse", "kmatrix", "reversibilize", "laplacian"])
     def test_underflowing_pi_is_exit_two(self, argv, tmp_path, capsys):
         # pi_i grows like 9^i, so pi_0 ~ 1e-381 underflows to 0
         p = cli.line_chain(n=400, p_right=0.9).p
@@ -794,6 +795,28 @@ class TestExitCodes:
         code, out, err = run(capsys, argv[0], str(f), *argv[1:])
         assert code == 2 and out == ""
         assert "requires strictly positive pi" in err and "Warning" not in err
+
+    def test_every_error_class_has_an_exit_code(self):
+        # main maps ValidationError to exit 2 and NumericError to exit 3
+        classes = [c for c in vars(errors).values()
+                   if isinstance(c, type) and issubclass(c, errors.ChainkitError)
+                   and c not in (errors.ChainkitError, errors.ValidationError,
+                                 errors.NumericError)]
+        assert classes
+        for c in classes:
+            assert issubclass(c, (errors.ValidationError, errors.NumericError)), c
+
+    @pytest.mark.parametrize("weight", ["1", "1e-13"])
+    def test_graph_flags_do_not_depend_on_weight_units(self, weight, tmp_path, capsys):
+        # a directed 3-cycle: the same random walk at either weight
+        f = tmp_path / "cycle.tsv"
+        f.write_text("#directed\n" + "".join(f"{u}\t{v}\t{weight}\n"
+                                             for u, v in ("ab", "bc", "ca")))
+        code, out, _ = run(capsys, "validate", str(f))
+        doc = json.loads(out)["result"]
+        assert code == 0 and doc["undirected"] is False and doc["balanced"] is True
+        code, out, err = run(capsys, "laplacian", str(f), "--variant", "normalized")
+        assert code == 2 and out == "" and "symmetric weight matrix" in err
 
     def test_bad_damping_is_exit_two(self, chain_file, capsys):
         code, _, _ = run(capsys, "pagerank", chain_file, "--damping", "1.5")

@@ -4,16 +4,18 @@ import numpy as np
 import pytest
 
 from chainkit import (
+    build_chain,
     build_graph,
     classify,
     equal_weight,
+    line_chain,
     random_walk,
     reversibility,
     rw_set_representative,
     same_rw_set,
     stationary_basis,
 )
-from chainkit.errors import NegativeWeight, ValidationError, ZeroOutDegree
+from chainkit.errors import NegativeWeight, NotRecurrent, ValidationError, ZeroOutDegree
 from conftest import random_recurrent_chain
 
 W1 = np.array([[0.0, 0.0, 0.0, 1.5],
@@ -152,6 +154,28 @@ class TestRepresentative:
         s, b = self.walk_parts(nonrec_nonrev_chain)
         assert rw_set_representative(nonrec_nonrev_chain, s, b, "balanced") is None
         assert rw_set_representative(nonrec_nonrev_chain, s, b, "undirected") is None
+
+    def test_circulation_where_pi_is_small_has_no_undirected_member(self):
+        # 1e-2 carried around 27 -> 28 -> 29 -> 27, where pi is about 7e-11:
+        # the flows differ by less than 1e-12, yet p[29, 27] has no reverse
+        p = line_chain(30, 0.3).p.copy()
+        p[[27, 28, 29], [28, 29, 27]] += 1e-2
+        p[[27, 28, 29], [26, 27, 28]] -= 1e-2
+        chain = build_chain([str(i) for i in range(30)], p)
+        s, b = self.walk_parts(chain)
+        assert not reversibility(chain, s, b).reversible
+        assert rw_set_representative(chain, s, b, "undirected") is None
+        g = rw_set_representative(chain, s, b, "balanced")
+        assert g is not None and g.is_balanced
+        assert np.allclose(random_walk(g).p, chain.p, atol=1e-12)
+
+    def test_underflowing_pi_refuses_the_members(self):
+        # pi_i grows like 99^i, so the left states' pi underflows to 0
+        chain = line_chain(400, 0.99)
+        s, b = self.walk_parts(chain)
+        for kind in ("balanced", "undirected"):
+            with pytest.raises(NotRecurrent):
+                rw_set_representative(chain, s, b, kind)
 
     def test_unknown_kind_rejected(self, rev_chain):
         s, b = self.walk_parts(rev_chain)

@@ -293,10 +293,10 @@ class TestDirected:
                            atol=1e-12)
 
     def test_transient_mass_rejected(self, semirev_chain):
-        from chainkit.errors import NotPositiveStationary
+        from chainkit.errors import NotRecurrent
 
         s, b = graph_parts(semirev_chain)
-        with pytest.raises(NotPositiveStationary):
+        with pytest.raises(NotRecurrent):
             directed_laplacian(semirev_chain, b)
 
 

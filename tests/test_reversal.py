@@ -7,14 +7,18 @@ from hypothesis import strategies as hs
 
 from chainkit import (
     build_chain,
+    build_laplacian,
     classify,
     decompose,
+    directed_laplacian,
     equal_weight,
     errors,
     flow_matrix,
     k_matrix,
+    random_walk,
     reversibility,
     reversibilize,
+    rw_set_representative,
     stationary_basis,
     time_reverse,
 )
@@ -337,3 +341,19 @@ class TestReverseInvariant:
         st, b = prep(chain)
         gap = np.max(np.abs(time_reverse(chain, b).p - chain.p))
         assert reversibility(chain, st, b).reversible == (gap <= 1e-12)
+
+    @given(family=hs.sampled_from(sorted(INVARIANT_FAMILIES)), n=hs.integers(3, 40),
+           seed=hs.integers(0, 2**32 - 1))
+    @settings(max_examples=100)
+    def test_undirected_member_iff_reversible(self, family, n, seed):
+        chain = INVARIANT_FAMILIES[family](np.random.default_rng(seed), n)
+        st, b = prep(chain)
+        g = rw_set_representative(chain, st, b, "undirected")
+        assert (g is not None) == reversibility(chain, st, b).reversible
+        if g is None:
+            return
+        assert g.is_undirected
+        if family == "symmetric-walk":
+            assert np.max(np.abs(random_walk(g).p - chain.p)) <= 1e-12
+            gap = build_laplacian(g, "normalized").m - directed_laplacian(chain, b).m
+            assert np.max(np.abs(gap)) <= 1e-12
