@@ -135,8 +135,7 @@ def _label_basis(v: np.ndarray, by_label: np.ndarray) -> np.ndarray:
     largest norm) taken in the order by_label lists the rows in.
 
     Column i of V V^T is V times row i of V, so the pivoting runs on the
-    rows of V, and the basis depends only on the span and by_label. A
-    single column comes back with its largest entry positive.
+    rows of V, and the basis depends only on the span and by_label.
     """
     m = v.shape[1]
     rest = v.copy()
@@ -150,6 +149,16 @@ def _label_basis(v: np.ndarray, by_label: np.ndarray) -> np.ndarray:
     return v @ q
 
 
+def _label_signs(v: np.ndarray, by_label: np.ndarray) -> np.ndarray:
+    """Every column of v as `_label_basis` returns it alone, in one pass:
+    times v_ij / |v_ij| at the first row i in by_label order whose |v_ij|
+    = sqrt(v_ij^2) is within RANK_RTOL of the column's largest."""
+    mag = np.sqrt(v * v)
+    top = by_label[np.argmax(mag[by_label] >= mag.max(axis=0) - RANK_RTOL, axis=0)]
+    cols = np.arange(v.shape[1])
+    return v * (v[top, cols] / mag[top, cols]) + 0.0  # zeros come out +0, as from v @ q
+
+
 def smooth_spectrum(lap: LaplacianMatrix, k: int | None = None) -> LaplacianSpectrum:
     """The k smallest eigenpairs of the Laplacian, by ascending value.
 
@@ -158,8 +167,9 @@ def smooth_spectrum(lap: LaplacianMatrix, k: int | None = None) -> LaplacianSpec
     cluster of values (`numlin.clusters` at ||L||_F) that reaches into
     the first k takes the basis `_label_basis` builds from its span and
     the sorted vertex labels: listing the vertices in another order
-    permutes the rows and nothing else. A simple eigenvalue's vector gets
-    its largest entry positive, the first by label among near-ties.
+    permutes the rows and nothing else. A single column's basis is the
+    vector with its largest entry positive, the first by label among
+    near-ties: `_label_signs` gives it to every simple eigenvalue at once.
     """
     n = lap.n
     if k is None:
@@ -168,8 +178,10 @@ def smooth_spectrum(lap: LaplacianMatrix, k: int | None = None) -> LaplacianSpec
         raise DimensionMismatch(f"k={k} outside 1..{n}")
     values, vectors = sym_eigen(lap.m)
     by_label = np.array(sorted(range(n), key=lap.labels.__getitem__))
-    size = np.bincount(clusters(values, np.linalg.norm(lap.m)), minlength=n)
-    for first in np.flatnonzero(size[:k]).tolist():
+    size = np.bincount(clusters(values, np.linalg.norm(lap.m)), minlength=n)[:k]
+    simple = np.flatnonzero(size == 1)
+    vectors[:, simple] = _label_signs(vectors[:, simple], by_label)
+    for first in np.flatnonzero(size > 1).tolist():
         run = slice(first, first + size[first])  # values ascend: a cluster is a run
         vectors[:, run] = _label_basis(vectors[:, run], by_label)
     values = values[:k]

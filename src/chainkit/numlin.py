@@ -6,11 +6,12 @@ linear systems, Householder tridiagonalization plus implicit
 Wilkinson-shift QR for symmetric eigenproblems (off-diagonal entries
 deflate below TRIDIAG_RTOL, machine epsilon, relative to their diagonal
 neighbours; the QR rotations reach the eigenvectors in wavefronts, one
-numpy update per wave), and a Hessenberg + Francis double-shift QR
-iteration for the real Schur form of general matrices (subdiagonal
-entries deflate below DEFLATE_RTOL). The Householder reduction both
-share skips every column already in Hessenberg form, so a tridiagonal
-input costs it nothing. Eigenpairs of general matrices are recovered
+numpy update per run of adjacent row pairs, through a view), and a
+Hessenberg + Francis double-shift QR iteration for the real Schur form
+of general matrices (subdiagonal entries deflate below DEFLATE_RTOL;
+each reflector updates views). The Householder reduction both share
+skips every column already in Hessenberg form, so a tridiagonal input
+costs it nothing. Eigenpairs of general matrices are recovered
 from the Schur form by one blocked back-substitution over all
 eigenvector columns at once (on T for the right vectors, on its flipped
 transpose for the left), each column rescaled before the next block row
@@ -184,6 +185,7 @@ def sym_eigen(a) -> tuple[np.ndarray, np.ndarray]:
     d = np.diag(t).tolist()
     e = np.diag(t, -1).tolist()
     rotations = []  # (k, sweep, c, s) of every Givens rotation, in order
+    record, hypot = rotations.append, math.hypot
     total = 0
     hi = n - 1
     while hi > 0:
@@ -203,21 +205,26 @@ def sym_eigen(a) -> tuple[np.ndarray, np.ndarray]:
         # Wilkinson shift: the eigenvalue of the trailing 2x2 block nearer d[hi]
         half = 0.5 * (d[hi - 1] - d[hi])
         b = e[hi - 1]
-        shift = d[hi] - b * b / (half + math.copysign(math.hypot(half, b), half))
+        shift = d[hi] - b * b / (half + math.copysign(hypot(half, b), half))
         x, z = d[lo] - shift, e[lo]
         for k in range(lo, hi):
-            r = math.hypot(x, z)
-            c, s = (x / r, z / r) if r > 0 else (1.0, 0.0)
+            r = hypot(x, z)
+            if r > 0:  # a two- or three-way assignment builds no tuple
+                c, s = x / r, z / r
+            else:
+                c, s = 1.0, 0.0
             if k > lo:
                 e[k - 1] = r
             dk, ek, dk1 = d[k], e[k], d[k + 1]
-            d[k] = c * c * dk + 2.0 * c * s * ek + s * s * dk1
-            d[k + 1] = s * s * dk - 2.0 * c * s * ek + c * c * dk1
-            e[k] = c * s * (dk1 - dk) + (c * c - s * s) * ek
+            cc, ss, cs = c * c, s * s, c * s
+            mix = 2.0 * c * s * ek
+            d[k] = cc * dk + mix + ss * dk1
+            d[k + 1] = ss * dk - mix + cc * dk1
+            x = e[k] = cs * (dk1 - dk) + (cc - ss) * ek
             if k + 1 < hi:
-                x, z = e[k], s * e[k + 1]
+                z = s * e[k + 1]
                 e[k + 1] *= c
-            rotations.append((k, total, c, s))
+            record((k, total, c, s))
     vt = _apply_rotations(q.T.copy(), rotations)
     values = np.array(d)
     order = np.argsort(values, kind="stable")
@@ -226,26 +233,28 @@ def sym_eigen(a) -> tuple[np.ndarray, np.ndarray]:
 
 def _apply_rotations(vt: np.ndarray, rotations: list) -> np.ndarray:
     """Apply sym_eigen's Givens rotations (k, sweep, c, s), in their
-    order, to rows k and k + 1 of vt, in place, one wave per numpy update.
+    order, to rows k and k + 1 of the C-contiguous vt, in place.
 
     Rotation k of sweep j goes in wave k + 2j (Van Zee, van de Geijn &
     Quintana-Orti, ACM TOMS 40(3), 2014). The rotations of one wave
     touch disjoint row pairs, and every earlier rotation on row k or
     k + 1 (k - 1 of the same sweep, k - 1 to k + 1 of an earlier one)
     sits in an earlier wave, so each row meets its rotations in order
-    and with the same 2x2 product as one at a time.
+    and with the same 2x2 product as one at a time. Sorted by wave and
+    then k, they fall into runs whose k step by exactly 2: disjoint row
+    pairs that fill one slice of vt, updated as a view by one product.
     """
     if not rotations:
         return vt
+    assert vt.flags.c_contiguous  # else reshape copies and the update is lost
     k, sweep, c, s = (np.array(col) for col in zip(*rotations))
-    wave = k + 2 * sweep
-    order = np.argsort(wave, kind="stable")
-    rows = k[order, None] + np.array((0, 1))
+    order = np.lexsort((k, k + 2 * sweep))
+    k = k[order]
     g = np.array(((c, s), (-s, c))).transpose(2, 0, 1)[order]
-    cuts = (np.flatnonzero(np.diff(wave[order])) + 1).tolist()
-    for a, b in zip([0] + cuts, cuts + [len(order)]):
-        pair = rows[a:b]
-        vt[pair] = g[a:b] @ vt[pair]
+    cuts = (np.flatnonzero(np.diff(k) != 2) + 1).tolist()
+    for a, b, k0 in zip([0] + cuts, cuts + [len(k)], k[[0] + cuts].tolist()):
+        pairs = vt[k0:k0 + 2 * (b - a)].reshape(b - a, 2, -1)
+        pairs[...] = g[a:b] @ pairs
     return vt
 
 
@@ -274,9 +283,10 @@ def _hessenberg(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         v = x.copy()
         v[0] += np.copysign(nx, x[0]) if x[0] != 0 else nx
         v /= np.linalg.norm(v)
-        h[k + 1:, k:] -= 2.0 * np.outer(v, v @ h[k + 1:, k:])
-        h[:, k + 1:] -= 2.0 * np.outer(h[:, k + 1:] @ v, v)
-        q[:, k + 1:] -= 2.0 * np.outer(q[:, k + 1:] @ v, v)
+        rows = h[k + 1:, k:]
+        rows -= 2.0 * np.outer(v, v @ rows)
+        for block in (h[:, k + 1:], q[:, k + 1:]):
+            block -= 2.0 * np.outer(block @ v, v)
         h[k + 2:, k] = 0.0
     return h, q
 
@@ -313,8 +323,8 @@ def _reflect(hq: np.ndarray, k: int, first_col: int, x: float, y: float,
     """Apply the Householder reflector P that maps (x, y[, z]) onto a
     multiple of e1: P to rows k.. of H from column first_col on (the
     columns to its left are zero there), and P to the same columns of
-    the stacked [H; Q]. P is formed from scalars, so one reflector costs
-    two small matrix products."""
+    the stacked [H; Q]. P is formed from scalars, 2x2 or 3x3, and both
+    products write through views of the rows and columns they read."""
     zz = 0.0 if z is None else z
     nx = math.hypot(x, y, zz)
     if nx == 0:
@@ -323,15 +333,17 @@ def _reflect(hq: np.ndarray, k: int, first_col: int, x: float, y: float,
     vv = v0 * v0 + y * y + zz * zz
     if vv == 0:
         return
-    w0, w1, w2 = 2.0 * v0 / vv, 2.0 * y / vv, 2.0 * zz / vv
-    p = np.array(((1.0 - w0 * v0, -w0 * y, -w0 * zz),
-                  (-w1 * v0, 1.0 - w1 * y, -w1 * zz),
-                  (-w2 * v0, -w2 * y, 1.0 - w2 * zz)))
-    m = 3
+    w0, w1 = 2.0 * v0 / vv, 2.0 * y / vv
     if z is None:
-        p, m = p[:2, :2], 2
-    hq[k:k + m, first_col:] = p @ hq[k:k + m, first_col:]
-    hq[:, k:k + m] = hq[:, k:k + m] @ p
+        p = np.array((1.0 - w0 * v0, -w0 * y, -w1 * v0, 1.0 - w1 * y)).reshape(2, 2)
+    else:
+        w2 = 2.0 * z / vv
+        p = np.array((1.0 - w0 * v0, -w0 * y, -w0 * z, -w1 * v0, 1.0 - w1 * y, -w1 * z,
+                      -w2 * v0, -w2 * y, 1.0 - w2 * z)).reshape(3, 3)
+    rows = hq[k:k + len(p), first_col:]
+    rows[...] = p @ rows
+    cols = hq[:, k:k + len(p)]
+    cols[...] = cols @ p
 
 
 def _francis_step(hq: np.ndarray, lo: int, hi: int, exceptional: bool) -> None:
@@ -349,12 +361,12 @@ def _francis_step(hq: np.ndarray, lo: int, hi: int, exceptional: bool) -> None:
     z = hq[lo + 1, lo] * hq[lo + 2, lo + 1]
     _reflect(hq, lo, lo, float(x), float(y), float(z))
     for k in range(lo + 1, hi - 1):
-        x, y, z = hq[k, k - 1], hq[k + 1, k - 1], hq[k + 2, k - 1]
-        _reflect(hq, k, k - 1, float(x), float(y), float(z))
-        hq[k + 1, k - 1] = 0.0
-        hq[k + 2, k - 1] = 0.0
+        x, y, z = hq[k:k + 3, k - 1].tolist()
+        _reflect(hq, k, k - 1, x, y, z)
+        hq[k + 1:k + 3, k - 1] = 0.0
     # final 2-row reflector clearing the bulge at (hi, hi-2)
-    _reflect(hq, hi - 1, hi - 2, float(hq[hi - 1, hi - 2]), float(hq[hi, hi - 2]))
+    x, y = hq[hi - 1:hi + 1, hi - 2].tolist()
+    _reflect(hq, hi - 1, hi - 2, x, y)
     hq[hi, hi - 2] = 0.0
 
 
@@ -561,8 +573,9 @@ def _eigenpairs(lams: np.ndarray, sizes, right_blocks: np.ndarray, left_blocks: 
     one complex column per eigenvalue, a pair's second being the
     conjugate of its first. On a diagonalizable spectrum the blocks of
     each repeated cluster (`clusters` of the values at scale, the
-    matrix's Frobenius norm) are made biorthogonal and each left vector
-    is rescaled to l^T r = 1 where l / l^T r stays finite."""
+    matrix's Frobenius norm) are made biorthogonal, unless their l^T r
+    is diagonal already, and each left vector is rescaled to l^T r = 1
+    where l / l^T r stays finite."""
     sizes = np.asarray(sizes)
     ends = np.cumsum(sizes)
     second = ends[sizes == 2] - 1
@@ -580,6 +593,9 @@ def _eigenpairs(lams: np.ndarray, sizes, right_blocks: np.ndarray, left_blocks: 
         for c in np.flatnonzero(np.bincount(block_ids) > 1):
             cols = np.flatnonzero(block_ids == c)
             r, l = right_blocks[:, cols], left_blocks[:, cols]
+            gram = l.T @ r
+            if not np.any(gram - np.diag(np.diagonal(gram))):
+                continue  # already biorthogonal: disjoint supports, as on an identity
             _biorthogonalize(r, l)
             right_blocks[:, cols], left_blocks[:, cols] = _unit_phase(r), _unit_phase(l)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from chainkit import (
     build_chain,
@@ -26,6 +28,8 @@ from chainkit.errors import (
     ValidationError,
     ZeroDegree,
 )
+from chainkit.laplacian import _label_basis, _label_signs
+from chainkit.numlin import RANK_RTOL
 from conftest import random_undirected_graph
 
 
@@ -248,6 +252,24 @@ class TestLabelBases:
         spec = smooth_spectrum(build_laplacian(g, "normalized"))
         v = spec.vectors
         assert np.all(v[np.argmax(np.abs(v), axis=0), np.arange(g.n)] > 0)
+
+    @given(n=st.integers(1, 12), m=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_sign_pass_is_the_one_column_basis(self, n, m, seed):
+        # zero rows, and entries within, at or just past RANK_RTOL of the
+        # largest magnitude with either sign
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal((n, m)) * (rng.random((n, 1)) < 0.7)
+        v[rng.integers(n, size=m), np.arange(m)] += 1.0  # no zero column
+        v /= np.linalg.norm(v, axis=0)
+        top = np.abs(v).max(axis=0)
+        offsets = rng.choice([0.0, -0.5, 0.5, -1.0, -2.0, 1.5], size=(n, m)) * RANK_RTOL
+        ties = rng.random((n, m)) < 0.4
+        v = np.where(ties, rng.choice([-1.0, 1.0], size=(n, m)) * (top + offsets), v)
+        by_label = rng.permutation(n)
+        got = _label_signs(v, by_label)
+        for j in range(m):
+            want = _label_basis(v[:, [j]], by_label)[:, 0]
+            assert got[:, j].tobytes() == want.tobytes()
 
 
 class TestDirected:

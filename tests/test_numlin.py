@@ -313,6 +313,35 @@ class TestSymEigen:
         # each row meets the same 2x2 products in the same order
         assert np.max(np.abs(apply(vt, rotations) - want)) <= 1e-15
 
+    @given(n=st.integers(2, 40), seed=st.integers(0, 2**32 - 1),
+           windows=st.lists(st.tuples(st.integers(0, 38), st.integers(0, 38)),
+                            min_size=1, max_size=12))
+    def test_runs_apply_synthetic_rotations_in_order(self, n, seed, windows):
+        # one window [lo, hi) per sweep, in any order: shrinking, growing
+        # or far apart, so that a wave has gaps in k or one rotation only
+        rng = np.random.default_rng(seed)
+        rotations = []
+        for sweep, ends in enumerate(windows, start=1):
+            lo, hi = sorted(min(x, n - 2) for x in ends)
+            for k in range(lo, hi + 1):
+                theta = rng.uniform(0.0, 2.0 * np.pi)
+                rotations.append((k, sweep, np.cos(theta), np.sin(theta)))
+        vt = rng.standard_normal((n, n))
+        want = vt.copy()
+        for k, _, c, s in rotations:
+            want[k:k + 2] = np.array(((c, s), (-s, c))) @ want[k:k + 2]
+        assert numlin._apply_rotations(vt, rotations) is vt  # updated in place
+        assert np.max(np.abs(vt - want)) <= 1e-15
+
+    @pytest.mark.parametrize("layout", ["strided", "transposed"])
+    def test_views_give_the_result_of_their_copy(self, layout):
+        a = symmetric_family("random", 40, np.random.default_rng(24))
+        view = a[::2, ::2] if layout == "strided" else a.T
+        assert not view.flags.c_contiguous
+        got, want = sym_eigen(view), sym_eigen(np.ascontiguousarray(view))
+        for x, y in zip(got, want):
+            assert np.array_equal(x, y)
+
 
 class TestRealSchur:
     def test_invariants_random(self):

@@ -371,6 +371,29 @@ class TestEigenpairRecord:
             for x in (pairs.right, pairs.left):
                 assert np.array_equal(x[:, second], x[:, second - 1].conj())
 
+    @pytest.mark.parametrize("p,orthogonalized", [(np.eye(90), []), (SINGULAR_PRODUCT, [2])],
+                             ids=["identity", "singular_product"])
+    def test_gram_schmidt_only_where_left_right_is_not_diagonal(self, p, orthogonalized,
+                                                               monkeypatch):
+        # the identity's one cluster of 90 has l_i^T r_j = 0 exactly as it
+        # comes; the reversible route's double 0 of SINGULAR_PRODUCT has
+        # it only to rounding, so its 2 vectors still go through
+        sizes = []
+        biorthogonalize = numlin._biorthogonalize
+
+        def recorded(right, left):
+            sizes.append(right.shape[1])
+            biorthogonalize(right, left)
+
+        monkeypatch.setattr(numlin, "_biorthogonalize", recorded)
+        chain = build_chain([str(i) for i in range(len(p))], p)
+        pairs = decompose(chain, classify(chain)).pairs
+        assert sizes == orthogonalized
+        gram = pairs.left.T @ pairs.right
+        if not sizes:
+            assert np.array_equal(gram, np.eye(len(p)))
+        assert np.max(np.abs(gram - np.eye(len(p)))) <= 1e-15
+
 
 class TestCyclicRoute:
     """Irreducible chains of period d > 1: eigenpairs lifted from the
