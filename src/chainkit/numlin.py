@@ -5,31 +5,31 @@ deliberately self-contained: partial-pivoted elimination for general
 linear systems, Householder tridiagonalization plus implicit
 Wilkinson-shift QR for symmetric eigenproblems (off-diagonal entries
 deflate below TRIDIAG_RTOL, machine epsilon, relative to their diagonal
-neighbours; the QR rotations reach the eigenvectors in wavefronts, one
-numpy update per run of adjacent row pairs, through a view), and a
-Hessenberg + Francis double-shift QR iteration for the real Schur form
-of general matrices (subdiagonal entries deflate below DEFLATE_RTOL;
-each reflector updates views). The Householder reduction both share
-skips every column already in Hessenberg form, so a tridiagonal input
-costs it nothing. Eigenpairs of general matrices are recovered
-from the Schur form by one blocked back-substitution over all
-eigenvector columns at once (on T for the right vectors, on its flipped
-transpose for the left), each column rescaled before the next block row
-once it passes RESCALE_LIMIT and scaled by its largest entry at the end,
-with the residual measured in Schur coordinates. One rule decides that
-two eigenvalues are the same: `clusters`, single linkage at RANK_RTOL
-times the Frobenius norm of their matrix. A matrix counts as
-diagonalizable when no eigenvalue's condition number 1/s_j passes
-CONDITION_LIMIT. The eigenpairs of a d-cyclic matrix are lifted from
-those of its cycle product, d times smaller. Every eigenpair route ends
-in `_eigenpairs`, handing it one eigenvalue and one right and left
-vector per diagonal block; it alone expands them into one value and one
-complex column per eigenvalue, conjugating a pair's second member,
-clusters the values and makes left^T right = I on a diagonalizable
-spectrum. Stationary vectors, PageRank and absorption share one
-subtraction-free Grassmann-Taksar-Heyman (GTH) state reduction in
-left-looking panels of GTH_PANEL, down to state 1 or down to the
-absorbing states. Every kernel rejects non-finite input with
+neighbours; QR logs each sweep's (lo, hi) and its rotations' c and s,
+and the rotations reach the eigenvectors in wavefronts, one numpy update
+per run of adjacent row pairs, through a view), and a Hessenberg +
+Francis double-shift QR iteration for the real Schur form of general
+matrices (subdiagonal entries deflate below DEFLATE_RTOL; each reflector
+updates views). The Householder reduction both share skips every column
+already in Hessenberg form, so a tridiagonal input costs it nothing.
+Eigenpairs of general matrices are recovered from the Schur form by one
+blocked back-substitution over all eigenvector columns at once (on T for
+the right vectors, on its flipped transpose for the left), each column
+rescaled before the next block row once it passes RESCALE_LIMIT and
+scaled by its largest entry at the end, with the residual measured in
+Schur coordinates. One rule decides that two eigenvalues are the same:
+`clusters`, single linkage at RANK_RTOL times the Frobenius norm of
+their matrix. A matrix counts as diagonalizable when no eigenvalue's
+condition number 1/s_j passes CONDITION_LIMIT. The eigenpairs of a
+d-cyclic matrix are lifted from those of its cycle product, d times
+smaller. Every eigenpair route ends in `_eigenpairs`, handing it one
+eigenvalue and one right and left vector per diagonal block; it alone
+expands them into one value and one complex column per eigenvalue,
+conjugating a pair's second member, clusters the values and makes left^T
+right = I on a diagonalizable spectrum. Stationary vectors, PageRank and
+absorption share one subtraction-free Grassmann-Taksar-Heyman (GTH)
+state reduction in left-looking panels of GTH_PANEL, down to state 1 or
+down to the absorbing states. Every kernel rejects non-finite input with
 NumericError before it starts iterating.
 """
 
@@ -52,6 +52,7 @@ from .errors import (
 PIVOT_RTOL = 1e-13
 DEFLATE_RTOL = 1e-12
 TRIDIAG_RTOL = float(np.finfo(float).eps)
+TINY = float(np.finfo(float).tiny)  # _hessenberg rescales a column whose v . v falls below this
 RANK_RTOL = 1e-8  # clusters: values this close, relative to ||matrix||_F, are one
 CONDITION_LIMIT = 1e4  # eigen_from_schur: 1/s_j past this is near-defective
 RESCALE_LIMIT = 1e150  # stationary_gth and _quasi_triangular_vectors rescale past this
@@ -166,15 +167,16 @@ def sym_eigen(a) -> tuple[np.ndarray, np.ndarray]:
     Householder reduction to tridiagonal form (the Hessenberg reduction
     of a symmetric matrix), then implicit symmetric QR with Wilkinson
     shifts (Golub & Van Loan, Matrix Computations, 8.3). The reduction
-    skips each column that is already tridiagonal, so a tridiagonal a
-    (a birth-death chain, a path graph's Laplacian) starts QR at once
-    with Q = I. An off-diagonal entry e_i is flushed to zero once |e_i|
-    <= TRIDIAG_RTOL * (|d_i| + |d_i+1|), with ||a||_F standing in when
-    both diagonal entries are 0. The QR sweeps run on scalars and only
-    record their Givens rotations; `_apply_rotations` then applies them
-    to Q^T in wavefronts. Returns (values, vectors) with values ascending
-    and vectors as orthonormal columns; raises NoConvergence after
-    `_qr_budget(n)` QR steps.
+    skips each column that is already tridiagonal, so a tridiagonal a (a
+    birth-death chain, a path graph's Laplacian) starts QR at once with
+    Q = I. An off-diagonal entry e_i is flushed to zero once |e_i| <=
+    TRIDIAG_RTOL * (|d_i| + |d_i+1|), with ||a||_F standing in when both
+    diagonal entries are 0. The QR sweeps run on scalars, carrying the
+    chase's d[k] and e[k] in locals, and only log each sweep's (lo, hi)
+    and its Givens rotations' c and s; `_apply_rotations` then applies
+    them to Q^T in wavefronts. Returns (values, vectors) with values
+    ascending and vectors as orthonormal columns; raises NoConvergence
+    after `_qr_budget(n)` QR steps.
     """
     a = _as_square(a)
     n = a.shape[0]
@@ -183,10 +185,9 @@ def sym_eigen(a) -> tuple[np.ndarray, np.ndarray]:
         raise NotSymmetric("matrix is not symmetric within tolerance")
     t, q = _hessenberg(0.5 * (a + a.T))
     d = np.diag(t).tolist()
-    e = np.diag(t, -1).tolist()
-    rotations = []  # (k, sweep, c, s) of every Givens rotation, in order
-    record, hypot = rotations.append, math.hypot
-    total = 0
+    e = np.diag(t, -1).tolist() + [0.0]  # e[n - 1] = e[-1]: scratch for the chase
+    sweeps, cos, sin = [], [], []  # (lo, hi) of every QR sweep; c and s of its rotations
+    put_c, put_s, hypot = cos.append, sin.append, math.hypot
     hi = n - 1
     while hi > 0:
         lo = hi
@@ -199,41 +200,42 @@ def sym_eigen(a) -> tuple[np.ndarray, np.ndarray]:
         if lo == hi:
             hi -= 1
             continue
-        total += 1
-        if total > _qr_budget(n):
+        if len(sweeps) >= _qr_budget(n):
             raise NoConvergence("symmetric QR exceeded the iteration budget")
+        sweeps.append((lo, hi))
         # Wilkinson shift: the eigenvalue of the trailing 2x2 block nearer d[hi]
         half = 0.5 * (d[hi - 1] - d[hi])
         b = e[hi - 1]
         shift = d[hi] - b * b / (half + math.copysign(hypot(half, b), half))
-        x, z = d[lo] - shift, e[lo]
+        dk, ek = d[lo], e[lo]  # d[k] and c-scaled e[k] as the chase reaches k
+        x, z = dk - shift, ek
         for k in range(lo, hi):
             r = hypot(x, z)
             if r > 0:  # a two- or three-way assignment builds no tuple
                 c, s = x / r, z / r
             else:
                 c, s = 1.0, 0.0
-            if k > lo:
-                e[k - 1] = r
-            dk, ek, dk1 = d[k], e[k], d[k + 1]
+            e[k - 1] = r  # at k = lo a scratch write, undone after the sweep
+            dk1 = d[k + 1]
             cc, ss, cs = c * c, s * s, c * s
             mix = 2.0 * c * s * ek
             d[k] = cc * dk + mix + ss * dk1
-            d[k + 1] = ss * dk - mix + cc * dk1
-            x = e[k] = cs * (dk1 - dk) + (cc - ss) * ek
-            if k + 1 < hi:
-                z = s * e[k + 1]
-                e[k + 1] *= c
-            record((k, total, c, s))
-    vt = _apply_rotations(q.T.copy(), rotations)
+            x = cs * (dk1 - dk) + (cc - ss) * ek
+            dk = ss * dk - mix + cc * dk1
+            z, ek = s * e[k + 1], e[k + 1] * c  # unused after k = hi - 1
+            put_c(c)
+            put_s(s)
+        d[hi], e[hi - 1], e[lo - 1] = dk, x, 0.0
+    vt = _apply_rotations(q.T.copy(), sweeps, cos, sin)
     values = np.array(d)
     order = np.argsort(values, kind="stable")
     return values[order], vt[order].T
 
 
-def _apply_rotations(vt: np.ndarray, rotations: list) -> np.ndarray:
-    """Apply sym_eigen's Givens rotations (k, sweep, c, s), in their
-    order, to rows k and k + 1 of the C-contiguous vt, in place.
+def _apply_rotations(vt: np.ndarray, sweeps: list, cos: list, sin: list) -> np.ndarray:
+    """Apply sym_eigen's Givens rotations in their order to the C-contiguous
+    vt, in place: sweep (lo, hi) turns rows k and k + 1 for k = lo, ...,
+    hi - 1, each with the next c and s of cos and sin.
 
     Rotation k of sweep j goes in wave k + 2j (Van Zee, van de Geijn &
     Quintana-Orti, ACM TOMS 40(3), 2014). The rotations of one wave
@@ -241,16 +243,20 @@ def _apply_rotations(vt: np.ndarray, rotations: list) -> np.ndarray:
     k + 1 (k - 1 of the same sweep, k - 1 to k + 1 of an earlier one)
     sits in an earlier wave, so each row meets its rotations in order
     and with the same 2x2 product as one at a time. Sorted by wave and
-    then k, they fall into runs whose k step by exactly 2: disjoint row
-    pairs that fill one slice of vt, updated as a view by one product.
+    then k (one key, (k + 2j) n + k), they fall into runs whose k step by
+    exactly 2: disjoint row pairs that fill one slice of vt, updated as a
+    view by one product.
     """
-    if not rotations:
+    if not sweeps:
         return vt
     assert vt.flags.c_contiguous  # else reshape copies and the update is lost
-    k, sweep, c, s = (np.array(col) for col in zip(*rotations))
-    order = np.lexsort((k, k + 2 * sweep))
+    lo, hi = np.array(sweeps).T
+    sweep = np.repeat(np.arange(len(lo)), hi - lo)
+    k = np.arange(len(sweep)) - np.repeat(np.cumsum(hi - lo) - hi, hi - lo)
+    order = np.argsort((k + 2 * sweep) * vt.shape[0] + k, kind="stable")
     k = k[order]
-    g = np.array(((c, s), (-s, c))).transpose(2, 0, 1)[order]
+    c, s = (np.fromiter(x, float, len(x))[order] for x in (cos, sin))
+    g = np.stack((c, s, -s, c), axis=1).reshape(-1, 2, 2)
     cuts = (np.flatnonzero(np.diff(k) != 2) + 1).tolist()
     for a, b, k0 in zip([0] + cuts, cuts + [len(k)], k[[0] + cuts].tolist()):
         pairs = vt[k0:k0 + 2 * (b - a)].reshape(b - a, 2, -1)
@@ -272,21 +278,28 @@ class SchurForm:
 
 
 def _hessenberg(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(h, q) with a = q h q^T and h upper Hessenberg: one Householder
+    reflector per column not yet Hessenberg, its norms sqrt(v . v) on the
+    column's contiguous copy v. A v whose v . v falls below TINY is first
+    divided by its largest entry: same reflector, and no underflow to 0."""
     h = a.copy()
     n = h.shape[0]
     q = np.eye(n)
     for k in range(n - 2):
-        if not np.any(h[k + 2:, k]):  # column k is already Hessenberg
+        if not np.count_nonzero(h[k + 2:, k]):  # column k is already Hessenberg
             continue
-        x = h[k + 1:, k]
-        nx = np.linalg.norm(x)
-        v = x.copy()
-        v[0] += np.copysign(nx, x[0]) if x[0] != 0 else nx
-        v /= np.linalg.norm(v)
+        v = h[k + 1:, k].copy()
+        vv = v.dot(v)
+        if vv < TINY:
+            v /= np.max(np.abs(v))
+            vv = v.dot(v)
+        nx = math.sqrt(vv)
+        v[0] += math.copysign(nx, v[0]) if v[0] != 0 else nx
+        v /= math.sqrt(v.dot(v))
         rows = h[k + 1:, k:]
-        rows -= 2.0 * np.outer(v, v @ rows)
+        rows -= 2.0 * (v[:, None] * (v @ rows))
         for block in (h[:, k + 1:], q[:, k + 1:]):
-            block -= 2.0 * np.outer(block @ v, v)
+            block -= 2.0 * ((block @ v)[:, None] * v)
         h[k + 2:, k] = 0.0
     return h, q
 

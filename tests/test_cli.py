@@ -796,6 +796,34 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "requires strictly positive pi" in err and "Warning" not in err
 
+    @pytest.mark.parametrize("low", [[[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]],
+                                     [[0.2, 0.7, 0.1], [0.1, 0.2, 0.7], [0.7, 0.1, 0.2]]],
+                             ids=["symmetric", "cyclic"])
+    @pytest.mark.parametrize("argv", [["embed", "--k", "2"], ["gft", "--signal", "1,2,3,4"],
+                                      ["spectrum"]], ids=["embed", "gft", "spectrum"])
+    def test_underflowing_reflector_norm_is_exit_zero(self, argv, low, tmp_path, capsys):
+        # state 0 trades 1e-170 with each other state, so the Householder
+        # column below the subdiagonal squares to 0
+        p = np.full((4, 4), 1e-170)
+        p[0, 0] = 1.0
+        p[1:, 1:] = low
+        f = tmp_path / "underflow.json"
+        f.write_text(json.dumps({"states": list("abcd"), "P": p.tolist()}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, argv[0], str(f), *argv[1:])
+        assert code == 0, err
+        result = json.loads(out)["result"]
+        if argv[0] == "spectrum":
+            got = [complex(v["re"], v["im"]) for v in result["eigenvalues"]]
+            want = np.linalg.eigvals(p)
+        else:  # pi is uniform, so K = P
+            got = result["values"]
+            want = np.linalg.eigvalsh(np.eye(4) - 0.5 * (p + p.T))[:len(got)]
+        assert len(got) == len(want)
+        for x, y in ((got, want), (want, got)):
+            assert max(min(abs(a - b) for b in y) for a in x) <= 1e-10
+
     def test_every_error_class_has_an_exit_code(self):
         # main maps ValidationError to exit 2 and NumericError to exit 3
         classes = [c for c in vars(errors).values()

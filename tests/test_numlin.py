@@ -299,39 +299,65 @@ class TestSymEigen:
         a = symmetric_family(family, 40, np.random.default_rng(23))
         seen = []
 
-        def recorded(vt, rotations):
-            seen.append((vt.copy(), list(rotations)))
-            return apply(vt, rotations)
+        def recorded(vt, sweeps, cos, sin):
+            seen.append((vt.copy(), list(sweeps), list(cos), list(sin)))
+            return apply(vt, sweeps, cos, sin)
 
         apply = numlin._apply_rotations
         monkeypatch.setattr(numlin, "_apply_rotations", recorded)
         sym_eigen(a)
-        (vt, rotations), = seen
-        want = vt.copy()
-        for k, _, c, s in rotations:  # one rotation at a time, as QR made them
-            want[k:k + 2] = np.array(((c, s), (-s, c))) @ want[k:k + 2]
+        (vt, sweeps, cos, sin), = seen
+        want = one_rotation_at_a_time(vt, sweeps, cos, sin)
         # each row meets the same 2x2 products in the same order
-        assert np.max(np.abs(apply(vt, rotations) - want)) <= 1e-15
+        assert np.max(np.abs(apply(vt, sweeps, cos, sin) - want)) <= 1e-15
 
     @given(n=st.integers(2, 40), seed=st.integers(0, 2**32 - 1),
            windows=st.lists(st.tuples(st.integers(0, 38), st.integers(0, 38)),
                             min_size=1, max_size=12))
     def test_runs_apply_synthetic_rotations_in_order(self, n, seed, windows):
-        # one window [lo, hi) per sweep, in any order: shrinking, growing
-        # or far apart, so that a wave has gaps in k or one rotation only
+        # one window [lo, hi] of k per sweep, in any order: shrinking,
+        # growing or far apart, so that a wave has gaps in k or one
+        # rotation only
         rng = np.random.default_rng(seed)
-        rotations = []
-        for sweep, ends in enumerate(windows, start=1):
-            lo, hi = sorted(min(x, n - 2) for x in ends)
-            for k in range(lo, hi + 1):
-                theta = rng.uniform(0.0, 2.0 * np.pi)
-                rotations.append((k, sweep, np.cos(theta), np.sin(theta)))
+        sweeps = [(lo, hi + 1) for lo, hi in
+                  (sorted(min(x, n - 2) for x in ends) for ends in windows)]
+        theta = rng.uniform(0.0, 2.0 * np.pi, sum(hi - lo for lo, hi in sweeps))
+        cos, sin = np.cos(theta).tolist(), np.sin(theta).tolist()
         vt = rng.standard_normal((n, n))
-        want = vt.copy()
-        for k, _, c, s in rotations:
-            want[k:k + 2] = np.array(((c, s), (-s, c))) @ want[k:k + 2]
-        assert numlin._apply_rotations(vt, rotations) is vt  # updated in place
+        want = one_rotation_at_a_time(vt, sweeps, cos, sin)
+        assert numlin._apply_rotations(vt, sweeps, cos, sin) is vt  # updated in place
         assert np.max(np.abs(vt - want)) <= 1e-15
+
+    def test_hessenberg_scales_an_underflowing_column(self):
+        # state 0 trades 1e-170 with each other state: the entries below
+        # the subdiagonal square to 0, and unscaled, the reflector divides
+        # by that 0 and fills h and q with NaN
+        for low in ([[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]],
+                    [[0.2, 0.7, 0.1], [0.1, 0.2, 0.7], [0.7, 0.1, 0.2]]):
+            a = np.full((4, 4), 1e-170)
+            a[0, 0] = 1.0
+            a[1:, 1:] = low
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                h, q = numlin._hessenberg(a)
+            assert np.all(np.isfinite(h)) and np.all(np.isfinite(q))
+            assert np.max(np.abs(q.T @ q - np.eye(4))) <= 1e-15
+            assert np.linalg.norm(q @ h @ q.T - a) <= 1e-15 * np.linalg.norm(a)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6, 40])
+    @pytest.mark.parametrize("family", ["random", "symmetric", "tridiagonal", "strided"])
+    def test_hessenberg_matches_the_textbook_form_bit_for_bit(self, family, n):
+        rng = np.random.default_rng(100 + n)
+        if family == "random":
+            a = rng.normal(size=(n, n))
+        elif family == "strided":
+            a = rng.normal(size=(2 * n, 3 * n))[::2, ::3]
+        else:
+            a = symmetric_family("random" if family == "symmetric" else family,
+                                 n, rng) if n else np.zeros((0, 0))
+        for got, want in zip(numlin._hessenberg(a), textbook_hessenberg(a)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("layout", ["strided", "transposed"])
     def test_views_give_the_result_of_their_copy(self, layout):
@@ -468,6 +494,41 @@ def _normalize(w):
 
 def _graph_laplacian(w):
     return np.diag(w.sum(axis=1)) - w
+
+
+def one_rotation_at_a_time(vt, sweeps, cos, sin):
+    """vt with sym_eigen's rotation log applied in the order QR made it:
+    rows k and k + 1 for k = lo, ..., hi - 1 of each sweep (lo, hi)."""
+    want = vt.copy()
+    rotations = zip(cos, sin)
+    for lo, hi in sweeps:
+        for k in range(lo, hi):
+            c, s = next(rotations)
+            want[k:k + 2] = np.array(((c, s), (-s, c))) @ want[k:k + 2]
+    assert next(rotations, None) is None
+    return want
+
+
+def textbook_hessenberg(a):
+    """Householder reduction to Hessenberg form written with numpy's
+    norm, copysign and outer, the arithmetic `_hessenberg` spells out."""
+    h = a.copy()
+    n = h.shape[0]
+    q = np.eye(n)
+    for k in range(n - 2):
+        if not np.any(h[k + 2:, k]):
+            continue
+        x = h[k + 1:, k]
+        nx = np.linalg.norm(x)
+        v = x.copy()
+        v[0] += np.copysign(nx, x[0]) if x[0] != 0 else nx
+        v /= np.linalg.norm(v)
+        rows = h[k + 1:, k:]
+        rows -= 2.0 * np.outer(v, v @ rows)
+        for block in (h[:, k + 1:], q[:, k + 1:]):
+            block -= 2.0 * np.outer(block @ v, v)
+        h[k + 2:, k] = 0.0
+    return h, q
 
 
 def symmetric_family(name, n, rng):

@@ -13,8 +13,13 @@ arguments. Nested calls are recorded too: `_hessenberg` runs inside
 Then chainkit is imported again, from AFTER, and every recorded call is
 replayed on both sides, interleaved, REPEATS times, each time on a
 fresh copy of its arguments. The minimum per call is kept, and the
-per-kernel totals and their ratio AFTER / BEFORE are printed. BLAS is
-pinned to one thread. Nothing under bench/ is changed.
+per-kernel totals and their ratio AFTER / BEFORE are printed; the
+ratio reads n/a when some call raised on one side only, since the two
+times then measure different work. For each kernel whose results
+differ anywhere, the first such call is named: its index among the
+kernel's calls and in the pass, the shapes of its arguments, and the
+first differing leaf of the result or the error text. BLAS is pinned
+to one thread. Nothing under bench/ is changed.
 
 The exit status is 1 unless, for every call, both sides return arrays
 of the same dtype, shape and bytes (or raise the same error), and 0
@@ -103,12 +108,16 @@ def record(mods: dict, workload: str, seed: int, scale: float) -> tuple[list, in
     return calls, len(requests)
 
 
+class Raised(str):
+    """The type and text of the error a call raised, as its result."""
+
+
 def _call(func, args, kwargs):
-    """func's result, or the type and text of the error it raised."""
+    """func's result, or the Raised text of the error it raised."""
     try:
         return func(*args, **kwargs)
     except Exception as exc:  # noqa: BLE001 - an error is a result to compare
-        return f"{type(exc).__name__}: {exc}"
+        return Raised(f"{type(exc).__name__}: {exc}")
 
 
 def _leaves(x):
@@ -122,28 +131,68 @@ def _leaves(x):
         yield x
 
 
-def bitwise_equal(a, b) -> bool:
-    """Whether two results hold the same leaves: arrays of the same
-    dtype, shape and bytes, and equal other values."""
+def _brief(x, width=60) -> str:
+    text = repr(x)
+    return text if len(text) <= width else text[:width - 3] + "..."
+
+
+def first_difference(a, b) -> str | None:
+    """Where two results first differ, in words, or None when they hold
+    the same leaves: arrays of the same dtype, shape and bytes, and
+    equal other values. An error differs from every value."""
+    if isinstance(a, Raised) or isinstance(b, Raised):
+        if isinstance(a, Raised) and isinstance(b, Raised) and a == b:
+            return None
+        return "; ".join(f"{side} {'raised ' + x if isinstance(x, Raised) else 'returned'}"
+                         for side, x in (("before", a), ("after", b)))
     la, lb = list(_leaves(a)), list(_leaves(b))
     if len(la) != len(lb):
-        return False
-    for x, y in zip(la, lb):
+        return f"{len(la)} leaves before, {len(lb)} after"
+    for i, (x, y) in enumerate(zip(la, lb)):
         if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
             x, y = np.asarray(x), np.asarray(y)
-            if x.dtype != y.dtype or x.shape != y.shape or x.tobytes() != y.tobytes():
-                return False
+            if x.dtype != y.dtype or x.shape != y.shape:
+                return f"leaf {i}: {x.dtype} {x.shape} before, {y.dtype} {y.shape} after"
+            if x.tobytes() != y.tobytes():
+                bx, by = (np.frombuffer(z.tobytes(), np.uint8).reshape(z.size, -1) for z in (x, y))
+                k = int(np.flatnonzero((bx != by).any(axis=1))[0])
+                at = tuple(int(j) for j in np.unravel_index(k, x.shape))
+                return (f"leaf {i}, {x.dtype} {x.shape}, first at {at}: "
+                        f"{x.flat[k].item()!r} before, {y.flat[k].item()!r} after")
         elif type(x) is not type(y) or x != y:
-            return False
-    return True
+            return f"leaf {i}: {_brief(x)} before, {_brief(y)} after"
+    return None
+
+
+def bitwise_equal(a, b) -> bool:
+    """Whether two results hold the same leaves (see first_difference)."""
+    return first_difference(a, b) is None
+
+
+def _shapes(args, kwargs) -> str:
+    """The arguments of a call: an array by its shape, a value by its type."""
+    def brief(x):
+        return str(x.shape) if isinstance(x, np.ndarray) else type(x).__name__
+    return ", ".join([brief(x) for x in args] + [f"{k}={brief(x)}" for k, x in kwargs.items()])
+
+
+class Row:
+    """One kernel's replay: calls, summed minimum seconds of each side,
+    calls with bitwise equal results, whether some call raised on one
+    side only (its times then measure different work), and the first
+    call that differed, in words."""
+
+    def __init__(self):
+        self.calls, self.before_s, self.after_s, self.same = 0, 0.0, 0.0, 0
+        self.one_side_raised, self.first = False, None
 
 
 def replay(calls: list, before: dict, after: dict) -> dict:
-    """Per kernel: calls, summed minimum seconds of each side and the
-    number of calls whose results were bitwise equal."""
+    """A Row per kernel, from every recorded call replayed on both
+    sides, interleaved, REPEATS times."""
     clock = time.perf_counter
-    table = {name: [0, 0.0, 0.0, 0] for name in before}
-    for name, args, kwargs in calls:
+    table = {name: Row() for name in before}
+    for index, (name, args, kwargs) in enumerate(calls):
         best, results = [float("inf")] * 2, [None] * 2
         for _ in range(REPEATS):
             for i, f in enumerate((before[name], after[name])):
@@ -152,10 +201,16 @@ def replay(calls: list, before: dict, after: dict) -> dict:
                 results[i] = _call(f, a, kw)
                 best[i] = min(best[i], clock() - began)
         row = table[name]
-        row[0] += 1
-        row[1] += best[0]
-        row[2] += best[1]
-        row[3] += bitwise_equal(*results)
+        diff = first_difference(*results)
+        if diff is None:
+            row.same += 1
+        elif row.first is None:
+            row.first = (f"call {row.calls} of the kernel ({index} of the pass), "
+                         f"arguments {_shapes(args, kwargs)}: {diff}")
+        row.one_side_raised |= isinstance(results[0], Raised) != isinstance(results[1], Raised)
+        row.calls += 1
+        row.before_s += best[0]
+        row.after_s += best[1]
     return table
 
 
@@ -182,11 +237,15 @@ def main(argv=None) -> int:
           f"{len(calls)} kernel calls, min of {REPEATS} interleaved runs per call")
     print(f"{'kernel':28s} {'calls':>5s} {'before_s':>10s} {'after_s':>10s} "
           f"{'ratio':>7s} {'bitwise':>9s}")
-    equal = 0
-    for name, (n, tb, ta, same) in table.items():
-        ratio = f"{ta / tb:7.3f}" if tb > 0 else f"{'-':>7s}"
-        print(f"{name:28s} {n:5d} {tb:10.4f} {ta:10.4f} {ratio} {f'{same}/{n}':>9s}")
-        equal += same
+    for name, row in table.items():
+        ratio = ("n/a" if row.one_side_raised else "-" if row.before_s == 0
+                 else f"{row.after_s / row.before_s:.3f}")
+        print(f"{name:28s} {row.calls:5d} {row.before_s:10.4f} {row.after_s:10.4f} "
+              f"{ratio:>7s} {f'{row.same}/{row.calls}':>9s}")
+    for name, row in table.items():
+        if row.first is not None:
+            print(f"first difference in {name}: {row.first}")
+    equal = sum(row.same for row in table.values())
     print(f"{equal} of {len(calls)} calls bitwise equal")
     return 0 if equal == len(calls) else 1
 
