@@ -19,12 +19,12 @@ rescaled before the next block row once it passes RESCALE_LIMIT and
 scaled by its largest entry at the end, with the residual measured in
 Schur coordinates. One rule decides that two eigenvalues are the same:
 `clusters`, single linkage at RANK_RTOL times the Frobenius norm of
-their matrix. A matrix counts as diagonalizable when no eigenvalue's
-condition number 1/s_j passes CONDITION_LIMIT. The eigenpairs of a
-d-cyclic matrix are lifted from those of its cycle product, d times
-smaller. Every eigenpair route ends in `_eigenpairs`, handing it one
-eigenvalue and one right and left vector per diagonal block; it alone
-expands them into one value and one complex column per eigenvalue,
+their matrix. The eigenpairs of a d-cyclic matrix are lifted from those
+of its cycle product, d times smaller. Every eigenpair route ends in
+`_eigenpairs`, handing it one eigenvalue and one right and left vector
+per diagonal block; it alone decides, on every route, that the spectrum
+is diagonalizable (no condition number 1/s_j past CONDITION_LIMIT),
+expands the blocks into one value and one complex column per eigenvalue,
 conjugating a pair's second member, clusters the values and makes left^T
 right = I on a diagonalizable spectrum. Stationary vectors, PageRank and
 absorption share one subtraction-free Grassmann-Taksar-Heyman (GTH)
@@ -54,7 +54,7 @@ DEFLATE_RTOL = 1e-12
 TRIDIAG_RTOL = float(np.finfo(float).eps)
 TINY = float(np.finfo(float).tiny)  # _hessenberg rescales a column whose v . v falls below this
 RANK_RTOL = 1e-8  # clusters: values this close, relative to ||matrix||_F, are one
-CONDITION_LIMIT = 1e4  # eigen_from_schur: 1/s_j past this is near-defective
+CONDITION_LIMIT = 1e4  # _eigenpairs: 1/s_j past this is not diagonalizable
 RESCALE_LIMIT = 1e150  # stationary_gth and _quasi_triangular_vectors rescale past this
 GTH_PANEL = 32  # states per left-looking panel of _gth_censor: one leading-block product each
 
@@ -447,18 +447,22 @@ class ComplexEigenpairs:
     the positive-imaginary member first; the spectrum is simple when it is
     diagonalizable and no `clusters` cluster of values repeats. right and
     left are complex (n, n) matrices with one column per eigenvalue: the
-    second column of a conjugate pair is the conjugate of the first. Right
-    vectors have unit Euclidean norm. When the spectrum is
-    diagonalizable, left^T right = I, except that a left vector whose
-    rescale to l^T r = 1 would overflow (its unit l^T r underflows) keeps
-    unit norm.
+    second column of a conjugate pair is the conjugate of the first,
+    unless both lie in one repeated cluster. Right vectors have unit
+    Euclidean norm. condition is the largest 1/s_j, measured on every
+    route; at most CONDITION_LIMIT, the spectrum is diagonalizable and
+    left^T right = I.
     """
 
     values: np.ndarray
     right: np.ndarray
     left: np.ndarray
-    diagonalizable: bool
+    condition: float
     residual: float
+
+    @property
+    def diagonalizable(self) -> bool:
+        return self.condition <= CONDITION_LIMIT
 
 
 def _quasi_triangular_vectors(t: np.ndarray, starts: np.ndarray, sizes: np.ndarray,
@@ -538,7 +542,8 @@ def clusters(values, scale: float) -> np.ndarray:
 def _condition(right: np.ndarray, left: np.ndarray) -> np.ndarray:
     """1/s_j per column, s_j = |l_j^T r_j| / (||l_j|| ||r_j||): how far an
     eigenvalue moves per unit perturbation of the matrix (Wilkinson, The
-    Algebraic Eigenvalue Problem, 1965, ch. 2; LAPACK xTRSNA). l is a
+    Algebraic Eigenvalue Problem, 1965, ch. 2; LAPACK xTRSNA); huge for a
+    defective one, whose computed l and r are all but orthogonal. l is a
     left vector as ComplexEigenpairs holds it, l^T A = lambda l^T, so
     the pairing is l^T r: l^H r would pair lambda's right vector with the
     left vector of conj(lambda), near 0 for a complex lambda."""
@@ -578,17 +583,19 @@ def _biorthogonalize(right: np.ndarray, left: np.ndarray) -> None:
 
 
 def _eigenpairs(lams: np.ndarray, sizes, right_blocks: np.ndarray, left_blocks: np.ndarray,
-                scale: float, diagonalizable: bool, residual: float) -> ComplexEigenpairs:
+                scale: float, residual: float) -> ComplexEigenpairs:
     """The ComplexEigenpairs of one eigenvalue lam and one right and one
     left vector per diagonal block, of size 1 for a real lam and 2 for a
-    conjugate pair, lam being its positive-imaginary member. The vectors
+    conjugate pair, lam being its positive-imaginary member; condition
+    is the largest `_condition` of the blocks as handed in. The vectors
     go to unit norm and phase, and each block expands to one value and
     one complex column per eigenvalue, a pair's second being the
-    conjugate of its first. On a diagonalizable spectrum the blocks of
+    conjugate of its first. On a diagonalizable spectrum the columns of
     each repeated cluster (`clusters` of the values at scale, the
     matrix's Frobenius norm) are made biorthogonal, unless their l^T r
-    is diagonal already, and each left vector is rescaled to l^T r = 1
-    where l / l^T r stays finite."""
+    is diagonal already, and each left vector is rescaled to l^T r = 1.
+    A cluster is its own conjugate or lies in one half-plane: a pair
+    split across two keeps its second column the conjugate of the first."""
     sizes = np.asarray(sizes)
     ends = np.cumsum(sizes)
     second = ends[sizes == 2] - 1
@@ -599,24 +606,24 @@ def _eigenpairs(lams: np.ndarray, sizes, right_blocks: np.ndarray, left_blocks: 
         return x
 
     values = expand(lams)
-    right_blocks = _unit_phase(right_blocks)
-    left_blocks = _unit_phase(left_blocks)
-    if diagonalizable:
-        block_ids = clusters(values, scale)[ends - sizes]
-        for c in np.flatnonzero(np.bincount(block_ids) > 1):
-            cols = np.flatnonzero(block_ids == c)
-            r, l = right_blocks[:, cols], left_blocks[:, cols]
+    condition = float(np.max(_condition(right_blocks, left_blocks), initial=0.0))
+    right, left = expand(_unit_phase(right_blocks)), expand(_unit_phase(left_blocks))
+    if condition <= CONDITION_LIMIT:
+        ids = clusters(values, scale)
+        split = second[ids[second] != ids[second - 1]]
+        ids[split] = split  # a cluster of one each: left out, then copied from the first
+        for c in np.flatnonzero(np.bincount(ids) > 1):
+            cols = np.flatnonzero(ids == c)
+            r, l = right[:, cols], left[:, cols]
             gram = l.T @ r
             if not np.any(gram - np.diag(np.diagonal(gram))):
                 continue  # already biorthogonal: disjoint supports, as on an identity
             _biorthogonalize(r, l)
-            right_blocks[:, cols], left_blocks[:, cols] = _unit_phase(r), _unit_phase(l)
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            scaled = left_blocks / np.sum(left_blocks * right_blocks, axis=0)
-        finite = np.all(np.isfinite(scaled), axis=0)
-        left_blocks[:, finite] = scaled[:, finite]
-    return ComplexEigenpairs(values=values, right=expand(right_blocks), left=expand(left_blocks),
-                             diagonalizable=diagonalizable, residual=residual)
+            right[:, cols], left[:, cols] = _unit_phase(r), _unit_phase(l)
+        left /= np.sum(left * right, axis=0)
+        for x in (right, left):
+            x[:, split] = x[:, split - 1].conj()
+    return ComplexEigenpairs(values, right, left, condition, residual)
 
 
 def eigen_from_schur(schur: SchurForm) -> ComplexEigenpairs:
@@ -629,20 +636,14 @@ def eigen_from_schur(schur: SchurForm) -> ComplexEigenpairs:
     max_j ||T y_j - lam_j y_j|| / ||y_j|| is measured in Schur
     coordinates and equals that of A.
 
-    A is diagonalizable when no eigenvalue's condition number 1/s_j
-    (`_condition` on y and z) passes CONDITION_LIMIT: a defective
-    eigenvalue's computed right and left vectors are all but orthogonal,
-    whether QR leaves its copies in one cluster or not. Each block gives
-    `_eigenpairs` one value lam at ||T||_F, a 2x2 block the member of
-    its pair with positive imaginary part. z^T y is upper triangular with
-    a nonzero diagonal, so `_biorthogonalize` never meets a zero pivot.
+    Each block gives `_eigenpairs` one value lam (a 2x2 block the member
+    of its pair with positive imaginary part) and Q y, Q z, at ||T||_F.
     """
     t, q = schur.t, schur.q
     n = t.shape[0]
     if n == 0:
         empty = np.zeros((0, 0), dtype=complex)
-        return ComplexEigenpairs(values=np.zeros(0, dtype=complex), right=empty, left=empty,
-                                 diagonalizable=True, residual=0.0)
+        return ComplexEigenpairs(np.zeros(0, dtype=complex), empty, empty, 0.0, 0.0)
     sizes = np.array(schur.block_sizes)
     starts = np.cumsum(sizes) - sizes
     scale = np.linalg.norm(t)
@@ -666,9 +667,7 @@ def eigen_from_schur(schur: SchurForm) -> ComplexEigenpairs:
     y /= np.max(np.abs(y), axis=0)
     z /= np.max(np.abs(z), axis=0)
     residual = _residual(t, y, lams)
-
-    diagonalizable = bool(np.all(_condition(y, z) <= CONDITION_LIMIT))
-    return _eigenpairs(lams, sizes, q @ y, q @ z, scale, diagonalizable, residual)
+    return _eigenpairs(lams, sizes, q @ y, q @ z, scale, residual)
 
 
 def lift_cyclic(a: np.ndarray, groups: list[np.ndarray], blocks: list[np.ndarray],
@@ -690,8 +689,8 @@ def lift_cyclic(a: np.ndarray, groups: list[np.ndarray], blocks: list[np.ndarray
     into real ones and conjugate pairs; no rounded imaginary part is
     read. A conjugate pair of B is lifted from its positive-imaginary
     member, and `_eigenpairs` expands each pair from that member at
-    ||a||_F. diagonalizable is B's; the residual is the largest relative
-    right or left eigenvector residual on a.
+    ||a||_F, measuring their condition as on every route; the residual
+    is the largest relative right or left eigenvector residual on a.
     """
     d, m = len(blocks), blocks[0].shape[0]
     x, y = base.right, base.left
@@ -750,4 +749,4 @@ def lift_cyclic(a: np.ndarray, groups: list[np.ndarray], blocks: list[np.ndarray
 
     residual = max(_residual(a, right_blocks, lams), _residual(a.T, left_blocks, lams))
     return _eigenpairs(lams, np.where(real, 1, 2), right_blocks, left_blocks,
-                       np.linalg.norm(a), base.diagonalizable, residual)
+                       np.linalg.norm(a), residual)

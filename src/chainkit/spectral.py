@@ -26,7 +26,6 @@ from .numlin import (
     DEFLATE_RTOL,
     ComplexEigenpairs,
     SchurForm,
-    _condition,
     _eigenpairs,
     _residual,
     clusters,
@@ -101,7 +100,8 @@ def _reversible_pairs(p: np.ndarray, structure: ClassStructure) -> ComplexEigenp
     backward error real_schur accepts: a chain that passes the criterion
     at CYCLE_RTOL, or has an entry below ENTRY_CLAMP off the pattern, is
     only close to similar to S. Each eigenvalue goes to
-    `numlin._eigenpairs` as a 1x1 block, at ||P||_F.
+    `numlin._eigenpairs` as a 1x1 block, at ||P||_F, which measures its
+    1/s_j = ||Pi^1/2 v|| ||Pi^-1/2 v|| as on every route.
     """
     ok, _, phi = _kolmogorov(p)
     if not ok:
@@ -125,7 +125,7 @@ def _reversible_pairs(p: np.ndarray, structure: ClassStructure) -> ComplexEigenp
     residual = max(_residual(p, right, values), _residual(p.T, left, values))
     if not residual <= DEFLATE_RTOL * scale:
         return None
-    return _eigenpairs(values, np.ones(n, dtype=int), right, left, scale, True, residual)
+    return _eigenpairs(values, np.ones(n, dtype=int), right, left, scale, residual)
 
 
 def _schur_by_class(p: np.ndarray, structure: ClassStructure) -> SchurForm:
@@ -212,14 +212,15 @@ def decompose(chain: TransitionMatrix, structure: ClassStructure) -> SpectralDec
     first of three routes that applies.
 
     A reversible chain takes `sym_eigen` of the symmetric matrix it is
-    similar to (`_reversible_pairs`): a real spectrum, diagonalizable.
+    similar to (`_reversible_pairs`): a real spectrum.
     An irreducible chain of period d > 1 lifts the eigenpairs of its
     (n/e) x (n/e) cycle product for the largest divisor e > 1 of d whose
     lift passes the gates (`_cyclic_pairs`, `numlin.lift_cyclic`). Every
     other chain, and one that both routes refuse, takes one real
     Schur form per communicating class (`_schur_by_class`) and
     `eigen_from_schur` on the assembled form; an irreducible chain is one
-    class, so that is `real_schur` of P itself.
+    class, so that is `real_schur` of P itself. Every route ends in
+    `numlin._eigenpairs`, whose measured 1/s_j decides `diagonalizable`.
 
     Asserts the spectral radius of a stochastic matrix never exceeds one
     (up to roundoff) and counts the multiplicity of the eigenvalue 1.
@@ -282,17 +283,16 @@ def spectral_evolve(decomp: SpectralDecomposition, mu, k: int) -> EigenEvolution
     mu^T P^k = sum_w (mu^T r_w) lambda_w^k l_w^T, the left vectors being
     the dual basis of the right ones (left^T right = I); a conjugate
     pair's two terms are conjugate, so the sum is the real part. Refuses
-    a defective spectrum, and a basis with some 1/s_w past CONDITION_LIMIT
-    (a reversible chain whose pi spans dozens of decades), whose dual
-    would magnify rounding past any useful accuracy.
+    a spectrum that is not `pairs.diagonalizable`, defective or with some
+    1/s_w past CONDITION_LIMIT (a reversible chain whose pi spans ten
+    decades), whose dual would magnify rounding past any useful accuracy.
     """
     if not decomp.pairs.diagonalizable:
-        raise NotDiagonalizable("defective spectrum; fall back to direct evolution")
+        raise NotDiagonalizable(f"eigenbasis condition {decomp.pairs.condition:.3g} exceeds "
+                                f"{CONDITION_LIMIT:.0e}; fall back to direct evolution")
     values, right, left = decomp.values, decomp.pairs.right, decomp.pairs.left
     mu = validate_distribution(mu, right.shape[0])
     require_count(k, "steps")
-    if np.max(_condition(right, left), initial=0.0) > CONDITION_LIMIT:
-        raise NotDiagonalizable("eigenbasis numerically singular")
     coordinates = mu @ right
     scaled = coordinates * values ** k
     persistent_mask = np.abs(np.abs(values) - 1.0) < TAXONOMY_EPSILON

@@ -1040,17 +1040,23 @@ def test_far_from_normal_chain_spectrum_has_no_overflow(tmp_path, capsys):
     assert len(json.loads(out)["result"]["eigenvalues"]) == 400
 
 
-def test_reversible_chain_past_the_double_range_is_diagonalizable(tmp_path, capsys):
-    # ln pi spans 1,464, so Pi^1/2 leaves the double range; the reversible
-    # route forms the eigenvectors in log scale and still takes the chain
+@pytest.mark.parametrize("n, p_right", [(60, 0.7), (160, 0.9999)])
+def test_steep_reversible_chain_is_not_diagonalizable(n, p_right, tmp_path, capsys):
+    # similar to a symmetric matrix, yet pi spans 22 decades at (60, 0.7),
+    # where 1/s reaches 2.2e9, and ln pi 1,464 at (160, 0.9999), where
+    # Pi^1/2 leaves the double range: the reversible route forms the
+    # eigenvectors in log scale and still takes the chain, and the report
+    # prints the measured verdict beside the limit it applies
     f = tmp_path / "steep.json"
-    f.write_bytes(birth_death_doc(160, 0.9999))
+    f.write_bytes(birth_death_doc(n, p_right))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run(capsys, "spectrum", str(f))
     assert code == 0 and err == ""
-    result = json.loads(out)["result"]
-    assert result["diagonalizable"] is True
+    report = json.loads(out)
+    result = report["result"]
+    assert result["diagonalizable"] is False
+    assert report["tolerances"]["condition"] == 1e4
     assert result["perron"]["unit_multiplicity"] == 1
     assert result["perron"]["unit_multiplicity_matches_recurrent_classes"] is True
 

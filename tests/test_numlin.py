@@ -631,32 +631,33 @@ def rotation(theta):
 
 
 class TestEigenpairs:
-    def test_rescales_only_the_columns_that_stay_finite(self):
-        # column 1's unit vectors meet at l^T r = 1e-310, so l / (l^T r)
-        # would be 1e310; it keeps unit norm, column 0 is rescaled
+    def test_underflowed_pairing_is_not_diagonalizable(self):
+        # column 1's unit vectors meet at l^T r = 1e-310, so 1/s is past
+        # the double range: no column is rescaled, and l / (l^T r) never
+        # reaches 1e310
         right = np.array([[1.0, 1.0], [1.0, 1e-310]])
         left = np.array([[1.0, 0.0], [-0.5, 1.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            pairs = _eigenpairs(np.array([1.0, 0.5]), [1, 1], right, left, 1.0, True, 0.0)
-        assert np.all(np.isfinite(pairs.left))
-        d = np.sum(pairs.left * pairs.right, axis=0)
-        assert abs(d[0] - 1.0) <= 1e-15
-        assert np.linalg.norm(pairs.left[:, 1]) == pytest.approx(1.0, rel=1e-15)
-        assert abs(d[1]) < 1e-300
+            pairs = _eigenpairs(np.array([1.0, 0.5]), [1, 1], right, left, 1.0, 0.0)
+        assert not pairs.diagonalizable
+        for x in (pairs.right, pairs.left):
+            assert np.all(np.isfinite(x))
+            assert np.allclose(np.linalg.norm(x, axis=0), 1.0, rtol=1e-15, atol=0)
 
-
-    def test_underflowed_pivot_keeps_its_part(self):
+    def test_zero_pairing_is_not_diagonalizable(self):
         # l_0^T r_0 is 0, as when a far-scaled pair's product underflows:
-        # the parts along column 0 have no finite coefficient and stay
+        # 1/s is infinite, so no Gram-Schmidt pass divides by that pivot
         right = np.array([[1.0, 1.0], [0.0, 1.0]])
         left = np.array([[0.0, 1.0], [1.0, 1.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            pairs = _eigenpairs(np.array([1.0, 1.0]), [1, 1], right, left, 1.0, True, 0.0)
-        assert np.all(np.isfinite(pairs.left))
+            pairs = _eigenpairs(np.array([1.0, 1.0]), [1, 1], right, left, 1.0, 0.0)
+        assert not pairs.diagonalizable and pairs.condition == np.inf
+        for x in (pairs.right, pairs.left):
+            assert np.all(np.isfinite(x))
+            assert np.allclose(np.linalg.norm(x, axis=0), 1.0, rtol=1e-15, atol=0)
         assert np.allclose(pairs.right, right / np.linalg.norm(right, axis=0), atol=0)
-        assert np.sum(pairs.left[:, 1] * pairs.right[:, 1]) == pytest.approx(1.0, rel=1e-15)
 
 
 class TestClusters:
