@@ -51,8 +51,8 @@ def as_finite(values, what: str) -> np.ndarray:
 
 
 def as_labels(labels) -> tuple[str, ...]:
-    """State labels as strings, from a string of one-character labels or
-    a list of strings and numbers; a chain or graph needs at least one."""
+    """Distinct state labels as strings, from a string of one-character
+    labels or a list of strings and numbers; at least one is needed."""
     if not isinstance(labels, (str, list, tuple, np.ndarray)):
         raise BadLabel(f"state labels must be a list, not {type(labels).__name__}")
     if len(labels) == 0:
@@ -60,7 +60,10 @@ def as_labels(labels) -> tuple[str, ...]:
     for x in labels:
         if not isinstance(x, (str, int, float, np.generic)):
             raise BadLabel(f"state label {x!r} is not a string or a number")
-    return tuple(str(x) for x in labels)
+    labels = tuple(str(x) for x in labels)
+    if len(set(labels)) != len(labels):
+        raise DuplicateLabel("state labels must be unique")
+    return labels
 
 
 def transitions(p: np.ndarray) -> np.ndarray:
@@ -107,25 +110,30 @@ def build_chain(labels, p) -> TransitionMatrix:
     Entries must be finite; entries in [-1e-12, 0) are clamped to zero
     and anything more negative is rejected. Row sums must equal one
     within 1e-9; rows are then renormalized exactly so downstream
-    algebra sees clean input. Labels follow `as_labels`.
+    algebra sees clean input. Labels follow `as_labels`; `p` is copied.
     """
-    labels = as_labels(labels)
-    if len(set(labels)) != len(labels):
-        raise DuplicateLabel("state labels must be unique")
-    p = as_finite(p, "transition matrix")
+    return _frozen_chain(as_labels(labels), as_finite(p, "transition matrix"))
+
+
+def _frozen_chain(labels: tuple[str, ...], p: np.ndarray) -> TransitionMatrix:
+    """`build_chain` past `as_labels` and `as_finite`, in place on a float
+    p no one else holds, which becomes the chain's read-only P. The
+    row-sum test fails on a NaN or infinite sum: a NaN never passes."""
     n = len(labels)
     if p.shape != (n, n):
         raise DimensionMismatch(f"matrix shape {p.shape} does not match {n} labels")
-    if np.any(p < -ENTRY_CLAMP):
+    low = p.min(initial=0.0)
+    if low < -ENTRY_CLAMP:
         i, j = np.unravel_index(int(np.argmin(p)), p.shape)
         raise NegativeEntry(f"P[{i},{j}] = {p[i, j]:.3e} is negative")
-    p = np.where(p < 0, 0.0, p)
+    if low < 0:
+        p[p < 0] = 0.0
     sums = p.sum(axis=1)
-    bad = np.where(np.abs(sums - 1.0) > ROW_SUM_ATOL)[0]
+    bad = np.flatnonzero(~(np.abs(sums - 1.0) <= ROW_SUM_ATOL))
     if bad.size:
         i = int(bad[0])
         raise RowSumViolation(f"row {i} sums to {sums[i]:.12g}, expected 1")
-    p = p / sums[:, None]
+    p /= sums[:, None]
     p.setflags(write=False)
     return TransitionMatrix(labels=labels, p=p)
 

@@ -40,6 +40,7 @@ from .chain import (
     ROW_SUM_ATOL,
     TransitionMatrix,
     as_finite,
+    as_labels,
     build_chain,
     evolve,
     occupancy,
@@ -48,7 +49,7 @@ from .chain import (
     validate_distribution,
 )
 from .demo import line_chain
-from .graph import SCALING_RTOL, WeightedDigraph, build_graph, random_walk, same_rw_set
+from .graph import SCALING_RTOL, WeightedDigraph, random_walk, same_rw_set
 from .laplacian import (
     LaplacianMatrix,
     build_laplacian,
@@ -105,9 +106,10 @@ def parse_graph_tsv(text: str) -> WeightedDigraph:
 
     Labels are numbered in order of first mention. An undirected record
     adds its weight at (i, j) and at (j, i), a self-loop once. Entries
-    listed more than once are summed in file order, which np.add.at
-    keeps: it adds in index order, and each record's (i, j) and (j, i)
-    sit side by side.
+    listed more than once are summed in file order, which one weighted
+    np.bincount over the flat cells keeps: it adds in index order, and
+    each record's (i, j) and (j, i) sit side by side. Every weight and
+    sum is checked here, so W is frozen without `build_graph`'s scans.
     """
     lines = text.splitlines()
     if not lines or lines[0].strip() not in ("#undirected", "#directed"):
@@ -137,10 +139,9 @@ def parse_graph_tsv(text: str) -> WeightedDigraph:
         keep = np.stack([np.ones(m, dtype=bool), cells[:, 0] != cells[:, 1]], 1).ravel()
         cells = np.stack([cells, cells[:, ::-1]], 1).reshape(-1, 2)[keep]
         record = np.repeat(record, 2)[keep]
+    n = len(idx)
     i, j, x = cells[:, 0], cells[:, 1], weight[record]
-    w = np.zeros((len(idx), len(idx)))
-    with np.errstate(over="ignore"):  # a float sum overflows to inf
-        np.add.at(w, (i, j), x)
+    w = np.bincount(i * n + j, weights=x, minlength=n * n).reshape(n, n)
     if not np.all(w[i, j] < math.inf):  # name the line where a sum first overflows
         sums: dict[tuple[int, int], float] = {}
         for r, cell, value in zip(record.tolist(), zip(i.tolist(), j.tolist()),
@@ -148,7 +149,8 @@ def parse_graph_tsv(text: str) -> WeightedDigraph:
             sums[cell] = total = sums.get(cell, 0.0) + value
             if total == math.inf:
                 raise errors.ParseError(records[r][0], "summed edge weight is not finite")
-    return build_graph(list(idx), w)
+    w.setflags(write=False)
+    return WeightedDigraph(labels=as_labels(list(idx)), w=w)
 
 
 JSON_OBJECT = re.compile(r"\s*\{")
@@ -242,11 +244,21 @@ def _float_text(a: np.ndarray) -> str:
     return "[" + ",".join(blocks) + "]"
 
 
+def _native(items) -> bool:
+    """Whether a list or tuple holds only str, int and bool (exactly), in
+    lists and tuples at any depth: json.dumps writes those as _jsonable."""
+    while (kinds := set(map(type, items))) <= {str, int, bool, list, tuple}:
+        if kinds <= {str, int, bool}:
+            return True
+        items = [y for x in items if type(x) in (list, tuple) for y in x]
+    return False
+
+
 def _report_text(obj) -> str:
     """json.dumps(_jsonable(obj), sort_keys=True, separators=(",", ":")),
     with dicts walked here, float arrays written by _float_text and a
-    list of strings (a path's labels) passed to json.dumps as it is:
-    _jsonable returns each string unchanged."""
+    native list or tuple (a path's labels, a classification's edges)
+    passed to json.dumps as it is."""
     if isinstance(obj, dict):
         items = {str(k): v for k, v in obj.items()}
         return "{" + ",".join(f"{json.dumps(k)}:{_report_text(items[k])}"
@@ -254,7 +266,7 @@ def _report_text(obj) -> str:
     if (isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.ndim in (1, 2)
             and obj.size):
         return _float_text(obj)
-    if isinstance(obj, list) and set(map(type, obj)) <= {str}:
+    if type(obj) in (list, tuple) and _native(obj):
         return json.dumps(obj, separators=(",", ":"))
     return json.dumps(_jsonable(obj), sort_keys=True, separators=(",", ":"))
 

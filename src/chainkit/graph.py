@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import TransitionMatrix, as_finite, as_labels, build_chain
+from .chain import TransitionMatrix, _frozen_chain, as_finite, as_labels
 from .errors import DimensionMismatch, NegativeWeight, ValidationError, ZeroOutDegree
 from .reversal import reversibility
 from .stationary import StationaryBasis, _positive_pi
@@ -60,6 +60,8 @@ class WeightedDigraph:
 
 
 def build_graph(labels, w) -> WeightedDigraph:
+    """A frozen float copy of w, finite and nonnegative; labels follow
+    `as_labels`. The TSV reader checks its records and skips this."""
     labels = as_labels(labels)
     w = as_finite(w, "weight matrix")
     n = len(labels)
@@ -73,12 +75,13 @@ def build_graph(labels, w) -> WeightedDigraph:
 
 
 def random_walk(g: WeightedDigraph) -> TransitionMatrix:
-    """P = D^-1 W with exact row normalization."""
+    """P = D^-1 W, checked and renormalized in place as `build_chain` checks
+    its copy, so even a graph not from `build_graph` cannot pass a NaN."""
     d = g.out_degree
     dead = np.where(d <= 0)[0]
     if dead.size:
         raise ZeroOutDegree(f"vertex {g.labels[int(dead[0])]!r} has no outgoing weight")
-    return build_chain(g.labels, g.w / d[:, None])
+    return _frozen_chain(as_labels(g.labels), g.w / d[:, None])
 
 
 def same_rw_set(w1, w2) -> np.ndarray | None:

@@ -113,11 +113,12 @@ def _gth_censor(a: np.ndarray, stop: int) -> np.ndarray:
 
     States go in left-looking panels [k0, k1) of GTH_PANEL from the last
     one down, the last panel ending at stop: when state k's turn comes,
-    its row a[k, :k] and its column a[:k, k] take the updates of the
-    panel states k+1, ..., k1-1 as one matrix-vector product each, and
-    after the panel the leading block a[:k0, :k0] takes the whole
-    panel's updates as one matrix product. The diagonal is never read
-    and nothing is subtracted, so every entry has a small relative error
+    its row a[k, :k] takes the updates of the panel states k+1, ...,
+    k1-1 as one matrix-vector product and gives the pivot, its column
+    a[:k, k] takes theirs as another, scaled in the same pass, and after
+    the panel the leading block a[:k0, :k0] takes the whole panel's
+    updates as one matrix product. The diagonal is never read and
+    nothing is subtracted, so every entry has a small relative error
     (O'Cinneide, Numer. Math. 65, 1993). Raises SingularMatrix when some
     s_k is not positive: state k cannot reach the states below it.
     """
@@ -127,12 +128,11 @@ def _gth_censor(a: np.ndarray, stop: int) -> np.ndarray:
         k0 = max(k1 - GTH_PANEL, stop)
         for k in range(k1 - 1, k0 - 1, -1):
             a[k, :k] += a[k, k + 1:k1] @ a[k + 1:k1, :k]
-            a[:k, k] += a[:k, k + 1:k1] @ a[k + 1:k1, k]
             s = pivots[k - stop] = a[k, :k].sum()
             if not s > 0:
                 raise SingularMatrix(f"state {k} cannot reach states 0..{k - 1}: "
                                      "matrix is reducible")
-            a[:k, k] /= s
+            a[:k, k] = (a[:k, k] + a[:k, k + 1:k1] @ a[k + 1:k1, k]) / s
         a[:k0, :k0] += a[:k0, k0:k1] @ a[k0:k1, :k0]
     return pivots
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import TransitionMatrix, build_chain, validate_distribution
+from .chain import TransitionMatrix, _frozen_chain, validate_distribution
 from .errors import BadAlpha
 from .numlin import stationary_gth
 
@@ -26,14 +26,14 @@ class SurferConfig:
 
 
 def google_matrix(chain: TransitionMatrix, config: SurferConfig) -> TransitionMatrix:
-    """P' = alpha P + (1 - alpha) ones teleport^T."""
+    """P' = alpha P + (1 - alpha) ones teleport^T, checked in place."""
     if not 0.0 <= config.alpha <= 1.0:
         raise BadAlpha(f"damping factor {config.alpha} outside [0, 1]")
     if config.alpha == 1.0:
         return chain
     tel = config.teleport_vector(chain.n)
     p = config.alpha * chain.p + (1.0 - config.alpha) * tel[None, :]
-    return build_chain(chain.labels, p)
+    return _frozen_chain(chain.labels, p)
 
 
 def pagerank_matrix(chain: TransitionMatrix, config: SurferConfig) -> TransitionMatrix:

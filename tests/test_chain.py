@@ -68,6 +68,28 @@ class TestBuildChain:
         c = build_chain("ab", [[0.3 + 1e-10, 0.7], [1, 0]])
         assert np.allclose(c.p.sum(axis=1), 1.0, atol=0)
 
+    def test_leaves_the_callers_array_and_returns_a_frozen_copy(self):
+        p = np.array([[1.0 + 5e-13, -5e-13, -0.0], [0.5, 0.25, 0.25], [0.0, 0.0, 1.0]])
+        before = p.copy()
+        c = build_chain("abc", p)
+        assert p.flags.writeable and p.tobytes() == before.tobytes()
+        assert not c.p.flags.writeable and not np.shares_memory(c.p, p)
+        assert c.p[0, 1] == 0.0 and not np.signbit(c.p[0, 1])  # clamped to +0.0
+        assert np.signbit(c.p[0, 2])                           # -0.0 kept
+
+    @pytest.mark.parametrize("p, error, message", [
+        ([[1.1, -0.1], [0.5, 0.5]], errors.NegativeEntry, "P[0,1] = -1.000e-01 is negative"),
+        ([[0.5, 0.5], [0.5, 0.4]], errors.RowSumViolation, "row 1 sums to 0.9, expected 1"),
+        ([[0.5, 0.5], [np.nan, 1.0]], errors.NonFiniteEntry,
+         "transition matrix has a non-finite entry"),
+        ([[0.5, 0.5], [np.inf, 1.0]], errors.NonFiniteEntry,
+         "transition matrix has a non-finite entry"),
+    ], ids=["negative", "row-sum", "nan", "inf"])
+    def test_messages(self, p, error, message):
+        with pytest.raises(error) as exc:
+            build_chain("ab", np.array(p))
+        assert str(exc.value) == message
+
 
 class TestEvolve:
     def test_study_chain_first_steps(self, phd_chain):

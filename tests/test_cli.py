@@ -337,6 +337,19 @@ class TestGraphTsvReader:
         assert np.array_equal(g.w, [[2.0, 1.5], [1.5, 0.0]])
 
 
+class TestGraphTsvSummation:
+    def test_records_sum_in_file_order(self):
+        # 1e16 + 1 rounds back to 1e16 twice; 1 + 1 first would give 1e16 + 2
+        g = parse_graph_tsv("#directed\na\tb\t1e16\na\tb\t1\na\tb\t1\n")
+        assert g.w[0, 1] == 1e16
+        g = parse_graph_tsv("#directed\na\tb\t1\na\tb\t1\na\tb\t1e16\n")
+        assert g.w[0, 1] == 1e16 + 2
+
+    def test_weights_are_frozen(self):
+        g = parse_graph_tsv(TSV_UNDIRECTED)
+        assert not g.w.flags.writeable and g.w.flags.c_contiguous
+
+
 class TestReports:
     def test_validate_chain(self, chain_file, capsys):
         code, out, _ = run(capsys, "validate", chain_file)

@@ -1,11 +1,17 @@
 """Weighted digraphs, random walks, and random-walk-set logic."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from chainkit import (
+    WeightedDigraph,
     build_chain,
     build_graph,
+    cli,
     classify,
     equal_weight,
     line_chain,
@@ -15,6 +21,7 @@ from chainkit import (
     same_rw_set,
     stationary_basis,
 )
+from chainkit.chain import ENTRY_CLAMP, ROW_SUM_ATOL
 from chainkit.errors import NegativeWeight, NotRecurrent, ValidationError, ZeroOutDegree
 from conftest import random_recurrent_chain
 
@@ -95,6 +102,62 @@ class TestRandomWalk:
         s = classify(walk)
         rep = reversibility(walk, s, stationary_basis(walk, s))
         assert rep.recurrent and not rep.reversible
+
+
+def reference_walk(g):
+    """W / D through build_chain as it stood before it checked its copy in
+    place: a float copy, its np.where copy and its divided copy."""
+    p = np.array(g.w / g.out_degree[:, None], dtype=float)
+    assert np.all(np.isfinite(p)) and not np.any(p < -ENTRY_CLAMP)
+    p = np.where(p < 0, 0.0, p)
+    sums = p.sum(axis=1)
+    assert np.all(np.abs(sums - 1.0) <= ROW_SUM_ATOL)
+    return p / sums[:, None]
+
+
+weights = st.one_of(st.floats(1e-300, 1e300), st.sampled_from([1e-300, 1e300, 1.0, 3.0]))
+
+
+@st.composite
+def weighted_graphs(draw):
+    """A digraph with every out-degree positive: rows of one edge or of
+    many, self-loops allowed, weights anywhere in 1e-300 .. 1e300."""
+    n = draw(st.integers(1, 10))
+    w = np.zeros((n, n))
+    for i in range(n):
+        for j in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)):
+            w[i, j] = draw(weights)
+    return build_graph([f"v{i}" for i in range(n)], w)
+
+
+class TestWalkCheckedInPlace:
+    @given(weighted_graphs())
+    def test_bitwise_equal_to_build_chain_of_a_copy(self, g):
+        want = reference_walk(g)
+        for p in (random_walk(g).p, build_chain(g.labels, g.w / g.out_degree[:, None]).p):
+            assert p.dtype == want.dtype and p.shape == want.shape
+            assert p.tobytes() == want.tobytes() and not p.flags.writeable
+
+    def test_leaves_the_graph_alone(self):
+        g = build_graph("1234", W1)
+        random_walk(g)
+        assert np.array_equal(g.w, W1) and not g.w.flags.writeable
+
+    @pytest.mark.parametrize("labels, w", [
+        ("ab", [[np.nan, 1.0], [1.0, 0.0]]),
+        ("ab", [[2.0, -1.0], [1.0, 0.0]]),
+        ("aa", [[0.0, 1.0], [1.0, 0.0]]),
+    ], ids=["nan", "negative", "duplicate-labels"])
+    def test_graph_built_directly_is_refused(self, labels, w):
+        g = WeightedDigraph(labels=tuple(labels), w=np.array(w))
+        with pytest.raises(ValidationError):
+            random_walk(g)
+        with mock.patch.object(cli, "parse_input", return_value=(g, "digest")):
+            assert cli.main(["stationary", "graph.tsv"]) == 2
+
+    def test_duplicate_graph_labels_rejected(self):
+        with pytest.raises(ValidationError, match="unique"):
+            build_graph("aa", [[0, 1], [1, 0]])
 
 
 class TestSameRwSet:

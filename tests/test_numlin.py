@@ -257,6 +257,64 @@ class TestBlockedGTH:
         assert str(got.value).startswith(f"state {state} ")
 
 
+def two_step_censor(a, stop):
+    """_gth_censor with each column updated and then scaled in two
+    passes: the form its one-pass column update must match bit for bit."""
+    m = a.shape[0]
+    pivots = np.zeros(m - stop)
+    for k1 in range(m, stop, -GTH_PANEL):
+        k0 = max(k1 - GTH_PANEL, stop)
+        for k in range(k1 - 1, k0 - 1, -1):
+            a[k, :k] += a[k, k + 1:k1] @ a[k + 1:k1, :k]
+            a[:k, k] += a[:k, k + 1:k1] @ a[k + 1:k1, k]
+            s = pivots[k - stop] = a[k, :k].sum()
+            if not s > 0:
+                raise errors.SingularMatrix(f"state {k} cannot reach states 0..{k - 1}: "
+                                            "matrix is reducible")
+            a[:k, k] /= s
+        a[:k0, :k0] += a[:k0, k0:k1] @ a[k0:k1, :k0]
+    return pivots
+
+
+@st.composite
+def nonnegative_matrices(draw):
+    """A nonnegative m x m matrix over up to four panels, dense or sparse
+    (so often reducible), entries spread over 1e-30 to 1e30, and a stop."""
+    m = draw(st.integers(1, 3 * GTH_PANEL + 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    density = draw(st.sampled_from([1.0, 0.5, 3.0 / m]))
+    a = rng.random((m, m)) * (rng.random((m, m)) < density)
+    if draw(st.booleans()):
+        a *= 10.0 ** rng.integers(-30, 31, (m, m))
+    return a, draw(st.integers(1, max(1, m - 1)))
+
+
+def censor_outcome(censor, a, stop):
+    """The censored copy and pivots, or the SingularMatrix text."""
+    a = a.copy()
+    try:
+        pivots = censor(a, stop)
+    except errors.SingularMatrix as exc:
+        return str(exc)
+    return a.tobytes(), pivots.tobytes()
+
+
+class TestOnePassColumnUpdate:
+    @given(nonnegative_matrices())
+    def test_bitwise_equal_to_two_passes(self, drawn):
+        a, stop = drawn
+        assert (censor_outcome(numlin._gth_censor, a, stop)
+                == censor_outcome(two_step_censor, a, stop))
+
+    @pytest.mark.parametrize("state", [1, GTH_PANEL, 2 * GTH_PANEL + 5])
+    def test_reducible_raises_at_the_same_state(self, state):
+        a = gth_family("dense", 3 * GTH_PANEL + 1, np.random.default_rng(state))
+        a[state:, :state] = 0.0
+        got = censor_outcome(numlin._gth_censor, a, 1)
+        assert got == censor_outcome(two_step_censor, a, 1)
+        assert got.startswith(f"state {state} cannot reach")
+
+
 class TestSymEigen:
     def test_reconstruction_and_orthonormality(self):
         rng = np.random.default_rng(21)

@@ -128,14 +128,62 @@ class TestLabelLists:
                                     st.booleans(), floats.map(np.float64)),
                           min_size=1, max_size=8))
     def test_mixed_lists_take_the_per_value_path(self, mixed):
-        # a number in the list sends it through _jsonable, which rounds floats
+        # a float or numpy scalar in the list sends it through _jsonable,
+        # which rounds floats; str, int and bool alone take one json.dumps
         with mock.patch.object(cli, "_jsonable", wraps=cli._jsonable) as walk:
             text = cli._report_text(mixed)
         assert text == json.dumps(cli._jsonable(mixed), sort_keys=True,
                                   separators=(",", ":"))
-        assert walk.called == any(not isinstance(x, str) for x in mixed)
+        assert walk.called == any(type(x) not in (str, int, bool) for x in mixed)
 
     def test_str_list_skips_the_per_value_walk(self):
         with mock.patch.object(cli, "_jsonable", wraps=cli._jsonable) as walk:
             assert cli._report_text(["x", "y\u00e9"]) == '["x","y\\u00e9"]'
         assert not walk.called
+
+
+# a classification's classes and edges: str, int and bool leaves in
+# lists and tuples at any depth, one json.dumps for the whole value
+native = st.recursive(
+    st.one_of(st.text(max_size=3), st.integers(-2 ** 70, 2 ** 70), st.booleans()),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.lists(inner, max_size=3).map(tuple)),
+    max_leaves=20,
+).filter(lambda x: type(x) in (list, tuple))
+
+# leaves _jsonable must see: it rounds floats and turns numpy scalars
+# into Python ones
+not_native = st.one_of(st.integers(-2 ** 40, 2 ** 40).map(np.int64),
+                       st.booleans().map(np.bool_), floats, floats.map(np.float64))
+
+
+class TestNativeLists:
+    @given(value=native)
+    def test_matches_per_value_writer_without_the_walk(self, value):
+        result = {"condensation_edges": value, "classes": [value, (value,)]}
+        assert (cli.make_report("classify", "d", result, {})
+                == reference_report("classify", "d", result, {}))
+        with mock.patch.object(cli, "_jsonable", wraps=cli._jsonable) as walk:
+            text = cli._report_text(value)
+        assert not walk.called
+        assert text == json.dumps(cli._jsonable(value), separators=(",", ":"))
+
+    @given(value=native, leaf=not_native, depth=st.integers(0, 3), as_tuple=st.booleans())
+    def test_one_numpy_scalar_or_float_takes_the_walk(self, value, leaf, depth, as_tuple):
+        nested = [value, (leaf,)]
+        for _ in range(depth):
+            nested = (nested,) if as_tuple else [nested, "s"]
+        result = {"edges": nested}
+        assert (cli.make_report("classify", "d", result, {})
+                == reference_report("classify", "d", result, {}))
+        with mock.patch.object(cli, "_jsonable", wraps=cli._jsonable) as walk:
+            cli._report_text(nested)
+        assert walk.called
+
+    def test_classify_edges(self):
+        edges = sorted({(0, 1), (2, 1), (10, 3)})
+        doc = cli.make_report("classify", "d", {"condensation_edges": edges,
+                                                 "irreducible": False}, {})
+        assert doc == reference_report("classify", "d", {"condensation_edges": edges,
+                                                         "irreducible": False}, {})
+        assert '"condensation_edges":[[0,1],[2,1],[10,3]]' in doc
