@@ -17,8 +17,8 @@ depends on: `cluster` (numlin.RANK_RTOL, the eigenvalue-cluster rule) in
 `epsilon` (spectral.TAXONOMY_EPSILON, the taxonomy's boundary rule),
 `condition` and `deflate` beside it in `spectrum` and `taxonomy`; and
 `cycle` (reversal.CYCLE_RTOL, the bound of Kolmogorov's cycle criterion
-that decides reversibility) in `kmatrix`. Exit codes: 0 success, 2
-invalid input, 3 numeric failure.
+that decides reversibility, and with it K's `symmetric`) in `kmatrix`.
+Exit codes: 0 success, 2 invalid input, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -443,7 +443,7 @@ def _kmatrix(args, a: Analysis):
     kern = k_matrix(a.chain, a.basis)
     rep = reversibility(a.chain, a.structure, a.basis)
     result = {"k": kern.k,
-              "symmetric": bool(np.max(np.abs(kern.k - kern.k.T)) <= 1e-10),
+              "symmetric": rep.reversible,  # K_ij / K_ji = pi_i P_ij / (pi_j P_ji)
               "reversible": rep.reversible,
               "semi_reversible": rep.semi_reversible,
               "db_residual": rep.db_residual,

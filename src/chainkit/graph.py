@@ -24,9 +24,11 @@ SCALING_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class WeightedDigraph:
-    """Weights w[i, j] >= 0 on edges i -> j. The flags are relative to the
-    largest weight (undirected) or degree (balanced), so they do not
-    depend on the weight units, as the random walk does not."""
+    """Weights w[i, j] >= 0 on edges i -> j. The flags are relative per
+    pair (|w_ij - w_ji| <= UNDIRECTED_RTOL * max(w_ij, w_ji), on a symmetric
+    edge pattern) and per vertex (|out_i - in_i| <= BALANCED_RTOL *
+    max(out_i, in_i)), so they do not depend on the weight units, as the
+    random walk does not, and no light edge is judged by a heavy one."""
 
     labels: tuple[str, ...]
     w: np.ndarray = field(repr=False)
@@ -49,14 +51,16 @@ class WeightedDigraph:
 
     @property
     def is_undirected(self) -> bool:
-        return bool(np.max(np.abs(self.w - self.w.T), initial=0.0)
-                    <= UNDIRECTED_RTOL * np.max(self.w, initial=0.0))
+        edge = self.w > 0
+        if not np.array_equal(edge, edge.T):
+            return False
+        fwd, rev = self.w[edge], self.w.T[edge]
+        return bool(np.all(np.abs(fwd - rev) <= UNDIRECTED_RTOL * np.maximum(fwd, rev)))
 
     @property
     def is_balanced(self) -> bool:
         out, into = self.out_degree, self.in_degree
-        return bool(np.max(np.abs(out - into), initial=0.0)
-                    <= BALANCED_RTOL * np.max(np.maximum(out, into), initial=0.0))
+        return bool(np.all(np.abs(out - into) <= BALANCED_RTOL * np.maximum(out, into)))
 
 
 def build_graph(labels, w) -> WeightedDigraph:

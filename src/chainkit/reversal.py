@@ -142,8 +142,9 @@ def reversibilize(chain: TransitionMatrix, basis: StationaryBasis,
 
 
 def k_matrix(chain: TransitionMatrix, basis: StationaryBasis) -> SymmetrizedKernel:
-    """K = Pi^{1/2} P Pi^{-1/2}; symmetry of K is equivalent to
-    reversibility, and K does not depend on which strictly positive
+    """K = Pi^{1/2} P Pi^{-1/2}; K_ij / K_ji = pi_i P_ij / (pi_j P_ji), so K
+    is symmetric exactly when `reversibility` says reversible (pi > 0 makes
+    the chain recurrent). K does not depend on which strictly positive
     stationary distribution is used."""
     root = np.sqrt(_positive_pi(basis, "K-matrix"))
     k = (chain.p * root[:, None]) / root[None, :]

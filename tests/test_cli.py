@@ -706,10 +706,34 @@ class TestTransformCommands:
             assert json.loads(out)["result"]["mode"] == mode
 
     def test_kmatrix_reports_symmetry_verdict(self, chain_file, capsys):
+        # symmetric is Kolmogorov's verdict: K_ij / K_ji = pi_i P_ij / (pi_j P_ji)
         _, out, _ = run(capsys, "kmatrix", chain_file)
         r = json.loads(out)["result"]
         k = np.array(r["k"])
-        assert r["symmetric"] == bool(np.max(np.abs(k - k.T)) <= 1e-10)
+        assert r["symmetric"] is r["reversible"] is False
+        assert np.max(np.abs(k - k.T)) > 1e-3
+
+    @given(n=st.integers(3, 5), delta=st.floats(0.5e-9, 3e-9),
+           seed=st.integers(0, 2**32 - 1))
+    def test_kmatrix_flags_agree_near_the_cycle_tolerance(self, n, delta, seed,
+                                                          tmp_path_factory):
+        # a walk on symmetric weights with one entry scaled by 1 + delta: its
+        # cycles' log ratios straddle CYCLE_RTOL, where an entrywise test on K
+        # and the cycle test disagreed on both sides
+        rng = np.random.default_rng(seed)
+        w = rng.random((n, n)) ** 3 + 1e-3
+        w = w + w.T
+        i, j = rng.choice(n, 2, replace=False)
+        w[i, j] *= 1 + delta
+        p = w / w.sum(axis=1, keepdims=True)
+        f = tmp_path_factory.mktemp("kmatrix") / "chain.json"
+        f.write_text(json.dumps({"states": [f"s{k}" for k in range(n)], "P": p.tolist()}))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["kmatrix", str(f)]) == 0
+        r = json.loads(out.getvalue())["result"]
+        assert r["symmetric"] == r["reversible"]
+        assert (r["witness"] is None) == r["reversible"]
 
     def test_kmatrix_flags_agree_on_a_small_circulation(self, tmp_path, capsys):
         # flows differ by at most 4e-10 here, but p[2, 0] = 2e-8 has no
@@ -858,6 +882,23 @@ class TestExitCodes:
         assert code == 0 and doc["undirected"] is False and doc["balanced"] is True
         code, out, err = run(capsys, "laplacian", str(f), "--variant", "normalized")
         assert code == 2 and out == "" and "symmetric weight matrix" in err
+
+    @pytest.mark.parametrize("records", [
+        # a light pair 1e-6 apart beside a heavy one: each pair is judged by
+        # its own weight, not by the largest
+        [("a", "b", "0.001"), ("b", "a", "0.001000001"), ("b", "c", "1e9"),
+         ("c", "b", "1e9")],
+        # a heavy balanced 3-cycle beside a light pair 1e-8 apart: each
+        # vertex is judged by its own degree
+        [("a", "b", "10"), ("b", "c", "10"), ("c", "a", "10"), ("d", "e", "0.001"),
+         ("e", "d", "0.00100000001")],
+    ], ids=["near-symmetric", "light-imbalance"])
+    def test_graph_flags_are_per_pair_and_per_vertex(self, records, tmp_path, capsys):
+        f = tmp_path / "graph.tsv"
+        f.write_text("#directed\n" + "".join("\t".join(r) + "\n" for r in records))
+        code, out, _ = run(capsys, "validate", str(f))
+        doc = json.loads(out)["result"]
+        assert code == 0 and doc["undirected"] is False and doc["balanced"] is False
 
     def test_bad_damping_is_exit_two(self, chain_file, capsys):
         code, _, _ = run(capsys, "pagerank", chain_file, "--damping", "1.5")

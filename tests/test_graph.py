@@ -230,6 +230,7 @@ class TestRepresentative:
         assert rw_set_representative(chain, s, b, "undirected") is None
         g = rw_set_representative(chain, s, b, "balanced")
         assert g is not None and g.is_balanced
+        assert not g.is_undirected
         assert np.allclose(random_walk(g).p, chain.p, atol=1e-12)
 
     def test_underflowing_pi_refuses_the_members(self):
@@ -244,6 +245,22 @@ class TestRepresentative:
         s, b = self.walk_parts(rev_chain)
         with pytest.raises(ValidationError):
             rw_set_representative(rev_chain, s, b, "acyclic")
+
+    @given(n=st.integers(2, 40), seed=st.integers(0, 2**32 - 1))
+    def test_jittered_symmetric_weights_are_undirected(self, n, seed):
+        # weights over 6 decades (so every P_ij stays above ENTRY_CLAMP), each
+        # pair apart by at most 1e-13 of itself
+        rng = np.random.default_rng(seed)
+        edge = np.triu(rng.random((n, n)) < rng.uniform(0.1, 1.0))
+        edge[np.arange(n - 1), np.arange(1, n)] = True  # a path keeps every vertex in
+        w = np.where(edge, 10 ** rng.uniform(-3, 3, (n, n)), 0.0)
+        w = w + np.triu(w, 1).T * (1 + rng.uniform(-1e-13, 1e-13, (n, n))).T
+        g = build_graph([f"v{i}" for i in range(n)], w)
+        assert g.is_undirected
+        chain = random_walk(g)
+        s, b = self.walk_parts(chain)
+        assert reversibility(chain, s, b).reversible
+        assert rw_set_representative(chain, s, b, "undirected") is not None
 
     def test_flow_member_for_random_recurrent_chains(self):
         rng = np.random.default_rng(5)
