@@ -244,9 +244,27 @@ def _float_text(a: np.ndarray) -> str:
     return "[" + ",".join(blocks) + "]"
 
 
+class _StrText(dict):
+    """The JSON text of each str looked up, encoded on first sight by
+    json's own ASCII string encoder, the one json.dumps applies. A first
+    sight of anything but an exact str raises TypeError, and so does an
+    unhashable item. An item equal to a str already seen (a str subclass
+    such as numpy.str_ with the same characters) gets that str's text,
+    which is also what json.dumps writes for it."""
+
+    __slots__ = ()
+
+    def __missing__(self, key):
+        if type(key) is not str:
+            raise TypeError(type(key).__name__)
+        self[key] = text = json.encoder.encode_basestring_ascii(key)
+        return text
+
+
 def _native(items) -> bool:
     """Whether a list or tuple holds only str, int and bool (exactly), in
-    lists and tuples at any depth: json.dumps writes those as _jsonable."""
+    lists and tuples at any depth: json.dumps writes those as _jsonable.
+    _report_text asks only about lists that are not all str."""
     while (kinds := set(map(type, items))) <= {str, int, bool, list, tuple}:
         if kinds <= {str, int, bool}:
             return True
@@ -256,9 +274,11 @@ def _native(items) -> bool:
 
 def _report_text(obj) -> str:
     """json.dumps(_jsonable(obj), sort_keys=True, separators=(",", ":")),
-    with dicts walked here, float arrays written by _float_text and a
-    native list or tuple (a path's labels, a classification's edges)
-    passed to json.dumps as it is."""
+    with dicts walked here and float arrays written by _float_text. A
+    list or tuple of str (a path's labels, a chain's states) is joined
+    from _StrText, so each distinct label is escaped once, however often
+    it repeats; any other native list or tuple (a classification's
+    edges) is passed to json.dumps as it is."""
     if isinstance(obj, dict):
         items = {str(k): v for k, v in obj.items()}
         return "{" + ",".join(f"{json.dumps(k)}:{_report_text(items[k])}"
@@ -266,8 +286,13 @@ def _report_text(obj) -> str:
     if (isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.ndim in (1, 2)
             and obj.size):
         return _float_text(obj)
-    if type(obj) in (list, tuple) and _native(obj):
-        return json.dumps(obj, separators=(",", ":"))
+    if type(obj) in (list, tuple):
+        try:
+            return "[" + ",".join(map(_StrText().__getitem__, obj)) + "]"
+        except TypeError:  # not all str: the first item that is not stops the join
+            pass
+        if _native(obj):
+            return json.dumps(obj, separators=(",", ":"))
     return json.dumps(_jsonable(obj), sort_keys=True, separators=(",", ":"))
 
 

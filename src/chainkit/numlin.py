@@ -30,7 +30,8 @@ right = I on a diagonalizable spectrum. Stationary vectors, PageRank and
 absorption share one subtraction-free Grassmann-Taksar-Heyman (GTH)
 state reduction in left-looking panels of GTH_PANEL, down to state 1 or
 down to the absorbing states. Every kernel rejects non-finite input with
-NumericError before it starts iterating.
+NumericError before it starts iterating, and so do the two QR kernels
+when ||a||_F overflows.
 """
 
 from __future__ import annotations
@@ -70,6 +71,16 @@ def _as_square(a) -> np.ndarray:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     _require_finite(a, "matrix")
     return a
+
+
+def _finite_norm(a: np.ndarray) -> float:
+    """||a||_F of the finite a; NumericError, with no overflow warning,
+    when it overflows: the QR kernels square entries of that size."""
+    with np.errstate(over="ignore"):
+        scale = float(np.linalg.norm(a))
+    if scale == math.inf:
+        raise NumericError("matrix norm overflows")
+    return scale
 
 
 def solve_linear(a, b) -> np.ndarray:
@@ -176,11 +187,12 @@ def sym_eigen(a) -> tuple[np.ndarray, np.ndarray]:
     and its Givens rotations' c and s; `_apply_rotations` then applies
     them to Q^T in wavefronts. Returns (values, vectors) with values
     ascending and vectors as orthonormal columns; raises NoConvergence
-    after `_qr_budget(n)` QR steps.
+    after `_qr_budget(n)` QR steps, and NumericError before the first
+    when ||a||_F overflows.
     """
     a = _as_square(a)
     n = a.shape[0]
-    scale = np.linalg.norm(a)
+    scale = _finite_norm(a)
     if scale > 0 and np.max(np.abs(a - a.T)) > 1e-10 * scale:
         raise NotSymmetric("matrix is not symmetric within tolerance")
     t, q = _hessenberg(0.5 * (a + a.T))
@@ -395,16 +407,15 @@ def real_schur(a) -> SchurForm:
     eigenvalue pair and block_sizes can be read off the subdiagonal. H
     and Q live stacked in one (2n x n) array, so a reflector updates the
     columns of both with one product. Raises NoConvergence after
-    `_qr_budget(n)` QR sweeps.
+    `_qr_budget(n)` QR sweeps, and NumericError before the first when
+    ||a||_F overflows.
     """
     a = _as_square(a)
     n = a.shape[0]
+    scale = _finite_norm(a) or 1.0
     hq = np.vstack(_hessenberg(a))
     flat = hq[:n].reshape(-1)  # views of H's diagonal and subdiagonal
     diag, sub = flat[::n + 1], flat[n::n + 1]
-    scale = np.linalg.norm(a)
-    if scale == 0:
-        scale = 1.0
     hi = n - 1
     stalled = 0
     total = 0

@@ -833,3 +833,26 @@ def test_non_finite_input_is_numeric_error(kernel, bad):
     a[3, 5] = a[5, 3] = bad
     with pytest.raises(errors.NumericError, match="non-finite"):
         kernel(a)
+
+
+# finite entries whose squares overflow: ||a||_F is inf, and so is 1e-10 * ||a||_F,
+# which once let an asymmetric copy past NotSymmetric into a QR loop that ran
+# out its budget
+OVERFLOWING = np.array([[1, 2, 3, 4], [2, 1, 5, 6], [3, 5, 1, 7], [4, 6, 7, 1]]) * 1e160
+
+
+@pytest.mark.parametrize("kernel", [sym_eigen, real_schur], ids=["sym_eigen", "real_schur"])
+@pytest.mark.parametrize("entry", [None, (0, 3)], ids=["symmetric", "asymmetric"])
+def test_overflowing_norm_is_numeric_error_before_qr(kernel, entry, monkeypatch):
+    a = OVERFLOWING.copy()
+    if entry is not None:
+        a[entry] *= 1.5
+
+    def reduce(*_):
+        raise AssertionError("reached the Hessenberg reduction")
+
+    monkeypatch.setattr(numlin, "_hessenberg", reduce)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(errors.NumericError, match="norm overflows"):
+            kernel(a)

@@ -2,10 +2,12 @@
 replaces, byte for byte."""
 
 import json
+from collections import Counter
 from unittest import mock
 
 import numpy as np
-from hypothesis import given
+import pytest
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -104,6 +106,22 @@ label_lists = st.one_of(
                               "状態", "\U0001f600", "\ud800", "s1", ""]), max_size=12),
 )
 
+# a simulated path's vocabulary: at most 60 distinct labels, escapes and
+# the empty label always among them
+ESCAPED_LABELS = ['"', "\\", "\n", "\x00", "\x1f", "é", "\ud800", ""]
+vocabularies = st.lists(st.text(max_size=6), max_size=52).map(
+    lambda extra: list(dict.fromkeys(ESCAPED_LABELS + extra)))
+
+
+class Label(str):
+    pass
+
+
+def long_path(vocabulary, seed, length):
+    """length labels drawn from vocabulary, as one list of the same str objects."""
+    picks = np.random.default_rng(seed).integers(0, len(vocabulary), length)
+    return [vocabulary[i] for i in picks.tolist()]
+
 
 class TestLabelLists:
     @given(labels=label_lists)
@@ -140,6 +158,50 @@ class TestLabelLists:
         with mock.patch.object(cli, "_jsonable", wraps=cli._jsonable) as walk:
             assert cli._report_text(["x", "y\u00e9"]) == '["x","y\\u00e9"]'
         assert not walk.called
+
+    @given(vocabulary=vocabularies, seed=st.integers(0, 2 ** 32 - 1),
+           length=st.integers(20_000, 20_100))
+    @settings(max_examples=20)
+    def test_long_paths_over_few_labels(self, vocabulary, seed, length):
+        path = long_path(vocabulary, seed, length)
+        assert cli._report_text(path) == json.dumps(path, separators=(",", ":"))
+        assert cli._report_text(tuple(path)) == json.dumps(path, separators=(",", ":"))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_each_label_is_encoded_once(self, seed):
+        # json's pure-Python encoder looks the string encoder up by name,
+        # so the count covers json.dumps too if the writer falls back to it
+        rng = np.random.default_rng(seed)
+        vocabulary = ESCAPED_LABELS + [f"s{i}" for i in range(int(rng.integers(1, 53)))]
+        path = long_path(vocabulary, seed, 20_001)
+        encode, encoded = json.encoder.encode_basestring_ascii, Counter()
+
+        def counted(label):
+            encoded[label] += 1
+            return encode(label)
+
+        with mock.patch.object(json.encoder, "c_make_encoder", None), \
+                mock.patch.object(json.encoder, "encode_basestring_ascii", counted):
+            text = cli._report_text(path)
+        assert text == json.dumps(path, separators=(",", ":"))
+        assert encoded == Counter(set(path))
+
+    @pytest.mark.parametrize("items, expected", [
+        (["1", 1, True], '["1",1,true]'),
+        (["a", 1.5], '["a",1.5]'),
+        (["a", ["b"]], '["a",["b"]]'),
+        ([np.str_("a"), "b"], '["a","b"]'),
+        (["a", np.str_("a"), np.str_("\u00e9")], '["a","a","\\u00e9"]'),
+        ([Label("x"), "y"], '["x","y"]'),
+        (["x", Label("x"), Label('"')], '["x","x","\\""]'),
+    ], ids=["str-int-bool", "str-float", "nested", "numpy-str-first", "numpy-str-later",
+            "subclass-first", "subclass-later"])
+    def test_lists_not_all_str_keep_their_text(self, items, expected):
+        # the first item seen that is not an exact str stops the join, and
+        # the list takes the _native/_jsonable route it took before
+        assert cli._report_text(items) == expected
+        assert cli._report_text(items) == json.dumps(cli._jsonable(items), sort_keys=True,
+                                                     separators=(",", ":"))
 
 
 # a classification's classes and edges: str, int and bool leaves in

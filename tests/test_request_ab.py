@@ -48,3 +48,15 @@ def test_one_ulp_in_build_chain_fails(tmp_path):
     assert done.returncode == 1, done.stdout + done.stderr
     differing = [row for row in request_rows(done.stdout) if row[-1] == "NO"]
     assert differing and {row[1] for row in differing} == {"absorb"}
+
+
+def test_kind_keeps_only_the_named_requests():
+    done = subprocess.run([sys.executable, str(TOOL), str(ROOT), str(ROOT),
+                           "--workload", "walks", "--seed", "1", "--scale", "0.05",
+                           "--repeats", "2", "--kind", "simulate-path", "--kind", "evolve"],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    rows = request_rows(done.stdout)
+    # a walks pass holds 8 paths and 5 evolve requests at any scale
+    assert sorted(row[1] for row in rows) == ["evolve"] * 5 + ["simulate-path"] * 8
+    assert "13 of 13 requests with the same stdout" in done.stdout

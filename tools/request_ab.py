@@ -2,6 +2,7 @@
 that they print the same bytes.
 
     python3 tools/request_ab.py BEFORE AFTER --workload structural --seed 1
+    python3 tools/request_ab.py BEFORE AFTER --workload walks --kind simulate-path
 
 BEFORE and AFTER are checkout directories with chainkit under `src/`.
 Both chainkits are imported, one after the other (see kernel_ab.load),
@@ -12,13 +13,14 @@ interleaved: request by request, REPEATS times, the side that goes
 first alternating, keeping each side's minimum time per request. Unlike
 tools/kernel_ab.py, which replays the eigen kernels alone, this times
 whole reports: parsing, analysis and writing. BLAS is pinned to one
-thread. Nothing under bench/ is changed.
+thread. Nothing under bench/ is changed. --kind KIND (repeatable) keeps
+only the requests of the named kinds, in pass order.
 
 It prints each request's minima, their ratio AFTER / BEFORE and whether
 its stdout and exit code agree; then the sums and ratio per request
 kind, and the median of the per-request minima of each side. The exit
 status is 1 when some request's stdout or exit code differs between the
-two sides, 0 otherwise.
+two sides, 0 otherwise; both cover the kept requests alone.
 """
 
 from __future__ import annotations
@@ -100,6 +102,8 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=REPEATS)
     parser.add_argument("--scale", type=float, default=1.0,
                         help="input sizes relative to the benchmark's (default 1)")
+    parser.add_argument("--kind", action="append", metavar="KIND",
+                        help="time only requests of this kind (repeatable; default all)")
     args = parser.parse_args(argv)
     for checkout in (args.before, args.after):
         if not (checkout / "src" / "chainkit" / "__init__.py").is_file():
@@ -113,6 +117,12 @@ def main(argv=None) -> int:
         import workloads
         with tempfile.TemporaryDirectory() as tmp:
             requests = workloads.build(args.workload, args.seed, tmp, scale=args.scale)
+            if args.kind:
+                missing = set(args.kind) - {req.kind for req in requests}
+                if missing:
+                    parser.error(f"no {args.workload} request of kind "
+                                 f"{', '.join(sorted(missing))}")
+                requests = [req for req in requests if req.kind in args.kind]
             rows = compare(requests, mains, args.repeats)
     finally:
         sys.path.remove(str(ROOT / "bench"))
