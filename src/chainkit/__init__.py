@@ -4,93 +4,54 @@ Structural classification, stationary and flow analysis, spectral
 decomposition with an eigenvalue taxonomy, reversibility testing and
 reversibilization, graph Laplacians, absorbing-chain fundamental
 matrices, and teleporting random walks. See README.md for a tour.
+
+`import chainkit` runs none of the submodules: each one below is put in
+sys.modules through importlib.util.LazyLoader and runs on its first
+attribute access, so an error raised while a module loads appears at
+first use. The public names are served from `_EXPORTS` by __getattr__.
+`chainkit.cli` is an ordinary submodule, imported when asked for.
 """
 
-from . import errors
-from .absorbing import canonical_form, fundamental_matrix
-from .chain import (
-    TransitionMatrix,
-    build_chain,
-    conditional_expectation,
-    evolve,
-    occupancy,
-    point_mass,
-    sample,
-    validate_distribution,
-)
-from .demo import line_chain
-from .graph import (
-    WeightedDigraph,
-    build_graph,
-    random_walk,
-    rw_set_representative,
-    same_rw_set,
-)
-from .laplacian import (
-    build_laplacian,
-    directed_laplacian,
-    gft,
-    inverse_gft,
-    quadratic_form,
-    smooth_spectrum,
-)
-from .numlin import eigen_from_schur, real_schur, solve_linear, sym_eigen
-from .reversal import (
-    k_matrix,
-    reversibility,
-    reversibilize,
-    time_reverse,
-)
-from .spectral import decompose, perron_report, spectral_evolve, taxonomy
-from .stationary import combine, equal_weight, flow_matrix, stationary_basis
-from .structure import classify, communicating_classes
-from .surfer import SurferConfig, google_matrix, pagerank
+import importlib.util
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "TransitionMatrix",
-    "WeightedDigraph",
-    "SurferConfig",
-    "build_chain",
-    "build_graph",
-    "build_laplacian",
-    "canonical_form",
-    "classify",
-    "combine",
-    "communicating_classes",
-    "conditional_expectation",
-    "decompose",
-    "directed_laplacian",
-    "eigen_from_schur",
-    "equal_weight",
-    "errors",
-    "evolve",
-    "flow_matrix",
-    "fundamental_matrix",
-    "gft",
-    "google_matrix",
-    "inverse_gft",
-    "k_matrix",
-    "line_chain",
-    "occupancy",
-    "pagerank",
-    "perron_report",
-    "point_mass",
-    "quadratic_form",
-    "random_walk",
-    "real_schur",
-    "reversibility",
-    "reversibilize",
-    "rw_set_representative",
-    "same_rw_set",
-    "sample",
-    "smooth_spectrum",
-    "solve_linear",
-    "spectral_evolve",
-    "stationary_basis",
-    "sym_eigen",
-    "taxonomy",
-    "time_reverse",
-    "validate_distribution",
-]
+# every submodule but cli, with the public names it exports
+_EXPORTS = {
+    "absorbing": ("canonical_form", "fundamental_matrix"),
+    "chain": ("TransitionMatrix", "build_chain", "conditional_expectation", "evolve",
+              "occupancy", "point_mass", "sample", "validate_distribution"),
+    "demo": ("line_chain",),
+    "errors": (),
+    "graph": ("WeightedDigraph", "build_graph", "random_walk", "rw_set_representative",
+              "same_rw_set"),
+    "laplacian": ("build_laplacian", "directed_laplacian", "gft", "inverse_gft",
+                  "quadratic_form", "smooth_spectrum"),
+    "numlin": ("eigen_from_schur", "real_schur", "solve_linear", "sym_eigen"),
+    "reversal": ("k_matrix", "reversibility", "reversibilize", "time_reverse"),
+    "spectral": ("decompose", "perron_report", "spectral_evolve", "taxonomy"),
+    "stationary": ("combine", "equal_weight", "flow_matrix", "stationary_basis"),
+    "structure": ("classify", "communicating_classes"),
+    "surfer": ("SurferConfig", "google_matrix", "pagerank"),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(["errors", *_OWNER])
+
+for _module in _EXPORTS:
+    _spec = importlib.util.find_spec(f"{__name__}.{_module}")
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    sys.modules[_spec.name] = globals()[_module] = importlib.util.module_from_spec(_spec)
+    _spec.loader.exec_module(globals()[_module])
+del _module, _spec
+
+
+def __getattr__(name):
+    if name in _OWNER:
+        return getattr(globals()[_OWNER[name]], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_OWNER})

@@ -34,8 +34,21 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from . import __version__, errors
-from .absorbing import canonical_form, fundamental_matrix
+# Every command needs errors, chain, graph and numlin. The other modules
+# run on first use (see chainkit/__init__.py), so they are reached by
+# attribute when a command calls them, and a command runs only its own.
+from . import (
+    __version__,
+    absorbing,
+    demo,
+    errors,
+    laplacian,
+    reversal,
+    spectral,
+    stationary,
+    structure,
+    surfer,
+)
 from .chain import (
     ROW_SUM_ATOL,
     TransitionMatrix,
@@ -48,21 +61,8 @@ from .chain import (
     sample,
     validate_distribution,
 )
-from .demo import line_chain
 from .graph import SCALING_RTOL, WeightedDigraph, random_walk, same_rw_set
-from .laplacian import (
-    LaplacianMatrix,
-    build_laplacian,
-    directed_laplacian,
-    gft,
-    smooth_spectrum,
-)
 from .numlin import CONDITION_LIMIT, DEFLATE_RTOL, RANK_RTOL, stationary_gth
-from .reversal import CYCLE_RTOL, k_matrix, reversibility, reversibilize, time_reverse
-from .spectral import TAXONOMY_EPSILON, SpectralDecomposition, decompose, perron_report, taxonomy
-from .stationary import STATIONARITY_ATOL, StationaryBasis, equal_weight, stationary_basis
-from .structure import ClassStructure, classify
-from .surfer import SurferConfig, pagerank_matrix
 
 # the row-sum tolerance build_chain applies, echoed by the reports
 ROW_SUM = {"row_sum": ROW_SUM_ATOL}
@@ -330,25 +330,25 @@ class Analysis:
         return self.obj
 
     @cached_property
-    def structure(self) -> ClassStructure:
-        return classify(self.chain)
+    def structure(self) -> structure.ClassStructure:
+        return structure.classify(self.chain)
 
     @cached_property
-    def basis(self) -> StationaryBasis:
-        return stationary_basis(self.chain, self.structure)
+    def basis(self) -> stationary.StationaryBasis:
+        return stationary.stationary_basis(self.chain, self.structure)
 
     @cached_property
-    def decomposition(self) -> SpectralDecomposition:
-        return decompose(self.chain, self.structure)
+    def decomposition(self) -> spectral.SpectralDecomposition:
+        return spectral.decompose(self.chain, self.structure)
 
     @cached_property
-    def directed_laplacian(self) -> LaplacianMatrix:
-        return directed_laplacian(self.chain, self.basis)
+    def directed_laplacian(self) -> laplacian.LaplacianMatrix:
+        return laplacian.directed_laplacian(self.chain, self.basis)
 
-    def smoothing_laplacian(self) -> LaplacianMatrix:
+    def smoothing_laplacian(self) -> laplacian.LaplacianMatrix:
         """Normalized Laplacian of an undirected graph, else directed."""
         if isinstance(self.obj, WeightedDigraph) and self.obj.is_undirected:
-            return build_laplacian(self.obj, "normalized")
+            return laplacian.build_laplacian(self.obj, "normalized")
         return self.directed_laplacian
 
 
@@ -397,16 +397,16 @@ def _stationary(args, a: Analysis):
         "unique": basis.unique,
         "class_ids": list(basis.class_ids),
         "vectors": basis.vectors,
-        "equal_weight_combination": equal_weight(basis),
+        "equal_weight_combination": stationary.equal_weight(basis),
     }
-    return result, {"stationarity": STATIONARITY_ATOL}
+    return result, {"stationarity": stationary.STATIONARITY_ATOL}
 
 
 def _spectrum(args, a: Analysis):
     """`spectrum` and `taxonomy`: the eigenvalues in sorted order with
     their taxonomy labels, as JSON with a Perron summary or as CSV."""
     dec = a.decomposition
-    labels = taxonomy(dec)
+    labels = spectral.taxonomy(dec)
     rows = []
     for j in dec.order:
         lam = dec.values[j]
@@ -421,8 +421,8 @@ def _spectrum(args, a: Analysis):
     n_rec = sum(a.structure.recurrent)
     result = {"eigenvalues": rows,
               "diagonalizable": dec.pairs.diagonalizable,
-              "perron": perron_report(dec, recurrent_classes=n_rec)}
-    return result, {"epsilon": TAXONOMY_EPSILON, "condition": CONDITION_LIMIT,
+              "perron": spectral.perron_report(dec, recurrent_classes=n_rec)}
+    return result, {"epsilon": spectral.TAXONOMY_EPSILON, "condition": CONDITION_LIMIT,
                     "deflate": DEFLATE_RTOL, **CLUSTER}
 
 
@@ -455,25 +455,25 @@ def _simulate(args, a: Analysis):
 
 
 def _reverse(args, a: Analysis):
-    out = time_reverse(a.chain, a.basis)
+    out = reversal.time_reverse(a.chain, a.basis)
     return {"chain": chain_document(out)}, ROW_SUM
 
 
 def _reversibilize(args, a: Analysis):
-    out = reversibilize(a.chain, a.basis, args.mode)
+    out = reversal.reversibilize(a.chain, a.basis, args.mode)
     return {"mode": args.mode, "chain": chain_document(out)}, ROW_SUM
 
 
 def _kmatrix(args, a: Analysis):
-    kern = k_matrix(a.chain, a.basis)
-    rep = reversibility(a.chain, a.structure, a.basis)
+    kern = reversal.k_matrix(a.chain, a.basis)
+    rep = reversal.reversibility(a.chain, a.structure, a.basis)
     result = {"k": kern.k,
               "symmetric": rep.reversible,  # K_ij / K_ji = pi_i P_ij / (pi_j P_ji)
               "reversible": rep.reversible,
               "semi_reversible": rep.semi_reversible,
               "db_residual": rep.db_residual,
               "witness": rep.witness}
-    return result, {"cycle": CYCLE_RTOL}
+    return result, {"cycle": reversal.CYCLE_RTOL}
 
 
 def _laplacian(args, a: Analysis):
@@ -481,28 +481,28 @@ def _laplacian(args, a: Analysis):
         lap = a.directed_laplacian
         result = {"variant": "directed", "matrix": lap.m, "pi_used": lap.pi_used}
     else:
-        lap = build_laplacian(a.graph, args.variant)
+        lap = laplacian.build_laplacian(a.graph, args.variant)
         result = {"variant": args.variant, "matrix": lap.m, "degrees": lap.scale}
     return result, ROW_SUM
 
 
 def _embed(args, a: Analysis):
-    spec = smooth_spectrum(a.smoothing_laplacian(), args.k)
+    spec = laplacian.smooth_spectrum(a.smoothing_laplacian(), args.k)
     return {"values": spec.values, "coordinates": spec.right_transformed}, ROW_SUM | CLUSTER
 
 
 def _gft(args, a: Analysis):
     if args.signal is None:
         raise errors.ValidationError("gft needs --signal v1,v2,...")
-    spec = smooth_spectrum(a.smoothing_laplacian())
-    coeffs = gft(spec, _parse_vector(args.signal))
+    spec = laplacian.smooth_spectrum(a.smoothing_laplacian())
+    coeffs = laplacian.gft(spec, _parse_vector(args.signal))
     return {"coefficients": coeffs, "values": spec.values}, ROW_SUM | CLUSTER
 
 
 def _pagerank(args, a: Analysis):
     chain = a.chain
     tel = None if args.teleport is None else _parse_vector(args.teleport)
-    gm = pagerank_matrix(chain, SurferConfig(alpha=args.damping, teleport=tel))
+    gm = surfer.pagerank_matrix(chain, surfer.SurferConfig(alpha=args.damping, teleport=tel))
     pi = stationary_gth(gm.p)
     result = {"damping": args.damping, "pagerank": pi,
               "states": list(chain.labels),
@@ -513,8 +513,8 @@ def _pagerank(args, a: Analysis):
 
 
 def _absorb(args, a: Analysis):
-    dec = canonical_form(a.chain, a.structure)
-    fm = fundamental_matrix(dec)
+    dec = absorbing.canonical_form(a.chain, a.structure)
+    fm = absorbing.fundamental_matrix(dec)
     result = {
         "permutation": [a.chain.labels[i] for i in dec.permutation],
         "transient_count": dec.t,
@@ -536,11 +536,11 @@ def _rwset(args, a: Analysis):
 
 
 def _demo_line_chain(args, _):
-    a = Analysis(line_chain(n=args.n, p_right=args.p_right,
-                            perturb=args.perturb, seed=args.seed))
+    a = Analysis(demo.line_chain(n=args.n, p_right=args.p_right,
+                                 perturb=args.perturb, seed=args.seed))
     chain = a.chain
-    pi = equal_weight(a.basis)
-    spec = smooth_spectrum(a.directed_laplacian)
+    pi = stationary.equal_weight(a.basis)
+    spec = laplacian.smooth_spectrum(a.directed_laplacian)
     y0 = spec.vectors[:, 0]
     rt0 = spec.right_transformed[:, 0]
     rt0 = rt0 / rt0[0]
@@ -691,6 +691,9 @@ def main(argv=None) -> int:
         payload = run_command(args)
     except (errors.ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a request too large for this machine is refused, as input
+        print(f"error: not enough memory: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     except errors.NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

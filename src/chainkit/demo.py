@@ -13,6 +13,8 @@ eigenvalue 1.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .chain import TransitionMatrix, build_chain, require_count
@@ -23,6 +25,9 @@ def line_chain(n: int = 100, p_right: float = 0.52, perturb: float = 0.0,
                seed: int = 0) -> TransitionMatrix:
     if n < 2:
         raise ValidationError("line chain needs at least two states")
+    if n > math.isqrt(np.iinfo(np.intp).max // 8):  # refused before anything is allocated
+        raise ValidationError(f"line chain of {n} states is too large: numpy cannot "
+                              "index its n * n float64 entries")
     if not 0.0 < p_right < 1.0:
         raise ValidationError("p_right must be strictly between 0 and 1")
     if not 0.0 <= perturb < np.inf:

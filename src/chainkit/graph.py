@@ -8,14 +8,17 @@ both the out- and in-degree row/column sums.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import reversal, stationary
 from .chain import TransitionMatrix, _frozen_chain, as_finite, as_labels
 from .errors import DimensionMismatch, NegativeWeight, ValidationError, ZeroOutDegree
-from .reversal import reversibility
-from .stationary import StationaryBasis, _positive_pi
-from .structure import ClassStructure
+
+if TYPE_CHECKING:  # annotations only: a walk needs neither module loaded
+    from .stationary import StationaryBasis
+    from .structure import ClassStructure
 
 UNDIRECTED_RTOL = 1e-12
 BALANCED_RTOL = 1e-10
@@ -127,9 +130,9 @@ def rw_set_representative(chain: TransitionMatrix, structure: ClassStructure,
         raise ValidationError(f"unknown representative kind {kind!r}")
     if not structure.recurrent_chain:
         return None
-    w = _positive_pi(basis, "random-walk-set member")[:, None] * chain.p
+    w = stationary._positive_pi(basis, "random-walk-set member")[:, None] * chain.p
     if kind == "undirected":
-        if not reversibility(chain, structure, basis).reversible:
+        if not reversal.reversibility(chain, structure, basis).reversible:
             return None
         w = 0.5 * (w + w.T)
     return build_graph(chain.labels, w)

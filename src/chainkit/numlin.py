@@ -193,7 +193,8 @@ def sym_eigen(a) -> tuple[np.ndarray, np.ndarray]:
     a = _as_square(a)
     n = a.shape[0]
     scale = _finite_norm(a)
-    if scale > 0 and np.max(np.abs(a - a.T)) > 1e-10 * scale:
+    # unguarded at scale 0: an a whose squares all underflow is refused unless exactly symmetric
+    if np.max(np.abs(a - a.T), initial=0.0) > 1e-10 * scale:
         raise NotSymmetric("matrix is not symmetric within tolerance")
     t, q = _hessenberg(0.5 * (a + a.T))
     d = np.diag(t).tolist()

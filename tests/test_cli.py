@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from chainkit import build_chain, cli, errors, line_chain, spectral
+from chainkit import build_chain, cli, demo, errors, line_chain, spectral, structure
 from chainkit.cli import main, parse_graph_tsv
 
 from conftest import circulating_line_chain, layered_chain, periodic_chain
@@ -452,7 +452,7 @@ class TestReports:
 
         for name in ("real_schur", "sym_eigen"):
             monkeypatch.setattr(spectral, name, counted(name, getattr(spectral, name)))
-        monkeypatch.setattr(cli, "classify", counted("classify", cli.classify))
+        monkeypatch.setattr(structure, "classify", counted("classify", structure.classify))
         # an ergodic chain takes one Schur form of P, a 12-state chain of
         # period 3 one of its 4x4 cycle product, a 56-state chain of period
         # 4 that of its 14x14 product, which fails the residual gate, then
@@ -826,7 +826,7 @@ class TestExitCodes:
                              ids=["reverse", "kmatrix", "reversibilize", "laplacian"])
     def test_underflowing_pi_is_exit_two(self, argv, tmp_path, capsys):
         # pi_i grows like 9^i, so pi_0 ~ 1e-381 underflows to 0
-        p = cli.line_chain(n=400, p_right=0.9).p
+        p = demo.line_chain(n=400, p_right=0.9).p
         f = tmp_path / "birth_death.json"
         f.write_text(json.dumps({"states": [str(i) for i in range(400)], "P": p.tolist()}))
         code, out, err = run(capsys, argv[0], str(f), *argv[1:])
@@ -1131,6 +1131,29 @@ class TestDemoCommand:
         code, out, err = run(capsys, "demo-line-chain", *flags)
         assert code == 2 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("n", ["99999999999999999999999", "3000000000"],
+                             ids=["past-intp", "past-memory"])
+    def test_huge_line_chain_is_refused_before_allocating(self, n, capsys, monkeypatch):
+        # numpy raised ValueError ("Maximum allowed dimension exceeded") for
+        # the first and MemoryError for the second, both out of main
+        def refuse(*_, **__):
+            raise AssertionError("allocated the line chain")
+
+        monkeypatch.setattr(np, "full", refuse)
+        code, out, err = run(capsys, "demo-line-chain", "--n", n)
+        assert code == 2 and out == ""
+        assert err == (f"error: line chain of {n} states is too large: numpy cannot index "
+                       "its n * n float64 entries\n")
+
+    def test_memory_error_is_exit_two(self, capsys, monkeypatch):
+        def exhausted(**_):
+            raise MemoryError("Unable to allocate 67.1 GiB")
+
+        monkeypatch.setattr(demo, "line_chain", exhausted)
+        code, out, err = run(capsys, "demo-line-chain", "--n", "90000")
+        assert code == 2 and out == ""
+        assert err == "error: not enough memory: Unable to allocate 67.1 GiB\n"
 
     @pytest.mark.parametrize("perturb", ["inf", "nan", "-0.5"])
     def test_bad_perturb_is_exit_two(self, perturb, capsys):

@@ -332,9 +332,25 @@ class TestSymEigen:
         with pytest.raises(errors.NotSymmetric):
             sym_eigen([[0.0, 1.0], [0.0, 0.0]])
 
+    def test_rejects_asymmetric_with_underflowing_norm(self, monkeypatch):
+        # the square of 1e-170 underflows, so ||a||_F is 0 and 1e-10 * ||a||_F too
+        a = np.array([[0.0, 1e-170], [0.0, 0.0]])
+        assert numlin._finite_norm(a) == 0.0
+
+        def reduce(*_):
+            raise AssertionError("reached the Hessenberg reduction")
+
+        monkeypatch.setattr(numlin, "_hessenberg", reduce)
+        with pytest.raises(errors.NotSymmetric):
+            sym_eigen(a)
+
     def test_zero_matrix(self):
         w, v = sym_eigen(np.zeros((4, 4)))
         assert np.allclose(w, 0) and np.allclose(v, np.eye(4))
+
+    def test_empty_matrix(self):
+        w, v = sym_eigen(np.zeros((0, 0)))
+        assert w.shape == (0,) and v.shape == (0, 0)
 
     def test_hessenberg_leaves_tridiagonal_input(self):
         a = symmetric_family("tridiagonal", 30, np.random.default_rng(22))

@@ -67,6 +67,11 @@ def load(checkout: Path) -> dict:
     origin = Path(mods["chainkit"].__file__).resolve()
     if src not in origin.parents:
         raise RuntimeError(f"chainkit came from {origin}, not from {src}")
+    # A chainkit that loads its modules on first use resolves its relative
+    # imports in sys.modules then, so run each one while this checkout's
+    # modules are the ones there; vars() is an attribute access that does.
+    for mod in mods.values():
+        vars(mod)
     return mods
 
 
