@@ -27,7 +27,7 @@ from .errors import (
 )
 
 ROW_SUM_ATOL = 1e-9
-ENTRY_CLAMP = 1e-12  # |entry| at most this is roundoff: never a transition
+ENTRY_CLAMP = 1e-12  # |entry| at most this in an input chain is roundoff
 SAMPLE_BLOCK = 1 << 20  # uniforms drawn at once by sample and occupancy
 
 # numpy's SeedSequence pool and output hash constants, and PCG64's LCG
@@ -66,13 +66,6 @@ def as_labels(labels) -> tuple[str, ...]:
     return labels
 
 
-def transitions(p: np.ndarray) -> np.ndarray:
-    """The chain's digraph as a boolean matrix: i -> j is a transition
-    iff P[i, j] exceeds ENTRY_CLAMP. Classes, periods, absorbing states
-    and Kolmogorov's criterion all read this one relation."""
-    return p > ENTRY_CLAMP
-
-
 def require_count(value: int, what: str, least: float = 0) -> None:
     """BadCount unless value is an int or numpy integer (not a bool) >= least."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -83,7 +76,8 @@ def require_count(value: int, what: str, least: float = 0) -> None:
 
 @dataclass(frozen=True)
 class TransitionMatrix:
-    """Row-stochastic matrix over a labelled finite state space."""
+    """Row-stochastic matrix over a labelled finite state space. Its
+    digraph is P's support: i -> j is a transition iff P[i, j] > 0."""
 
     labels: tuple[str, ...]
     p: np.ndarray = field(repr=False)
@@ -107,17 +101,22 @@ class TransitionMatrix:
 def build_chain(labels, p) -> TransitionMatrix:
     """Validate and freeze a transition matrix.
 
-    Entries must be finite; entries in [-1e-12, 0) are clamped to zero
-    and anything more negative is rejected. Row sums must equal one
-    within 1e-9; rows are then renormalized exactly so downstream
-    algebra sees clean input. Labels follow `as_labels`; `p` is copied.
+    Entries must be finite. Roundoff, an entry in [-1e-12, 0) or
+    (0, 1e-12] (ENTRY_CLAMP), becomes +0.0, so it is no transition;
+    anything more negative is rejected. Row sums must equal one within
+    1e-9; rows are then renormalized exactly so downstream algebra sees
+    clean input. Labels follow `as_labels`; `p` is copied.
     """
-    return _frozen_chain(as_labels(labels), as_finite(p, "transition matrix"))
+    labels = as_labels(labels)
+    p = as_finite(p, "transition matrix")
+    p[(p > 0) & (p <= ENTRY_CLAMP)] = 0.0
+    return _frozen_chain(labels, p)
 
 
 def _frozen_chain(labels: tuple[str, ...], p: np.ndarray) -> TransitionMatrix:
-    """`build_chain` past `as_labels` and `as_finite`, in place on a float
-    p no one else holds, which becomes the chain's read-only P. The
+    """`build_chain` past `as_labels`, `as_finite` and the roundoff flush,
+    in place on a float p no one else holds, which becomes the chain's
+    read-only P: a chain the library computes keeps every entry. The
     row-sum test fails on a NaN or infinite sum: a NaN never passes."""
     n = len(labels)
     if p.shape != (n, n):

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import TransitionMatrix, build_chain, transitions
+from .chain import TransitionMatrix, _frozen_chain
 from .errors import ValidationError
 from .stationary import StationaryBasis, _positive_pi, equal_weight
 from .structure import ClassStructure
@@ -36,8 +36,9 @@ def _p_rev(chain: TransitionMatrix, basis: StationaryBasis, what: str) -> np.nda
 
 
 def time_reverse(chain: TransitionMatrix, basis: StationaryBasis) -> TransitionMatrix:
-    """Transition matrix of the time-reversed chain, P_rev = Pi^-1 P^T Pi."""
-    return build_chain(chain.labels, _p_rev(chain, basis, "time reversal"))
+    """Transition matrix of the time-reversed chain, P_rev = Pi^-1 P^T Pi,
+    whose support is that of P^T."""
+    return _frozen_chain(chain.labels, _p_rev(chain, basis, "time reversal"))
 
 
 def _db_residual(p: np.ndarray, pi: np.ndarray) -> float:
@@ -61,7 +62,7 @@ def _kolmogorov(p: np.ndarray) -> tuple[bool, tuple[int, ...] | None, np.ndarray
     When the criterion holds, phi is ln pi up to one additive constant per
     connected component, and None otherwise.
     """
-    edge = transitions(p)
+    edge = p > 0
     np.fill_diagonal(edge, False)
     if not np.array_equal(edge, edge.T):
         i, j = np.argwhere(edge & ~edge.T)[0]
@@ -138,7 +139,7 @@ def reversibilize(chain: TransitionMatrix, basis: StationaryBasis,
         out = chain.p @ p_rev
     else:
         raise ValidationError(f"unknown mode {mode!r}")
-    return build_chain(chain.labels, out)
+    return _frozen_chain(chain.labels, out)
 
 
 def k_matrix(chain: TransitionMatrix, basis: StationaryBasis) -> SymmetrizedKernel:

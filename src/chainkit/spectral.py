@@ -98,8 +98,7 @@ def _reversible_pairs(p: np.ndarray, structure: ClassStructure) -> ComplexEigenp
     underflows to 0. The route needs Kolmogorov's criterion to hold and
     the right and left residuals on P within DEFLATE_RTOL * ||P||_F, the
     backward error real_schur accepts: a chain that passes the criterion
-    at CYCLE_RTOL, or has an entry below ENTRY_CLAMP off the pattern, is
-    only close to similar to S. Each eigenvalue goes to
+    at CYCLE_RTOL is only close to similar to S. Each eigenvalue goes to
     `numlin._eigenpairs` as a 1x1 block, at ||P||_F, which measures its
     1/s_j = ||Pi^1/2 v|| ||Pi^-1/2 v|| as on every route.
     """
@@ -134,16 +133,12 @@ def _schur_by_class(p: np.ndarray, structure: ClassStructure) -> SchurForm:
     In the topological order of the classes (`structure.topological`,
     sources first) P is block upper triangular, so Q = blockdiag(q_k)
     with its rows put back in state order, and T holds each class's t_k
-    on the diagonal, q_i^T P_ij q_j above it and exact zeros below. A 1x1
-    class is its own Schur form. P is one block when it is irreducible,
-    or when some entry below the class blocks is nonzero (at most
-    ENTRY_CLAMP, so not a transition, but part of P).
+    on the diagonal, q_i^T P_ij q_j above it and exact zeros below: P
+    is zero off its transitions, so nothing sits below the class blocks.
+    A 1x1 class is its own Schur form, and an irreducible P is one block.
     """
-    order = list(structure.topological)  # a tuple would index one axis per entry
-    level = np.empty(len(order), dtype=np.intp)
-    level[order] = np.arange(len(order))
-    at = level[np.array(structure.class_of, dtype=np.intp)]
-    if len(order) <= 1 or np.any(p[at[:, None] > at[None, :]]):
+    order = structure.topological
+    if len(order) <= 1:
         return real_schur(p)
     perm = np.array([s for c in order for s in structure.classes[c]])
     pp = p[np.ix_(perm, perm)]
@@ -175,9 +170,10 @@ def _cyclic_pairs(p: np.ndarray, structure: ClassStructure) -> ComplexEigenpairs
     P between two consecutive phases of different sizes is not square,
     so A_g is singular at every e, and so is B_e. Each divisor e > 1 is
     then tried in turn, largest first (a cycle of n states lifts from a
-    1x1 product), and the first that passes wins. It needs P exactly
-    zero outside the A_g and B_e nonsingular: no eigenvalue mu of B_e is
-    one `numlin.clusters` cluster with 0 at ||B_e||_F. Last, the lifted
+    1x1 product), and the first that passes wins. P is exactly zero
+    outside the A_g, since every transition steps one phase on; the route
+    needs B_e nonsingular: no eigenvalue mu of B_e is one
+    `numlin.clusters` cluster with 0 at ||B_e||_F. Last, the lifted
     pairs must have residuals on P within DEFLATE_RTOL * ||P||_F, the
     backward error real_schur accepts: B_e is formed explicitly, so mu
     carries an absolute error near eps * ||B_e||, which the e-th root
@@ -193,8 +189,6 @@ def _cyclic_pairs(p: np.ndarray, structure: ClassStructure) -> ComplexEigenpairs
     scale = np.linalg.norm(p)
     for e in (e for e in range(d, 1, -1) if d % e == 0):
         group = phase % e
-        if np.any(p[group[None, :] != (group[:, None] + 1) % e]):
-            continue
         groups = [np.flatnonzero(group == g) for g in range(e)]
         blocks = [p[np.ix_(groups[g], groups[(g + 1) % e])] for g in range(e)]
         b = reduce(np.matmul, blocks)

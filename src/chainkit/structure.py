@@ -1,7 +1,7 @@
 """Communication structure of a chain: classes, recurrence, periodicity,
 absorbing states, and the headline chain-level flags.
 
-Everything is read from the edge arrays (u, v) = nonzero(transitions(P)).
+Everything is read from the edge arrays (u, v) = nonzero(P > 0).
 `_condense` runs one iterative Tarjan scan (Tarjan, SIAM J. Comput.
 1972) over them, which gives the classes, in reverse topological order,
 and each state's depth in the DFS forest; class_of, the condensation
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import TransitionMatrix, transitions
+from .chain import TransitionMatrix
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,7 @@ class ClassStructure:
     has no internal edge), and phase[i] is state i's cyclic phase in its
     class: every transition inside a class goes from phase g to phase
     g + 1 mod its period. condensation_edges holds (from, to) class
-    pairs with from != to. Edges are `chain.transitions`; an absorbing
+    pairs with from != to. Edges are the entries P[i, j] > 0; an absorbing
     state is a closed singleton class, and the chain is absorbing iff
     every closed class is one.
     """
@@ -116,7 +116,7 @@ def _condense(chain: TransitionMatrix):
     depth mod its class's period.
     """
     n = chain.n
-    u, v = np.nonzero(transitions(chain.p))  # row-major: u ascending
+    u, v = np.nonzero(chain.p > 0)  # row-major: u ascending
     start = np.searchsorted(u, np.arange(n + 1))
     comp, depth = _tarjan(v.tolist(), start.tolist(), n)
     number: dict[int, int] = {}  # classes in order of their smallest member

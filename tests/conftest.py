@@ -176,7 +176,8 @@ def periodic_chain(rng, d, m, tiny=0.0):
     """An irreducible chain of period d: d groups of m states visited
     cyclically, every entry from group g to group g+1 (mod d) positive,
     states shuffled. tiny > 0 puts that much weight on one entry outside
-    the cyclic blocks (at most chain.ENTRY_CLAMP keeps the period)."""
+    the cyclic blocks (build_chain flushes it at chain.ENTRY_CLAMP or
+    below, which keeps the period)."""
     n = d * m
     group = rng.permutation(np.arange(n) % d)
     mask = group[None, :] == (group[:, None] + 1) % d
@@ -193,8 +194,8 @@ def layered_chain(rng, sizes, tiny=0.0):
     """A reducible chain whose classes are dense blocks of the given
     sizes: class c feeds class c+1, the last is closed, and the states
     are shuffled. tiny > 0 puts that much weight on one entry from the
-    last class back into the first (not a transition at ENTRY_CLAMP or
-    below)."""
+    last class back into the first (build_chain flushes it at
+    chain.ENTRY_CLAMP or below)."""
     n = sum(sizes)
     ends = np.cumsum(sizes)
     p = np.zeros((n, n))

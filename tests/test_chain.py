@@ -29,6 +29,12 @@ class TestBuildChain:
         c = build_chain("ab", [[1.0 + 5e-13, -5e-13], [0.5, 0.5]])
         assert c.p[0, 1] == 0.0
 
+    def test_tiny_positive_flushed(self):
+        # 1e-13 is roundoff: +0.0 and no transition, the row renormalized
+        c = build_chain("ab", [[1 - 1e-13, 1e-13], [0.5, 0.5]])
+        assert c.p[0, 1] == 0.0 and not np.signbit(c.p[0, 1])
+        assert np.array_equal(c.p.sum(axis=1), [1.0, 1.0])
+
     def test_row_sum_violation(self):
         with pytest.raises(errors.RowSumViolation):
             build_chain("ab", [[0.5, 0.4], [0.5, 0.5]])

@@ -883,6 +883,30 @@ class TestExitCodes:
         code, out, err = run(capsys, "laplacian", str(f), "--variant", "normalized")
         assert code == 2 and out == "" and "symmetric weight matrix" in err
 
+    def test_walk_on_an_undirected_graph_is_reversible_at_any_weight_range(
+            self, tmp_path, capsys):
+        # P[b, a] = 1e-13 is a transition of the walk, as W[b, a] > 0 is an
+        # edge: the walk is irreducible, with pi = d / vol, and reversible
+        f = tmp_path / "wide.tsv"
+        f.write_text("#undirected\na\tb\t1e-6\nb\tc\t1e7\n")
+        code, out, _ = run(capsys, "classify", str(f))
+        doc = json.loads(out)["result"]
+        assert code == 0 and doc["irreducible"] and doc["classes"] == [["a", "b", "c"]]
+        code, out, _ = run(capsys, "stationary", str(f))
+        assert code == 0 and json.loads(out)["result"]["vectors"] == [[5e-14, 0.5, 0.5]]
+        code, out, _ = run(capsys, "kmatrix", str(f))
+        doc = json.loads(out)["result"]
+        assert code == 0 and doc["reversible"] and doc["symmetric"]
+
+    def test_numeric_error_is_exit_three(self, chain_file, capsys, monkeypatch):
+        # no known input reaches a NumericError, so a stage is made to raise one
+        def fail(*args):
+            raise errors.NumericError("no convergence")
+        monkeypatch.setattr(spectral, "decompose", fail)
+        code, out, err = run(capsys, "spectrum", chain_file)
+        assert code == 3 and out == ""
+        assert err == "numeric failure: no convergence\n"
+
     @pytest.mark.parametrize("records", [
         # a light pair 1e-6 apart beside a heavy one: each pair is judged by
         # its own weight, not by the largest

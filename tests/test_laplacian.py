@@ -23,12 +23,13 @@ from chainkit import (
 )
 from chainkit.errors import (
     DimensionMismatch,
+    FormulaMismatch,
     IncompleteBasis,
     NotUndirected,
     ValidationError,
     ZeroDegree,
 )
-from chainkit.laplacian import _label_basis, _label_signs
+from chainkit.laplacian import LaplacianMatrix, _label_basis, _label_signs
 from chainkit.numlin import RANK_RTOL
 from conftest import random_undirected_graph
 
@@ -95,6 +96,15 @@ class TestQuadraticForm:
                     continue
                 val = quadratic_form(lap, x)
                 assert abs(val - x @ lap.m @ x) < 1e-9
+
+    def test_disagreeing_routes_raise(self):
+        # m is D - W of one edge of weight 1, weights say 2: x^T L x is 4
+        # by the matrix and 8 by the edge sum
+        lap = LaplacianMatrix(variant="unnormalized", m=np.array([[1.0, -1.0], [-1.0, 1.0]]),
+                              scale=np.ones(2), weights=np.array([[0.0, 2.0], [2.0, 0.0]]),
+                              labels=("a", "b"))
+        with pytest.raises(FormulaMismatch, match="4.0 vs 8.0"):
+            quadratic_form(lap, [1.0, -1.0])
 
     def test_wrong_length_rejected(self, triangle_graph):
         lap = build_laplacian(triangle_graph, "normalized")

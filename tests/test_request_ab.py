@@ -38,12 +38,11 @@ def test_one_ulp_in_build_chain_fails(tmp_path):
     shutil.copytree(ROOT / "src", tmp_path / "src",
                     ignore=shutil.ignore_patterns("__pycache__"))
     chain = tmp_path / "src" / "chainkit" / "chain.py"
-    old = '    return _frozen_chain(as_labels(labels), as_finite(p, "transition matrix"))'
+    old = '    return _frozen_chain(labels, p)'
     text = chain.read_text()
     assert text.count(old) == 1
-    chain.write_text(text.replace(old, '    p = as_finite(p, "transition matrix")\n'
-                                       '    p.flat[np.argmin(p)] = np.nextafter(p.min(), 1.0)\n'
-                                       '    return _frozen_chain(as_labels(labels), p)'))
+    chain.write_text(text.replace(old, '    p.flat[np.argmin(p)] = np.nextafter(p.min(), 1.0)\n'
+                                       '    return _frozen_chain(labels, p)'))
     done = run(ROOT, tmp_path)
     assert done.returncode == 1, done.stdout + done.stderr
     differing = [row for row in request_rows(done.stdout) if row[-1] == "NO"]

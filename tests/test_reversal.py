@@ -7,6 +7,7 @@ from hypothesis import strategies as hs
 
 from chainkit import (
     build_chain,
+    build_graph,
     build_laplacian,
     classify,
     decompose,
@@ -48,6 +49,16 @@ class TestTimeReverse:
         assert not np.allclose(rev.p, nonrev_chain.p)
         pi = b.vectors[0]
         assert np.allclose(pi @ rev.p, pi, atol=1e-9)
+
+    def test_keeps_every_computed_entry(self):
+        # the walk on a 1e-6 edge beside a 1e7 one moves b -> a with 1e-13:
+        # reversal and reversibilization keep it, so their support is P^T's
+        g = build_graph("abc", [[0, 1e-6, 0], [1e-6, 0, 1e7], [0, 1e7, 0]])
+        walk = random_walk(g)
+        st, b = prep(walk)
+        assert 0 < walk.p[1, 0] < ENTRY_CLAMP
+        for out in (time_reverse(walk, b), reversibilize(walk, b, "additive")):
+            assert np.array_equal(out.p > 0, walk.p.T > 0)
 
     def test_involution(self, nonrev_chain):
         st, b = prep(nonrev_chain)

@@ -479,16 +479,14 @@ class TestCyclicRoute:
         assert len(real) >= 2 and sorted(real) == sorted(-real)
         assert np.sum(np.abs(real - 1.0) < 1e-12) == np.sum(np.abs(real + 1.0) < 1e-12) == 1
 
-    @pytest.mark.parametrize("case", ["unequal_groups", "singular_product", "tiny_entry"])
+    @pytest.mark.parametrize("case", ["unequal_groups", "singular_product"])
     def test_falls_back_to_whole_matrix(self, case, monkeypatch):
         # none of these is reversible, so the cyclic route comes first
         if case == "unequal_groups":  # a -> b -> {c, d} -> a: groups of 1, 1 and 2
             chain = build_chain("abcd", [[0, 1, 0, 0], [0, 0, 0.4, 0.6],
                                          [1, 0, 0, 0], [1, 0, 0, 0]])
-        elif case == "singular_product":  # each A_g has rank 1, so B is singular
+        else:  # each A_g has rank 1, so B is singular
             chain = build_chain("abcdef", SINGULAR_PRODUCT_ONE_WAY)
-        else:  # one entry of 1e-13 outside the cyclic blocks: not a transition
-            chain = periodic_chain(np.random.default_rng(5), 3, 3, tiny=1e-13)
         st = classify(chain)
         assert st.irreducible and st.chain_period > 1
         assert _reversible_pairs(chain.p, st) is None
@@ -497,6 +495,20 @@ class TestCyclicRoute:
         assert max_matched_distance(dec.values, np.linalg.eigvals(chain.p)) <= 1e-10
         assert max(eigen_residuals(chain.p, dec.pairs)) <= 1e-10
         assert_biorthogonal(dec.pairs)
+
+    def test_roundoff_entry_is_flushed_before_the_lift(self, monkeypatch):
+        # one entry of 1e-13 outside the cyclic blocks is roundoff: build_chain
+        # sets it to 0, so P is zero off the blocks and the 3x3 product lifts
+        chain = periodic_chain(np.random.default_rng(5), 3, 3, tiny=1e-13)
+        st = classify(chain)
+        assert st.irreducible and st.chain_period == 3
+        phase = np.array(st.phase)
+        assert np.all(chain.p[phase[None, :] != (phase[:, None] + 1) % 3] == 0.0)
+        dec, orders = schur_calls(monkeypatch, chain)
+        assert orders == [3]
+        assert max_matched_distance(dec.values, np.linalg.eigvals(chain.p)) <= 1e-10
+        assert max(eigen_residuals(chain.p, dec.pairs)) <= 1e-10
+        assert_biorthogonal(dec.pairs, chain.p)
 
 
 @hs.composite
@@ -545,11 +557,18 @@ class TestClassRoute:
         rank = {c: i for i, c in enumerate(order)}
         assert all(rank[a] < rank[b] for a, b in st.condensation_edges)
 
-    def test_entry_below_the_blocks_keeps_one_block(self, monkeypatch):
+    def test_roundoff_entry_below_the_blocks_is_flushed(self, monkeypatch):
+        # 1e-13 from the last class back into the first is roundoff:
+        # build_chain sets it to 0, so nothing sits below the class blocks
         chain = layered_chain(np.random.default_rng(8), [3, 4], tiny=1e-13)
-        assert len(classify(chain).classes) == 2
+        st = classify(chain)
+        assert len(st.classes) == 2
+        level = np.empty(2, dtype=np.intp)
+        level[list(st.topological)] = [0, 1]
+        at = level[np.array(st.class_of)]
+        assert np.all(chain.p[at[:, None] > at[None, :]] == 0.0)
         dec, orders = schur_calls(monkeypatch, chain)
-        assert orders == [7]
+        assert orders == [3, 4]
         assert max_matched_distance(dec.values, np.linalg.eigvals(chain.p)) <= 1e-10
 
 
@@ -678,7 +697,7 @@ class TestReversibleRoute:
     @pytest.mark.parametrize("case,symmetric", [
         ("cycle_ratio", False),  # one cycle's products differ by 1e-6: not reversible
         ("cycle_ratio_within_rtol", False),  # by 1e-10: passes CYCLE_RTOL, not the residuals
-        ("tiny_entry", True),  # 1e-13 off the pattern, below ENTRY_CLAMP
+        ("tiny_entry", True),  # 1e-13 off the pattern: build_chain flushes it
     ])
     def test_nearly_reversible(self, case, symmetric):
         p = symmetric_walk(np.random.default_rng(4), 8)
@@ -691,7 +710,7 @@ class TestReversibleRoute:
             p[tuple(zero)] = 1e-13
         p /= p.sum(axis=1, keepdims=True)
         chain = build_chain([str(i) for i in range(8)], p)
-        assert (_reversible_pairs(p, classify(chain)) is not None) == symmetric
+        assert (_reversible_pairs(chain.p, classify(chain)) is not None) == symmetric
         dec = decompose(chain, classify(chain))
         assert max_matched_distance(dec.values, np.linalg.eigvals(p)) <= 1e-10
         assert max(eigen_residuals(p, dec.pairs)) <= 1e-10

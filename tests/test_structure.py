@@ -8,7 +8,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from chainkit import build_chain, classify, communicating_classes, decompose, perron_report
-from chainkit.chain import ENTRY_CLAMP, TransitionMatrix, transitions
+from chainkit.chain import ENTRY_CLAMP, TransitionMatrix
 from chainkit.structure import _condense
 
 from conftest import random_recurrent_chain
@@ -232,7 +232,7 @@ def _reference_tarjan_scc(adj, n):
 def _reference_condense(chain):
     """The former _condense: Tarjan, then a BFS per class with one gcd
     per internal edge over BFS levels."""
-    succ = [np.flatnonzero(row).tolist() for row in transitions(chain.p)]
+    succ = [np.flatnonzero(row).tolist() for row in chain.p > 0]
     classes = _reference_tarjan_scc(succ, chain.n)
     class_of = [0] * chain.n
     for c, members in enumerate(classes):
@@ -340,7 +340,7 @@ class TestCondenseProperties:
     @settings(max_examples=150)
     def test_independent_oracles(self, chain):
         classes, class_of, edges, period, phase, topological = _condense(chain)
-        a = transitions(chain.p)
+        a = chain.p > 0
         k, labels = connected_components(csr_matrix(a), directed=True, connection="strong")
         assert len(classes) == k
         assert {frozenset(c) for c in classes} == {
