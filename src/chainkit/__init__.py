@@ -26,6 +26,7 @@ _EXPORTS = {
     "errors": (),
     "graph": ("WeightedDigraph", "build_graph", "random_walk", "rw_set_representative",
               "same_rw_set"),
+    "gth": (),
     "laplacian": ("build_laplacian", "directed_laplacian", "gft", "inverse_gft",
                   "quadratic_form", "smooth_spectrum"),
     "numlin": ("eigen_from_schur", "real_schur", "solve_linear", "sym_eigen"),

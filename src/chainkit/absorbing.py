@@ -8,7 +8,7 @@ import numpy as np
 
 from .chain import TransitionMatrix
 from .errors import NotAbsorbing
-from .numlin import _gth_censor
+from .gth import _gth_censor
 from .structure import ClassStructure
 
 

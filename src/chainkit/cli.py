@@ -34,15 +34,18 @@ from functools import cache, cached_property
 
 import numpy as np
 
-# Every command needs errors, chain, graph and numlin. The other modules
-# run on first use (see chainkit/__init__.py), so they are reached by
-# attribute when a command calls them, and a command runs only its own.
+# Every command needs errors and chain. The other modules run on first
+# use (see chainkit/__init__.py), so they are reached by attribute when a
+# command calls them, and a command runs only its own.
 from . import (
     __version__,
     absorbing,
     demo,
     errors,
+    graph,
+    gth,
     laplacian,
+    numlin,
     reversal,
     spectral,
     stationary,
@@ -61,14 +64,15 @@ from .chain import (
     sample,
     validate_distribution,
 )
-from .graph import SCALING_RTOL, WeightedDigraph, random_walk, same_rw_set
-from .numlin import CONDITION_LIMIT, DEFLATE_RTOL, RANK_RTOL, stationary_gth
 
 # the row-sum tolerance build_chain applies, echoed by the reports
 ROW_SUM = {"row_sum": ROW_SUM_ATOL}
-# the eigenvalue-cluster tolerance of numlin.clusters, echoed by every
-# report whose vectors or verdicts it shapes
-CLUSTER = {"cluster": RANK_RTOL}
+
+
+def cluster() -> dict:
+    """The eigenvalue-cluster tolerance of numlin.clusters, echoed by
+    every report whose vectors or verdicts it shapes."""
+    return {"cluster": numlin.RANK_RTOL}
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +105,7 @@ def _refuse_first_bad_record(records: list[tuple[int, str]]) -> None:
             raise errors.ParseError(no, "weights must be positive and finite")
 
 
-def parse_graph_tsv(text: str) -> WeightedDigraph:
+def parse_graph_tsv(text: str) -> graph.WeightedDigraph:
     """A graph from a directive TSV, every record checked and summed at once.
 
     Labels are numbered in order of first mention. An undirected record
@@ -150,13 +154,13 @@ def parse_graph_tsv(text: str) -> WeightedDigraph:
             if total == math.inf:
                 raise errors.ParseError(records[r][0], "summed edge weight is not finite")
     w.setflags(write=False)
-    return WeightedDigraph(labels=as_labels(list(idx)), w=w)
+    return graph.WeightedDigraph(labels=as_labels(list(idx)), w=w)
 
 
 JSON_OBJECT = re.compile(r"\s*\{")
 
 
-def parse_input(path: str) -> tuple[TransitionMatrix | WeightedDigraph, str]:
+def parse_input(path: str) -> tuple[TransitionMatrix | graph.WeightedDigraph, str]:
     """Read the file once; return its parse and the sha256 of its bytes.
     The text must be UTF-8. A text whose first non-whitespace character
     is "{" is a chain JSON object, anything else a directive TSV graph."""
@@ -314,20 +318,20 @@ class Analysis:
     """The stages of one report's input, each computed at most once and
     only when a command reads it. Nothing outlives the report."""
 
-    def __init__(self, obj: TransitionMatrix | WeightedDigraph | None):
+    def __init__(self, obj: TransitionMatrix | graph.WeightedDigraph | None):
         self.obj = obj
 
     @property
-    def graph(self) -> WeightedDigraph:
-        if not isinstance(self.obj, WeightedDigraph):
+    def graph(self) -> graph.WeightedDigraph:
+        if isinstance(self.obj, TransitionMatrix):
             raise errors.ValidationError("this command needs a graph TSV input")
         return self.obj
 
     @cached_property
     def chain(self) -> TransitionMatrix:
-        if isinstance(self.obj, WeightedDigraph):
-            return random_walk(self.obj)
-        return self.obj
+        if isinstance(self.obj, TransitionMatrix):
+            return self.obj
+        return graph.random_walk(self.obj)
 
     @cached_property
     def structure(self) -> structure.ClassStructure:
@@ -347,7 +351,7 @@ class Analysis:
 
     def smoothing_laplacian(self) -> laplacian.LaplacianMatrix:
         """Normalized Laplacian of an undirected graph, else directed."""
-        if isinstance(self.obj, WeightedDigraph) and self.obj.is_undirected:
+        if not isinstance(self.obj, TransitionMatrix) and self.obj.is_undirected:
             return laplacian.build_laplacian(self.obj, "normalized")
         return self.directed_laplacian
 
@@ -367,7 +371,7 @@ def _parse_vector(text: str) -> np.ndarray:
 def _validate(args, a: Analysis):
     obj = a.obj
     result = {"ok": True, "kind": "chain", "n": obj.n}
-    if isinstance(obj, WeightedDigraph):
+    if not isinstance(obj, TransitionMatrix):
         result.update(kind="graph", volume=obj.volume, undirected=obj.is_undirected,
                       balanced=obj.is_balanced)
     return result, ROW_SUM
@@ -422,8 +426,8 @@ def _spectrum(args, a: Analysis):
     result = {"eigenvalues": rows,
               "diagonalizable": dec.pairs.diagonalizable,
               "perron": spectral.perron_report(dec, recurrent_classes=n_rec)}
-    return result, {"epsilon": spectral.TAXONOMY_EPSILON, "condition": CONDITION_LIMIT,
-                    "deflate": DEFLATE_RTOL, **CLUSTER}
+    return result, {"epsilon": spectral.TAXONOMY_EPSILON, "condition": numlin.CONDITION_LIMIT,
+                    "deflate": numlin.DEFLATE_RTOL, **cluster()}
 
 
 def _evolve(args, a: Analysis):
@@ -488,7 +492,7 @@ def _laplacian(args, a: Analysis):
 
 def _embed(args, a: Analysis):
     spec = laplacian.smooth_spectrum(a.smoothing_laplacian(), args.k)
-    return {"values": spec.values, "coordinates": spec.right_transformed}, ROW_SUM | CLUSTER
+    return {"values": spec.values, "coordinates": spec.right_transformed}, ROW_SUM | cluster()
 
 
 def _gft(args, a: Analysis):
@@ -496,14 +500,14 @@ def _gft(args, a: Analysis):
         raise errors.ValidationError("gft needs --signal v1,v2,...")
     spec = laplacian.smooth_spectrum(a.smoothing_laplacian())
     coeffs = laplacian.gft(spec, _parse_vector(args.signal))
-    return {"coefficients": coeffs, "values": spec.values}, ROW_SUM | CLUSTER
+    return {"coefficients": coeffs, "values": spec.values}, ROW_SUM | cluster()
 
 
 def _pagerank(args, a: Analysis):
     chain = a.chain
     tel = None if args.teleport is None else _parse_vector(args.teleport)
     gm = surfer.pagerank_matrix(chain, surfer.SurferConfig(alpha=args.damping, teleport=tel))
-    pi = stationary_gth(gm.p)
+    pi = gth.stationary_gth(gm.p)
     result = {"damping": args.damping, "pagerank": pi,
               "states": list(chain.labels),
               "residual_l1": float(np.sum(np.abs(pi @ gm.p - pi)))}
@@ -530,9 +534,9 @@ def _absorb(args, a: Analysis):
 def _rwset(args, a: Analysis):
     g1 = a.graph
     g2 = Analysis(parse_input(args.other)[0]).graph
-    scaling = same_rw_set(g1.w, g2.w)
+    scaling = graph.same_rw_set(g1.w, g2.w)
     return {"same_random_walk_set": scaling is not None,
-            "scaling": scaling}, {"rel": SCALING_RTOL}
+            "scaling": scaling}, {"rel": graph.SCALING_RTOL}
 
 
 def _demo_line_chain(args, _):
@@ -558,7 +562,7 @@ def _demo_line_chain(args, _):
         "lambda0_right_transformed": rt0,
         "walk_eigen_residuals_head": p_residuals,
     }
-    return result, ROW_SUM | CLUSTER
+    return result, ROW_SUM | cluster()
 
 
 COMMANDS = {

@@ -5,9 +5,11 @@ Fourier transform."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import numlin
 from .chain import TransitionMatrix
 from .errors import (
     DimensionMismatch,
@@ -17,10 +19,11 @@ from .errors import (
     ValidationError,
     ZeroDegree,
 )
-from .graph import WeightedDigraph
-from .numlin import RANK_RTOL, clusters, sym_eigen
 from .reversal import k_matrix
 from .stationary import StationaryBasis, _positive_pi
+
+if TYPE_CHECKING:  # annotations only: a chain's Laplacian needs no graph module
+    from .graph import WeightedDigraph
 
 NORMALIZED = "normalized"
 UNNORMALIZED = "unnormalized"
@@ -142,7 +145,7 @@ def _label_basis(v: np.ndarray, by_label: np.ndarray) -> np.ndarray:
     q = np.empty((m, m))
     for j in range(m):
         norms = np.linalg.norm(rest, axis=1)
-        i = by_label[int(np.argmax(norms[by_label] >= norms.max() - RANK_RTOL))]
+        i = by_label[int(np.argmax(norms[by_label] >= norms.max() - numlin.RANK_RTOL))]
         q[:, j] = rest[i] / norms[i]
         if j < m - 1:
             rest -= np.outer(rest @ q[:, j], q[:, j])
@@ -154,7 +157,7 @@ def _label_signs(v: np.ndarray, by_label: np.ndarray) -> np.ndarray:
     times v_ij / |v_ij| at the first row i in by_label order whose |v_ij|
     = sqrt(v_ij^2) is within RANK_RTOL of the column's largest."""
     mag = np.sqrt(v * v)
-    top = by_label[np.argmax(mag[by_label] >= mag.max(axis=0) - RANK_RTOL, axis=0)]
+    top = by_label[np.argmax(mag[by_label] >= mag.max(axis=0) - numlin.RANK_RTOL, axis=0)]
     cols = np.arange(v.shape[1])
     return v * (v[top, cols] / mag[top, cols]) + 0.0  # zeros come out +0, as from v @ q
 
@@ -176,9 +179,9 @@ def smooth_spectrum(lap: LaplacianMatrix, k: int | None = None) -> LaplacianSpec
         k = n
     if not 1 <= k <= n:
         raise DimensionMismatch(f"k={k} outside 1..{n}")
-    values, vectors = sym_eigen(lap.m)
+    values, vectors = numlin.sym_eigen(lap.m)
     by_label = np.array(sorted(range(n), key=lap.labels.__getitem__))
-    size = np.bincount(clusters(values, np.linalg.norm(lap.m)), minlength=n)[:k]
+    size = np.bincount(numlin.clusters(values, np.linalg.norm(lap.m)), minlength=n)[:k]
     simple = np.flatnonzero(size == 1)
     vectors[:, simple] = _label_signs(vectors[:, simple], by_label)
     for first in np.flatnonzero(size > 1).tolist():

@@ -9,7 +9,7 @@ import numpy as np
 
 from .chain import ROW_SUM_ATOL, TransitionMatrix
 from .errors import DimensionMismatch, NotRecurrent, NumericError, ValidationError
-from .numlin import stationary_gth
+from .gth import stationary_gth
 from .structure import ClassStructure
 
 STATIONARITY_ATOL = 1e-10

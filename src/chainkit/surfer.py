@@ -11,7 +11,7 @@ import numpy as np
 
 from .chain import TransitionMatrix, _frozen_chain, validate_distribution
 from .errors import BadAlpha
-from .numlin import stationary_gth
+from .gth import stationary_gth
 
 
 @dataclass(frozen=True)

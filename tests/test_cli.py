@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chainkit import build_chain, cli, demo, errors, line_chain, spectral, structure
@@ -1101,6 +1101,71 @@ class TestExitCodeFuzz:
                 warnings.catch_warnings():
             warnings.simplefilter("error")
             code = main(argv)
+        assert code in (0, 2, 3)
+        assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
+        assert (out.getvalue() == "") == (code != 0)
+
+
+# Option values: cheap counts and lengths (a huge --n or --length would
+# allocate gigabytes or run for minutes), any float, short numeric lists,
+# and malformed text of every kind.
+_MALFORMED = st.sampled_from(["nan", "inf", "-inf", "x", "", "1e3", "0x10", "1,x"])
+_COUNTS = st.one_of(st.integers(-3, 4).map(str), st.integers(5, 200).map(str), _MALFORMED)
+_REALS = st.one_of(st.sampled_from(["0", "0.05", "0.5", "0.85", "0.999", "1"]),
+                   st.floats(allow_nan=True, allow_infinity=True).map(repr), _MALFORMED)
+_VECTORS = st.one_of(
+    st.sampled_from(["0.2,0.3,0.5", "1,0,0", "1,2,3"]),
+    st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=4)
+    .map(lambda xs: ",".join(map(repr, xs))),
+    _MALFORMED)
+OPTION_VALUES = {
+    "--damping": _REALS, "--teleport": _VECTORS, "--mu": _VECTORS, "--signal": _VECTORS,
+    "--k": _COUNTS, "--steps": _COUNTS, "--length": _COUNTS, "--trajectories": _COUNTS,
+    "--seed": _COUNTS, "--n": _COUNTS, "--perturb": _REALS, "--p-right": _REALS,
+}
+# every subcommand that takes one of those options, with its other arguments
+OPTION_COMMANDS = [
+    (["evolve", "{input}", "--start", "S"], ["--steps"]),
+    (["evolve", "{input}"], ["--mu", "--steps"]),
+    (["simulate", "{input}", "--start", "S"], ["--length", "--trajectories", "--seed"]),
+    (["embed", "{input}"], ["--k"]),
+    (["gft", "{input}"], ["--signal"]),
+    (["pagerank", "{input}"], ["--damping", "--teleport"]),
+    (["demo-line-chain"], ["--n", "--p-right", "--perturb", "--seed"]),
+]
+
+
+@st.composite
+def option_argvs(draw):
+    """One command of OPTION_COMMANDS with each of its options left out or
+    given a drawn value, as --option=value so that "-inf" stays a value."""
+    argv, options = draw(st.sampled_from(OPTION_COMMANDS))
+    for option in options:
+        value = draw(st.none() | OPTION_VALUES[option])
+        if value is not None:
+            argv = argv + [f"{option}={value}"]
+    return argv
+
+
+class TestOptionValueFuzz:
+    def test_options_cover_every_valued_option(self):
+        assert {o for _, options in OPTION_COMMANDS for o in options} == set(OPTION_VALUES)
+
+    @settings(max_examples=300)
+    @given(argv=option_argvs())
+    def test_any_option_value_ends_in_a_contract_exit_code(self, argv, tmp_path_factory):
+        # TestExitCodeFuzz's contract; argparse refuses a malformed value by
+        # SystemExit(2), which main's caller sees as the exit code
+        f = tmp_path_factory.mktemp("options") / "chain.json"
+        f.write_text(json.dumps(CHAIN_DOC))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                code = main([a.format(input=f) for a in argv])
+            except SystemExit as exc:
+                code = exc.code
         assert code in (0, 2, 3)
         assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
         assert (out.getvalue() == "") == (code != 0)

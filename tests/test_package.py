@@ -4,10 +4,14 @@
 The load census runs in a fresh interpreter, so that this process's own
 imports do not count. A module has run once its type is plain
 types.ModuleType again; reading one of its attributes would run it.
+Each command is also run alone, in a freshly imported chainkit, and the
+modules it ran are checked against the README's "What an import runs"
+table.
 """
 
 import json
 import os
+import re
 import subprocess
 import sys
 import types
@@ -16,12 +20,35 @@ from pathlib import Path
 import pytest
 
 import chainkit
+from chainkit.cli import COMMANDS
 
 ROOT = Path(__file__).resolve().parent.parent
 ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
 
-SUBMODULES = ("absorbing", "chain", "cli", "demo", "errors", "graph", "laplacian", "numlin",
-              "reversal", "spectral", "stationary", "structure", "surfer")
+SUBMODULES = tuple(sorted(p.stem for p in (ROOT / "src" / "chainkit").glob("*.py")
+                          if p.stem != "__init__"))
+
+# one report per command: a chain JSON unless the command needs a graph TSV
+COMMAND_ARGV = {
+    "validate": ["{chain}"],
+    "classify": ["{chain}"],
+    "stationary": ["{chain}"],
+    "spectrum": ["{chain}"],
+    "taxonomy": ["{chain}"],
+    "evolve": ["{chain}", "--start", "a"],
+    "simulate": ["{chain}", "--start", "a"],
+    "reverse": ["{chain}"],
+    "reversibilize": ["{chain}"],
+    "kmatrix": ["{chain}"],
+    "laplacian": ["{graph}"],
+    "embed": ["{chain}"],
+    "gft": ["{chain}", "--signal", "1,2,3"],
+    "pagerank": ["{chain}"],
+    "absorb": ["{absorbing}"],
+    "rwset": ["{graph}", "--other", "{graph}"],
+    "demo-line-chain": ["--n", "5"],
+}
+TSV_ONLY = {"laplacian", "rwset"}
 
 CENSUS = """
 import contextlib, io, json, sys, types
@@ -38,30 +65,56 @@ def report(*argv):
         assert main(list(argv)) == 0, argv
 
 
-chain, graph = sys.argv[1:]
+chain, commands = sys.argv[1], json.loads(sys.argv[2])
 import chainkit  # noqa: E402,F401
 census = {{"import": ran()}}
 from chainkit.cli import main  # noqa: E402
 census["cli"] = ran()
 report("simulate", chain, "--start", "a", "--length", "20", "--trajectories", "3")
-report("evolve", graph, "--start", "x", "--steps", "5")
+report("evolve", chain, "--start", "a", "--steps", "5")
 report("pagerank", chain, "--damping", "0.99")
 census["walks"] = ran()
 report("spectrum", chain)
 census["spectrum"] = ran()
+for command, argv in commands.items():  # each alone, in a freshly imported chainkit
+    for name in [m for m in sys.modules if m.partition(".")[0] == "chainkit"]:
+        del sys.modules[name]
+    from chainkit.cli import main  # noqa: E402
+    report(command, *argv)
+    census["command " + command] = ran()
 print(json.dumps(census))
 """
+
+
+def readme_table() -> dict:
+    """{command: the modules it runs besides errors, chain and cli}, read
+    from the README's "What an import runs" table."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("## What an import runs", 1)[1].split("\n## ", 1)[0]
+    table = {}
+    for line in section.splitlines():
+        cells = line.split("|")
+        if len(cells) == 4 and "`" in cells[1]:
+            for command in re.findall(r"`([^`]+)`", cells[1]):
+                table[command] = re.findall(r"`([^`]+)`", cells[2])
+    return table
 
 
 @pytest.fixture(scope="module")
 def census(tmp_path_factory):
     folder = tmp_path_factory.mktemp("census")
-    chain, graph = folder / "chain.json", folder / "graph.tsv"
-    chain.write_text(json.dumps({"states": ["a", "b", "c"],
-                                 "P": [[0.5, 0.5, 0.0], [0.25, 0.5, 0.25], [0.0, 0.5, 0.5]]}))
-    graph.write_text("#undirected\nx\ty\t2\ny\tz\t1\n")
+    paths = {"chain": folder / "chain.json", "absorbing": folder / "absorbing.json",
+             "graph": folder / "graph.tsv"}
+    paths["chain"].write_text(json.dumps({
+        "states": ["a", "b", "c"],
+        "P": [[0.5, 0.5, 0.0], [0.25, 0.5, 0.25], [0.0, 0.5, 0.5]]}))
+    paths["absorbing"].write_text(json.dumps({
+        "states": ["a", "b", "c"],
+        "P": [[1.0, 0.0, 0.0], [0.25, 0.5, 0.25], [0.0, 0.0, 1.0]]}))
+    paths["graph"].write_text("#undirected\nx\ty\t2\ny\tz\t1\n")
+    commands = {c: [a.format(**paths) for a in argv] for c, argv in COMMAND_ARGV.items()}
     proc = subprocess.run([sys.executable, "-c", CENSUS.format(submodules=SUBMODULES),
-                           str(chain), str(graph)],
+                           str(paths["chain"]), json.dumps(commands)],
                           env=ENV, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
     return json.loads(proc.stdout)
@@ -72,13 +125,24 @@ class TestLoadCensus:
         assert census["import"] == []
 
     def test_cli_runs_what_every_command_needs(self, census):
-        assert census["cli"] == ["chain", "cli", "errors", "graph", "numlin"]
+        assert census["cli"] == ["chain", "cli", "errors"]
 
-    def test_walks_run_six_modules(self, census):
-        assert census["walks"] == ["chain", "cli", "errors", "graph", "numlin", "surfer"]
+    def test_walks_run_five_modules(self, census):
+        assert census["walks"] == ["chain", "cli", "errors", "gth", "surfer"]
 
     def test_spectrum_leaves_absorbing_unrun(self, census):
         assert "spectral" in census["spectrum"] and "absorbing" not in census["spectrum"]
+
+    def test_readme_table_lists_every_command(self):
+        assert sorted(readme_table()) == sorted(COMMANDS) == sorted(COMMAND_ARGV)
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_ARGV))
+    def test_command_runs_its_readme_row(self, census, command):
+        # a graph TSV input also runs graph, which turns it into a chain
+        expected = {"chain", "cli", "errors", *readme_table()[command]}
+        if command in TSV_ONLY:
+            expected.add("graph")
+        assert census["command " + command] == sorted(expected)
 
 
 class TestPublicNames:
