@@ -45,6 +45,8 @@ def as_finite(values, what: str) -> np.ndarray:
         out = np.array(values, dtype=float)
     except (TypeError, ValueError):
         raise ValidationError(f"{what} is not a numeric array") from None
+    except OverflowError:  # a Python int beyond a double's range
+        raise NonFiniteEntry(f"{what} has a non-finite entry") from None
     if not np.all(np.isfinite(out)):
         raise NonFiniteEntry(f"{what} has a non-finite entry")
     return out

@@ -4,7 +4,8 @@ Two input formats: chain JSON ({"states": [...], "P": [[...]]}) and a
 graph edge-list TSV whose first line is the directive "#undirected" or
 "#directed", followed by src<TAB>dst<TAB>weight records. Commands that
 need a chain accept a graph file too and normalize it into its random
-walk first. Both are UTF-8 text.
+walk first. Both are UTF-8 text. Chain JSON is strict RFC 8259, decoded
+by orjson (see parse_chain_json).
 
 Reports are JSON with sorted keys and floats fixed at 12 significant
 digits, so identical inputs and flags produce byte-identical output.
@@ -78,13 +79,26 @@ def cluster() -> dict:
 # ---------------------------------------------------------------------------
 # input parsing
 
+# the most "[" and "{" a chain JSON text may hold (a dense chain of n
+# states has n + 3). orjson recurses natively per level, with no depth
+# limit: 6.5e4 levels of objects overflow an 8 MB C stack (a segfault),
+# 1e4 fit in 2 MB. The count bounds the depth from above.
+MAX_BRACKETS = 10_000
+
+
 def parse_chain_json(text: str) -> TransitionMatrix:
+    """A chain from strict RFC 8259 JSON, decoded by orjson: NaN,
+    Infinity, a number beyond a double's range, a byte order mark and an
+    unpaired surrogate escape are parse errors, and so is a text with more
+    than MAX_BRACKETS "[" and "{" in all, refused before it is decoded."""
+    if text.count("[") + text.count("{") > MAX_BRACKETS:
+        raise errors.ParseError(1, f'chain JSON holds more than {MAX_BRACKETS} "[" and "{{"')
+    import orjson  # 3-8 ms with its zoneinfo; TSV and demo-line-chain runs skip it
+
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = orjson.loads(text)
+    except orjson.JSONDecodeError as exc:
         raise errors.ParseError(exc.lineno, exc.msg) from None
-    except RecursionError:
-        raise errors.ParseError(1, "chain JSON nests too deeply") from None
     if not isinstance(doc, dict) or "states" not in doc or "P" not in doc:
         raise errors.ParseError(1, 'chain JSON needs "states" and "P" keys')
     return build_chain(doc["states"], doc["P"])
@@ -157,13 +171,16 @@ def parse_graph_tsv(text: str) -> graph.WeightedDigraph:
     return graph.WeightedDigraph(labels=as_labels(list(idx)), w=w)
 
 
-JSON_OBJECT = re.compile(r"\s*\{")
+# a byte order mark before the "{" sends the text to the JSON decoder,
+# which names it as the parse error
+JSON_OBJECT = re.compile(r"\ufeff?\s*\{")
 
 
 def parse_input(path: str) -> tuple[TransitionMatrix | graph.WeightedDigraph, str]:
     """Read the file once; return its parse and the sha256 of its bytes.
     The text must be UTF-8. A text whose first non-whitespace character
-    is "{" is a chain JSON object, anything else a directive TSV graph."""
+    is "{" (after a byte order mark, which is then refused) is chain JSON
+    for parse_chain_json, anything else a directive TSV graph."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:

@@ -9,7 +9,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import numlin
+# numlin, reversal and stationary run on first use (see chainkit/__init__.py),
+# so a graph's Laplacian runs neither of the last two
+from . import numlin, reversal, stationary
 from .chain import TransitionMatrix
 from .errors import (
     DimensionMismatch,
@@ -19,11 +21,10 @@ from .errors import (
     ValidationError,
     ZeroDegree,
 )
-from .reversal import k_matrix
-from .stationary import StationaryBasis, _positive_pi
 
 if TYPE_CHECKING:  # annotations only: a chain's Laplacian needs no graph module
     from .graph import WeightedDigraph
+    from .stationary import StationaryBasis
 
 NORMALIZED = "normalized"
 UNNORMALIZED = "unnormalized"
@@ -82,8 +83,8 @@ def directed_laplacian(chain: TransitionMatrix,
     a chain whose equal-weight pi is positive (`_positive_pi` raises
     NotRecurrent otherwise); the normalized Laplacian of the undirected
     member when the chain is reversible."""
-    pi = _positive_pi(basis, "directed Laplacian")
-    k = k_matrix(chain, basis).k
+    pi = stationary._positive_pi(basis, "directed Laplacian")
+    k = reversal.k_matrix(chain, basis).k
     m = np.eye(chain.n) - 0.5 * (k + k.T)
     flow = pi[:, None] * chain.p
     return LaplacianMatrix(variant=DIRECTED, m=m, scale=pi, weights=flow,

@@ -564,6 +564,12 @@ class TestNonFinite:
         with pytest.raises(errors.ValidationError):
             build_chain("ab", [[bad, 0.5], [0.2, 0.8]])
 
+    @pytest.mark.parametrize("bad", [10**400, -10**400])
+    def test_integer_past_double_range(self, bad):
+        # numpy raises OverflowError converting it; it used to escape
+        with pytest.raises(errors.NonFiniteEntry, match="non-finite entry"):
+            build_chain("ab", [[bad, 0.5], [0.2, 0.8]])
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_distribution_entry(self, phd_chain, bad):
         with pytest.raises(errors.ValidationError):

@@ -5,8 +5,12 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -184,6 +188,92 @@ class TestParsing:
             reports.append(json.loads(out))
             assert reports[-1]["input_digest"] == hashlib.sha256(data).hexdigest()
         assert reports[0]["result"] == reports[1]["result"]
+
+
+# ---------------------------------------------------------------------------
+# the chain JSON decoder (orjson) against the standard library's
+
+ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+
+# repr, the 12 digits reports print, round-trip digits, and 21 digits in
+# exponent form (past round-trip, so the decimal is rounded to a double)
+FLOAT_FORMATS = ("%r", "%.12g", "%.17g", "%.20e")
+
+
+def decoded(text):
+    """The (labels, P) parse_chain_json hands to build_chain."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "build_chain", lambda labels, p: (labels, p))
+        return cli.parse_chain_json(text)
+
+
+def float_bits(values):
+    return [(type(v), np.float64(v).view(np.uint64)) for v in values]
+
+
+class TestChainJsonDecoder:
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                    max_size=12),
+           st.sampled_from(FLOAT_FORMATS))
+    @example([0.0, -0.0, 5e-324, -2.225073858507201e-308, 2.2250738585072014e-308,
+              1.7976931348623157e308, 0.1, 1 / 3], "%r")
+    @example([5e-324, 4.9406564584124654e-324, -1e-310, 1e-5], "%.12g")
+    @settings(max_examples=300)
+    def test_floats_decode_as_the_stdlib_does(self, values, fmt):
+        text = ('{"states": ["a"], "P": [['
+                + ", ".join(fmt % v for v in values) + "]]}")
+        labels, p = decoded(text)
+        ref = json.loads(text)
+        assert labels == ref["states"]
+        assert float_bits(p[0]) == float_bits(ref["P"][0])
+
+    @pytest.mark.parametrize("text, line, reason", [
+        ('{"states": ["a", "b"],\n "P": [[NaN, 1.0], [0.5, 0.5]]}', 2, ""),
+        ('{"states": ["a", "b"],\n "P": [[0.5, 0.5],\n [Infinity, 0.5]]}', 3, ""),
+        ('{"states": ["a", "b"],\n "P": [[0.5, 0.5], [-Infinity, 0.5]]}', 2, ""),
+        ('{"states": ["a", "b"],\n "P": [[1e400, 0.5], [0.5, 0.5]]}', 2, "infinity"),
+        ('{"states": ["a"],\n "P": [[1' + "0" * 400 + ']]}', 2, "infinity"),
+        ('\ufeff{"states": ["a"], "P": [[1.0]]}', 1, "byte order mark"),
+        ('{"states": ["\\ud800"],\n "P": [[1.0]]}', 1, "surrogate"),
+        ('{"states": ["a", "b"], "P": [[0.5, 0.5], [0.5, 0.5],]}', 1, "trailing comma"),
+    ], ids=["nan", "infinity", "minus-infinity", "overflow", "long-integer", "bom",
+            "lone-surrogate", "trailing-comma"])
+    def test_non_rfc_8259_text_is_a_parse_error(self, text, line, reason, tmp_path, capsys):
+        # NaN, Infinity and 1e400 used to decode and fail as non-finite
+        # entries, a 401-digit integer with a traceback, and an unpaired
+        # surrogate escape in a label exited 0
+        f = tmp_path / "chain.json"
+        f.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "validate", str(f))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: line {line}: ") and reason in err
+
+    @pytest.mark.parametrize("extra, code", [(0, 0), (1, 2)], ids=["at-cap", "past-cap"])
+    def test_bracket_cap_is_exact(self, extra, code, tmp_path, capsys):
+        # {"states": [...], "P": [[...]], "pad": [[...]]} holds 4 + depth brackets
+        depth = cli.MAX_BRACKETS - 4 + extra
+        f = tmp_path / "chain.json"
+        f.write_text('{"states": ["a"], "P": [[1.0]], "pad": '
+                     + "[" * depth + "]" * depth + "}")
+        assert run(capsys, "validate", str(f))[0] == code
+
+    @pytest.mark.parametrize("nest, close, depth, message", [
+        ("[", "]", 1_000_000, "error: line 1: chain JSON holds more than"),
+        ('{"a":', "}", 100_000, "error: line 1: chain JSON holds more than"),
+        # exactly MAX_BRACKETS in all: decoded, then refused as no matrix
+        ('{"a":', "}", cli.MAX_BRACKETS - 2,
+         "error: transition matrix is not a numeric array"),
+    ], ids=["arrays", "objects", "objects-at-cap"])
+    def test_deep_nesting_is_exit_two_not_a_crash(self, nest, close, depth, message,
+                                                  tmp_path):
+        # in a subprocess, so a decoder that overflows the C stack fails
+        # this test instead of killing the test run
+        f = tmp_path / "deep.json"
+        f.write_text('{"states": ["a"], "P": ' + nest * depth + "1" + close * depth + "}")
+        proc = subprocess.run([sys.executable, "-m", "chainkit.cli", "validate", str(f)],
+                              env=ENV, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2, proc.returncode  # a signal is negative
+        assert proc.stdout == "" and proc.stderr.startswith(message)
 
 
 # ---------------------------------------------------------------------------

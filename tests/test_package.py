@@ -6,9 +6,11 @@ imports do not count. A module has run once its type is plain
 types.ModuleType again; reading one of its attributes would run it.
 Each command is also run alone, in a freshly imported chainkit, and the
 modules it ran are checked against the README's "What an import runs"
-table.
+table. Every third-party package a module imports is a declared
+dependency.
 """
 
+import ast
 import json
 import os
 import re
@@ -28,7 +30,8 @@ ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
 SUBMODULES = tuple(sorted(p.stem for p in (ROOT / "src" / "chainkit").glob("*.py")
                           if p.stem != "__init__"))
 
-# one report per command: a chain JSON unless the command needs a graph TSV
+# one report per README row label: the command (its first word) and its
+# arguments, a chain JSON input unless the command needs a graph TSV
 COMMAND_ARGV = {
     "validate": ["{chain}"],
     "classify": ["{chain}"],
@@ -41,6 +44,8 @@ COMMAND_ARGV = {
     "reversibilize": ["{chain}"],
     "kmatrix": ["{chain}"],
     "laplacian": ["{graph}"],
+    "laplacian --variant unnormalized": ["{graph}", "--variant", "unnormalized"],
+    "laplacian --variant directed": ["{chain}", "--variant", "directed"],
     "embed": ["{chain}"],
     "gft": ["{chain}", "--signal", "1,2,3"],
     "pagerank": ["{chain}"],
@@ -48,7 +53,6 @@ COMMAND_ARGV = {
     "rwset": ["{graph}", "--other", "{graph}"],
     "demo-line-chain": ["--n", "5"],
 }
-TSV_ONLY = {"laplacian", "rwset"}
 
 CENSUS = """
 import contextlib, io, json, sys, types
@@ -76,19 +80,19 @@ report("pagerank", chain, "--damping", "0.99")
 census["walks"] = ran()
 report("spectrum", chain)
 census["spectrum"] = ran()
-for command, argv in commands.items():  # each alone, in a freshly imported chainkit
+for case, argv in commands.items():  # each alone, in a freshly imported chainkit
     for name in [m for m in sys.modules if m.partition(".")[0] == "chainkit"]:
         del sys.modules[name]
     from chainkit.cli import main  # noqa: E402
-    report(command, *argv)
-    census["command " + command] = ran()
+    report(case.split()[0], *argv)
+    census["command " + case] = ran()
 print(json.dumps(census))
 """
 
 
 def readme_table() -> dict:
-    """{command: the modules it runs besides errors, chain and cli}, read
-    from the README's "What an import runs" table."""
+    """{row label: the modules it runs besides errors, chain and cli},
+    read from the README's "What an import runs" table."""
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     section = text.split("## What an import runs", 1)[1].split("\n## ", 1)[0]
     table = {}
@@ -134,13 +138,14 @@ class TestLoadCensus:
         assert "spectral" in census["spectrum"] and "absorbing" not in census["spectrum"]
 
     def test_readme_table_lists_every_command(self):
-        assert sorted(readme_table()) == sorted(COMMANDS) == sorted(COMMAND_ARGV)
+        assert sorted(readme_table()) == sorted(COMMAND_ARGV)
+        assert sorted({case.split()[0] for case in COMMAND_ARGV}) == sorted(COMMANDS)
 
     @pytest.mark.parametrize("command", sorted(COMMAND_ARGV))
     def test_command_runs_its_readme_row(self, census, command):
         # a graph TSV input also runs graph, which turns it into a chain
         expected = {"chain", "cli", "errors", *readme_table()[command]}
-        if command in TSV_ONLY:
+        if COMMAND_ARGV[command][0] == "{graph}":
             expected.add("graph")
         assert census["command " + command] == sorted(expected)
 
@@ -180,3 +185,39 @@ def test_module_run_warns_nothing(tmp_path):
                            str(f)], env=ENV, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0 and proc.stderr == ""
     assert json.loads(proc.stdout)["result"]["ok"] is True
+
+
+def test_every_third_party_import_is_a_declared_dependency():
+    # imports inside functions count too: the chain JSON decoder is one
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        declared = {re.match(r"[A-Za-z0-9_.-]+", spec)[0].lower().replace("-", "_")
+                    for spec in tomllib.load(fh)["project"]["dependencies"]}
+    imported = set()
+    for path in (ROOT / "src" / "chainkit").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.partition(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"chainkit"}
+    assert {"numpy", "orjson"} <= third_party  # the walk sees both kinds of import
+    assert third_party <= declared, sorted(third_party - declared)
+
+
+def test_only_chain_json_imports_orjson(tmp_path):
+    graph, chain = tmp_path / "graph.tsv", tmp_path / "chain.json"
+    graph.write_text("#undirected\nx\ty\t2\n")
+    chain.write_text(json.dumps({"states": ["a"], "P": [[1.0]]}))
+    script = (
+        "import contextlib, io, sys\n"
+        "from chainkit.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    main(['laplacian', sys.argv[1]]), main(['demo-line-chain', '--n', '5'])\n"
+        "    before = 'orjson' in sys.modules\n"
+        "    main(['validate', sys.argv[2]])\n"
+        "print(before, 'orjson' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script, str(graph), str(chain)], env=ENV,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.split() == ["False", "True"]
