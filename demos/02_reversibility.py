@@ -71,5 +71,5 @@ for mode in ("additive", "multiplicative"):
 # The similarity kernel is symmetric exactly when the chain is reversible.
 for name, c in (("reversible", reversible), ("circulating", circulating)):
     basis = stationary_basis(c, classify(c))
-    k = k_matrix(c, basis).k
+    k = k_matrix(c, basis)
     print(f"K symmetric for {name}:", np.max(np.abs(k - k.T)) < 1e-10)

@@ -33,7 +33,7 @@ _EXPORTS = {
     "reversal": ("k_matrix", "reversibility", "reversibilize", "time_reverse"),
     "spectral": ("decompose", "perron_report", "spectral_evolve", "taxonomy"),
     "stationary": ("combine", "equal_weight", "flow_matrix", "stationary_basis"),
-    "structure": ("classify", "communicating_classes"),
+    "structure": ("classify",),
     "surfer": ("SurferConfig", "google_matrix", "pagerank"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}

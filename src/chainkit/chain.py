@@ -330,28 +330,26 @@ def _streams(seed: int, count: int) -> Iterator[np.random.Generator]:
         seed += size
 
 
-def sample(chain: TransitionMatrix, start, length: int, seed: int,
-           trajectory: int = 0) -> list[str]:
+def sample(chain: TransitionMatrix, start, length: int, seed: int) -> list[str]:
     """One trajectory of `length` transitions from `start`.
 
-    The stream contract, shared with `occupancy`: trajectory t draws from
-    numpy's default generator seeded with seed + t, which must not be
-    negative, so distinct trajectories use independent, reproducible
-    streams (`occupancy` takes an ensemble's from `_streams`); step k
-    consumes the k-th uniform u of that stream; the next state is the
-    first index whose entry in the current row's cumulative sum exceeds
-    u, clipped to n - 1. The stream is drawn SAMPLE_BLOCK uniforms at a
-    time (`rng.random(m)` gives the same values as m single draws) and
-    the path is walked in plain Python, bisecting the row's runs of
-    equal cdf values (`_run_table`) instead of its n entries: a row of a
+    The stream contract, shared with `occupancy`: the path draws from
+    numpy's default generator seeded with `seed`, which must not be
+    negative, and trajectory t of an ensemble is `sample(..., seed + t)`,
+    so distinct trajectories use independent, reproducible streams
+    (`occupancy` takes an ensemble's from `_streams`); step k consumes
+    the k-th uniform u of that stream; the next state is the first index
+    whose entry in the current row's cumulative sum exceeds u, clipped
+    to n - 1. The stream is drawn SAMPLE_BLOCK uniforms at a time
+    (`rng.random(m)` gives the same values as m single draws) and the
+    path is walked in plain Python, bisecting the row's runs of equal
+    cdf values (`_run_table`) instead of its n entries: a row of a
     sparse chain has a few runs.
     """
     require_count(length, "length")
-    require_count(seed, "seed", least=-np.inf)  # only seed + trajectory must be >= 0
-    require_count(trajectory, "trajectory", least=-np.inf)
-    require_count(seed + trajectory, "seed + trajectory")
+    require_count(seed, "seed")
     i = _start(chain, start)
-    rng = np.random.default_rng(seed + trajectory)
+    rng = np.random.default_rng(seed)
     vals, ends = _run_table(chain.p)
     vals, ends = vals.tolist(), ends.tolist()
     labels = chain.labels
@@ -371,10 +369,10 @@ def occupancy(chain: TransitionMatrix, start, length: int, seed: int,
 
     Returns a (length + 1, n) array whose row t is the fraction of
     trajectories sitting in each state at time t. Trajectory t follows
-    exactly the path `sample(chain, start, length, seed, trajectory=t)`
-    walks (same streams, same run table), but every trajectory of a
-    block steps at once: the next states are read from `ends` at the
-    count of run values at or below each uniform. A block is
+    exactly the path `sample(chain, start, length, seed + t)` walks
+    (same streams, same run table), but every trajectory of a block
+    steps at once: the next states are read from `ends` at the count of
+    run values at or below each uniform. A block is
     SAMPLE_BLOCK // max(length, width, 32) trajectories (at least one),
     width being that of the run table, so its uniforms, visited states,
     gathered run rows and seed states (a trajectory's, hashed once per

@@ -63,7 +63,6 @@ from .chain import (
     occupancy,
     point_mass,
     sample,
-    validate_distribution,
 )
 
 # the row-sum tolerance build_chain applies, echoed by the reports
@@ -80,9 +79,10 @@ def cluster() -> dict:
 # input parsing
 
 # the most "[" and "{" a chain JSON text may hold (a dense chain of n
-# states has n + 3). orjson recurses natively per level, with no depth
-# limit: 6.5e4 levels of objects overflow an 8 MB C stack (a segfault),
-# 1e4 fit in 2 MB. The count bounds the depth from above.
+# states has n + 3); it bounds the depth, which orjson recurses natively
+# with no limit: 6.5e4 levels of {"a": overflow an 8 MB C stack, 1e4 need
+# 1-2 MB. So `main` runs on the main thread, or on one started after
+# threading.stack_size(2 * 2**20) or more (1 MB segfaults at 1e4 levels).
 MAX_BRACKETS = 10_000
 
 
@@ -452,7 +452,7 @@ def _evolve(args, a: Analysis):
     if args.start is not None:
         mu = point_mass(chain, args.start)
     elif args.mu is not None:
-        mu = validate_distribution(_parse_vector(args.mu), chain.n)
+        mu = _parse_vector(args.mu)  # evolve validates it
     else:
         raise errors.ValidationError("evolve needs --start or --mu")
     out = evolve(chain, mu, args.steps)
@@ -486,9 +486,9 @@ def _reversibilize(args, a: Analysis):
 
 
 def _kmatrix(args, a: Analysis):
-    kern = reversal.k_matrix(a.chain, a.basis)
+    k = reversal.k_matrix(a.chain, a.basis)
     rep = reversal.reversibility(a.chain, a.structure, a.basis)
-    result = {"k": kern.k,
+    result = {"k": k,
               "symmetric": rep.reversible,  # K_ij / K_ji = pi_i P_ij / (pi_j P_ji)
               "reversible": rep.reversible,
               "semi_reversible": rep.semi_reversible,
@@ -500,7 +500,7 @@ def _kmatrix(args, a: Analysis):
 def _laplacian(args, a: Analysis):
     if args.variant == "directed":
         lap = a.directed_laplacian
-        result = {"variant": "directed", "matrix": lap.m, "pi_used": lap.pi_used}
+        result = {"variant": "directed", "matrix": lap.m, "pi_used": lap.scale}
     else:
         lap = laplacian.build_laplacian(a.graph, args.variant)
         result = {"variant": args.variant, "matrix": lap.m, "degrees": lap.scale}
@@ -551,7 +551,12 @@ def _absorb(args, a: Analysis):
 def _rwset(args, a: Analysis):
     g1 = a.graph
     g2 = Analysis(parse_input(args.other)[0]).graph
-    scaling = graph.same_rw_set(g1.w, g2.w)
+    stray = set(g1.labels) ^ set(g2.labels)
+    if stray:
+        raise errors.ValidationError(f"vertex {min(stray)!r} is in only one of the graphs")
+    index = dict(zip(g2.labels, range(g2.n)))  # each TSV's first-mention order
+    order = [index[label] for label in g1.labels]
+    scaling = graph.same_rw_set(g1.w, g2.w[np.ix_(order, order)])
     return {"same_random_walk_set": scaling is not None,
             "scaling": scaling}, {"rel": graph.SCALING_RTOL}
 

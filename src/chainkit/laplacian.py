@@ -38,11 +38,11 @@ class LaplacianMatrix:
     """A symmetric Laplacian plus the data its dual formulas need.
 
     scale holds the vertex degrees (graph variants) or the stationary
-    probabilities (directed variant); weights holds the edge weights
-    (graph variants) or the probability flow Pi P (directed variant).
-    Both feed the edge-sum evaluation of the quadratic form and the
-    left/right coordinate transforms. labels name the vertices (states),
-    whose sorted order fixes smooth_spectrum's bases.
+    probabilities pi used (directed variant); weights holds the edge
+    weights (graph variants) or the probability flow Pi P (directed
+    variant). Both feed the edge-sum evaluation of the quadratic form and
+    the left/right coordinate transforms. labels name the vertices
+    (states), whose sorted order fixes smooth_spectrum's bases.
     """
 
     variant: str
@@ -50,7 +50,6 @@ class LaplacianMatrix:
     scale: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
     labels: tuple[str, ...]
-    pi_used: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -84,11 +83,11 @@ def directed_laplacian(chain: TransitionMatrix,
     NotRecurrent otherwise); the normalized Laplacian of the undirected
     member when the chain is reversible."""
     pi = stationary._positive_pi(basis, "directed Laplacian")
-    k = reversal.k_matrix(chain, basis).k
+    k = reversal.k_matrix(chain, basis)
     m = np.eye(chain.n) - 0.5 * (k + k.T)
     flow = pi[:, None] * chain.p
     return LaplacianMatrix(variant=DIRECTED, m=m, scale=pi, weights=flow,
-                           labels=chain.labels, pi_used=pi)
+                           labels=chain.labels)
 
 
 def quadratic_form(lap: LaplacianMatrix, x) -> float:

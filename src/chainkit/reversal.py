@@ -24,11 +24,6 @@ class ReversibilityReport:
     witness: tuple[int, ...] | None  # violating cycle, or (i, j) edge without (j, i)
 
 
-@dataclass(frozen=True)
-class SymmetrizedKernel:
-    k: np.ndarray
-
-
 def _p_rev(chain: TransitionMatrix, basis: StationaryBasis, what: str) -> np.ndarray:
     """P_rev = Pi^-1 P^T Pi under the equal-weight pi (`_positive_pi`)."""
     pi = _positive_pi(basis, what)
@@ -142,11 +137,10 @@ def reversibilize(chain: TransitionMatrix, basis: StationaryBasis,
     return _frozen_chain(chain.labels, out)
 
 
-def k_matrix(chain: TransitionMatrix, basis: StationaryBasis) -> SymmetrizedKernel:
+def k_matrix(chain: TransitionMatrix, basis: StationaryBasis) -> np.ndarray:
     """K = Pi^{1/2} P Pi^{-1/2}; K_ij / K_ji = pi_i P_ij / (pi_j P_ji), so K
     is symmetric exactly when `reversibility` says reversible (pi > 0 makes
     the chain recurrent). K does not depend on which strictly positive
     stationary distribution is used."""
     root = np.sqrt(_positive_pi(basis, "K-matrix"))
-    k = (chain.p * root[:, None]) / root[None, :]
-    return SymmetrizedKernel(k=k)
+    return (chain.p * root[:, None]) / root[None, :]

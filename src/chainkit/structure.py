@@ -143,14 +143,6 @@ def _condense(chain: TransitionMatrix):
             tuple(phase.tolist()), tuple(number[c] for c in range(k - 1, -1, -1)))
 
 
-def communicating_classes(chain: TransitionMatrix) -> tuple[
-        tuple[tuple[int, ...], ...], frozenset[tuple[int, int]]]:
-    """Communicating classes (strongly connected components of the
-    chain's digraph) and the condensation edge set."""
-    classes, _, edges = _condense(chain)[:3]
-    return classes, edges
-
-
 def classify(chain: TransitionMatrix) -> ClassStructure:
     """Full structural classification of a chain."""
     classes, class_of, edges, period, phase, topological = _condense(chain)

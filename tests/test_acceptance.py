@@ -170,8 +170,8 @@ def test_criterion_08_oracle_equivalence_property_suite():
 
         # unanimous reversibility verdicts across three independent tests
         rep = reversibility(chain, st, basis)
-        kern = k_matrix(chain, basis)
-        k_sym = bool(np.max(np.abs(kern.k - kern.k.T)) <= 1e-9)
+        k = k_matrix(chain, basis)
+        k_sym = bool(np.max(np.abs(k - k.T)) <= 1e-9)
         flow = flow_matrix(chain, equal_weight(basis))
         f_sym = bool(np.max(np.abs(flow - flow.T)) <= 1e-9)
         assert rep.reversible == k_sym == f_sym

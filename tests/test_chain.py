@@ -169,11 +169,14 @@ class TestSampling:
         assert a != c
 
     def test_trajectory_streams_independent(self, phd_chain):
-        a = sample(phd_chain, "S", 20, seed=9, trajectory=0)
-        b = sample(phd_chain, "S", 20, seed=9, trajectory=1)
+        # trajectory t of an ensemble is the path at seed + t
+        a = sample(phd_chain, "S", 20, seed=9)
+        b = sample(phd_chain, "S", 20, seed=9 + 1)
         assert a != b
-        # trajectory index shifts the stream exactly like the seed does
-        assert b == sample(phd_chain, "S", 20, seed=10, trajectory=0)
+        visits = np.zeros((21, 4))
+        for path in (a, b):
+            visits[np.arange(21), [phd_chain.index(s) for s in path]] += 0.5
+        assert np.array_equal(occupancy(phd_chain, "S", 20, seed=9, trajectories=2), visits)
 
     def test_path_follows_support(self, phd_chain):
         path = sample(phd_chain, "S", 200, seed=3)
@@ -192,9 +195,9 @@ class TestSampling:
 # The per-step sampler as it was first written: one rng.random() and one
 # searchsorted per step, one sample() and one labels.index per visit.
 # Kept as the oracle that fixes the stream contract.
-def _sample_per_step(chain, start, length, seed, trajectory=0):
+def _sample_per_step(chain, start, length, seed):
     i = chain.index(start) if isinstance(start, str) else int(start)
-    rng = np.random.default_rng(int(seed) + int(trajectory))
+    rng = np.random.default_rng(int(seed))
     cdf = np.cumsum(chain.p, axis=1)
     path = [chain.labels[i]]
     for _ in range(length):
@@ -208,7 +211,7 @@ def _sample_per_step(chain, start, length, seed, trajectory=0):
 def _occupancy_per_step(chain, start, length, seed, trajectories):
     counts = np.zeros((length + 1, chain.n))
     for traj in range(trajectories):
-        path = _sample_per_step(chain, start, length, seed, trajectory=traj)
+        path = _sample_per_step(chain, start, length, seed + traj)
         for t, lab in enumerate(path):
             counts[t, chain.labels.index(lab)] += 1
     return counts / trajectories
@@ -308,8 +311,8 @@ class TestSamplingContract:
     def test_sample_matches_per_step_oracle(self, make, start, length):
         chain = make()
         for seed, traj in ((0, 0), (5, 3), (2 ** 31, 1)):
-            assert (sample(chain, start, length, seed, trajectory=traj)
-                    == _sample_per_step(chain, start, length, seed, traj))
+            assert (sample(chain, start, length, seed + traj)
+                    == _sample_per_step(chain, start, length, seed + traj))
 
     @pytest.mark.parametrize("make, start", SAMPLING_CASES)
     @pytest.mark.parametrize("length, trajectories",
@@ -362,8 +365,8 @@ class TestSamplingContract:
         chain, start, length, seed, trajectories = walk
         with mock.patch.object(chain_module, "SAMPLE_BLOCK", block):
             for traj in range(trajectories):
-                assert (sample(chain, start, length, seed, trajectory=traj)
-                        == _sample_per_step(chain, start, length, seed, traj))
+                assert (sample(chain, start, length, seed + traj)
+                        == _sample_per_step(chain, start, length, seed + traj))
             got = occupancy(chain, start, length, seed, trajectories)
         assert np.array_equal(got, _occupancy_per_step(chain, start, length, seed,
                                                        trajectories))
@@ -490,7 +493,7 @@ class TestCounts:
 
     @pytest.mark.parametrize("call", [
         lambda c: sample(c, "S", 5, seed=-1),
-        lambda c: sample(c, "S", 5, seed=2, trajectory=-3),
+        lambda c: sample(c, "S", 5, seed=2 + -3),  # trajectory -3 of seed 2
         lambda c: occupancy(c, "S", 5, seed=-1, trajectories=3),
         lambda c: line_chain(n=5, perturb=0.1, seed=-3),
         lambda c: line_chain(n=5, seed=-3),
@@ -506,7 +509,7 @@ class TestCounts:
         lambda c: sample(c, "S", True, seed=0),
         lambda c: sample(c, "S", 3, seed=1.7),
         lambda c: sample(c, "S", 3, seed=True),
-        lambda c: sample(c, "S", 3, seed=1, trajectory=0.0),
+        lambda c: sample(c, "S", 3, seed=1 + 0.0),  # a float trajectory of seed 1
         lambda c: occupancy(c, "S", 2.5, seed=1, trajectories=3),
         lambda c: occupancy(c, "S", 2, seed=1, trajectories=2.5),
         lambda c: occupancy(c, "S", 2, seed=1.0, trajectories=2),
@@ -526,14 +529,14 @@ class TestCounts:
             call(phd_chain)
 
     def test_numpy_integers_are_counts(self, phd_chain):
-        assert (sample(phd_chain, "S", np.int64(9), seed=np.int32(2), trajectory=np.int64(1))
+        assert (sample(phd_chain, "S", np.int64(9), seed=np.int32(2) + np.int64(1))
                 == sample(phd_chain, "S", 9, seed=3))
         assert np.array_equal(occupancy(phd_chain, "S", np.int64(4), np.int64(1), np.int16(3)),
                               occupancy(phd_chain, "S", 4, 1, 3))
 
     def test_seed_plus_trajectory_may_be_zero(self, phd_chain):
-        assert (sample(phd_chain, "S", 9, seed=-1, trajectory=1)
-                == sample(phd_chain, "S", 9, seed=0))
+        assert (sample(phd_chain, "S", 9, seed=-1 + 1)
+                == _sample_per_step(phd_chain, "S", 9, seed=0))
 
 
 class TestStart:

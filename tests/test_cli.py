@@ -863,6 +863,53 @@ class TestTransformCommands:
         assert r["same_random_walk_set"]
         assert np.allclose(r["scaling"], [1 / 3, 1 / 3], atol=1e-12)
 
+    def test_rwset_matches_vertices_by_label(self, tmp_path, capsys):
+        # each file numbers its vertices in order of first mention: c, b, a
+        a = tmp_path / "a.tsv"
+        b = tmp_path / "b.tsv"
+        a.write_text("#undirected\na\tb\t1\nb\tc\t2\n")
+        b.write_text("#undirected\nc\tb\t4\nb\ta\t2\n")
+        code, out, _ = run(capsys, "rwset", str(a), "--other", str(b))
+        r = json.loads(out)["result"]
+        assert code == 0 and r["same_random_walk_set"] is True
+        assert r["scaling"] == [0.5, 0.5, 0.5]
+
+    @pytest.mark.parametrize("other", ["#undirected\na\tb\t1\nb\td\t2\n",
+                                       "#undirected\na\tb\t1\n"],
+                             ids=["other-label", "fewer-vertices"])
+    def test_rwset_refuses_other_vertices(self, other, tmp_path, capsys):
+        a = tmp_path / "a.tsv"
+        b = tmp_path / "b.tsv"
+        a.write_text("#undirected\na\tb\t1\nb\tc\t2\n")
+        b.write_text(other)
+        code, out, err = run(capsys, "rwset", str(a), "--other", str(b))
+        assert code == 2 and out == ""
+        assert err == "error: vertex 'c' is in only one of the graphs\n"
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 6))
+    def test_rwset_finds_shuffled_rescaled_copy(self, data, n, tmp_path_factory):
+        # every vertex keeps an out-edge, so the walk is defined
+        edges = {}
+        for i in range(n):
+            heads = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
+            for j in heads:
+                edges[i, j] = data.draw(st.floats(0.01, 100))
+        factor = [data.draw(st.floats(0.01, 100)) for _ in range(n)]
+        order = data.draw(st.permutations(sorted(edges)))
+        d = tmp_path_factory.mktemp("rwset")
+        (d / "a.tsv").write_text("#directed\n" + "".join(
+            f"v{i}\tv{j}\t{w!r}\n" for (i, j), w in edges.items()))
+        (d / "b.tsv").write_text("#directed\n" + "".join(
+            f"v{i}\tv{j}\t{edges[i, j] * factor[i]!r}\n" for i, j in order))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["rwset", str(d / "a.tsv"), "--other", str(d / "b.tsv")]) == 0
+        r = json.loads(out.getvalue())["result"]
+        first = list(dict.fromkeys(f"v{k}" for edge in edges for k in edge))
+        assert r["same_random_walk_set"] is True
+        assert np.allclose(r["scaling"], [1 / factor[int(v[1:])] for v in first], rtol=1e-10)
+
     def test_pagerank_report(self, chain_file, capsys):
         _, out, _ = run(capsys, "pagerank", chain_file, "--damping", "0.85")
         r = json.loads(out)["result"]

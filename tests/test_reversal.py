@@ -189,7 +189,7 @@ class TestKolmogorov:
             chain = walk(make(rng, n))
             st, b = prep(chain)
             rep = reversibility(chain, st, b)
-            k = k_matrix(chain, b).k
+            k = k_matrix(chain, b)
             k_sym = bool(np.max(np.abs(k - k.T)) <= 1e-9)
             f = flow_matrix(chain, equal_weight(b))
             f_sym = bool(np.max(np.abs(f - f.T)) <= 1e-9)
@@ -275,12 +275,12 @@ class TestReversibilize:
 class TestKMatrix:
     def test_swap_chain(self, swap_chain):
         st, b = prep(swap_chain)
-        assert np.allclose(k_matrix(swap_chain, b).k, [[0, 1], [1, 0]])
+        assert np.allclose(k_matrix(swap_chain, b), [[0, 1], [1, 0]])
 
     def test_symmetry_tracks_reversibility(self, rev_chain, nonrev_chain):
         for chain, symmetric in ((rev_chain, True), (nonrev_chain, False)):
             st, b = prep(chain)
-            k = k_matrix(chain, b).k
+            k = k_matrix(chain, b)
             gap = np.max(np.abs(k - k.T))
             assert (gap <= 1e-10) == symmetric
             if not symmetric:
@@ -288,7 +288,7 @@ class TestKMatrix:
 
     def test_same_spectrum_as_p(self, nonrev_chain):
         st, b = prep(nonrev_chain)
-        k = k_matrix(nonrev_chain, b).k
+        k = k_matrix(nonrev_chain, b)
         from chainkit.numlin import eigen_from_schur, real_schur
         ek = eigen_from_schur(real_schur(k)).values
         ep = eigen_from_schur(real_schur(nonrev_chain.p)).values
@@ -328,7 +328,7 @@ class TestVerdictAgreement:
             chain = random_recurrent_chain(rng)
             st, b = prep(chain)
             rep = reversibility(chain, st, b)
-            k = k_matrix(chain, b).k
+            k = k_matrix(chain, b)
             f = flow_matrix(chain, equal_weight(b))
             k_sym = np.max(np.abs(k - k.T)) <= 1e-9
             f_sym = np.max(np.abs(f - f.T)) <= 1e-9

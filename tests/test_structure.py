@@ -7,7 +7,7 @@ from hypothesis import strategies as hs
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from chainkit import build_chain, classify, communicating_classes, decompose, perron_report
+from chainkit import build_chain, classify, decompose, perron_report
 from chainkit.chain import ENTRY_CLAMP, TransitionMatrix
 from chainkit.structure import _condense
 
@@ -46,9 +46,9 @@ class TestClasses:
         assert not st.recurrent_chain and not st.irreducible
 
     def test_condensation_edges(self, semirev_chain):
-        classes, edges = communicating_classes(semirev_chain)
-        cid = {frozenset(c): i for i, c in enumerate(classes)}
-        assert edges == {(cid[frozenset({2})], cid[frozenset({0, 1, 3})])}
+        st = classify(semirev_chain)
+        cid = {frozenset(c): i for i, c in enumerate(st.classes)}
+        assert st.condensation_edges == {(cid[frozenset({2})], cid[frozenset({0, 1, 3})])}
 
     def test_two_recurrent_classes(self):
         c = build_chain("abcd", [[0.6, 0.4, 0, 0], [0.3, 0.7, 0, 0],
