@@ -24,6 +24,7 @@ from .errors import (
     RowSumViolation,
     UnknownLabel,
     ValidationError,
+    applied,
 )
 
 ROW_SUM_ATOL = 1e-9
@@ -111,6 +112,7 @@ def build_chain(labels, p) -> TransitionMatrix:
     """
     labels = as_labels(labels)
     p = as_finite(p, "transition matrix")
+    applied(entry=ENTRY_CLAMP)
     p[(p > 0) & (p <= ENTRY_CLAMP)] = 0.0
     return _frozen_chain(labels, p)
 
@@ -124,6 +126,7 @@ def _frozen_chain(labels: tuple[str, ...], p: np.ndarray) -> TransitionMatrix:
     if p.shape != (n, n):
         raise DimensionMismatch(f"matrix shape {p.shape} does not match {n} labels")
     low = p.min(initial=0.0)
+    applied(entry=ENTRY_CLAMP, row_sum=ROW_SUM_ATOL)
     if low < -ENTRY_CLAMP:
         i, j = np.unravel_index(int(np.argmin(p)), p.shape)
         raise NegativeEntry(f"P[{i},{j}] = {p[i, j]:.3e} is negative")
@@ -145,6 +148,7 @@ def validate_distribution(mu, n: int | None = None) -> np.ndarray:
     mu = as_finite(mu, "distribution").reshape(-1)
     if n is not None and mu.size != n:
         raise DimensionMismatch(f"distribution length {mu.size}, expected {n}")
+    applied(entry=ENTRY_CLAMP, row_sum=ROW_SUM_ATOL)
     if np.any(mu < -ENTRY_CLAMP):
         raise NegativeEntry("distribution has a negative entry")
     mu = np.where(mu < 0, 0.0, mu)

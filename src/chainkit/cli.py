@@ -11,14 +11,9 @@ Reports are JSON with sorted keys and floats fixed at 12 significant
 digits, so identical inputs and flags produce byte-identical output.
 `spectrum` and `taxonomy` take `--format csv` to emit rows (re, im, abs,
 label) for unit-circle plots instead; `simulate` and `demo-line-chain`
-take a non-negative `--seed` (default: CHAINS_SEED, then 0). There is no
-row-sum tolerance flag. A report's `tolerances` echo those its result
-depends on: `cluster` (numlin.RANK_RTOL, the eigenvalue-cluster rule) in
-`spectrum`, `taxonomy`, `embed`, `gft` and `demo-line-chain`;
-`epsilon` (spectral.TAXONOMY_EPSILON, the taxonomy's boundary rule),
-`condition` and `deflate` beside it in `spectrum` and `taxonomy`; and
-`cycle` (reversal.CYCLE_RTOL, the bound of Kolmogorov's cycle criterion
-that decides reversibility, and with it K's `symmetric`) in `kmatrix`.
+take a non-negative `--seed` (default: CHAINS_SEED, then 0). No flag
+sets a tolerance. A report's `tolerances` are those its checks compared
+against while it was built, as each check records them (errors.applied).
 Exit codes: 0 success, 2 invalid input, 3 numeric failure.
 """
 
@@ -46,7 +41,6 @@ from . import (
     graph,
     gth,
     laplacian,
-    numlin,
     reversal,
     spectral,
     stationary,
@@ -54,7 +48,6 @@ from . import (
     surfer,
 )
 from .chain import (
-    ROW_SUM_ATOL,
     TransitionMatrix,
     as_finite,
     as_labels,
@@ -64,16 +57,6 @@ from .chain import (
     point_mass,
     sample,
 )
-
-# the row-sum tolerance build_chain applies, echoed by the reports
-ROW_SUM = {"row_sum": ROW_SUM_ATOL}
-
-
-def cluster() -> dict:
-    """The eigenvalue-cluster tolerance of numlin.clusters, echoed by
-    every report whose vectors or verdicts it shapes."""
-    return {"cluster": numlin.RANK_RTOL}
-
 
 # ---------------------------------------------------------------------------
 # input parsing
@@ -374,8 +357,7 @@ class Analysis:
 
 
 # ---------------------------------------------------------------------------
-# command payloads; each returns (result, tolerances), or (text, None)
-# for a CSV report
+# command payloads; each returns its result, or the text of a CSV report
 
 def _parse_vector(text: str) -> np.ndarray:
     try:
@@ -391,7 +373,7 @@ def _validate(args, a: Analysis):
     if not isinstance(obj, TransitionMatrix):
         result.update(kind="graph", volume=obj.volume, undirected=obj.is_undirected,
                       balanced=obj.is_balanced)
-    return result, ROW_SUM
+    return result
 
 
 def _classify(args, a: Analysis):
@@ -409,7 +391,7 @@ def _classify(args, a: Analysis):
         "absorbing_states": [labels[i] for i in st.absorbing_states],
         "absorbing": st.absorbing_chain,
     }
-    return result, ROW_SUM
+    return result
 
 
 def _stationary(args, a: Analysis):
@@ -420,7 +402,7 @@ def _stationary(args, a: Analysis):
         "vectors": basis.vectors,
         "equal_weight_combination": stationary.equal_weight(basis),
     }
-    return result, {"stationarity": stationary.STATIONARITY_ATOL}
+    return result
 
 
 def _spectrum(args, a: Analysis):
@@ -438,13 +420,11 @@ def _spectrum(args, a: Analysis):
         for r in rows:
             lines.append(f"{round12(r['re'])!r},{round12(r['im'])!r},"
                          f"{round12(r['abs'])!r},{r['label']}")
-        return "\n".join(lines), None
+        return "\n".join(lines)
     n_rec = sum(a.structure.recurrent)
-    result = {"eigenvalues": rows,
-              "diagonalizable": dec.pairs.diagonalizable,
-              "perron": spectral.perron_report(dec, recurrent_classes=n_rec)}
-    return result, {"epsilon": spectral.TAXONOMY_EPSILON, "condition": numlin.CONDITION_LIMIT,
-                    "deflate": numlin.DEFLATE_RTOL, **cluster()}
+    return {"eigenvalues": rows,
+            "diagonalizable": dec.pairs.diagonalizable,
+            "perron": spectral.perron_report(dec, recurrent_classes=n_rec)}
 
 
 def _evolve(args, a: Analysis):
@@ -456,9 +436,7 @@ def _evolve(args, a: Analysis):
     else:
         raise errors.ValidationError("evolve needs --start or --mu")
     out = evolve(chain, mu, args.steps)
-    result = {"steps": args.steps, "distribution": out,
-              "states": list(chain.labels)}
-    return result, ROW_SUM
+    return {"steps": args.steps, "distribution": out, "states": list(chain.labels)}
 
 
 def _simulate(args, a: Analysis):
@@ -472,29 +450,28 @@ def _simulate(args, a: Analysis):
     else:
         path = sample(chain, args.start, args.length, args.seed)
         result = {"seed": args.seed, "path": path}
-    return result, ROW_SUM
+    return result
 
 
 def _reverse(args, a: Analysis):
     out = reversal.time_reverse(a.chain, a.basis)
-    return {"chain": chain_document(out)}, ROW_SUM
+    return {"chain": chain_document(out)}
 
 
 def _reversibilize(args, a: Analysis):
     out = reversal.reversibilize(a.chain, a.basis, args.mode)
-    return {"mode": args.mode, "chain": chain_document(out)}, ROW_SUM
+    return {"mode": args.mode, "chain": chain_document(out)}
 
 
 def _kmatrix(args, a: Analysis):
     k = reversal.k_matrix(a.chain, a.basis)
     rep = reversal.reversibility(a.chain, a.structure, a.basis)
-    result = {"k": k,
-              "symmetric": rep.reversible,  # K_ij / K_ji = pi_i P_ij / (pi_j P_ji)
-              "reversible": rep.reversible,
-              "semi_reversible": rep.semi_reversible,
-              "db_residual": rep.db_residual,
-              "witness": rep.witness}
-    return result, {"cycle": reversal.CYCLE_RTOL}
+    return {"k": k,
+            "symmetric": rep.reversible,  # K_ij / K_ji = pi_i P_ij / (pi_j P_ji)
+            "reversible": rep.reversible,
+            "semi_reversible": rep.semi_reversible,
+            "db_residual": rep.db_residual,
+            "witness": rep.witness}
 
 
 def _laplacian(args, a: Analysis):
@@ -504,12 +481,12 @@ def _laplacian(args, a: Analysis):
     else:
         lap = laplacian.build_laplacian(a.graph, args.variant)
         result = {"variant": args.variant, "matrix": lap.m, "degrees": lap.scale}
-    return result, ROW_SUM
+    return result
 
 
 def _embed(args, a: Analysis):
     spec = laplacian.smooth_spectrum(a.smoothing_laplacian(), args.k)
-    return {"values": spec.values, "coordinates": spec.right_transformed}, ROW_SUM | cluster()
+    return {"values": spec.values, "coordinates": spec.right_transformed}
 
 
 def _gft(args, a: Analysis):
@@ -517,7 +494,7 @@ def _gft(args, a: Analysis):
         raise errors.ValidationError("gft needs --signal v1,v2,...")
     spec = laplacian.smooth_spectrum(a.smoothing_laplacian())
     coeffs = laplacian.gft(spec, _parse_vector(args.signal))
-    return {"coefficients": coeffs, "values": spec.values}, ROW_SUM | cluster()
+    return {"coefficients": coeffs, "values": spec.values}
 
 
 def _pagerank(args, a: Analysis):
@@ -530,13 +507,13 @@ def _pagerank(args, a: Analysis):
               "residual_l1": float(np.sum(np.abs(pi @ gm.p - pi)))}
     if chain.n <= 16:
         result["google_matrix"] = gm.p
-    return result, ROW_SUM
+    return result
 
 
 def _absorb(args, a: Analysis):
     dec = absorbing.canonical_form(a.chain, a.structure)
     fm = absorbing.fundamental_matrix(dec)
-    result = {
+    return {
         "permutation": [a.chain.labels[i] for i in dec.permutation],
         "transient_count": dec.t,
         "absorbing_count": dec.a,
@@ -545,7 +522,6 @@ def _absorb(args, a: Analysis):
         "fundamental": fm.n,
         "expected_steps": fm.expected_steps,
     }
-    return result, ROW_SUM
 
 
 def _rwset(args, a: Analysis):
@@ -557,8 +533,7 @@ def _rwset(args, a: Analysis):
     index = dict(zip(g2.labels, range(g2.n)))  # each TSV's first-mention order
     order = [index[label] for label in g1.labels]
     scaling = graph.same_rw_set(g1.w, g2.w[np.ix_(order, order)])
-    return {"same_random_walk_set": scaling is not None,
-            "scaling": scaling}, {"rel": graph.SCALING_RTOL}
+    return {"same_random_walk_set": scaling is not None, "scaling": scaling}
 
 
 def _demo_line_chain(args, _):
@@ -575,7 +550,7 @@ def _demo_line_chain(args, _):
                             - (1.0 - spec.values[j]) * spec.right_transformed[:, j])))
         for j in range(min(args.n, 8))
     ]
-    result = {
+    return {
         "chain": chain_document(chain),
         "stationary": pi,
         "stationary_strictly_increasing": bool(np.all(np.diff(pi) > 0)),
@@ -584,7 +559,6 @@ def _demo_line_chain(args, _):
         "lambda0_right_transformed": rt0,
         "walk_eigen_residuals_head": p_residuals,
     }
-    return result, ROW_SUM | cluster()
 
 
 COMMANDS = {
@@ -609,13 +583,19 @@ COMMANDS = {
 
 
 def run_command(args: argparse.Namespace) -> str:
-    """Execute one subcommand and return its report text."""
-    if args.input is None:  # demo-line-chain builds its own chain
-        obj, digest = None, "-"
-    else:
-        obj, digest = parse_input(args.input)
-    result, tolerances = COMMANDS[args.command](args, Analysis(obj))
-    if tolerances is None:
+    """Execute one subcommand and return its report text, whose
+    tolerances are those the checks recorded while it ran."""
+    tolerances = {}
+    token = errors.TOLERANCES.set(tolerances)
+    try:
+        if args.input is None:  # demo-line-chain builds its own chain
+            obj, digest = None, "-"
+        else:
+            obj, digest = parse_input(args.input)
+        result = COMMANDS[args.command](args, Analysis(obj))
+    finally:
+        errors.TOLERANCES.reset(token)
+    if isinstance(result, str):  # a CSV report
         return result
     return make_report(args.command, digest, result, tolerances)
 

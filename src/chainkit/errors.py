@@ -1,5 +1,22 @@
 """Exception hierarchy shared across the package: every ChainkitError is
-a ValidationError (the CLI exits 2) or a NumericError (exit 3)."""
+a ValidationError (the CLI exits 2) or a NumericError (exit 3).
+
+Also the one record of the tolerances a report applied: each check calls
+`applied(key=CONSTANT)` just before it first compares against a report
+tolerance, and the CLI prints what was recorded while the report was
+built as its `tolerances`. Outside a report nothing is recorded."""
+
+from contextvars import ContextVar
+
+# the `tolerances` dict of the report being built; None outside a report
+TOLERANCES: ContextVar[dict | None] = ContextVar("tolerances", default=None)
+
+
+def applied(**tolerances: float) -> None:
+    """Record tolerances a check compares against in the report being built."""
+    record = TOLERANCES.get()
+    if record is not None:
+        record.update(tolerances)
 
 
 class ChainkitError(Exception):

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import reversal, stationary
 from .chain import TransitionMatrix, _frozen_chain, as_finite, as_labels
-from .errors import DimensionMismatch, NegativeWeight, ValidationError, ZeroOutDegree
+from .errors import DimensionMismatch, NegativeWeight, ValidationError, ZeroOutDegree, applied
 
 if TYPE_CHECKING:  # annotations only: a walk needs neither module loaded
     from .stationary import StationaryBasis
@@ -54,15 +54,16 @@ class WeightedDigraph:
 
     @property
     def is_undirected(self) -> bool:
+        # an edge whose reverse is missing has rev = 0 and fails the bound
         edge = self.w > 0
-        if not np.array_equal(edge, edge.T):
-            return False
         fwd, rev = self.w[edge], self.w.T[edge]
+        applied(undirected=UNDIRECTED_RTOL)
         return bool(np.all(np.abs(fwd - rev) <= UNDIRECTED_RTOL * np.maximum(fwd, rev)))
 
     @property
     def is_balanced(self) -> bool:
         out, into = self.out_degree, self.in_degree
+        applied(balanced=BALANCED_RTOL)
         return bool(np.all(np.abs(out - into) <= BALANCED_RTOL * np.maximum(out, into)))
 
 
@@ -104,6 +105,7 @@ def same_rw_set(w1, w2) -> np.ndarray | None:
         raise DimensionMismatch("weight matrices differ in shape")
     if not np.array_equal(w1 > 0, w2 > 0):
         return None
+    applied(rel=SCALING_RTOL)
     n = w1.shape[0]
     scale = np.zeros(n)
     for i in range(n):

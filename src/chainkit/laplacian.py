@@ -20,6 +20,7 @@ from .errors import (
     NotUndirected,
     ValidationError,
     ZeroDegree,
+    applied,
 )
 
 if TYPE_CHECKING:  # annotations only: a chain's Laplacian needs no graph module
@@ -108,6 +109,7 @@ def quadratic_form(lap: LaplacianMatrix, x) -> float:
         y = x / np.sqrt(lap.scale)
     diffs = y[:, None] - y[None, :]
     edge = 0.5 * float(np.sum(lap.weights * diffs * diffs))
+    applied(form=FORM_ATOL)
     if abs(direct - edge) > FORM_ATOL * max(1.0, abs(direct), abs(edge)):
         raise FormulaMismatch(
             f"quadratic form routes disagree: {direct!r} vs {edge!r}")
@@ -143,6 +145,7 @@ def _label_basis(v: np.ndarray, by_label: np.ndarray) -> np.ndarray:
     m = v.shape[1]
     rest = v.copy()
     q = np.empty((m, m))
+    applied(cluster=numlin.RANK_RTOL)
     for j in range(m):
         norms = np.linalg.norm(rest, axis=1)
         i = by_label[int(np.argmax(norms[by_label] >= norms.max() - numlin.RANK_RTOL))]
@@ -157,6 +160,7 @@ def _label_signs(v: np.ndarray, by_label: np.ndarray) -> np.ndarray:
     times v_ij / |v_ij| at the first row i in by_label order whose |v_ij|
     = sqrt(v_ij^2) is within RANK_RTOL of the column's largest."""
     mag = np.sqrt(v * v)
+    applied(cluster=numlin.RANK_RTOL)
     top = by_label[np.argmax(mag[by_label] >= mag.max(axis=0) - numlin.RANK_RTOL, axis=0)]
     cols = np.arange(v.shape[1])
     return v * (v[top, cols] / mag[top, cols]) + 0.0  # zeros come out +0, as from v @ q

@@ -46,6 +46,7 @@ from .errors import (
     NotSymmetric,
     NumericError,
     SingularMatrix,
+    applied,
 )
 from .gth import RESCALE_LIMIT, _as_square, _require_finite
 
@@ -354,6 +355,7 @@ def real_schur(a) -> SchurForm:
     hi = n - 1
     stalled = 0
     total = 0
+    applied(deflate=DEFLATE_RTOL)
     while hi > 0:
         mag = np.abs(diag[:hi + 1])
         s = mag[:-1] + mag[1:]
@@ -408,6 +410,7 @@ class ComplexEigenpairs:
 
     @property
     def diagonalizable(self) -> bool:
+        applied(condition=CONDITION_LIMIT)
         return self.condition <= CONDITION_LIMIT
 
 
@@ -475,6 +478,7 @@ def clusters(values, scale: float) -> np.ndarray:
     """
     values = np.asarray(values)
     n = len(values)
+    applied(cluster=RANK_RTOL)
     close = np.abs(values[:, None] - values[None, :]) <= RANK_RTOL * scale
     ids = np.arange(n)
     while True:  # each member takes its neighbours' least id, then jumps
@@ -554,6 +558,7 @@ def _eigenpairs(lams: np.ndarray, sizes, right_blocks: np.ndarray, left_blocks: 
     values = expand(lams)
     condition = float(np.max(_condition(right_blocks, left_blocks), initial=0.0))
     right, left = expand(_unit_phase(right_blocks)), expand(_unit_phase(left_blocks))
+    applied(condition=CONDITION_LIMIT)
     if condition <= CONDITION_LIMIT:
         ids = clusters(values, scale)
         split = second[ids[second] != ids[second - 1]]

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import TransitionMatrix, _frozen_chain
-from .errors import ValidationError
+from .errors import ValidationError, applied
 from .stationary import StationaryBasis, _positive_pi, equal_weight
 from .structure import ClassStructure
 
@@ -62,6 +62,7 @@ def _kolmogorov(p: np.ndarray) -> tuple[bool, tuple[int, ...] | None, np.ndarray
     if not np.array_equal(edge, edge.T):
         i, j = np.argwhere(edge & ~edge.T)[0]
         return False, (int(i), int(j)), None
+    applied(cycle=CYCLE_RTOL)
     n = p.shape[0]
     log_ratio = np.zeros_like(p)
     log_ratio[edge] = np.log(p[edge]) - np.log(p.T[edge])

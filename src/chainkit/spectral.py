@@ -20,7 +20,7 @@ from functools import reduce
 import numpy as np
 
 from .chain import TransitionMatrix, require_count, validate_distribution
-from .errors import NotDiagonalizable, NumericError
+from .errors import NotDiagonalizable, NumericError, applied
 from .numlin import (
     CONDITION_LIMIT,
     DEFLATE_RTOL,
@@ -122,6 +122,7 @@ def _reversible_pairs(p: np.ndarray, structure: ClassStructure) -> ComplexEigenp
                    for x in (log_v - 0.5 * phi[:, None], log_v + 0.5 * phi[:, None]))
     scale = np.linalg.norm(p)
     residual = max(_residual(p, right, values), _residual(p.T, left, values))
+    applied(deflate=DEFLATE_RTOL)
     if not residual <= DEFLATE_RTOL * scale:
         return None
     return _eigenpairs(values, np.ones(n, dtype=int), right, left, scale, residual)
@@ -186,6 +187,7 @@ def _cyclic_pairs(p: np.ndarray, structure: ClassStructure) -> ComplexEigenpairs
     counts = np.bincount(phase, minlength=d)
     if counts.min() != counts.max():
         return None
+    applied(deflate=DEFLATE_RTOL)
     scale = np.linalg.norm(p)
     for e in (e for e in range(d, 1, -1) if d % e == 0):
         group = phase % e
@@ -226,6 +228,7 @@ def decompose(chain: TransitionMatrix, structure: ClassStructure) -> SpectralDec
         pairs = eigen_from_schur(_schur_by_class(chain.p, structure))
     values = pairs.values
     radius = float(np.max(np.abs(values))) if len(values) else 0.0
+    applied(radius=SPECTRAL_RADIUS_SLACK, epsilon=TAXONOMY_EPSILON)
     if radius > 1.0 + SPECTRAL_RADIUS_SLACK:
         raise NumericError(f"stochastic spectral radius {radius} exceeds 1")
     unit = int(np.sum(np.abs(values - 1.0) < TAXONOMY_EPSILON))
@@ -239,6 +242,7 @@ def taxonomy(decomp: SpectralDecomposition) -> list[str]:
     cycle (genuinely complex). Boundary values within TAXONOMY_EPSILON
     classify toward the persistent side."""
     labels = []
+    applied(epsilon=TAXONOMY_EPSILON)
     for lam in decomp.values:
         re, im, mod = lam.real, lam.imag, abs(lam)
         if abs(lam - 1.0) < TAXONOMY_EPSILON:
@@ -289,6 +293,7 @@ def spectral_evolve(decomp: SpectralDecomposition, mu, k: int) -> EigenEvolution
     require_count(k, "steps")
     coordinates = mu @ right
     scaled = coordinates * values ** k
+    applied(epsilon=TAXONOMY_EPSILON)
     persistent_mask = np.abs(np.abs(values) - 1.0) < TAXONOMY_EPSILON
     persistent = ((scaled * persistent_mask) @ left.T).real
     transient = ((scaled * ~persistent_mask) @ left.T).real
@@ -304,6 +309,7 @@ def perron_report(decomp: SpectralDecomposition, recurrent_classes: int) -> dict
     modulus |lambda_2|."""
     vals = decomp.sorted_values()
     radius = float(np.max(np.abs(vals))) if len(vals) else 0.0
+    applied(radius=SPECTRAL_RADIUS_SLACK)
     return {
         "spectral_radius": radius,
         "radius_ok": radius <= 1.0 + SPECTRAL_RADIUS_SLACK,

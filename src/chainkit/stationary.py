@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ROW_SUM_ATOL, TransitionMatrix
-from .errors import DimensionMismatch, NotRecurrent, NumericError, ValidationError
+from .errors import DimensionMismatch, NotRecurrent, NumericError, ValidationError, applied
 from .gth import stationary_gth
 from .structure import ClassStructure
 
@@ -57,6 +57,7 @@ def combine(basis: StationaryBasis, alphas) -> np.ndarray:
     alphas = np.asarray(alphas, dtype=float).reshape(-1)
     if alphas.size != len(basis.class_ids):
         raise DimensionMismatch("one weight per recurrent class required")
+    applied(row_sum=ROW_SUM_ATOL)
     if np.any(alphas < 0) or abs(alphas.sum() - 1.0) > ROW_SUM_ATOL:
         raise ValidationError("weights must be nonnegative and sum to one")
     return alphas @ basis.vectors
@@ -80,6 +81,7 @@ def _positive_pi(basis: StationaryBasis, what: str) -> np.ndarray:
 def is_stationary(chain: TransitionMatrix, pi) -> bool:
     pi = np.asarray(pi, dtype=float)
     on = np.flatnonzero(pi)  # only the support adds to pi P
+    applied(stationarity=STATIONARITY_ATOL)
     return bool(np.max(np.abs(pi[on] @ chain.p[on] - pi)) <= STATIONARITY_ATOL)
 
 

@@ -18,7 +18,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chainkit import build_chain, cli, demo, errors, line_chain, spectral, structure
+from chainkit.chain import ENTRY_CLAMP, ROW_SUM_ATOL
 from chainkit.cli import main, parse_graph_tsv
+from chainkit.stationary import STATIONARITY_ATOL
 
 from conftest import circulating_line_chain, layered_chain, periodic_chain
 
@@ -464,34 +466,28 @@ class TestReports:
         _, second, _ = run(capsys, *argv)
         assert first == second
 
-    # sha256 of each EVERY_SUBCOMMAND case's stdout, as the per-value
-    # writer printed it before make_report formatted float arrays in bulk;
-    # spectrum, embed, gft and demo-line-chain since their tolerances
-    # echo the cluster tolerance (and spectrum the condition and deflation
-    # bounds): without those keys each text hashes as before; kmatrix
-    # since Kolmogorov's cycle criterion decides reversibility (its
-    # `cycle` tolerance and witness cycle [0, 1, 2] replace `db` and the
-    # flow-gap pair)
+    # sha256 of each EVERY_SUBCOMMAND case's stdout; last changed when each
+    # check began recording the tolerance it applies (`result` unchanged)
     GOLDEN_DIGESTS = {
-        "validate": "acee70ef984d86b6808a5a98b50705a1a5a5b70158dc2a5df66a75b1f9e49d3f",
-        "classify": "7971dbd7ce35d36a4ef63ce65964ae9a6b7ff44a103fd4fd9af371c570e8cc25",
-        "stationary": "93441cdf0e6f7e78a4c2d14b9b477f59040cec0a18046ce98edd4cf22773008b",
-        "spectrum": "d2730c127c32c9d1208dbc353dd59cded37f38685f3b6523947ddd1a7dbac99d",
+        "validate": "339b00e596cb9a63176faaffcd64eb1bc5edf6a5cf68d3c1ad2e701b8814936b",
+        "classify": "8ffbcacf744f65e89202b4bf1399009f9318b95bf1a8346dfd272cd819e0fb5a",
+        "stationary": "5154421f687e6ee5bb2f2e17b6201c29ba7e330a5102148e23ea960a13156fe0",
+        "spectrum": "d846a0265346d1184f1bf320032b4e7a1487682fb193bb4ea5a2b18b34ae391c",
         "taxonomy": "07901dd2d56ae36c1d8eca84eb95527e211e7a2f32406cefd1f1490f9e98d72f",
-        "evolve": "186eae0735b929bb9918261f8fdfb2022c33af34962e1ffaeddde383a993958a",
-        "simulate": "ff924d565db97a0911496a17f2b6cabe916e897802cfa32223dc06f286c4101b",
+        "evolve": "db3edff0ea9a0c38d986a292624a0714cf6de02f2fde3d9f14436d03a8509bb5",
+        "simulate": "85dcccc72534a1aa85805003a33f55de244192957db2b0442ac897ef15bc38e3",
         "simulate-trajectories":
-            "3f75d8d53230002bc9cb11d05887621767721b1d32d82738b8bb013fbc6b8d0f",
-        "reverse": "11fe4af16c85a91df677168cddd4eee844bb08c4bbbfb3ad47603f53cc136d6b",
-        "reversibilize": "0e5d8036eca86657e9193ec4e869737e45afc0216555fa90696cb2ce8766f554",
-        "kmatrix": "cf20ec909a6db524f3cc35306d4ae375b73877040c658cd023272a0be0765a9e",
-        "laplacian": "2b353bec0d26b0ce7f252d3bc100c1eaab018145b3dd50377052c45ae6dd54b1",
-        "embed": "1323a345c46fa908cb92e6020dadc4601bf3c6bc96401754375e3671cb874cee",
-        "gft": "341e006af5823bcc441f1ff76692df72ee2da52c498a2bc7e294b6bc5864068b",
-        "pagerank": "31bd86897dee26f028d59d6f94817e5bd29ab0883893e7db3833e8348b37b0b6",
-        "absorb": "3599f491bf24bb6082248360bbcfbfd1cba8e200f5baec06e6905d7e092b7b2c",
+            "32104b162ee1c6b90321667fff81d50d240c35f88fccf0bd8cccd712f9c6c3e0",
+        "reverse": "4e1c5533e6411d4ad6567dc9e085239d403b3a06f41933a27f3c52c291a90938",
+        "reversibilize": "521538ade3640d2997774eb36186612fe94543f0f28d9385ec9499ec737c0fbc",
+        "kmatrix": "e242af815dc80f69c853bcfef9e40936c449c1998e36b7c3e2de02ec345e271b",
+        "laplacian": "673be34f05777395362ead05d85f86b261a63cfae66f75198deda3957c337aa7",
+        "embed": "90c4b13ccbbcf52471abba3fa4bef2bc0a4bf32885ff1eab1861db38567a6be1",
+        "gft": "b0376483f3331f17e751df1da1ef56eafda6e7049d21a9ab71183ad2bc3cba34",
+        "pagerank": "4b6b6f743789033d966f3e8d7f51a452f6dfb1af12f1a86a9d13a77cbacbc3fc",
+        "absorb": "7117452981561f8d9391c050e453e3a818e4d2b37ad712f4d21da0e1a4e0b40d",
         "rwset": "4a6701ef2d431c0be0fcc1874a72cf77a6ea899750398ce4ae6f4bd5a5c85360",
-        "demo-line-chain": "e98c25047f5da427d1aef86c2260a4ce67985474e1fe4522e4cbf71ed76ccd92",
+        "demo-line-chain": "892ed92fef8eddc7a6b5391d8a7f794a1097d9a300a4b3ce865d3c9844be0b20",
     }
 
     @pytest.mark.parametrize("template", EVERY_SUBCOMMAND, ids=case_id)
@@ -501,18 +497,17 @@ class TestReports:
         assert hashlib.sha256(out.encode()).hexdigest() == self.GOLDEN_DIGESTS[case_id(template)]
 
     # sha256 of the `spectrum` and `taxonomy --format csv` reports on one
-    # chain per `decompose` route (spectrum's with its echoed cluster,
-    # condition and deflation tolerances)
+    # chain per `decompose` route (spectrum's with the tolerances it applied)
     ROUTE_DIGESTS = {
-        "reversible": ("2bcaeef0e2704f39845c8be701cde54636c67d09d2c28788232ed9eb5c4c3ece",
+        "reversible": ("9e5e4c6fef595897c7942b254e86fb9018189566d33f3dbd339849f575986673",
                       "7ae3c03133c81d985370b7a1552e99f60f339ab9066f5446b10ccbfaf0a64ad5"),
-        "classes": ("98c5981fef301c1483a1dbc286c1c51f57a6414afee3c867e968a5b1eb7fceab",
+        "classes": ("190c22d1ee316051404a8b66dfe68da0ea8b49a3a73458c7a1bb951691725c28",
                    "dc51fcb879736747004e675307408e94c029ce38da9041e421d45b6a42460638"),
-        "layered": ("7c604b3c15979b2c46dcd52a40f5995b81e83b33c3805972718e2d53905da792",
+        "layered": ("02705b77ad4075a64caf04a5c597998f72d3cca8ea3e8b1b8873f2bb6b5bb790",
                    "6c87364658507630ef03fc5ec472463691f14b4808ab16379d711d3019262721"),
-        "lift": ("bc78c9b77a9fe1afb0a3e656cd2981920dd1019779f9a5442ef00bdac980da36",
+        "lift": ("af91b4aa5c609addbf09982be51799b9dda73efe7539760deb31481867702634",
                 "f22615191449a4da2f7a84a5ac886fc16d1fc0a4e9cd91783c4c5fcba0b0ff0a"),
-        "dense": ("94e181561f45b8f9928aaca981b5f07a5b33760884bcc10689ee7d4925ea6d8a",
+        "dense": ("8840d5a8c6fb5b19669d9d153df4a913fabae75f237e0c0def8ef71457886a6c",
                  "f70dbcacdb8e24942a5108896c1ee1a74e4013bda3019b2884ccd97e772866cb"),
     }
 
@@ -752,14 +747,14 @@ class TestEvolutionAndSimulation:
         '"result":{"path":["S","S","S","B","S","C","C","C","S","S","C","C",'
         '"C","C","C","C","C","B","B","C","C","C","C","C","C","C","B","C","C",'
         '"C","C","C","C","C","C","C","C","C","C","C","C"],"seed":2},'
-        '"tolerances":{"row_sum":1e-09},"tool_version":"0.1.0"}\n')
+        '"tolerances":{"entry":1e-12,"row_sum":1e-09},"tool_version":"0.1.0"}\n')
     GOLDEN_ENSEMBLE = (
         '{"command":"simulate","input_digest":'
         '"003a0b7371bbefe7775f81edea4a13dcca68a70d21d52f00614296622486ab4a",'
         '"result":{"length":6,"occupancy":[[1.0,0.0,0.0],[0.46,0.3,0.24],'
         '[0.38,0.44,0.18],[0.28,0.5,0.22],[0.32,0.56,0.12],[0.24,0.6,0.16],'
         '[0.28,0.48,0.24]],"seed":2,"states":["S","C","B"],"trajectories":50},'
-        '"tolerances":{"row_sum":1e-09},"tool_version":"0.1.0"}\n')
+        '"tolerances":{"entry":1e-12,"row_sum":1e-09},"tool_version":"0.1.0"}\n')
 
     def test_simulate_path_golden(self, chain_file, capsys):
         code, out, _ = run(capsys, "simulate", chain_file, "--start", "S",
@@ -782,11 +777,13 @@ class TestTransformCommands:
     @pytest.mark.parametrize("argv", [["reverse"], ["reversibilize", "--mode", "additive"]],
                              ids=["reverse", "reversibilize"])
     def test_transform_echoes_row_sum_tolerance(self, argv, chain_file, capsys):
-        # the output chain passes build_chain's row-sum check; no
-        # detailed-balance tolerance is applied
+        # the input and output chains pass build_chain's entry and row-sum
+        # checks, pi the stationarity check; no detailed-balance tolerance
+        # is applied
         code, out, _ = run(capsys, argv[0], chain_file, *argv[1:])
         assert code == 0
-        assert json.loads(out)["tolerances"] == {"row_sum": cli.ROW_SUM_ATOL}
+        assert json.loads(out)["tolerances"] == {"entry": ENTRY_CLAMP, "row_sum": ROW_SUM_ATOL,
+                                                 "stationarity": STATIONARITY_ATOL}
 
     def test_reversibilize_modes(self, chain_file, capsys):
         for mode in ("additive", "multiplicative"):
@@ -1404,3 +1401,78 @@ class TestDemoCommand:
         assert code == 0
         p = np.array(json.loads(out)["result"]["chain"]["P"])
         assert np.max(np.abs(p.sum(axis=1) - 1.0)) < 1e-12
+
+
+# The tolerances census: every subcommand on five inputs, each report's
+# `tolerances` keys written out here. A birth-death chain, a directed
+# graph whose pattern is not symmetric (b -> c, c -> a one way), an
+# undirected graph, an irreducible chain whose pattern is not symmetric
+# (Kolmogorov's criterion fails on it before `cycle` is compared) and
+# an absorbing chain of two 1x1 classes (no Schur form runs, so no
+# `deflate`). An int is the exit code of a refused run.
+CENSUS_INPUTS = {
+    "chain.json": json.dumps({"states": list("abc"),
+                              "P": [[0.5, 0.5, 0], [0.25, 0.5, 0.25], [0, 0.5, 0.5]]}),
+    "directed.tsv": "#directed\na\tb\t1\nb\tc\t2\nc\ta\t1\nb\ta\t1\n",
+    "undirected.tsv": "#undirected\na\tb\t1\nb\tc\t2\n",
+    "one_way.json": json.dumps({"states": list("abc"),
+                                "P": [[0.5, 0.5, 0], [0, 0.5, 0.5], [0.5, 0, 0.5]]}),
+    "absorbing.json": json.dumps({"states": ["t", "a"], "P": [[0.5, 0.5], [0, 1]]}),
+}
+E = {"entry", "row_sum"}
+S = E | {"stationarity"}
+GRAPH = {"balanced", "undirected"}
+SPECTRUM = E | {"cluster", "condition", "deflate", "epsilon", "radius"}
+EMBED = S | {"cluster"}
+CENSUS = {  # command: its keys on each of CENSUS_INPUTS, in order
+    "validate": (E, GRAPH, GRAPH, E, E),
+    "classify": (E, E, E, E, E),
+    "stationary": (S, S, S, S, S),
+    "spectrum": (SPECTRUM | {"cycle"}, SPECTRUM, SPECTRUM | {"cycle"}, SPECTRUM,
+                 SPECTRUM - {"deflate"}),
+    "evolve --start a": (E, E, E, E, E),
+    "simulate --start a": (E, E, E, E, E),
+    "simulate --start a --trajectories 3": (E, E, E, E, E),
+    "reverse": (S, S, S, S, 2),
+    "reversibilize": (S, S, S, S, 2),
+    "kmatrix": (S | {"cycle"}, S, S | {"cycle"}, S, 2),
+    "laplacian": (2, 2, {"undirected"}, 2, 2),
+    "laplacian --variant unnormalized": (2, 2, {"undirected"}, 2, 2),
+    "laplacian --variant directed": (S, S, S, S, 2),
+    "embed": (EMBED, EMBED | {"undirected"}, {"cluster", "undirected"}, EMBED, 2),
+    "gft --signal 1,2,3": (EMBED, EMBED | {"undirected"}, {"cluster", "undirected"}, EMBED, 2),
+    "pagerank": (E, E, E, E, E),
+    "absorb": (2, 2, 2, 2, E),
+    "rwset --other {input}": (2, {"rel"}, {"rel"}, 2, 2),
+}
+CENSUS["taxonomy"] = CENSUS["spectrum"]
+
+
+class TestToleranceCensus:
+    """A report lists a tolerance iff one of its checks compared against it."""
+
+    def test_every_subcommand_is_in_the_census(self):
+        assert {c.split()[0] for c in CENSUS} | {"demo-line-chain"} == set(cli.COMMANDS)
+
+    @pytest.mark.parametrize("command", sorted(CENSUS))
+    def test_printed_keys(self, command, tmp_path, capsys):
+        for (name, text), expected in zip(CENSUS_INPUTS.items(), CENSUS[command]):
+            f = tmp_path / name
+            f.write_text(text)
+            word, *flags = command.format(input=f).split()
+            code, out, _ = run(capsys, word, str(f), *flags)
+            if isinstance(expected, int):
+                assert code == expected, (command, name)
+            else:
+                assert code == 0 and set(json.loads(out)["tolerances"]) == expected, (command, name)
+
+    def test_demo_line_chain(self, capsys):
+        code, out, _ = run(capsys, "demo-line-chain", "--n", "5")
+        assert code == 0 and set(json.loads(out)["tolerances"]) == S | {"cluster"}
+
+    def test_nothing_is_recorded_outside_a_report(self, capsys):
+        assert run(capsys, "demo-line-chain", "--n", "5")[0] == 0
+        assert run(capsys, "demo-line-chain", "--n", "1")[0] == 2
+        assert errors.TOLERANCES.get() is None
+        build_chain(["a"], [[1.0]])  # a library check after main returned
+        assert errors.TOLERANCES.get() is None
