@@ -310,16 +310,20 @@ def _reflect(hq: np.ndarray, k: int, first_col: int, x: float, y: float,
 def _francis_step(hq: np.ndarray, lo: int, hi: int, exceptional: bool) -> None:
     """One implicit double-shift QR sweep over the active block lo..hi
     of H, the top half of the stacked [H; Q]."""
+    h00, h01, h10 = hq[lo, lo], hq[lo, lo + 1], hq[lo + 1, lo]
     if exceptional:
         r = abs(hq[hi, hi - 1]) + (abs(hq[hi - 1, hi - 2]) if hi - 2 >= lo else 0.0)
-        s = 1.5 * r
-        p = -0.4375 * r * r
+        s, p = 1.5 * r, -0.4375 * r * r
+        x, y = h00 ** 2 + h01 * h10 - s * h00 + p, h10 * (h00 + hq[lo + 1, lo + 1] - s)
+        z = h10 * hq[lo + 2, lo + 1]
     else:
-        s = hq[hi - 1, hi - 1] + hq[hi, hi]
-        p = hq[hi - 1, hi - 1] * hq[hi, hi] - hq[hi - 1, hi] * hq[hi, hi - 1]
-    x = hq[lo, lo] ** 2 + hq[lo, lo + 1] * hq[lo + 1, lo] - s * hq[lo, lo] + p
-    y = hq[lo + 1, lo] * (hq[lo, lo] + hq[lo + 1, lo + 1] - s)
-    z = hq[lo + 1, lo] * hq[lo + 2, lo + 1]
+        # the first column of (H - s1)(H - s2) over h10 (its direction is
+        # all the reflector needs), from differences to h00: near a multiple
+        # of I the direct form sums O(1) terms to O(delta^2) and loses the
+        # shift (EISPACK hqr; Golub & Van Loan, Matrix Computations, 7.5)
+        a, d = hq[hi - 1, hi - 1] - h00, hq[hi, hi] - h00
+        x = (a * d - hq[hi - 1, hi] * hq[hi, hi - 1]) / h10 + h01
+        y, z = hq[lo + 1, lo + 1] - h00 - a - d, hq[lo + 2, lo + 1]
     _reflect(hq, lo, lo, float(x), float(y), float(z))
     for k in range(lo + 1, hi - 1):
         x, y, z = hq[k:k + 3, k - 1].tolist()
@@ -398,8 +402,8 @@ class ComplexEigenpairs:
     second column of a conjugate pair is the conjugate of the first,
     unless both lie in one repeated cluster. Right vectors have unit
     Euclidean norm. condition is the largest 1/s_j, measured on every
-    route; at most CONDITION_LIMIT, the spectrum is diagonalizable and
-    left^T right = I.
+    route; diagonalizable is `_eigenpairs`' verdict that it is at most
+    CONDITION_LIMIT, and then left^T right = I.
     """
 
     values: np.ndarray
@@ -407,11 +411,7 @@ class ComplexEigenpairs:
     left: np.ndarray
     condition: float
     residual: float
-
-    @property
-    def diagonalizable(self) -> bool:
-        applied(condition=CONDITION_LIMIT)
-        return self.condition <= CONDITION_LIMIT
+    diagonalizable: bool
 
 
 def _quasi_triangular_vectors(t: np.ndarray, starts: np.ndarray, sizes: np.ndarray,
@@ -559,7 +559,8 @@ def _eigenpairs(lams: np.ndarray, sizes, right_blocks: np.ndarray, left_blocks: 
     condition = float(np.max(_condition(right_blocks, left_blocks), initial=0.0))
     right, left = expand(_unit_phase(right_blocks)), expand(_unit_phase(left_blocks))
     applied(condition=CONDITION_LIMIT)
-    if condition <= CONDITION_LIMIT:
+    diagonalizable = condition <= CONDITION_LIMIT
+    if diagonalizable:
         ids = clusters(values, scale)
         split = second[ids[second] != ids[second - 1]]
         ids[split] = split  # a cluster of one each: left out, then copied from the first
@@ -574,7 +575,7 @@ def _eigenpairs(lams: np.ndarray, sizes, right_blocks: np.ndarray, left_blocks: 
         left /= np.sum(left * right, axis=0)
         for x in (right, left):
             x[:, split] = x[:, split - 1].conj()
-    return ComplexEigenpairs(values, right, left, condition, residual)
+    return ComplexEigenpairs(values, right, left, condition, residual, diagonalizable)
 
 
 def eigen_from_schur(schur: SchurForm) -> ComplexEigenpairs:
@@ -594,7 +595,7 @@ def eigen_from_schur(schur: SchurForm) -> ComplexEigenpairs:
     n = t.shape[0]
     if n == 0:
         empty = np.zeros((0, 0), dtype=complex)
-        return ComplexEigenpairs(np.zeros(0, dtype=complex), empty, empty, 0.0, 0.0)
+        return ComplexEigenpairs(np.zeros(0, dtype=complex), empty, empty, 0.0, 0.0, True)
     sizes = np.array(schur.block_sizes)
     starts = np.cumsum(sizes) - sizes
     scale = np.linalg.norm(t)

@@ -15,7 +15,7 @@ Matrices and Markov Chains, 2006, ch. 1)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -46,11 +46,12 @@ PERSISTENT_CYCLE = "persistent_cycle"
 TRANSIENT_STRUCTURE = "transient_structure"
 TRANSIENT_OSCILLATION = "transient_oscillation"
 TRANSIENT_CYCLE = "transient_cycle"
+PERSISTENT = (PERSISTENT_STRUCTURE, PERSISTENT_OSCILLATION, PERSISTENT_CYCLE)
 
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenpairs of a chain plus a deterministic sorted view.
+    """Eigenpairs of a chain, a deterministic sorted view and labels.
 
     order permutes values into descending |lambda|, ties broken by
     descending real part then ascending imaginary part (`_order`). Moduli
@@ -62,7 +63,6 @@ class SpectralDecomposition:
 
     pairs: ComplexEigenpairs
     order: tuple[int, ...]
-    unit_multiplicity: int
 
     @property
     def values(self) -> np.ndarray:
@@ -70,6 +70,25 @@ class SpectralDecomposition:
 
     def sorted_values(self) -> np.ndarray:
         return self.pairs.values[list(self.order)]
+
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        """The taxonomy label of each value, the one unit-circle rule that
+        unit_multiplicity, `spectral_evolve` and `perron_report` read:
+        persistence (|lambda| vs 1) and kind, structure (real
+        nonnegative), oscillation (real negative) or cycle (genuinely
+        complex). Values within TAXONOMY_EPSILON go to the persistent side."""
+        lam = self.values
+        applied(epsilon=TAXONOMY_EPSILON)
+        one, minus_one, unit, real = (np.abs(x) < TAXONOMY_EPSILON for x in
+                                      (lam - 1.0, lam + 1.0, np.abs(lam) - 1.0, lam.imag))
+        return tuple(np.select(
+            [one, minus_one, unit & ~real, real & (lam.real >= 0), real],
+            [*PERSISTENT, TRANSIENT_STRUCTURE, TRANSIENT_OSCILLATION], TRANSIENT_CYCLE).tolist())
+
+    @property
+    def unit_multiplicity(self) -> int:
+        return self.labels.count(PERSISTENT_STRUCTURE)
 
 
 def _order(values: np.ndarray, scale: float) -> tuple[int, ...]:
@@ -219,45 +238,23 @@ def decompose(chain: TransitionMatrix, structure: ClassStructure) -> SpectralDec
     `numlin._eigenpairs`, whose measured 1/s_j decides `diagonalizable`.
 
     Asserts the spectral radius of a stochastic matrix never exceeds one
-    (up to roundoff) and counts the multiplicity of the eigenvalue 1.
+    (up to roundoff).
     """
     pairs = _reversible_pairs(chain.p, structure)
     if pairs is None and structure.irreducible and structure.chain_period:
         pairs = _cyclic_pairs(chain.p, structure)
     if pairs is None:
         pairs = eigen_from_schur(_schur_by_class(chain.p, structure))
-    values = pairs.values
-    radius = float(np.max(np.abs(values))) if len(values) else 0.0
-    applied(radius=SPECTRAL_RADIUS_SLACK, epsilon=TAXONOMY_EPSILON)
+    radius = float(np.max(np.abs(pairs.values), initial=0.0))
+    applied(radius=SPECTRAL_RADIUS_SLACK)
     if radius > 1.0 + SPECTRAL_RADIUS_SLACK:
         raise NumericError(f"stochastic spectral radius {radius} exceeds 1")
-    unit = int(np.sum(np.abs(values - 1.0) < TAXONOMY_EPSILON))
-    return SpectralDecomposition(pairs=pairs, order=_order(values, np.linalg.norm(chain.p)),
-                                 unit_multiplicity=unit)
+    return SpectralDecomposition(pairs=pairs, order=_order(pairs.values, np.linalg.norm(chain.p)))
 
 
 def taxonomy(decomp: SpectralDecomposition) -> list[str]:
-    """Classify each eigenvalue by persistence (|lambda| vs 1) and by
-    kind: structure (real nonnegative), oscillation (real negative), or
-    cycle (genuinely complex). Boundary values within TAXONOMY_EPSILON
-    classify toward the persistent side."""
-    labels = []
-    applied(epsilon=TAXONOMY_EPSILON)
-    for lam in decomp.values:
-        re, im, mod = lam.real, lam.imag, abs(lam)
-        if abs(lam - 1.0) < TAXONOMY_EPSILON:
-            labels.append(PERSISTENT_STRUCTURE)
-        elif abs(lam + 1.0) < TAXONOMY_EPSILON:
-            labels.append(PERSISTENT_OSCILLATION)
-        elif abs(mod - 1.0) < TAXONOMY_EPSILON and abs(im) >= TAXONOMY_EPSILON:
-            labels.append(PERSISTENT_CYCLE)
-        elif abs(im) < TAXONOMY_EPSILON and re >= 0:
-            labels.append(TRANSIENT_STRUCTURE)
-        elif abs(im) < TAXONOMY_EPSILON:
-            labels.append(TRANSIENT_OSCILLATION)
-        else:
-            labels.append(TRANSIENT_CYCLE)
-    return labels
+    """`SpectralDecomposition.labels` as a list, in the order of values."""
+    return list(decomp.labels)
 
 
 @dataclass(frozen=True)
@@ -265,8 +262,8 @@ class EigenEvolution:
     """A distribution expanded in the eigenbasis and pushed k steps.
 
     coordinates are the coefficients c_w = mu^T r_w. The persistent part
-    collects unit-modulus modes, the transient part the rest; their sum
-    reconstructs the evolved distribution.
+    collects the modes labelled persistent (structure, oscillation or
+    cycle), the transient part the rest; their sum is the evolved one.
     """
 
     coordinates: np.ndarray
@@ -284,6 +281,7 @@ def spectral_evolve(decomp: SpectralDecomposition, mu, k: int) -> EigenEvolution
     a spectrum that is not `pairs.diagonalizable`, defective or with some
     1/s_w past CONDITION_LIMIT (a reversible chain whose pi spans ten
     decades), whose dual would magnify rounding past any useful accuracy.
+    The persistent part is the modes `decomp.labels` calls persistent.
     """
     if not decomp.pairs.diagonalizable:
         raise NotDiagonalizable(f"eigenbasis condition {decomp.pairs.condition:.3g} exceeds "
@@ -293,22 +291,19 @@ def spectral_evolve(decomp: SpectralDecomposition, mu, k: int) -> EigenEvolution
     require_count(k, "steps")
     coordinates = mu @ right
     scaled = coordinates * values ** k
-    applied(epsilon=TAXONOMY_EPSILON)
-    persistent_mask = np.abs(np.abs(values) - 1.0) < TAXONOMY_EPSILON
+    persistent_mask = np.isin(decomp.labels, PERSISTENT)
     persistent = ((scaled * persistent_mask) @ left.T).real
     transient = ((scaled * ~persistent_mask) @ left.T).real
-    return EigenEvolution(coordinates=coordinates,
-                          persistent_part=persistent,
-                          transient_part=transient,
-                          evolved=persistent + transient)
+    return EigenEvolution(coordinates, persistent, transient, persistent + transient)
 
 
 def perron_report(decomp: SpectralDecomposition, recurrent_classes: int) -> dict:
     """Conformance summary for a stochastic spectrum: radius bound, the
     multiplicity of 1 against the recurrent-class count, and the second
-    modulus |lambda_2|."""
-    vals = decomp.sorted_values()
-    radius = float(np.max(np.abs(vals))) if len(vals) else 0.0
+    modulus: the largest |lambda| not labelled persistent_structure."""
+    modulus = np.abs(decomp.values)
+    radius = float(np.max(modulus, initial=0.0))
+    rest = modulus[np.array(decomp.labels) != PERSISTENT_STRUCTURE]
     applied(radius=SPECTRAL_RADIUS_SLACK)
     return {
         "spectral_radius": radius,
@@ -316,6 +311,5 @@ def perron_report(decomp: SpectralDecomposition, recurrent_classes: int) -> dict
         "unit_multiplicity": decomp.unit_multiplicity,
         "unit_multiplicity_matches_recurrent_classes":
             decomp.unit_multiplicity == recurrent_classes,
-        "second_modulus": float(np.abs(vals[decomp.unit_multiplicity]))
-        if len(vals) > decomp.unit_multiplicity else None,
+        "second_modulus": float(rest.max()) if len(rest) else None,
     }

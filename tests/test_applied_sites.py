@@ -1,8 +1,11 @@
-"""Every check that compares against a report tolerance records it.
+"""Every check that compares against a report tolerance records it,
+and every record names a tolerance its function compares against.
 
 A function of src/chainkit whose own code holds a comparison naming one
 of the constants below must also call `applied` with that constant's
-key, so that the report being built lists it (errors.applied). Kernel
+key, so that the report being built lists it (errors.applied); and a
+function that calls `applied` with a key must compare against its
+constant, or the report would list a tolerance that was not applied. Kernel
 arithmetic guards (TRIDIAG_RTOL, TINY, RESCALE_LIMIT, PIVOT_RTOL, ...)
 bound roundoff, not an answer, and are not report tolerances.
 """
@@ -48,9 +51,8 @@ def constant(node) -> str | None:
     return name if name in KEYS else None
 
 
-def unrecorded(tree) -> list[tuple[str, str]]:
-    """(function, constant) pairs compared against and not recorded."""
-    missing = []
+def sites(tree):
+    """(function, constants compared, keys recorded) per function."""
     for func in ast.walk(tree):
         if not isinstance(func, FUNCTIONS):
             continue
@@ -60,8 +62,19 @@ def unrecorded(tree) -> list[tuple[str, str]]:
                 compared |= {c for sub in ast.walk(node) if (c := constant(sub))}
             elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "applied":
                 recorded |= {kw.arg for kw in node.keywords}
-        missing += [(func.name, c) for c in sorted(compared) if KEYS[c] not in recorded]
-    return missing
+        yield func.name, compared, recorded
+
+
+def unrecorded(tree) -> list[tuple[str, str]]:
+    """(function, constant) pairs compared against and not recorded."""
+    return [(name, c) for name, compared, recorded in sites(tree)
+            for c in sorted(compared) if KEYS[c] not in recorded]
+
+
+def uncompared(tree) -> list[tuple[str, str]]:
+    """(function, key) pairs recorded and not compared against."""
+    return [(name, key) for name, compared, recorded in sites(tree)
+            for key in sorted(recorded - {KEYS[c] for c in compared})]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
@@ -69,7 +82,18 @@ def test_every_tolerance_compared_is_recorded(path):
     assert unrecorded(ast.parse(path.read_text(encoding="utf-8"))) == []
 
 
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_every_tolerance_recorded_is_compared(path):
+    assert uncompared(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
 def test_finds_an_unrecorded_comparison():
     tree = ast.parse("def f(x):\n    applied(row_sum=ROW_SUM_ATOL)\n"
                      "    return x < numlin.RANK_RTOL and x < ROW_SUM_ATOL\n")
     assert unrecorded(tree) == [("f", "RANK_RTOL")]
+
+
+def test_finds_a_record_without_its_comparison():
+    tree = ast.parse("def f(x):\n    applied(row_sum=ROW_SUM_ATOL, cluster=RANK_RTOL)\n"
+                     "    return x < ROW_SUM_ATOL\n")
+    assert uncompared(tree) == [("f", "cluster")]

@@ -644,6 +644,37 @@ class TestSpectrumFormats:
         perron = json.loads(out)["result"]["perron"]
         assert perron["unit_multiplicity"] == 1
 
+    def test_second_modulus_is_the_largest_not_labelled_unit(self, tmp_path, capsys):
+        # the lazy birth-death path I + d (A - D) at d = 2.56e-8, A and D
+        # the path's adjacency and degree matrices: 1 - 1.5e-8 ties with
+        # 1 in the modulus cluster and sorts first, labelled transient
+        d = 2.56e-8
+        a = np.diag(np.ones(3), 1) + np.diag(np.ones(3), -1)
+        f = tmp_path / "lazy_path.json"
+        f.write_text(json.dumps({"states": list("abcd"),
+                                 "P": (np.eye(4) + d * (a - np.diag(a.sum(1)))).tolist()}))
+        code, out, _ = run(capsys, "spectrum", str(f))
+        result = json.loads(out)["result"]
+        assert code == 0
+        assert result["eigenvalues"][0] == {"abs": 0.999999985004, "im": 0.0,
+                                            "label": "transient_structure",
+                                            "re": 0.999999985004}
+        assert result["perron"]["second_modulus"] == 0.999999985004
+        assert result["perron"]["unit_multiplicity"] == 1
+
+    def test_lazy_cycle_spectrum_exits_zero(self, tmp_path, capsys):
+        # (1 - d) I + d C at d = 6.2e-9: each term of the Francis shift's
+        # first column is near 1 and their sum O(d^2), which the direct
+        # form lost, and QR ran out of sweeps (exit 3)
+        f = tmp_path / "lazy_cycle.json"
+        f.write_text('{"states":["a","b","c"],"P":[[0.9999999938,0.0000000062,0],'
+                     '[0,0.9999999938,0.0000000062],[0.0000000062,0,0.9999999938]]}')
+        code, out, err = run(capsys, "spectrum", str(f))
+        assert code == 0 and err == ""
+        rows = json.loads(out)["result"]["eigenvalues"]
+        assert [r["label"] for r in rows] == ["transient_structure", "persistent_structure",
+                                              "transient_structure"]
+
 
 class TestEvolutionAndSimulation:
     def test_evolve_point_mass(self, chain_file, capsys):

@@ -32,10 +32,8 @@ from conftest import layered_chain, periodic_chain, random_recurrent_chain
 def decomp_of_matrix(m):
     """Taxonomy test helper: wrap an arbitrary square matrix."""
     pairs = eigen_from_schur(real_schur(m))
-    values = pairs.values
-    unit = int(np.sum(np.abs(values - 1.0) < 1e-8))
-    return SpectralDecomposition(pairs=pairs, order=spectral._order(values, np.linalg.norm(m)),
-                                 unit_multiplicity=unit)
+    return SpectralDecomposition(pairs=pairs,
+                                 order=spectral._order(pairs.values, np.linalg.norm(m)))
 
 
 class TestDecompose:
@@ -201,6 +199,21 @@ class TestSpectralEvolve:
         assert np.allclose(out.persistent_part + out.transient_part, out.evolved,
                            atol=1e-12)
         assert np.allclose(out.evolved, evolve(nonrev_chain, mu, 9), atol=1e-8)
+
+    def test_persistent_part_follows_the_labels(self):
+        # the lazy 3-cycle (1 - d) I + d C at d = 6.2e-9: its pair
+        # 1 - 1.5d +- 0.87d i is within 1e-8 of the unit circle, yet
+        # taxonomy calls it transient, so its modes go to the transient
+        # part; the deflation at 1e-12 leaves the eigenvectors good to
+        # about 1e-12 / d
+        d = 6.2e-9
+        chain = build_chain("abc", (1 - d) * np.eye(3) + d * np.roll(np.eye(3), 1, axis=1))
+        dec = decompose(chain, classify(chain))
+        assert sorted(taxonomy(dec)) == ["persistent_structure"] + ["transient_structure"] * 2
+        ev = spectral_evolve(dec, [1.0, 0.0, 0.0], 3)
+        assert np.allclose(ev.persistent_part, 1 / 3, rtol=0, atol=1e-4)
+        assert np.allclose(ev.transient_part, [2 / 3, -1 / 3, -1 / 3], rtol=0, atol=1e-4)
+        assert np.allclose(ev.evolved, evolve(chain, [1.0, 0.0, 0.0], 3), rtol=0, atol=1e-12)
 
     def test_refuses_defective_spectrum(self):
         p = build_chain("abc", [[0.25, 0.625, 0.125],
@@ -765,3 +778,57 @@ class TestEigenbasisContract:
         for k in (1, 3, 17):
             got = spectral_evolve(dec, mu, k).evolved
             assert np.max(np.abs(got - evolve(chain, mu, k))) <= 1e-10
+
+
+def reference_label(lam):
+    """The six-way rule one eigenvalue at a time, as scalar comparisons."""
+    eps = spectral.TAXONOMY_EPSILON
+    if abs(lam - 1.0) < eps:
+        return "persistent_structure"
+    if abs(lam + 1.0) < eps:
+        return "persistent_oscillation"
+    if abs(abs(lam) - 1.0) < eps and abs(lam.imag) >= eps:
+        return "persistent_cycle"
+    if abs(lam.imag) < eps:
+        return "transient_structure" if lam.real >= 0 else "transient_oscillation"
+    return "transient_cycle"
+
+
+class TestLazyChains:
+    """(1 - d) I + d Q: P is within d of I, so every term of the Francis
+    shift's first column is near 1 while their sum is O(d^2), and every
+    eigenvalue is within about d of 1, where the labels decide which
+    count as the unit eigenvalue."""
+
+    @given(n=hs.integers(3, 8), log_d=hs.floats(-12, -6), seed=hs.integers(0, 2**32 - 1))
+    @settings(max_examples=100)
+    def test_spectrum_and_the_readers_of_its_labels(self, n, log_d, seed):
+        rng = np.random.default_rng(seed)
+        q = rng.random((n, n)) ** 3
+        np.fill_diagonal(q, 0.0)
+        q /= q.sum(axis=1, keepdims=True)
+        d = 10.0 ** log_d
+        chain = build_chain([str(i) for i in range(n)], (1 - d) * np.eye(n) + d * q)
+        st = classify(chain)
+        dec = decompose(chain, st)
+        assert max_matched_distance(dec.values, np.linalg.eigvals(chain.p)) <= 1e-10
+        labels = taxonomy(dec)
+        assert labels == [reference_label(lam) for lam in dec.values]
+        assert dec.unit_multiplicity == labels.count("persistent_structure")
+        rep = perron_report(dec, recurrent_classes=sum(st.recurrent))
+        rest = [abs(lam) for lam, label in zip(dec.values, labels)
+                if label != "persistent_structure"]
+        # numpy's vectorized complex modulus may differ from the scalar one in the last ulp
+        if rest:
+            assert rep["second_modulus"] == pytest.approx(max(rest), rel=1e-15, abs=0)
+        else:  # every eigenvalue within 1e-8 of 1
+            assert rep["second_modulus"] is None
+        if not dec.pairs.diagonalizable:
+            return
+        mu = rng.random(n)
+        mu /= mu.sum()
+        ev = spectral_evolve(dec, mu, 5)
+        persistent = sum((mu @ dec.pairs.right[:, w]) * lam ** 5 * dec.pairs.left[:, w]
+                         for w, (lam, label) in enumerate(zip(dec.values, labels))
+                         if label.startswith("persistent"))
+        assert np.allclose(ev.persistent_part, np.real(persistent), rtol=0, atol=1e-12)
