@@ -40,8 +40,10 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 
 
-def as_finite(values, what: str) -> np.ndarray:
-    """A float array of `values`, refusing unreadable or non-finite input."""
+def as_finite(values, what: str, n: int | None = None) -> np.ndarray:
+    """A float copy of the array a caller passes in: ValidationError if it
+    is not numeric, NonFiniteEntry on NaN or an infinity; given n, it is
+    flattened and must have n entries, or DimensionMismatch."""
     try:
         out = np.array(values, dtype=float)
     except (TypeError, ValueError):
@@ -50,7 +52,9 @@ def as_finite(values, what: str) -> np.ndarray:
         raise NonFiniteEntry(f"{what} has a non-finite entry") from None
     if not np.all(np.isfinite(out)):
         raise NonFiniteEntry(f"{what} has a non-finite entry")
-    return out
+    if n is not None and out.size != n:
+        raise DimensionMismatch(f"{what} length {out.size}, expected {n}")
+    return out if n is None else out.reshape(-1)
 
 
 def as_labels(labels) -> tuple[str, ...]:
@@ -143,11 +147,9 @@ def _frozen_chain(labels: tuple[str, ...], p: np.ndarray) -> TransitionMatrix:
 
 
 def validate_distribution(mu, n: int | None = None) -> np.ndarray:
-    """Refuse non-finite entries, clamp tiny negatives, check the mass
-    sums to one, renormalize."""
-    mu = as_finite(mu, "distribution").reshape(-1)
-    if n is not None and mu.size != n:
-        raise DimensionMismatch(f"distribution length {mu.size}, expected {n}")
+    """`as_finite` of mu, flattened, with n entries when n is given; then
+    clamp tiny negatives, check the mass sums to one, renormalize."""
+    mu = as_finite(mu, "distribution", n).reshape(-1)
     applied(entry=ENTRY_CLAMP, row_sum=ROW_SUM_ATOL)
     if np.any(mu < -ENTRY_CLAMP):
         raise NegativeEntry("distribution has a negative entry")
@@ -199,12 +201,11 @@ def evolve(chain: TransitionMatrix, mu, steps: int = 1) -> np.ndarray:
 
 
 def conditional_expectation(chain: TransitionMatrix, x, steps: int = 1) -> np.ndarray:
-    """E[x(X_{t+k}) | X_t = s_i] for every i, i.e. P^k x."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.size != chain.n:
-        raise DimensionMismatch(f"state function length {x.size}, expected {chain.n}")
+    """E[x(X_{t+k}) | X_t = s_i] for every i, i.e. P^k x, for x read by
+    `as_finite` with one entry per state."""
+    x = as_finite(x, "state function", chain.n)
     require_count(steps, "steps")
-    return _pushed(chain.p, x.copy(), steps, left=False)
+    return _pushed(chain.p, x, steps, left=False)
 
 
 def _start(chain: TransitionMatrix, start) -> int:

@@ -8,7 +8,7 @@ draw in [-perturb, perturb] from numpy's default generator seeded with
 [1e-3, 1 - 1e-3], so every move keeps probability at least 1e-3;
 `perturb` must be finite and not negative. Rows always still sum to
 one, so the all-ones vector remains the right eigenvector for
-eigenvalue 1.
+eigenvalue 1. The state count n and the seed go through `require_count`.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from .errors import ValidationError
 
 def line_chain(n: int = 100, p_right: float = 0.52, perturb: float = 0.0,
                seed: int = 0) -> TransitionMatrix:
-    if n < 2:
-        raise ValidationError("line chain needs at least two states")
+    require_count(n, "line chain states", least=2)
     if n > math.isqrt(np.iinfo(np.intp).max // 8):  # refused before anything is allocated
         raise ValidationError(f"line chain of {n} states is too large: numpy cannot "
                               "index its n * n float64 entries")

@@ -96,11 +96,10 @@ def same_rw_set(w1, w2) -> np.ndarray | None:
     """Diagonal scaling a with w1 = diag(a) w2 when the graphs generate
     the same random walk; None when they do not.
 
-    Requires identical zero patterns, then checks every row is a single
-    positive multiple (relative tolerance 1e-10).
+    Both are read by `as_finite`. Requires identical zero patterns, then
+    every row a single positive multiple (relative tolerance 1e-10).
     """
-    w1 = np.asarray(w1, dtype=float)
-    w2 = np.asarray(w2, dtype=float)
+    w1, w2 = as_finite(w1, "weight matrix"), as_finite(w2, "weight matrix")
     if w1.shape != w2.shape:
         raise DimensionMismatch("weight matrices differ in shape")
     if not np.array_equal(w1 > 0, w2 > 0):

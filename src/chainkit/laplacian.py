@@ -12,7 +12,7 @@ import numpy as np
 # numlin, reversal and stationary run on first use (see chainkit/__init__.py),
 # so a graph's Laplacian runs neither of the last two
 from . import numlin, reversal, stationary
-from .chain import TransitionMatrix
+from .chain import TransitionMatrix, as_finite, require_count
 from .errors import (
     DimensionMismatch,
     FormulaMismatch,
@@ -73,8 +73,7 @@ def build_laplacian(g: WeightedDigraph, variant: str) -> LaplacianMatrix:
     else:
         m = np.diag(d) - g.w
     m = 0.5 * (m + m.T)
-    return LaplacianMatrix(variant=variant, m=m, scale=d, weights=np.asarray(g.w),
-                           labels=g.labels)
+    return LaplacianMatrix(variant=variant, m=m, scale=d, weights=g.w, labels=g.labels)
 
 
 def directed_laplacian(chain: TransitionMatrix,
@@ -96,12 +95,10 @@ def quadratic_form(lap: LaplacianMatrix, x) -> float:
 
     For the normalized/directed variants the edge sum is
     0.5 * sum_ij w_ij (x_i/sqrt(s_i) - x_j/sqrt(s_j))^2; the unnormalized
-    variant drops the scaling. Disagreement beyond 1e-10 means a bug, not
-    bad input, hence FormulaMismatch.
+    variant drops the scaling; x is read by `as_finite`. Disagreement
+    beyond 1e-10 means a bug, not bad input, hence FormulaMismatch.
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.size != lap.n:
-        raise DimensionMismatch(f"vector length {x.size}, expected {lap.n}")
+    x = as_finite(x, "vector", lap.n)
     direct = float(x @ lap.m @ x)
     if lap.variant == UNNORMALIZED:
         y = x
@@ -177,10 +174,11 @@ def smooth_spectrum(lap: LaplacianMatrix, k: int | None = None) -> LaplacianSpec
     permutes the rows and nothing else. A single column's basis is the
     vector with its largest entry positive, the first by label among
     near-ties: `_label_signs` gives it to every simple eigenvalue at once.
+    k must be an integer (`require_count`) in 1..n; None means n.
     """
     n = lap.n
-    if k is None:
-        k = n
+    k = n if k is None else k
+    require_count(k, "k")
     if not 1 <= k <= n:
         raise DimensionMismatch(f"k={k} outside 1..{n}")
     values, vectors = numlin.sym_eigen(lap.m)
@@ -202,17 +200,14 @@ def smooth_spectrum(lap: LaplacianMatrix, k: int | None = None) -> LaplacianSpec
 
 def gft(spectrum: LaplacianSpectrum, x) -> np.ndarray:
     """Graph Fourier transform: coefficients <y_w, x> over the full
-    eigenbasis."""
+    eigenbasis, for a signal x read by `as_finite`, one entry per vertex."""
     if not spectrum.full:
         raise IncompleteBasis("transform requires the full spectrum (k = N)")
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.size != spectrum.vectors.shape[0]:
-        raise DimensionMismatch("signal length does not match the basis")
-    return spectrum.vectors.T @ x
+    return spectrum.vectors.T @ as_finite(x, "signal", len(spectrum.values))
 
 
 def inverse_gft(spectrum: LaplacianSpectrum, coeffs) -> np.ndarray:
+    """The signal whose `gft` is coeffs, read by `as_finite`, n entries."""
     if not spectrum.full:
         raise IncompleteBasis("transform requires the full spectrum (k = N)")
-    coeffs = np.asarray(coeffs, dtype=float).reshape(-1)
-    return spectrum.vectors @ coeffs
+    return spectrum.vectors @ as_finite(coeffs, "coefficient vector", len(spectrum.values))

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ROW_SUM_ATOL, TransitionMatrix
-from .errors import DimensionMismatch, NotRecurrent, NumericError, ValidationError, applied
+from .chain import ROW_SUM_ATOL, TransitionMatrix, as_finite
+from .errors import NotRecurrent, NumericError, ValidationError, applied
 from .gth import stationary_gth
 from .structure import ClassStructure
 
@@ -53,10 +53,9 @@ def stationary_basis(chain: TransitionMatrix,
 
 
 def combine(basis: StationaryBasis, alphas) -> np.ndarray:
-    """Convex combination of the basis vectors."""
-    alphas = np.asarray(alphas, dtype=float).reshape(-1)
-    if alphas.size != len(basis.class_ids):
-        raise DimensionMismatch("one weight per recurrent class required")
+    """Convex combination of the basis vectors, with one weight per
+    recurrent class (read by `as_finite`)."""
+    alphas = as_finite(alphas, "weight vector", len(basis.class_ids))
     applied(row_sum=ROW_SUM_ATOL)
     if np.any(alphas < 0) or abs(alphas.sum() - 1.0) > ROW_SUM_ATOL:
         raise ValidationError("weights must be nonnegative and sum to one")
@@ -79,7 +78,8 @@ def _positive_pi(basis: StationaryBasis, what: str) -> np.ndarray:
 
 
 def is_stationary(chain: TransitionMatrix, pi) -> bool:
-    pi = np.asarray(pi, dtype=float)
+    """pi P = pi within STATIONARITY_ATOL, pi read by `as_finite`, n entries."""
+    pi = as_finite(pi, "stationary vector", chain.n)
     on = np.flatnonzero(pi)  # only the support adds to pi P
     applied(stationarity=STATIONARITY_ATOL)
     return bool(np.max(np.abs(pi[on] @ chain.p[on] - pi)) <= STATIONARITY_ATOL)
@@ -89,9 +89,9 @@ def flow_matrix(chain: TransitionMatrix, pi) -> np.ndarray:
     """Probability flow F = diag(pi) P for a stationary pi.
 
     Global balance holds by construction: row sums and column sums of F
-    both equal pi.
+    both equal pi. pi is read by `as_finite`, as `is_stationary` reads it.
     """
-    pi = np.asarray(pi, dtype=float)
+    pi = as_finite(pi, "stationary vector", chain.n)
     if not is_stationary(chain, pi):
         raise ValidationError("pi is not stationary for this chain")
     return pi[:, None] * chain.p

@@ -902,6 +902,18 @@ class TestTransformCommands:
         assert code == 0 and r["same_random_walk_set"] is True
         assert r["scaling"] == [0.5, 0.5, 0.5]
 
+    def test_rwset_of_a_graph_with_a_sink(self, tmp_path, capsys):
+        # c has no out-weight, so the graph has no random walk: not even
+        # the graph itself shares one, while classify refuses the file
+        g = tmp_path / "g.tsv"
+        g.write_text("#directed\na\tb\t1\nb\tc\t2\n")
+        code, out, _ = run(capsys, "rwset", str(g), "--other", str(g))
+        assert code == 0
+        assert json.loads(out)["result"] == {"same_random_walk_set": False, "scaling": None}
+        code, out, err = run(capsys, "classify", str(g))
+        assert code == 2 and out == ""
+        assert err == "error: vertex 'c' has no outgoing weight\n"
+
     @pytest.mark.parametrize("other", ["#undirected\na\tb\t1\nb\td\t2\n",
                                        "#undirected\na\tb\t1\n"],
                              ids=["other-label", "fewer-vertices"])

@@ -22,7 +22,13 @@ from chainkit import (
     stationary_basis,
 )
 from chainkit.chain import ENTRY_CLAMP, ROW_SUM_ATOL
-from chainkit.errors import NegativeWeight, NotRecurrent, ValidationError, ZeroOutDegree
+from chainkit.errors import (
+    DimensionMismatch,
+    NegativeWeight,
+    NotRecurrent,
+    ValidationError,
+    ZeroOutDegree,
+)
 from conftest import random_recurrent_chain
 
 W1 = np.array([[0.0, 0.0, 0.0, 1.5],
@@ -159,6 +165,10 @@ class TestWalkCheckedInPlace:
         with pytest.raises(ValidationError, match="unique"):
             build_graph("aa", [[0, 1], [1, 0]])
 
+    def test_weight_shape_must_match_labels(self):
+        with pytest.raises(DimensionMismatch, match=r"shape \(2, 3\) does not match 2"):
+            build_graph("ab", [[0, 1, 1], [1, 0, 1]])
+
 
 class TestSameRwSet:
     def test_recovers_row_scaling(self):
@@ -181,6 +191,14 @@ class TestSameRwSet:
         w3 = W1.copy()
         w3[1, 2] = 7.0
         assert same_rw_set(w3, W1) is None
+
+    def test_shapes_must_agree(self):
+        with pytest.raises(DimensionMismatch, match="differ in shape"):
+            same_rw_set(np.ones((2, 2)), np.ones((3, 3)))
+
+    def test_silent_vertex_has_no_walk(self):
+        # b has no out-weight in either graph: the patterns agree, no walk exists
+        assert same_rw_set([[0, 1], [0, 0]], [[0, 2], [0, 0]]) is None
 
     def test_scaling_invariance_property(self):
         rng = np.random.default_rng(21)

@@ -245,6 +245,12 @@ class TestRealSchur:
 
 
 class TestEigenFromSchur:
+    def test_zero_matrix(self):
+        # ||T||_F = 0 falls back to scale 1: the clamp stays positive
+        ep = eigen_from_schur(real_schur(np.zeros((3, 3))))
+        assert ep.values.tolist() == [0, 0, 0]
+        assert ep.condition == 1.0 and ep.residual == 0.0 and ep.diagonalizable
+
     def test_residual_bound_random(self):
         rng = np.random.default_rng(41)
         worst = 0.0
@@ -446,6 +452,12 @@ class TestKernelsAtWorkloadSizes:
         monkeypatch.setattr(numlin, "_qr_budget", lambda n: 1)
         with pytest.raises(errors.NoConvergence):
             sym_eigen(a)
+
+    def test_real_schur_iteration_budget(self, monkeypatch):
+        a = np.random.default_rng(1).random((45, 45))
+        monkeypatch.setattr(numlin, "_qr_budget", lambda n: 1)
+        with pytest.raises(errors.NoConvergence):
+            real_schur(a)
 
     @pytest.mark.parametrize("name,a", [
         ("cycle50", cycle_matrix(50, np.random.default_rng(50))),

@@ -41,6 +41,12 @@ class TestDecompose:
         dec = decompose(swap_chain, classify(swap_chain))
         assert np.allclose(np.sort_complex(dec.values), [-1, 1], atol=1e-12)
 
+    def test_radius_above_one_is_a_numeric_error(self, rev_chain, monkeypatch):
+        pairs = eigen_from_schur(real_schur(np.diag([1.5, 0.5, 0.25, 0.0])))
+        monkeypatch.setattr(spectral, "_reversible_pairs", lambda p, structure: pairs)
+        with pytest.raises(errors.NumericError, match="radius 1.5 exceeds 1"):
+            decompose(rev_chain, classify(rev_chain))
+
     def test_directed_cycle_roots_of_unity(self, cycle3_chain):
         dec = decompose(cycle3_chain, classify(cycle3_chain))
         want = np.sort_complex(np.exp(2j * np.pi * np.arange(3) / 3))
