@@ -5,7 +5,6 @@ ranking of states."""
 import numpy as np
 
 from chainkit import (
-    SurferConfig,
     classify,
     directed_laplacian,
     equal_weight,
@@ -40,6 +39,6 @@ print("second eigenvector changes sign once:",
 
 # Teleportation flattens the profile as the damping factor drops.
 for alpha in (0.99, 0.9, 0.5):
-    ranks = pagerank(chain, SurferConfig(alpha=alpha))
+    ranks, _ = pagerank(chain, alpha)
     print(f"alpha={alpha:4}: ratio last/first = {ranks[-1] / ranks[0]:8.2f}")
 print(f"no teleport: ratio last/first = {pi[-1] / pi[0]:8.2f}")

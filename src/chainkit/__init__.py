@@ -34,7 +34,7 @@ _EXPORTS = {
     "spectral": ("decompose", "perron_report", "spectral_evolve", "taxonomy"),
     "stationary": ("combine", "equal_weight", "flow_matrix", "stationary_basis"),
     "structure": ("classify",),
-    "surfer": ("SurferConfig", "google_matrix", "pagerank"),
+    "surfer": ("google_matrix", "pagerank"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -30,6 +30,7 @@ from .errors import (
 ROW_SUM_ATOL = 1e-9
 ENTRY_CLAMP = 1e-12  # |entry| at most this in an input chain is roundoff
 SAMPLE_BLOCK = 1 << 20  # uniforms drawn at once by sample and occupancy
+MAX_STEPS = 10**8  # most steps a path (length) or ensemble (length * trajectories) walks
 
 # numpy's SeedSequence pool and output hash constants, and PCG64's LCG
 # multiplier; NEP 19 keeps both streams fixed across numpy releases
@@ -73,12 +74,15 @@ def as_labels(labels) -> tuple[str, ...]:
     return labels
 
 
-def require_count(value: int, what: str, least: float = 0) -> None:
-    """BadCount unless value is an int or numpy integer (not a bool) >= least."""
+def require_count(value: int, what: str, least: float = 0, most: float = np.inf) -> None:
+    """BadCount unless value is an int or numpy integer (not a bool) in
+    [least, most]."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise BadCount(f"{what} must be an integer, got {value!r}")
     if value < least:
         raise BadCount(f"{what} must be at least {least}, got {value}")
+    if value > most:
+        raise BadCount(f"{what} must be at most {most}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -336,7 +340,7 @@ def _streams(seed: int, count: int) -> Iterator[np.random.Generator]:
 
 
 def sample(chain: TransitionMatrix, start, length: int, seed: int) -> list[str]:
-    """One trajectory of `length` transitions from `start`.
+    """One trajectory of `length` (at most MAX_STEPS) transitions from `start`.
 
     The stream contract, shared with `occupancy`: the path draws from
     numpy's default generator seeded with `seed`, which must not be
@@ -351,7 +355,7 @@ def sample(chain: TransitionMatrix, start, length: int, seed: int) -> list[str]:
     cdf values (`_run_table`) instead of its n entries: a row of a
     sparse chain has a few runs.
     """
-    require_count(length, "length")
+    require_count(length, "length", most=MAX_STEPS)
     require_count(seed, "seed")
     i = _start(chain, start)
     rng = np.random.default_rng(seed)
@@ -387,6 +391,7 @@ def occupancy(chain: TransitionMatrix, start, length: int, seed: int,
     """
     require_count(length, "length")
     require_count(trajectories, "trajectories", least=1)
+    require_count(int(length) * int(trajectories), "length * trajectories", most=MAX_STEPS)
     require_count(seed, "seed")
     n = chain.n
     i = _start(chain, start)

@@ -39,7 +39,6 @@ from . import (
     demo,
     errors,
     graph,
-    gth,
     laplacian,
     reversal,
     spectral,
@@ -49,7 +48,6 @@ from . import (
 )
 from .chain import (
     TransitionMatrix,
-    as_finite,
     as_labels,
     build_chain,
     evolve,
@@ -359,12 +357,12 @@ class Analysis:
 # ---------------------------------------------------------------------------
 # command payloads; each returns its result, or the text of a CSV report
 
-def _parse_vector(text: str) -> np.ndarray:
+def _parse_vector(text: str) -> list[float]:
+    """A comma-separated option's fields as floats; the library reads them."""
     try:
-        values = [float(v) for v in text.split(",")]
+        return [float(v) for v in text.split(",")]
     except ValueError:
         raise errors.ValidationError(f"bad numeric list {text!r}") from None
-    return as_finite(values, f"numeric list {text!r}")
 
 
 def _validate(args, a: Analysis):
@@ -500,13 +498,12 @@ def _gft(args, a: Analysis):
 def _pagerank(args, a: Analysis):
     chain = a.chain
     tel = None if args.teleport is None else _parse_vector(args.teleport)
-    gm = surfer.pagerank_matrix(chain, surfer.SurferConfig(alpha=args.damping, teleport=tel))
-    pi = gth.stationary_gth(gm.p)
+    pi, google = surfer.pagerank(chain, args.damping, tel)
     result = {"damping": args.damping, "pagerank": pi,
               "states": list(chain.labels),
-              "residual_l1": float(np.sum(np.abs(pi @ gm.p - pi)))}
+              "residual_l1": float(np.sum(np.abs(pi @ google.p - pi)))}
     if chain.n <= 16:
-        result["google_matrix"] = gm.p
+        result["google_matrix"] = google.p
     return result
 
 

@@ -6,9 +6,9 @@ perturbed variant jitters each state's bias by an independent uniform
 draw in [-perturb, perturb] from numpy's default generator seeded with
 `seed`, which must not be negative, and clips the jittered bias to
 [1e-3, 1 - 1e-3], so every move keeps probability at least 1e-3;
-`perturb` must be finite and not negative. Rows always still sum to
-one, so the all-ones vector remains the right eigenvector for
-eigenvalue 1. The state count n and the seed go through `require_count`.
+`perturb` must not be negative. Rows always still sum to one, so the
+all-ones vector remains the right eigenvector for eigenvalue 1. n and
+the seed are read by `require_count`, p_right and perturb by `as_finite`.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .chain import TransitionMatrix, build_chain, require_count
+from .chain import TransitionMatrix, as_finite, build_chain, require_count
 from .errors import ValidationError
 
 
@@ -27,9 +27,11 @@ def line_chain(n: int = 100, p_right: float = 0.52, perturb: float = 0.0,
     if n > math.isqrt(np.iinfo(np.intp).max // 8):  # refused before anything is allocated
         raise ValidationError(f"line chain of {n} states is too large: numpy cannot "
                               "index its n * n float64 entries")
+    p_right, = as_finite(p_right, "p_right", 1)
     if not 0.0 < p_right < 1.0:
         raise ValidationError("p_right must be strictly between 0 and 1")
-    if not 0.0 <= perturb < np.inf:
+    perturb, = as_finite(perturb, "perturb", 1)
+    if perturb < 0.0:
         raise ValidationError(f"perturb must be finite and not negative, got {perturb}")
     require_count(seed, "seed")
     right = np.full(n, p_right)

@@ -68,9 +68,6 @@ class SpectralDecomposition:
     def values(self) -> np.ndarray:
         return self.pairs.values
 
-    def sorted_values(self) -> np.ndarray:
-        return self.pairs.values[list(self.order)]
-
     @cached_property
     def labels(self) -> tuple[str, ...]:
         """The taxonomy label of each value, the one unit-circle rule that

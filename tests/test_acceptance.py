@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from chainkit import (
-    SurferConfig,
     build_chain,
     build_graph,
     build_laplacian,
@@ -124,12 +123,11 @@ def test_criterion_04_shared_random_walk():
 
 
 def test_criterion_05_teleporting_walk(surfer_chain):
-    cfg = SurferConfig(alpha=0.85)
-    mixed = google_matrix(surfer_chain, cfg)
+    mixed = google_matrix(surfer_chain, 0.85)
     assert np.max(np.abs(mixed.p - WEB_MIXED_2DP)) <= 5e-3
     st = classify(mixed)
     assert st.ergodic
-    ranks = pagerank(surfer_chain, cfg)
+    ranks, _ = pagerank(surfer_chain, 0.85)
     assert np.sum(np.abs(ranks @ mixed.p - ranks)) <= 1e-10
 
 

@@ -1119,6 +1119,18 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--length", "10000000000"], "length must be at most 100000000, got 10000000000"),
+        (["--length", "1000000", "--trajectories", "1000000"],
+         "length * trajectories must be at most 100000000, got 1000000000000"),
+    ], ids=["path", "ensemble"])
+    def test_walk_past_the_step_budget_is_exit_two(self, argv, message, chain_file, capsys):
+        # both ran for seconds on end before the budget (chain.MAX_STEPS)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "simulate", chain_file, "--start", "S", *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == "" and err == f"error: {message}\n"
+
     @pytest.mark.parametrize("argv, doc", [
         (["simulate", "--start", "a"], {"states": ["a", "b"],
                                         "P": [[float("nan"), 0.5], [0.2, 0.8]]}),
@@ -1421,13 +1433,17 @@ class TestDemoCommand:
         assert code == 2 and out == ""
         assert err == "error: not enough memory: Unable to allocate 67.1 GiB\n"
 
-    @pytest.mark.parametrize("perturb", ["inf", "nan", "-0.5"])
-    def test_bad_perturb_is_exit_two(self, perturb, capsys):
+    @pytest.mark.parametrize("perturb, message", [
+        ("inf", "perturb has a non-finite entry"),
+        ("nan", "perturb has a non-finite entry"),
+        ("-0.5", "perturb must be finite and not negative, got -0.5"),
+    ], ids=["inf", "nan", "-0.5"])
+    def test_bad_perturb_is_exit_two(self, perturb, message, capsys):
         # inf raised numpy's OverflowError; NaN and a negative perturb left
         # the chain silently unperturbed
         code, out, err = run(capsys, "demo-line-chain", "--n", "6", "--perturb", perturb)
         assert code == 2 and out == ""
-        assert err == f"error: perturb must be finite and not negative, got {float(perturb)}\n"
+        assert err == f"error: {message}\n"
 
     def test_huge_perturb_lands_on_the_clip(self, capsys):
         # finite, but numpy's uniform(-1e308, 1e308) overflowed its width

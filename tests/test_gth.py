@@ -9,9 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chainkit import SurferConfig, build_chain, errors, line_chain
+from chainkit import build_chain, errors, google_matrix, line_chain
 from chainkit.gth import GTH_PANEL, RESCALE_LIMIT, _gth_censor, stationary_gth
-from chainkit.surfer import pagerank_matrix
 
 
 def exact_stationary(a):
@@ -111,7 +110,7 @@ def gth_family(name, m, rng):
     p = w / w.sum(axis=1, keepdims=True)
     if name == "google":
         chain = build_chain([str(i) for i in range(m)], p)
-        p = pagerank_matrix(chain, SurferConfig(alpha=0.99)).p
+        p = google_matrix(chain, 0.99).p
     return p
 
 

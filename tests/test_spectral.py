@@ -61,7 +61,8 @@ class TestDecompose:
         assert dec.unit_multiplicity == 2
 
     def test_sorted_view(self, phd_chain):
-        vals = decompose(phd_chain, classify(phd_chain)).sorted_values()
+        dec = decompose(phd_chain, classify(phd_chain))
+        vals = dec.values[list(dec.order)]
         mods = np.abs(vals)
         assert np.all(np.diff(mods) <= 1e-12)
         assert np.isclose(vals[0], 1.0, atol=1e-10)
