@@ -46,6 +46,8 @@ def as_finite(values, what: str, n: int | None = None) -> np.ndarray:
     is not numeric, NonFiniteEntry on NaN or an infinity; given n, it is
     flattened and must have n entries, or DimensionMismatch."""
     try:
+        if values is None:  # which numpy reads as NaN
+            raise TypeError
         out = np.array(values, dtype=float)
     except (TypeError, ValueError):
         raise ValidationError(f"{what} is not a numeric array") from None

@@ -180,8 +180,8 @@ def parse_input(path: str) -> tuple[TransitionMatrix | graph.WeightedDigraph, st
 # ---------------------------------------------------------------------------
 # deterministic serialization
 
-# float ndarray entries formatted per step; bounds make_report's temporaries
-FLOAT_BLOCK = 1 << 14
+# the double nearest 10**k, exact up to 10**22
+_POW10 = np.array([float(10 ** k) for k in range(111)])
 
 
 def round12(x: float) -> float:
@@ -213,37 +213,51 @@ def _jsonable(obj):
 
 def _float_text(a: np.ndarray) -> str:
     """json.dumps(_jsonable(a)) for a non-empty 1-D or 2-D float64 array,
-    with one "%.12g" conversion per entry.
+    byte for byte, written by orjson in one call.
 
-    For a finite normal x whose 12-digit rounding is not an integer,
-    "%.12g" % x is repr(round12(x)): no other decimal of at most 12
-    digits rounds to the same double, and both switch to exponent form
-    below 1e-4. The mask `plain` keeps only such x. What it leaves out
-    is a superset of the rest: zeros (written 0.0), values within
-    1e-11·|x| of an integer (repr adds ".0"; every |x| >= 1e12 is one),
-    subnormals (repr is shorter), NaN and infinities. Those are written
-    one entry at a time, as _jsonable does.
-    """
-    width = a.shape[-1]
-    flat = a.ravel()
-    blocks = []
-    for start in range(0, flat.size, FLOAT_BLOCK):
-        x = flat[start:start + FLOAT_BLOCK]
-        mag = np.abs(x)
-        with np.errstate(invalid="ignore"):  # inf - rint(inf)
-            plain = (np.abs(x - np.rint(x)) > 1e-11 * mag) & (mag >= 2.3e-308)
-        fmt = np.empty(x.size, dtype=object)
-        fmt[:] = "%.12g"  # np.full converts per entry, ~10x slower on object arrays
-        fmt[x == 0] = "0.0"
-        rest = np.flatnonzero(~plain & (x != 0))
-        fmt[rest] = [json.dumps(round12(v)) for v in x[rest].tolist()]
-        if a.ndim == 2:  # brackets around each row
-            first = np.arange(-start % width, x.size, width)
-            fmt[first] = "[" + fmt[first]
-            last = np.arange((width - 1 - start) % width, x.size, width)
-            fmt[last] = fmt[last] + "]"
-        blocks.append(",".join(fmt.tolist()) % tuple(x[plain].tolist()))
-    return "[" + ",".join(blocks) + "]"
+    repr(round12(x)) is the one shortest decimal of the double round12(x),
+    which orjson writes too, in another layout below 1e-4 (0.00001, not
+    1e-05). So numpy finds each 12-digit mantissa r and exponent e and
+    writes r / 10**(11-e) from e = -4 up, else r / 10**21: one rounding
+    each, giving round12(|x|) or its mantissa at e-10, whose exponent
+    digits are then set in place. Entries rint may round wrongly (m near
+    a half: m carries under 2**-12 of error) or that numpy cannot place
+    are read off repr. NaN, infinities and magnitudes from 1e15 take the
+    _jsonable path, as does an output with an unexpected count of "e"."""
+    import orjson  # 3-8 ms on first use; see parse_chain_json
+
+    x = a.ravel()
+    v = np.abs(x)
+    if not (np.isfinite(v).all() and v.max() < 1e15):
+        return json.dumps(_jsonable(a), separators=(",", ":"))
+    nz = np.flatnonzero(x)
+    v = v[nz]
+    e = np.floor(np.log10(v))
+    m = v * np.take(_POW10, (11 - e).astype(np.intp), mode="clip")
+    r = np.rint(m)
+    slow = (m < 1e11) | (r >= 1e12) | (np.abs(m - r) > 0.5 - 2 ** -10) | (e < -99)
+    y = r / np.take(_POW10, np.where(e >= -4, 11 - e, 21).astype(np.intp), mode="clip")
+    for i in np.flatnonzero(slow).tolist():
+        mantissa, _, exponent = repr(round12(v[i])).partition("e")
+        e[i] = int(exponent or 0)
+        if exponent:
+            mantissa += "e-10" if e[i] > -100 else "e-100"
+        y[i] = float(mantissa)
+    out = np.zeros(x.size)
+    out[nz] = np.copysign(y, x[nz])
+    text = orjson.dumps(out.reshape(a.shape), option=orjson.OPT_SERIALIZE_NUMPY)
+    e = -e[e < -4].astype(np.int64)
+    at = np.flatnonzero(np.frombuffer(text, np.uint8) == ord("e"))
+    if at.size != e.size:
+        return json.dumps(_jsonable(a), separators=(",", ":"))
+    if e.size:
+        text = bytearray(text)
+        buf = np.frombuffer(text, np.uint8)
+        wide = e >= 100  # "e-100" holds three digits, "e-10" two
+        buf[at + 2] = 48 + np.where(wide, e // 100, e // 10)
+        buf[at + 3] = 48 + np.where(wide, e // 10 % 10, e % 10)
+        buf[at[wide] + 4] = 48 + e[wide] % 10
+    return text.decode()
 
 
 class _StrText(dict):

@@ -31,7 +31,7 @@ from chainkit import (
     validate_distribution,
 )
 from chainkit import surfer
-from chainkit.chain import MAX_STEPS, occupancy, sample
+from chainkit.chain import MAX_STEPS, as_finite, occupancy, sample
 from chainkit.errors import (
     BadAlpha,
     BadCount,
@@ -77,15 +77,18 @@ CASES = {
     "google_matrix-full-damping-text-teleport": (
         ValidationError, lambda: google_matrix(CHAIN, 1.0, "x")),
     # scalars raised TypeError, or numpy's ValueError for an array
-    "google_matrix-none-damping": (NonFiniteEntry, lambda: google_matrix(CHAIN, None)),
+    "google_matrix-none-damping": (ValidationError, lambda: google_matrix(CHAIN, None)),
     "google_matrix-complex-damping": (ValidationError, lambda: google_matrix(CHAIN, 0.5 + 0j)),
     "google_matrix-two-dampings": (
         DimensionMismatch, lambda: google_matrix(CHAIN, np.array([0.5, 0.6]))),
-    "pagerank-none-damping": (NonFiniteEntry, lambda: pagerank(CHAIN, None)),
+    "pagerank-none-damping": (ValidationError, lambda: pagerank(CHAIN, None)),
     "pagerank-complex-damping": (ValidationError, lambda: pagerank(CHAIN, 0.5 + 0j)),
     "pagerank-two-dampings": (DimensionMismatch, lambda: pagerank(CHAIN, np.array([0.5, 0.6]))),
     "pagerank-nan-damping": (NonFiniteEntry, lambda: pagerank(CHAIN, NAN)),
-    "line_chain-none-p_right": (NonFiniteEntry, lambda: line_chain(5, p_right=None)),
+    "line_chain-none-p_right": (ValidationError, lambda: line_chain(5, p_right=None)),
+    # None is not a numeric array (numpy reads it as NaN)
+    "as_finite-none": (ValidationError, lambda: as_finite(None, "x")),
+    "validate_distribution-none": (ValidationError, lambda: validate_distribution(None)),
     "line_chain-two-p_right": (
         DimensionMismatch, lambda: line_chain(5, p_right=np.array([0.5, 0.5]))),
     "line_chain-text-perturb": (ValidationError, lambda: line_chain(5, perturb="x")),

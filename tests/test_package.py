@@ -206,18 +206,25 @@ def test_every_third_party_import_is_a_declared_dependency():
 
 
 def test_only_chain_json_imports_orjson(tmp_path):
+    # orjson decodes chain JSON and writes float arrays: TSV commands that
+    # print none (validate, classify) skip it, laplacian imports it
     graph, chain = tmp_path / "graph.tsv", tmp_path / "chain.json"
     graph.write_text("#undirected\nx\ty\t2\n")
     chain.write_text(json.dumps({"states": ["a"], "P": [[1.0]]}))
     script = (
         "import contextlib, io, sys\n"
         "from chainkit.cli import main\n"
+        "seen = []\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    main(['laplacian', sys.argv[1]]), main(['demo-line-chain', '--n', '5'])\n"
-        "    before = 'orjson' in sys.modules\n"
-        "    main(['validate', sys.argv[2]])\n"
-        "print(before, 'orjson' in sys.modules)\n")
-    proc = subprocess.run([sys.executable, "-c", script, str(graph), str(chain)], env=ENV,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0 and proc.stderr == ""
-    assert proc.stdout.split() == ["False", "True"]
+        "    for argv in sys.argv[1:]:\n"
+        "        main(argv.split())\n"
+        "        seen.append('orjson' in sys.modules)\n"
+        "print(*seen)\n")
+    runs = {(f"validate {graph}", f"classify {graph}", f"laplacian {graph}"):
+            ["False", "False", "True"],
+            (f"validate {chain}",): ["True"]}
+    for argvs, expected in runs.items():
+        proc = subprocess.run([sys.executable, "-c", script, *argvs], env=ENV,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout.split() == expected

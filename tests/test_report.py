@@ -1,17 +1,21 @@
 """Report writer: `make_report` against the per-value composition it
 replaces, byte for byte."""
 
+import functools
 import json
 from collections import Counter
 from unittest import mock
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from chainkit import __version__, cli
+from chainkit import (__version__, build_chain, build_graph, build_laplacian, classify, cli,
+                      k_matrix, stationary_basis)
+from chainkit.chain import occupancy
 
 
 def reference_report(command, digest, result, tolerances) -> str:
@@ -29,7 +33,8 @@ def reference_report(command, digest, result, tolerances) -> str:
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.3e-308,
                1e-330, 1e308, -1e308, 0.99999999999995, -0.99999999999995,
                999999999999.7, 999999999999.4, 1e12, 1e16, 1e17, 0.5, 1.0,
-               1e-4, 9.99999999999995e-5, float("nan"), float("inf"), float("-inf")]
+               1e-4, 9.99999999999995e-5, 1e-5, 9.99999999999e-6, 1e-9, 1e-10, 1e-99,
+               1e-100, -1.5e-100, float("nan"), float("inf"), float("-inf")]
 
 floats = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
@@ -67,22 +72,17 @@ values = st.recursive(
 
 
 class TestMakeReport:
-    @given(result=values, tolerances=st.dictionaries(st.text(max_size=3), floats, max_size=3),
-           block=st.sampled_from([1, 3, 7, cli.FLOAT_BLOCK]))
-    def test_matches_per_value_writer(self, result, tolerances, block):
-        # small blocks split rows across blocks and blocks inside a row
-        with mock.patch.object(cli, "FLOAT_BLOCK", block):
-            text = cli.make_report("cmd", "digest", result, tolerances)
+    @given(result=values, tolerances=st.dictionaries(st.text(max_size=3), floats, max_size=3))
+    def test_matches_per_value_writer(self, result, tolerances):
+        text = cli.make_report("cmd", "digest", result, tolerances)
         assert text == reference_report("cmd", "digest", result, tolerances)
 
     @given(a=hnp.arrays(np.float64, st.sampled_from([(0,), (0, 3), (3, 0), (1, 9), (9, 1),
                                                      (4, 5), (5, 3), (40, 40), ()]),
-                        elements=floats),
-           block=st.integers(1, 20))
-    def test_float_array_shapes(self, a, block):
+                        elements=floats))
+    def test_float_array_shapes(self, a):
         result = {"m": a, "rows": [a, a.T]}
-        with mock.patch.object(cli, "FLOAT_BLOCK", block):
-            text = cli.make_report("c", "d", result, {})
+        text = cli.make_report("c", "d", result, {})
         assert text == reference_report("c", "d", result, {})
 
     def test_float_text_rule(self):
@@ -92,11 +92,71 @@ class TestMakeReport:
         assert ('"v":[[0.0,0.3,0.333333333333,2.0],'
                 '[5e-324,1234567890120.0,NaN,-Infinity]]') in doc
 
+    @given(a=hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, max_side=12),
+                        elements=floats.filter(lambda x: abs(x) < 1e15)))
+    def test_finite_arrays_take_the_orjson_path(self, a):
+        # magnitudes below 1e15 and no NaN: only repr-read entries, no walk
+        expected = json.dumps(cli._jsonable(a), separators=(",", ":"))
+        with mock.patch.object(cli, "_jsonable", side_effect=AssertionError):
+            assert cli._float_text(a) == expected
+
     def test_nested_dicts_sorted_by_string_key(self):
         result = {"b": {2: 1.5, "10": np.arange(3.0)}, "a": [("x", True, None)]}
         doc = cli.make_report("c", "d", result, {})
         assert doc == reference_report("c", "d", result, {})
         assert '"result":{"a":[["x",true,null]],"b":{"10":[0.0,1.0,2.0],"2":1.5}}' in doc
+
+
+def test_near_ties_round_as_repr():
+    # doubles nearest 13-digit ties, where rint of |x|·10**(11-e) in
+    # floating point rounds the wrong way (or m lands 2**-13 from the half)
+    a = np.array([0.006732655185895, 6.459721981905, -8.319432152805e-37,
+                  9.415651814085e-14, 1.148748719755e-71])
+    assert cli._float_text(a) == json.dumps(cli._jsonable(a), separators=(",", ":"))
+
+
+def test_unexpected_exponent_layout_falls_back():
+    dumps = orjson.dumps
+    a = np.array([[1.5e-5, 0.25], [-2e-120, 0.0]])
+    with mock.patch.object(orjson, "dumps", lambda *args, **kw: dumps(*args, **kw).upper()):
+        assert cli._float_text(a) == "[[1.5e-05,0.25],[-2e-120,0.0]]"
+
+
+def test_orjson_float_layouts():
+    # what _float_text relies on: repr's digits, fixed form from 1e-4 up to
+    # 1e16 with ".0" on integers, "e-" and the bare exponent below 1e-7
+    x = np.array([1e-4, 0.00015, 1.5e-10, 1e-10, 1.5e-100, 5e-324, 123456789012.0, 0.5,
+                  -2.0, 0.0])
+    assert orjson.dumps(x, option=orjson.OPT_SERIALIZE_NUMPY) == (
+        b"[0.0001,0.00015,1.5e-10,1e-10,1.5e-100,5e-324,123456789012.0,0.5,-2.0,0.0]")
+
+
+@functools.cache
+def workload_matrices():
+    """The float arrays structural and walks reports print, at their sizes:
+    a dense 300-state chain, its K matrix, the normalized Laplacian of a
+    sparse graph (exact zeros off its edges) and an occupancy table."""
+    rng = np.random.default_rng(7)
+    p = rng.random((300, 300)) ** 2 + 1e-3
+    chain = build_chain([f"s{i}" for i in range(300)], p / p.sum(axis=1, keepdims=True))
+    k = k_matrix(chain, stationary_basis(chain, classify(chain)))
+    w = np.zeros((600, 600))
+    for i in range(1, 600):
+        j = int(rng.integers(i))
+        w[i, j] = w[j, i] = rng.integers(1, 10)
+    lap = build_laplacian(build_graph([f"v{i}" for i in range(600)], w), "normalized").m
+    q = p[:50, :50]
+    walk = build_chain([f"s{i}" for i in range(50)], q / q.sum(axis=1, keepdims=True))
+    table = occupancy(walk, "s0", 100, 3, 40)
+    return {"chain": chain.p, "k": k, "laplacian": lap, "occupancy": table}
+
+
+@pytest.mark.parametrize("name", ["chain", "k", "laplacian", "occupancy"])
+def test_workload_matrices_take_the_orjson_path(name):
+    a = workload_matrices()[name]
+    expected = json.dumps(cli._jsonable(a), separators=(",", ":"))
+    with mock.patch.object(cli, "_jsonable", side_effect=AssertionError("fell back")):
+        assert cli._float_text(a) == expected
 
 
 # a path report's labels: one json.dumps for a list made only of str

@@ -3,8 +3,13 @@
 import hashlib
 import importlib.util
 import json
+import platform
+import sys
+import types
 from pathlib import Path
 
+import numpy as np
+import orjson
 import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "report_digests.py"
@@ -13,8 +18,10 @@ report_digests = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(report_digests)
 
 
-def write_dump(path, stdouts, rc=0):
+def write_dump(path, stdouts, rc=0, versions=None):
     with path.open("w") as f:
+        if versions:
+            f.write(json.dumps({"versions": versions}) + "\n")
         for i, out in enumerate(stdouts):
             f.write(json.dumps({"key": f"walks seed 1 #{i:02d} pagerank",
                                 "argv": ["pagerank", "<workdir>/in001.json"], "rc": rc,
@@ -24,6 +31,7 @@ def write_dump(path, stdouts, rc=0):
 
 
 BEFORE = ['{"pi":[0.25,0.75],"residual_l1":2.5e-16}', '{"label":"s12","x":-3.0}']
+VERSIONS = {"python": "3.11.7", "numpy": "2.4.6", "orjson": "3.8.3"}
 
 
 class TestDeviation:
@@ -102,3 +110,43 @@ class TestWhere:
         b = write_dump(tmp_path / "b", BEFORE, rc=3)
         assert report_digests.compare(a, b) == 1
         assert "#00 pagerank: exit code 0 -> 3" in capsys.readouterr().out
+
+
+class TestVersions:
+    def test_out_records_the_versions_first(self, tmp_path, monkeypatch):
+        chain = tmp_path / "chain.json"
+        chain.write_text(json.dumps({"states": ["a"], "P": [[1.0]]}))
+        request = types.SimpleNamespace(argv=("validate", str(chain)), kind="validate")
+        monkeypatch.setitem(sys.modules, "workloads",
+                            types.SimpleNamespace(build=lambda *args: [request]))
+        monkeypatch.setattr(report_digests, "WORKLOADS", ("walks",))
+        monkeypatch.setattr(report_digests, "SEEDS", (1,))
+        monkeypatch.setattr(sys, "path", list(sys.path))
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            monkeypatch.setenv(var, "1")  # dump sets them
+        out = tmp_path / "dump.jsonl"
+        assert report_digests.dump(out) == 1
+        first, record = out.read_text().splitlines()
+        assert json.loads(first) == {"versions": {"python": platform.python_version(),
+                                                  "numpy": np.__version__,
+                                                  "orjson": orjson.__version__}}
+        assert json.loads(record)["key"] == "walks seed 1 #00 validate"
+        with out.open() as f:
+            versions, lines = report_digests.read_dump(f)
+            assert (versions, list(lines)) == (json.loads(first)["versions"], [record + "\n"])
+
+    def test_same_versions_no_warning(self, tmp_path, capsys):
+        a = write_dump(tmp_path / "a", BEFORE, versions=VERSIONS)
+        b = write_dump(tmp_path / "b", BEFORE, versions=dict(VERSIONS))
+        assert report_digests.compare(a, b) == 0
+        assert "warning" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("after", [dict(VERSIONS, orjson="3.10.0"), None])
+    def test_other_versions_warn(self, tmp_path, capsys, after):
+        a = write_dump(tmp_path / "a", BEFORE, versions=VERSIONS)
+        b = write_dump(tmp_path / "b", BEFORE, versions=after)
+        assert report_digests.compare(a, b) == 0  # a warning, not a failure
+        out = capsys.readouterr().out
+        assert out.startswith(f"warning: the dumps were written with different versions: "
+                              f"{VERSIONS} -> {after}\n")
+        assert "2 reports, 2 byte-identical, 0 changed" in out

@@ -6,14 +6,17 @@
 --out runs every request of the spectral, structural and walks workloads
 at seeds 1-3 through `chainkit.cli.main` in process, with the inputs
 that bench/workloads.py builds, and writes one JSON line per report: its
-key, argv, exit code, stdout and the sha256 of the stdout. chainkit is
+key, argv, exit code, stdout and the sha256 of the stdout. A first line
+records the python, numpy and orjson versions, since report bytes depend
+on orjson's float layout as well as on numpy's arithmetic. chainkit is
 imported from `src/` of the checkout this file sits in, with BLAS pinned
 to one thread, so a dump of one checkout against a dump of another
 shows exactly which reports a change moved.
 
---compare lists each report whose digest changed, with its largest
-numeric deviation |y - x| and that deviation over max(1, |x|), x being
-the number in the first dump. A report that differs in more than its
+--compare warns first when the two dumps record different versions (a
+dump without that line records none). Then it lists each report whose
+digest changed, with its largest numeric deviation |y - x| and that
+deviation over max(1, |x|), x being the number in the first dump. A report that differs in more than its
 numbers is listed with where it first does: the key path and the two
 values for a JSON report, the text around it for another. It exits 1 when the dumps hold different
 requests, or when a changed report differs in anything but its numbers
@@ -29,9 +32,11 @@ import io
 import itertools
 import json
 import os
+import platform
 import re
 import sys
 import tempfile
+from collections.abc import Iterable
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -47,11 +52,16 @@ def dump(out: Path) -> int:
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"  # before numpy loads, so BLAS sums in one order
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+    import numpy
+    import orjson
     import workloads
     from chainkit import cli
 
     count = 0
     with out.open("w", encoding="utf-8") as f, tempfile.TemporaryDirectory() as tmp:
+        f.write(json.dumps({"versions": {"python": platform.python_version(),
+                                         "numpy": numpy.__version__,
+                                         "orjson": orjson.__version__}}) + "\n")
         for workload in WORKLOADS:
             for seed in SEEDS:
                 workdir = os.path.join(tmp, f"{workload}-{seed}")
@@ -134,13 +144,25 @@ def where(a: str, b: str) -> str:
     return f"text {ma[max(0, i - 20):i + 20]!r} -> {mb[max(0, i - 20):i + 20]!r}"
 
 
+def read_dump(f) -> tuple[dict | None, Iterable[str]]:
+    """The versions an open dump records (None when it has no such line)
+    and its report lines, read as they are iterated."""
+    first = f.readline()
+    if first and "versions" in json.loads(first):
+        return json.loads(first)["versions"], f
+    return None, itertools.chain([first] if first else [], f)
+
+
 def compare(before: Path, after: Path) -> int:
     """Print each changed report and a summary; the exit status above."""
     total = changed = 0
     ok = True
     worst = 0.0
     with before.open(encoding="utf-8") as fa, after.open(encoding="utf-8") as fb:
-        for la, lb in itertools.zip_longest(fa, fb, fillvalue='{"key": null}'):
+        (va, lines_a), (vb, lines_b) = read_dump(fa), read_dump(fb)
+        if va != vb:
+            print(f"warning: the dumps were written with different versions: {va} -> {vb}")
+        for la, lb in itertools.zip_longest(lines_a, lines_b, fillvalue='{"key": null}'):
             ra, rb = json.loads(la), json.loads(lb)
             if ra["key"] != rb["key"] or ra.get("argv") != rb.get("argv"):
                 print(f"different requests: {ra['key']!r} against {rb['key']!r}")
